@@ -2,13 +2,7 @@
 
 from .bursts import Burst, aggregate
 from .calibration import CalibrationRatio, PeopleEstimate, estimate_ratio, people_count
-from .counting import (
-    Window,
-    WindowEstimate,
-    count_window,
-    mac_count_baseline,
-    sliding_windows,
-)
+from .counting import Window, WindowEstimate, sliding_windows
 from .ingest import (
     MacAddress,
     ParseError,
@@ -47,7 +41,6 @@ __all__ = [
     "Window",
     "WindowEstimate",
     "aggregate",
-    "count_window",
     "estimate_ratio",
     "extract_intervals",
     "format_events",
@@ -55,7 +48,6 @@ __all__ = [
     "is_randomized",
     "ks_two_sample",
     "ljung_box",
-    "mac_count_baseline",
     "mape",
     "nrmse",
     "parse_capture",

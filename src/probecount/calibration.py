@@ -7,8 +7,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import Window, WindowEstimate
+from .ingest import finite, read_keys, read_rows
 
-_RATIO_KEYS = ("alpha", "nrmse_people_ref", "nrmse_device_cal", "source_window_span")
+_RATIO_KEYS = dict.fromkeys(
+    ("alpha", "nrmse_people_ref", "nrmse_device_cal", "source_window_span"), finite
+)
 
 
 @dataclass(frozen=True)
@@ -93,22 +96,7 @@ def format_ratio(ratio: CalibrationRatio) -> str:
 
 
 def parse_ratio(text: str) -> CalibrationRatio:
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        values[key] = rest.strip()
-    missing = [k for k in _RATIO_KEYS if k not in values]
-    if missing:
-        raise ValueError(f"ratio file missing keys: {', '.join(missing)}")
-    return CalibrationRatio(
-        alpha=float(values["alpha"]),
-        nrmse_people_ref=float(values["nrmse_people_ref"]),
-        nrmse_device_cal=float(values["nrmse_device_cal"]),
-        source_window_span=float(values["source_window_span"]),
-    )
+    return CalibrationRatio(**read_keys(text, "ratio", _RATIO_KEYS))
 
 
 def format_people_series(estimates: Sequence[PeopleEstimate]) -> str:
@@ -125,13 +113,4 @@ def format_reference_series(series: Sequence[tuple[float, float]]) -> str:
 
 def parse_reference_series(text: str) -> list[tuple[float, float]]:
     """Parse `start value` reference lines (e.g. camera people counts)."""
-    series = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 2 fields, got {len(fields)}")
-        series.append((float(fields[0]), float(fields[1])))
-    return series
+    return read_rows(text, lambda start, value: (start, value), (finite, finite))

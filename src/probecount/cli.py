@@ -14,9 +14,11 @@ from .ingest import (
     PCAP_MAGIC,
     PCAP_MAGIC_SWAPPED,
     ParseError,
+    finite,
+    format_events,
     parse_capture,
     parse_events,
-    format_events,
+    read_rows,
 )
 
 EXIT_OK = 0
@@ -101,9 +103,11 @@ def _add_window_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--step", type=float, default=counting.DEFAULT_STEP,
                      help="sliding step in seconds")
     cmd.add_argument("--start", type=float,
-                     help="first window start (default: first observation)")
+                     help="first window start (default: the multiple of --step at or "
+                          "before the first observation)")
     cmd.add_argument("--end", type=float,
-                     help="drop windows extending past this time")
+                     help="windows end at or before this time, even past the data "
+                          "(default: the last observation, plus one window for count)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,9 +167,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     events = _read_input(args)
+    grid = dict(start=args.start, end=args.end)
     if args.baseline == "mac":
-        series = counting.mac_count_series(events, args.window, args.step, start=args.start)
-        series = [(w, n) for w, n in series if _window_fits(w, args.end)]
+        series = counting.mac_count_series(events, args.window, args.step, **grid)
         text = "# start w unique_macs\n" + "".join(
             f"{w.start:.6f} {w.size:.6f} {n}\n" for w, n in series
         )
@@ -175,14 +179,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise ParseError("--model is required unless --baseline is given")
     model = intervals.parse_model(Path(args.model).read_text(encoding="utf-8"))
     bursts = aggregate(events, gap=args.gap)
-    estimates = counting.sliding_windows(bursts, args.window, args.step, model, start=args.start)
-    estimates = [e for e in estimates if _window_fits(e.window, args.end)]
+    estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
     _write_output(counting.format_series(estimates), args.out)
     return EXIT_OK
-
-
-def _window_fits(window: counting.Window, end: float | None) -> bool:
-    return end is None or window.end <= end + 1e-9
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -218,23 +217,24 @@ def _cmd_people(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_value_series(path: str) -> list[tuple[float, float]]:
-    """Read (window start, value) pairs from any of the series formats.
+# Value column of each series layout, by field count: start value;
+# start w value; start w m_hat nrmse; start w B R n_hat var nrmse.
+_VALUE_COLUMN = {2: 1, 3: 2, 4: 2, 7: 4}
 
-    2 columns: start value; 3: start w value; 4: start w m_hat nrmse;
-    7: start w B R n_hat var nrmse.
-    """
-    value_index = {2: 1, 3: 2, 4: 2, 7: 4}
-    series = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) not in value_index:
-            raise ValueError(f"{path}: line {lineno}: unrecognized series layout")
-        series.append((float(fields[0]), float(fields[value_index[len(fields)]])))
-    return series
+
+def _read_value_series(path: str) -> list[tuple[float, float]]:
+    """Read (window start, value) pairs from any of the series formats."""
+    layouts = [
+        [finite if i in (0, col) else str for i in range(n)] for n, col in _VALUE_COLUMN.items()
+    ]
+    try:
+        return read_rows(
+            Path(path).read_text(encoding="utf-8"),
+            lambda *row: (row[0], row[_VALUE_COLUMN[len(row)]]),
+            *layouts,
+        )
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -264,13 +264,11 @@ def _cmd_truth(args: argparse.Namespace) -> int:
     entities = trace.devices() if args.kind == "device" else trace.persons()
     if not entities:
         raise ValueError(f"trace contains no {args.kind} entities")
-    start = args.start if args.start is not None else 0.0
+    start = args.start
+    if start is None:
+        start = counting.grid_start(min(e.enter for e in entities), args.step)
     end = args.end if args.end is not None else max(e.leave for e in entities)
-    windows = []
-    i = 0
-    while start + i * args.step + args.window <= end + 1e-9:
-        windows.append(counting.Window(start + i * args.step, args.window))
-        i += 1
+    windows = counting.window_grid(start, end, args.window, args.step)
     if not windows:
         raise ValueError("no complete window fits before --end")
     series = simulate.ground_truth_series(trace, windows)

@@ -9,13 +9,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bursts import Burst
-from .ingest import PrfEvent
+from .ingest import MacAddress, PrfEvent, finite, read_rows
 from .intervals import IntervalModel
 
 DEFAULT_WINDOW_SIZE = 180.0
 DEFAULT_STEP = 180.0
-# A longer window suits venues where occupants stay for extended periods.
-LONG_DWELL_WINDOW_SIZE = 900.0
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,64 @@ class WindowEstimate:
             raise ValueError("burst count cannot be negative")
 
 
+def window_grid(start: float, end: float, size: float, step: float) -> list[Window]:
+    """Windows of ``size`` at start, start+step, ... that end at or before ``end``."""
+    if not size > 0 or not step > 0:
+        raise ValueError("window size and step must be positive")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError("window grid start and end must be finite")
+    windows = []
+    i = 0
+    while start + i * step + size <= end + 1e-9:
+        windows.append(Window(start + i * step, size))
+        i += 1
+    return windows
+
+
+def grid_start(first: float, step: float) -> float:
+    """Default grid start: the multiple of ``step`` at or before ``first``.
+
+    Anchoring every default grid on the k*step lattice lets series computed
+    from different inputs (counts, baseline, ground truth) join by start.
+    """
+    if not step > 0:
+        raise ValueError("window step must be positive")
+    start = math.floor(first / step) * step
+    # first/step can round up to the next integer when first lies just below
+    # a lattice point; the grid must still start at or before first
+    return start - step if start > first else start
+
+
+def _series_grid(
+    times: Iterable[float],
+    what: str,
+    size: float,
+    step: float,
+    start: float | None,
+    end: float | None,
+) -> tuple[list[Window], np.ndarray]:
+    """The grid over sorted ``times`` and each window's [lo, hi) slice of them.
+
+    ``start`` defaults to the lattice point at or before the first time and
+    ``end`` to the last time plus ``size``, so the trailing window holding the
+    last time is kept.  Without data, a grid needs both bounds.
+    """
+    if not size > 0 or not step > 0:
+        raise ValueError("window size and step must be positive")
+    times = np.array(list(times), dtype=float)
+    if np.any(np.diff(times) < 0):
+        raise ValueError(f"{what} not sorted")
+    if times.size == 0 and (start is None or end is None):
+        return [], np.empty((2, 0), dtype=int)
+    if start is None:
+        start = grid_start(float(times[0]), step)
+    if end is None:
+        end = float(times[-1]) + size
+    windows = window_grid(start, end, size, step)
+    starts = np.array([w.start for w in windows], dtype=float)
+    return windows, np.searchsorted(times, [starts, starts + size], side="left")
+
+
 def _check_model(model: IntervalModel) -> None:
     if model.sample_count == 0:
         raise ValueError("unfitted interval model")
@@ -76,16 +132,6 @@ def _estimate(window: Window, burst_count: int, model: IntervalModel) -> WindowE
     return WindowEstimate(window, burst_count, rate, n_hat, var_lower_bound, nrmse)
 
 
-def count_window(bursts: Iterable[Burst], window: Window, model: IntervalModel) -> WindowEstimate:
-    """Estimate the window-averaged device count from bursts in one window.
-
-    Bursts are counted by probing-instant membership in [start, start+size).
-    """
-    _check_model(model)
-    burst_count = sum(1 for b in bursts if window.contains(b.probing_instant))
-    return _estimate(window, burst_count, model)
-
-
 def sliding_windows(
     bursts: Sequence[Burst],
     size: float = DEFAULT_WINDOW_SIZE,
@@ -93,39 +139,20 @@ def sliding_windows(
     model: IntervalModel | None = None,
     *,
     start: float | None = None,
+    end: float | None = None,
 ) -> list[WindowEstimate]:
-    """Estimates for windows at start, start+step, ... covering the burst span.
+    """Estimates on the window grid over the bursts' probing instants.
 
-    ``start`` defaults to the first probing instant.
+    A burst counts in a window when its probing instant lies in
+    [start, start+size).  ``start`` defaults to the multiple of ``step`` at or
+    before the first instant, and ``end`` to the last instant plus ``size``.
     """
-    if size <= 0 or step <= 0:
-        raise ValueError("window size and step must be positive")
     if model is None:
         raise ValueError("an interval model is required")
     _check_model(model)
-    instants = np.array([b.probing_instant for b in bursts], dtype=float)
-    if instants.size and np.any(np.diff(instants) < 0):
-        raise ValueError("bursts not sorted by probing instant")
-    if instants.size == 0:
-        return []
-    t0 = float(instants[0]) if start is None else start
-    t_last = float(instants[-1])
-    estimates = []
-    i = 0
-    while True:
-        w_start = t0 + i * step
-        if w_start > t_last:
-            break
-        lo = int(np.searchsorted(instants, w_start, side="left"))
-        hi = int(np.searchsorted(instants, w_start + size, side="left"))
-        estimates.append(_estimate(Window(w_start, size), hi - lo, model))
-        i += 1
-    return estimates
-
-
-def mac_count_baseline(events: Iterable[PrfEvent], window: Window) -> int:
-    """Distinct MAC addresses heard in the window (randomization-blind)."""
-    return len({e.mac for e in events if window.contains(e.timestamp)})
+    instants = (b.probing_instant for b in bursts)
+    windows, (lo, hi) = _series_grid(instants, "bursts", size, step, start, end)
+    return [_estimate(w, int(h - l), model) for w, l, h in zip(windows, lo, hi)]
 
 
 def mac_count_series(
@@ -134,24 +161,14 @@ def mac_count_series(
     step: float = DEFAULT_STEP,
     *,
     start: float | None = None,
+    end: float | None = None,
 ) -> list[tuple[Window, int]]:
-    """MAC-counting baseline over the same window grid as sliding_windows."""
-    if size <= 0 or step <= 0:
-        raise ValueError("window size and step must be positive")
-    if not events:
-        return []
-    t0 = events[0].timestamp if start is None else start
-    t_last = events[-1].timestamp
-    out = []
-    i = 0
-    while True:
-        w_start = t0 + i * step
-        if w_start > t_last:
-            break
-        window = Window(w_start, size)
-        out.append((window, mac_count_baseline(events, window)))
-        i += 1
-    return out
+    """Distinct MACs heard per window (randomization-blind), on the same grid."""
+    timestamps = (e.timestamp for e in events)
+    windows, (lo, hi) = _series_grid(timestamps, "events", size, step, start, end)
+    ids: dict[MacAddress, int] = {}
+    codes = [ids.setdefault(e.mac, len(ids)) for e in events]
+    return [(w, len(set(codes[l:h]))) for w, l, h in zip(windows, lo, hi)]
 
 
 def format_series(estimates: Iterable[WindowEstimate]) -> str:
@@ -166,24 +183,18 @@ def format_series(estimates: Iterable[WindowEstimate]) -> str:
     return "".join(lines)
 
 
+def _nrmse(text: str) -> float | None:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"infinite nrmse {text!r}")
+    return None if math.isnan(value) else value
+
+
+def _window_estimate(start, size, burst_count, rate, n_hat, var_lower_bound, nrmse):
+    return WindowEstimate(Window(start, size), burst_count, rate, n_hat, var_lower_bound, nrmse)
+
+
 def parse_series(text: str) -> list[WindowEstimate]:
-    estimates = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 7:
-            raise ValueError(f"line {lineno}: expected 7 fields, got {len(fields)}")
-        nrmse = float(fields[6])
-        estimates.append(
-            WindowEstimate(
-                window=Window(float(fields[0]), float(fields[1])),
-                burst_count=int(fields[2]),
-                rate=float(fields[3]),
-                n_hat=float(fields[4]),
-                var_lower_bound=float(fields[5]),
-                nrmse_estimate=None if math.isnan(nrmse) else nrmse,
-            )
-        )
-    return estimates
+    return read_rows(
+        text, _window_estimate, (finite, finite, int, finite, finite, finite, _nrmse)
+    )

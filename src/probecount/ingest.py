@@ -1,11 +1,17 @@
-"""Probe-request event ingestion from 802.11 capture files and text logs."""
+"""Probe-request event ingestion from 802.11 capture files and text logs.
+
+Also holds the two readers behind every line-oriented text file: ``read_rows``
+for column files and ``read_keys`` for ``key value`` files.
+"""
 
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+
+_Row = TypeVar("_Row")
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
@@ -31,7 +37,73 @@ _RADIOTAP_EXT_BIT = 1 << 31
 
 
 class ParseError(ValueError):
-    """Raised when a capture file or event log cannot be decoded."""
+    """Raised when a capture file or a text input cannot be decoded."""
+
+
+def finite(text: str) -> float:
+    """A float field that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _data_lines(text: str) -> Iterable[tuple[int, str]]:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def read_rows(
+    text: str, build: Callable[..., _Row], *layouts: Sequence[Callable[[str], Any]]
+) -> list[_Row]:
+    """Rows of a whitespace-separated column file, skipping blank and ``#`` lines.
+
+    Each layout is one converter per column; a row's field count picks its
+    layout, and ``build`` receives the converted fields.  Every error names
+    the line.
+    """
+    by_count = {len(layout): layout for layout in layouts}
+    rows = []
+    for lineno, line in _data_lines(text):
+        fields = line.split()
+        layout = by_count.get(len(fields))
+        if layout is None:
+            expected = " or ".join(str(n) for n in sorted(by_count))
+            raise ParseError(f"line {lineno}: expected {expected} fields, got {len(fields)}")
+        try:
+            rows.append(build(*[convert(f) for convert, f in zip(layout, fields)]))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return rows
+
+
+def read_keys(
+    text: str, what: str, keys: Mapping[str, Callable[[str], Any]], *, required: bool = True
+) -> dict[str, Any]:
+    """Converted values of a ``key value`` file, skipping blank and ``#`` lines.
+
+    Unknown and repeated keys are rejected; with ``required`` every key must
+    be present.  Every error about one line names it.
+    """
+    values: dict[str, Any] = {}
+    for lineno, line in _data_lines(text):
+        key, *rest = line.split(None, 1)
+        if not rest:
+            raise ParseError(f"line {lineno}: expected 'key value'")
+        if key not in keys:
+            raise ParseError(f"line {lineno}: unknown {what} key {key!r}")
+        if key in values:
+            raise ParseError(f"line {lineno}: duplicate {what} key {key!r}")
+        try:
+            values[key] = keys[key](rest[0])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {key}: {exc}") from None
+    missing = [k for k in keys if k not in values]
+    if required and missing:
+        raise ParseError(f"{what} file missing keys: {', '.join(missing)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -178,31 +250,12 @@ def parse_events(text: str) -> list[PrfEvent]:
     Each non-comment line is ``<timestamp> <mac> <ap_id> [rssi]``.  Events are
     returned sorted by timestamp; input order is preserved for ties.
     """
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) not in (3, 4):
-            raise ParseError(f"line {lineno}: expected 3 or 4 fields, got {len(fields)}")
-        try:
-            timestamp = float(fields[0])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad timestamp {fields[0]!r}") from None
-        if not math.isfinite(timestamp) or timestamp < 0:
-            raise ParseError(f"line {lineno}: non-finite or negative timestamp {fields[0]!r}")
-        try:
-            mac = MacAddress.parse(fields[1])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        rssi = None
-        if len(fields) == 4:
-            try:
-                rssi = int(fields[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad rssi {fields[3]!r}") from None
-        events.append(PrfEvent(timestamp, mac, fields[2], rssi))
+    events = read_rows(
+        text,
+        PrfEvent,
+        (float, MacAddress.parse, str),
+        (float, MacAddress.parse, str, int),
+    )
     events.sort(key=lambda e: e.timestamp)
     return events
 

@@ -10,11 +10,19 @@ import numpy as np
 from scipy import special, stats
 
 from .bursts import Burst
+from .ingest import finite, read_keys
 
 DEFAULT_INTERVAL_CUTOFF = 600.0
 DEFAULT_BIN_WIDTH = 10.0
 
-_MODEL_KEYS = ("area_id", "tau_mean", "tau_std", "sample_count", "bin_width", "histogram")
+_MODEL_KEYS = {
+    "area_id": str,
+    "tau_mean": finite,
+    "tau_std": finite,
+    "sample_count": int,
+    "bin_width": finite,
+    "histogram": lambda text: tuple(int(c) for c in text.split()),
+}
 
 
 class InsufficientSamplesError(ValueError):
@@ -41,10 +49,6 @@ class Histogram:
     counts: tuple[int, ...]
 
     @property
-    def edges(self) -> tuple[float, ...]:
-        return tuple(i * self.bin_width for i in range(len(self.counts) + 1))
-
-    @property
     def total(self) -> int:
         return sum(self.counts)
 
@@ -64,10 +68,6 @@ class IntervalModel:
             raise ValueError("tau_mean must be positive for a fitted model")
         if self.tau_std < 0:
             raise ValueError("tau_std must be non-negative")
-
-    def mean_rate(self) -> float:
-        """Average probing rate of a single device: 1 / tau_mean."""
-        return 1.0 / self.tau_mean
 
     @classmethod
     def from_moments(
@@ -219,21 +219,15 @@ def format_model(model: IntervalModel) -> str:
 
 
 def parse_model(text: str) -> IntervalModel:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        values[key] = rest.strip()
-    missing = [k for k in _MODEL_KEYS if k not in values]
-    if missing:
-        raise ValueError(f"interval model file missing keys: {', '.join(missing)}")
-    counts = tuple(int(c) for c in values["histogram"].split()) if values["histogram"] else ()
+    values = read_keys(text, "interval model", _MODEL_KEYS)
+    if not values["bin_width"] > 0:
+        raise ValueError("interval model bin_width must be positive")
+    histogram = Histogram(values["bin_width"], values["histogram"])
+    if histogram.total != values["sample_count"]:
+        raise ValueError(
+            f"interval model histogram holds {histogram.total} samples, "
+            f"sample_count is {values['sample_count']}"
+        )
     return IntervalModel(
-        area_id=values["area_id"],
-        tau_mean=float(values["tau_mean"]),
-        tau_std=float(values["tau_std"]),
-        sample_count=int(values["sample_count"]),
-        histogram=Histogram(float(values["bin_width"]), counts),
+        values["area_id"], values["tau_mean"], values["tau_std"], values["sample_count"], histogram
     )

@@ -10,13 +10,13 @@ and people counts by interval arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .counting import Window
-from .ingest import MacAddress, PrfEvent
+from .ingest import MacAddress, PrfEvent, finite, read_keys, read_rows
 from .intervals import parse_model
 
 
@@ -274,48 +274,7 @@ class SimConfig:
 
 def parse_config(text: str) -> SimConfig:
     """Parse a flat key-value config; keys mirror SimConfig fields."""
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        if not rest:
-            raise ValueError(f"line {lineno}: expected 'key value'")
-        values[key] = rest.strip()
-    config = SimConfig()
-    for key, raw in values.items():
-        if key == "arrival_rate":
-            config = replace(config, arrival_rate=float(raw))
-        elif key == "dwell_dist":
-            config = replace(config, dwell_dist=parse_distribution(raw))
-        elif key == "interval_dist":
-            config = replace(config, interval_dist=parse_distribution(raw))
-        elif key == "burst_duration":
-            config = replace(config, burst_duration=float(raw))
-        elif key == "frames_per_burst":
-            config = replace(config, frames_per_burst=_parse_frame_range(raw))
-        elif key == "devices_per_person_dist":
-            config = replace(config, devices_per_person_dist=parse_count_distribution(raw))
-        elif key == "rotation_prob":
-            config = replace(config, rotation_prob=float(raw))
-        elif key == "phase_mode":
-            config = replace(config, phase_mode=raw)
-        elif key == "duration":
-            config = replace(config, duration=float(raw))
-        elif key == "seed":
-            config = replace(config, seed=int(raw))
-        elif key == "fixed_persons":
-            config = replace(config, fixed_persons=int(raw))
-        elif key == "interval_scale_sigma":
-            config = replace(config, interval_scale_sigma=float(raw))
-        elif key == "ap_id":
-            config = replace(config, ap_id=raw)
-        elif key == "rssi":
-            config = replace(config, rssi=int(raw))
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return config
+    return SimConfig(**read_keys(text, "config", _CONFIG_KEYS, required=False))
 
 
 def _parse_frame_range(raw: str) -> tuple[int, int]:
@@ -324,6 +283,24 @@ def _parse_frame_range(raw: str) -> tuple[int, int]:
         return int(lo), int(hi)
     value = int(raw)
     return value, value
+
+
+_CONFIG_KEYS = {
+    "arrival_rate": finite,
+    "dwell_dist": parse_distribution,
+    "interval_dist": parse_distribution,
+    "burst_duration": finite,
+    "frames_per_burst": _parse_frame_range,
+    "devices_per_person_dist": parse_count_distribution,
+    "rotation_prob": finite,
+    "phase_mode": str,
+    "duration": finite,
+    "seed": int,
+    "fixed_persons": int,
+    "interval_scale_sigma": finite,
+    "ap_id": str,
+    "rssi": int,
+}
 
 
 # --------------------------------------------------------------------------
@@ -393,15 +370,7 @@ def format_trace(trace: GroundTruthTrace) -> str:
 
 
 def parse_trace(text: str) -> GroundTruthTrace:
-    entities = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(fields)}")
-        entities.append(Entity(fields[0], fields[1], fields[2], float(fields[3]), float(fields[4])))
+    entities = read_rows(text, Entity, (str, str, str, finite, finite))
     return GroundTruthTrace(tuple(entities))
 
 
@@ -533,19 +502,3 @@ def simulate(config: SimConfig) -> tuple[list[PrfEvent], GroundTruthTrace]:
             events.extend(_device_events(config, rng, enter, leave))
     events.sort(key=lambda e: (e.timestamp, str(e.mac)))
     return events, GroundTruthTrace(tuple(entities))
-
-
-def two_burst_dwell_trials(
-    tau1: float, tau2: float, tau3: float, trials: int = 100_000, seed: int = 0
-) -> float:
-    """Monte Carlo mean dwell for a device heard exactly twice.
-
-    The device probes at fixed instants separated by tau2; it entered at a
-    uniform point of the preceding interval (tau1) and leaves at a uniform
-    point of the following one (tau3).  The mean dwell converges to
-    (tau1 + 2*tau2 + tau3) / 2.
-    """
-    rng = np.random.default_rng(seed)
-    entry = rng.uniform(0.0, tau1, trials)
-    exit_ = tau1 + tau2 + rng.uniform(0.0, tau3, trials)
-    return float(np.mean(exit_ - entry))

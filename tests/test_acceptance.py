@@ -14,7 +14,7 @@ import pytest
 
 from probecount.bursts import aggregate
 from probecount.calibration import estimate_ratio, people_count
-from probecount.counting import Window, count_window, mac_count_baseline, sliding_windows
+from probecount.counting import Window, mac_count_series, sliding_windows
 from probecount.ingest import format_events, parse_capture, parse_events
 from probecount.intervals import IntervalModel, ks_two_sample, ljung_box
 from probecount.metrics import SeriesPair, nrmse
@@ -30,10 +30,10 @@ from probecount.simulate import (
     ground_truth_window,
     probing_instants,
     simulate,
-    two_burst_dwell_trials,
 )
 
 from capture_files import beacon, pcap, probe_request, radiotap
+from monte_carlo import two_burst_dwell_trials
 
 TAU = 60.0
 W = 900.0
@@ -63,8 +63,7 @@ def _arrivals_run(interval_dist, seed):
     events, trace = simulate(cfg)
     bursts = aggregate(events)
     model = IntervalModel.from_moments("sim", interval_dist.mean(), interval_dist.std())
-    estimates = sliding_windows(bursts, W, W, model, start=WARMUP)
-    estimates = [e for e in estimates if e.window.end <= cfg.duration][:N_WINDOWS]
+    estimates = sliding_windows(bursts, W, W, model, start=WARMUP, end=cfg.duration)
     assert len(estimates) == N_WINDOWS
     truths = ground_truth_series(trace, [e.window for e in estimates])
     return {
@@ -160,8 +159,9 @@ def test_criterion_3_error_model_bound(exp_arrivals, lognormal_arrivals, fixed_p
 
     # tightness: devices dwelling across whole windows, exponential intervals
     pop = fixed_population
-    estimates = sliding_windows(pop["bursts"], W, W, pop["model"], start=WARMUP)
-    estimates = [e for e in estimates if e.window.end <= pop["duration"]][:N_WINDOWS]
+    estimates = sliding_windows(
+        pop["bursts"], W, W, pop["model"], start=WARMUP, end=pop["duration"]
+    )
     var = float(np.var([e.n_hat for e in estimates], ddof=1))
     var_target = 50 * TAU / W
     var_ratio = var / var_target
@@ -190,11 +190,11 @@ def test_criterion_4_nrmse_trend(fixed_population):
     # analytic: doubling the window at a fixed burst rate divides the
     # predicted NRMSE by exactly sqrt(2)
     model = fixed_population["model"]
-    single = count_window(
-        [_burst(i * 6.0) for i in range(100)], Window(0.0, 600.0), model
+    [single] = sliding_windows(
+        [_burst(i * 6.0) for i in range(100)], 600.0, 600.0, model, start=0.0, end=600.0
     )
-    double = count_window(
-        [_burst(i * 6.0) for i in range(200)], Window(0.0, 1200.0), model
+    [double] = sliding_windows(
+        [_burst(i * 6.0) for i in range(200)], 1200.0, 1200.0, model, start=0.0, end=1200.0
     )
     analytic_ratio = single.nrmse_estimate / double.nrmse_estimate
     analytic_ok = abs(analytic_ratio - math.sqrt(2)) < 1e-12
@@ -202,8 +202,9 @@ def test_criterion_4_nrmse_trend(fixed_population):
     pop = fixed_population
     empirical, predicted = [], []
     for w in (180.0, 360.0, 720.0, 1440.0):
-        estimates = sliding_windows(pop["bursts"], w, w, model, start=WARMUP)
-        estimates = [e for e in estimates if e.window.end <= pop["duration"]]
+        estimates = sliding_windows(
+            pop["bursts"], w, w, model, start=WARMUP, end=pop["duration"]
+        )
         truths = ground_truth_series(pop["trace"], [e.window for e in estimates])
         pair = SeriesPair.of([e.n_hat for e in estimates], [n for n, _ in truths])
         empirical.append(nrmse(pair))
@@ -226,12 +227,14 @@ def _burst(t):
 def test_criterion_5_baseline_overcounting(fixed_population):
     w = 300.0  # five bursts per device-window at tau = 60
     pop = fixed_population
-    windows = [Window(WARMUP + i * w, w) for i in range(100)]
-    truths = ground_truth_series(pop["trace"], windows)
+    end = WARMUP + 100 * w
+    macs = mac_count_series(pop["events"], w, w, start=WARMUP, end=end)
+    estimates = sliding_windows(pop["bursts"], w, w, pop["model"], start=WARMUP, end=end)
+    truths = ground_truth_series(pop["trace"], [e.window for e in estimates])
     base, rate = [], []
-    for window, (n_bar, _) in zip(windows, truths):
-        base.append(mac_count_baseline(pop["events"], window) / n_bar)
-        rate.append(count_window(pop["bursts"], window, pop["model"]).n_hat / n_bar)
+    for (_, macs_heard), estimate, (n_bar, _) in zip(macs, estimates, truths):
+        base.append(macs_heard / n_bar)
+        rate.append(estimate.n_hat / n_bar)
     rotating_base = float(np.mean(base))
     rotating_rate = float(np.mean(rate))
 
@@ -245,12 +248,10 @@ def test_criterion_5_baseline_overcounting(fixed_population):
         seed=43,
     )
     events, trace = simulate(cfg)
-    windows = [Window(600.0 + i * w, w) for i in range(100)]
-    truths = ground_truth_series(trace, windows)
+    macs = mac_count_series(events, w, w, start=600.0, end=cfg.duration)
+    truths = ground_truth_series(trace, [win for win, _ in macs])
     persistent_base = float(
-        np.mean(
-            [mac_count_baseline(events, win) / n for win, (n, _) in zip(windows, truths)]
-        )
+        np.mean([heard / n for (_, heard), (n, _) in zip(macs, truths)])
     )
     ok = rotating_base > 2.0 and 0.95 <= rotating_rate <= 1.05 and persistent_base < 1.5
     report(
@@ -279,13 +280,8 @@ def test_criterion_6_calibration():
     events, trace = simulate(cfg)
     bursts = aggregate(events)
     model = IntervalModel.from_moments("sim", TAU, TAU)
-    all_estimates = sliding_windows(bursts, w, w, model, start=warmup)
-    calib = [e for e in all_estimates if e.window.end <= warmup + calib_span]
-    test = [
-        e
-        for e in all_estimates
-        if e.window.start >= warmup + calib_span and e.window.end <= duration
-    ][:N_WINDOWS]
+    calib = sliding_windows(bursts, w, w, model, start=warmup, end=warmup + calib_span)
+    test = sliding_windows(bursts, w, w, model, start=warmup + calib_span, end=duration)
 
     calib_truths = ground_truth_series(trace, [e.window for e in calib])
     people_ref = [(e.window.start, m) for e, (_, m) in zip(calib, calib_truths)]

@@ -133,6 +133,37 @@ def test_parse_reference_series():
         parse_reference_series("1.0 2.0 3.0\n")
 
 
+RATIO_TEXT = "alpha 1.14\nnrmse_people_ref 0.08\nnrmse_device_cal 0.1\nsource_window_span 180.0\n"
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        (RATIO_TEXT.replace("0.08", "nan"), "line 2: nrmse_people_ref: non-finite"),
+        (RATIO_TEXT.replace("1.14", "inf"), "line 1: alpha: non-finite"),
+        (RATIO_TEXT + "beta 2.0\n", "line 5: unknown ratio key 'beta'"),
+        (RATIO_TEXT + "alpha 2.0\n", "line 5: duplicate ratio key 'alpha'"),
+        (RATIO_TEXT.replace("alpha 1.14\n", ""), "ratio file missing keys: alpha"),
+    ],
+)
+def test_parse_ratio_rejects_bad_files(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        parse_ratio(text)
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("0.0 10.0\n180.0 inf\n", "line 2: non-finite"),
+        ("0.0 10.0\nnan 1.0\n", "line 2: non-finite"),
+        ("0.0 a\n", "line 1: could not convert"),
+    ],
+)
+def test_parse_reference_series_rejects_bad_values(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        parse_reference_series(text)
+
+
 def test_simulated_poisson_device_load_recovers_alpha():
     # Persons carrying Poisson(1.5) devices; a two-hour calibration region
     # must recover alpha within 5 percent.

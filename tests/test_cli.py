@@ -306,3 +306,69 @@ def test_truth_person_series(tmp_path, capsys):
     rc = main(["truth", "--truth", str(truth), "--kind", "device", "--window", "600",
                "--step", "600", "--end", "600"])
     assert capsys.readouterr().out.strip() == "0.000000 1.500000"
+
+
+KNOWN_MODEL = (
+    "area_id sim\ntau_mean 60.0\ntau_std 60.0\nsample_count 1000\n"
+    "bin_width 600.0\nhistogram 1000\n"
+)
+
+
+def _simulate(tmp_path, config_text):
+    config = tmp_path / "sim.cfg"
+    config.write_text(config_text)
+    events, truth = tmp_path / "sim.events", tmp_path / "sim.truth"
+    assert main(["simulate", "--config", str(config), "--events", str(events),
+                 "--truth", str(truth)]) == 0
+    model = tmp_path / "known.model"
+    model.write_text(KNOWN_MODEL)
+    return events, truth, model
+
+
+def _starts(path):
+    return [l.split()[0] for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def test_default_grids_join_in_eval(tmp_path, capsys):
+    # count anchors at the first probing instant's lattice point, truth at the
+    # first entry's: with default flags both sit on the k*step lattice
+    events, truth, model = _simulate(tmp_path, "duration 3600\nseed 8\n")
+    counts, reference = tmp_path / "counts.txt", tmp_path / "reference.txt"
+    assert main(["count", str(events), "--model", str(model), "--out", str(counts)]) == 0
+    assert main(["truth", "--truth", str(truth), "--out", str(reference)]) == 0
+    assert _starts(counts)[0] == _starts(reference)[0] == "0.000000"
+    assert main(["eval", str(counts), str(reference)]) == 0
+    assert "nrmse" in capsys.readouterr().out
+
+
+def test_pinned_grid_runs_past_the_data_for_every_series(tmp_path, capsys):
+    events, truth, model = _simulate(
+        tmp_path, "fixed_persons 10\narrival_rate 0\nduration 1800\nseed 9\n"
+    )
+    grid = ["--start", "0", "--end", "3600"]
+    counts, macs = tmp_path / "counts.txt", tmp_path / "macs.txt"
+    people = tmp_path / "people_ref.txt"
+    assert main(["count", str(events), "--model", str(model), *grid, "--out", str(counts)]) == 0
+    assert main(["count", str(events), "--baseline", "mac", *grid, "--out", str(macs)]) == 0
+    assert main(["truth", "--truth", str(truth), "--kind", "person", *grid,
+                 "--out", str(people)]) == 0
+    expected = [f"{i * 180.0:.6f}" for i in range(20)]
+    assert _starts(counts) == _starts(macs) == _starts(people) == expected
+    assert main(["calibrate", str(counts), str(people)]) == 0
+    assert "alpha" in capsys.readouterr().out
+
+
+def test_truth_rejects_unbounded_end(tmp_path, capsys):
+    truth = tmp_path / "t.truth"
+    truth.write_text("p0 person - 0.0 600.0\nd0 device p0 0.0 600.0\n")
+    assert main(["truth", "--truth", str(truth), "--end", "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_eval_error_names_file_and_line(tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("0.000000 10.0\n")
+    bad.write_text("0.000000 10.0\n180.000000 1 2 3 4\n")
+    assert main(["eval", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "bad.txt: line 2" in err

@@ -120,11 +120,6 @@ def test_fit_two_point():
     assert model.tau_std == pytest.approx(math.sqrt(1800.0), abs=1e-9)
 
 
-def test_fit_mean_rate():
-    model = fit([50.0, 70.0])
-    assert model.mean_rate() == pytest.approx(1.0 / 60.0)
-
-
 def test_fit_requires_two_samples():
     with pytest.raises(InsufficientSamplesError, match="insufficient interval samples"):
         fit([60.0])
@@ -175,10 +170,52 @@ def test_parse_model_missing_key():
         parse_model("area_id x\ntau_mean 60.0\n")
 
 
+GOOD_MODEL = {
+    "area_id": "x",
+    "tau_mean": "60.0",
+    "tau_std": "60.0",
+    "sample_count": "3",
+    "bin_width": "10.0",
+    "histogram": "1 0 2",
+}
+
+
+def model_text(**changes):
+    fields = {**GOOD_MODEL, **changes}
+    return "".join(f"{k} {v}\n" for k, v in fields.items())
+
+
+def test_model_text_helper_parses():
+    assert parse_model(model_text()).histogram.counts == (1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "changes,fragment",
+    [
+        ({"tau_mean": "inf"}, "line 2: tau_mean: non-finite"),
+        ({"tau_std": "nan"}, "line 3: tau_std: non-finite"),
+        ({"sample_count": "many"}, "line 4: sample_count"),
+        ({"bin_width": "0"}, "bin_width must be positive"),
+        ({"bin_width": "-10.0"}, "bin_width must be positive"),
+        ({"histogram": "1 0 1"}, "histogram holds 2 samples, sample_count is 3"),
+    ],
+)
+def test_parse_model_rejects_bad_values(changes, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        parse_model(model_text(**changes))
+
+
+def test_parse_model_rejects_unknown_and_duplicate_keys():
+    with pytest.raises(ValueError, match="line 7: unknown interval model key 'tau_median'"):
+        parse_model(model_text() + "tau_median 50.0\n")
+    with pytest.raises(ValueError, match="line 7: duplicate interval model key 'tau_mean'"):
+        parse_model(model_text() + "tau_mean 50.0\n")
+
+
 def test_from_moments_keeps_invariants():
     model = IntervalModel.from_moments("sim", 60.0, 78.6, sample_count=1000)
     assert model.histogram.total == model.sample_count
-    assert model.mean_rate() == pytest.approx(1 / 60.0)
+    assert model.tau_mean == 60.0
 
 
 # ---------------------------------------------------------------- Ljung-Box

@@ -25,8 +25,9 @@ from probecount.simulate import (
     parse_trace,
     probing_instants,
     simulate,
-    two_burst_dwell_trials,
 )
+
+from monte_carlo import two_burst_dwell_trials
 
 
 # ---------------------------------------------------------------- distributions
@@ -357,6 +358,33 @@ def test_parse_config_defaults_and_unknown_key():
     assert cfg.phase_mode == "equilibrium"
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config("warp_factor 9\n")
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("seed 5\nseed 6\n", "line 2: duplicate config key 'seed'"),
+        ("# header\nduration soon\n", "line 2: duration"),
+        ("arrival_rate nan\n", "line 1: arrival_rate: non-finite"),
+        ("seed\n", "line 1: expected 'key value'"),
+    ],
+)
+def test_parse_config_rejects_bad_lines(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("p0 person - 0.0 600.0\nd0 device p0 0.0\n", "line 2: expected 5 fields, got 4"),
+        ("p0 person - 0.0 inf\n", "line 1: non-finite"),
+        ("p0 person - 600.0 0.0\n", "line 1: entity must leave"),
+    ],
+)
+def test_parse_trace_errors_name_the_line(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        parse_trace(text)
 
 
 def test_config_validation():
