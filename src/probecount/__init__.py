@@ -16,7 +16,6 @@ from .intervals import (
     Histogram,
     InsufficientSamplesError,
     IntervalModel,
-    IntervalSample,
     extract_intervals,
     ks_two_sample,
     ljung_box,
@@ -31,7 +30,6 @@ __all__ = [
     "Histogram",
     "InsufficientSamplesError",
     "IntervalModel",
-    "IntervalSample",
     "MacAddress",
     "ParseError",
     "PeopleEstimate",

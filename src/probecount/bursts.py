@@ -58,7 +58,7 @@ def aggregate(events: Iterable[PrfEvent], gap: float = DEFAULT_BURST_GAP) -> lis
             open_bursts[event.mac] = [event.timestamp, event.timestamp, 1, {event.ap_id}]
     for mac, cur in open_bursts.items():
         out.append(_close(mac, cur))
-    out.sort(key=lambda b: (b.probing_instant, str(b.mac)))
+    out.sort(key=lambda b: (b.probing_instant, b.mac))
     return out
 
 

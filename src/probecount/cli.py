@@ -6,7 +6,9 @@ import argparse
 import struct
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable, Sequence, TypeVar
 
 from . import calibration, counting, intervals, metrics, simulate
 from .bursts import DEFAULT_BURST_GAP, aggregate
@@ -20,6 +22,8 @@ from .ingest import (
     parse_events,
     read_rows,
 )
+
+_Row = TypeVar("_Row")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -153,11 +157,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     model = intervals.fit(
         samples, area_id=args.area_id, cutoff=args.cutoff, bin_width=args.bin_width
     )
-    text = intervals.format_model(model)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write_output(intervals.format_model(model), args.out)
+    if args.out is not None:
         print(
             f"tau_mean={model.tau_mean:.6f} tau_std={model.tau_std:.6f} "
             f"sample_count={model.sample_count}"
@@ -202,8 +203,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     people_series = calibration.parse_reference_series(
         Path(args.people_series).read_text(encoding="utf-8")
     )
+    pairs = _join_on_start(device_series, people_series, start=lambda e: e.window.start)
     ratio = calibration.estimate_ratio(
-        device_series, people_series, nrmse_people_ref=args.people_nrmse
+        [e for e, _ in pairs], [p for _, p in pairs], nrmse_people_ref=args.people_nrmse
     )
     _write_output(calibration.format_ratio(ratio), args.out)
     return EXIT_OK
@@ -237,19 +239,25 @@ def _read_value_series(path: str) -> list[tuple[float, float]]:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    estimates = _read_value_series(args.estimates)
-    reference = dict(
-        (round(start, 6), value) for start, value in _read_value_series(args.reference)
-    )
-    pairs = [
-        (value, reference[round(start, 6)])
-        for start, value in estimates
-        if round(start, 6) in reference
-    ]
+def _join_on_start(
+    rows: Sequence[_Row],
+    reference: Sequence[tuple[float, float]],
+    start: Callable[[_Row], float] = itemgetter(0),
+) -> list[tuple[_Row, tuple[float, float]]]:
+    """(row, reference row) pairs, in the order of ``rows``, whose window starts
+    agree to the microsecond."""
+    by_start = {round(ref[0], 6): ref for ref in reference}
+    pairs = [(row, by_start[key]) for row in rows if (key := round(start(row), 6)) in by_start]
     if not pairs:
         raise ValueError("no overlapping window starts between the two series")
-    pair = metrics.SeriesPair.of([p[0] for p in pairs], [p[1] for p in pairs])
+    return pairs
+
+
+def _cmd_eval(args: argparse.Namespace) -> int:
+    pairs = _join_on_start(
+        _read_value_series(args.estimates), _read_value_series(args.reference)
+    )
+    pair = metrics.SeriesPair.of([e[1] for e, _ in pairs], [r[1] for _, r in pairs])
     lines = (
         f"rmse {metrics.rmse(pair):.6f}",
         f"mape {metrics.mape(pair):.6f}",

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bursts import Burst
-from .ingest import MacAddress, PrfEvent, finite, read_rows
+from .ingest import PrfEvent, finite, read_rows
 from .intervals import IntervalModel
 
 DEFAULT_WINDOW_SIZE = 180.0
@@ -166,9 +166,8 @@ def mac_count_series(
     """Distinct MACs heard per window (randomization-blind), on the same grid."""
     timestamps = (e.timestamp for e in events)
     windows, (lo, hi) = _series_grid(timestamps, "events", size, step, start, end)
-    ids: dict[MacAddress, int] = {}
-    codes = [ids.setdefault(e.mac, len(ids)) for e in events]
-    return [(w, len(set(codes[l:h]))) for w, l, h in zip(windows, lo, hi)]
+    macs = [e.mac.value for e in events]
+    return [(w, len(set(macs[l:h]))) for w, l, h in zip(windows, lo, hi)]
 
 
 def format_series(estimates: Iterable[WindowEstimate]) -> str:

@@ -18,6 +18,9 @@ PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
 LINKTYPE_IEEE802_11 = 105
 LINKTYPE_RADIOTAP = 127
 
+# A capture stores seconds in 32 bits; no event can be later than that.
+MAX_TIMESTAMP = float(2**32)
+
 # Frame-control low byte for a probe request: protocol version 0,
 # type 0 (management), subtype 4.
 _PROBE_REQUEST_FC = 0x40
@@ -106,37 +109,36 @@ def read_keys(
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MacAddress:
-    """A 48-bit MAC address; canonical text form is lowercase colon-hex."""
+    """A 48-bit MAC address held as an integer.
 
-    octets: tuple[int, int, int, int, int, int]
+    The integer is the address's only identity: it orders, hashes and compares
+    MACs.  Its order is the order of the canonical lowercase colon-hex text.
+    """
+
+    value: int
 
     def __post_init__(self) -> None:
-        if len(self.octets) != 6 or not all(0 <= o <= 255 for o in self.octets):
-            raise ValueError(f"invalid MAC octets: {self.octets!r}")
+        if not 0 <= self.value < 1 << 48:
+            raise ValueError(f"MAC value out of range: {self.value!r}")
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
-        parts = text.split(":")
-        if len(parts) != 6 or any(len(p) != 2 for p in parts):
-            raise ValueError(f"malformed MAC address {text!r}")
         try:
-            octets = tuple(int(p, 16) for p in parts)
+            raw = bytes.fromhex(text.replace(":", ""))
         except ValueError:
-            raise ValueError(f"malformed MAC address {text!r}") from None
-        return cls(octets)  # type: ignore[arg-type]
+            raw = b""
+        if len(text) != 17 or text[2::3] != ":::::" or len(raw) != 6:
+            raise ValueError(f"malformed MAC address {text!r}")
+        return cls(int.from_bytes(raw, "big"))
+
+    @property
+    def octets(self) -> tuple[int, ...]:
+        return tuple(self.value.to_bytes(6, "big"))
 
     def __str__(self) -> str:
-        return ":".join(f"{o:02x}" for o in self.octets)
-
-    @property
-    def locally_administered(self) -> bool:
-        return bool(self.octets[0] & 0x02)
-
-    @property
-    def multicast(self) -> bool:
-        return bool(self.octets[0] & 0x01)
+        return self.value.to_bytes(6, "big").hex(":")
 
 
 @dataclass(frozen=True)
@@ -149,13 +151,13 @@ class PrfEvent:
     rssi: int | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise ValueError(f"bad event timestamp {self.timestamp!r}")
+        if not 0 <= self.timestamp < MAX_TIMESTAMP:
+            raise ValueError(f"event timestamp {self.timestamp!r} outside [0, 2**32) s")
 
 
 def is_randomized(mac: MacAddress) -> bool:
     """True for a locally-administered unicast address (a fabricated MAC)."""
-    return mac.locally_administered and not mac.multicast
+    return mac.value >> 40 & 0x03 == 0x02
 
 
 def parse_capture(data: bytes, ap_id: str = "cap0") -> list[PrfEvent]:
@@ -185,6 +187,8 @@ def parse_capture(data: bytes, ap_id: str = "cap0") -> list[PrfEvent]:
         if offset + 16 > len(data):
             raise ParseError(f"truncated packet record header at byte offset {offset}")
         ts_sec, ts_usec, incl_len, _orig_len = record.unpack_from(data, offset)
+        if ts_usec >= 1_000_000:
+            raise ParseError(f"microsecond field {ts_usec} out of range at byte offset {offset}")
         if offset + 16 + incl_len > len(data):
             raise ParseError(f"truncated packet record at byte offset {offset}")
         frame = data[offset + 16 : offset + 16 + incl_len]
@@ -216,8 +220,7 @@ def _probe_request(frame: bytes, linktype: int) -> tuple[MacAddress, int | None]
         return None
     if frame[0] != _PROBE_REQUEST_FC:
         return None
-    mac = MacAddress(tuple(frame[10:16]))  # type: ignore[arg-type]
-    return mac, rssi
+    return MacAddress(int.from_bytes(frame[10:16], "big")), rssi
 
 
 def _radiotap_antsignal(header: bytes) -> int | None:

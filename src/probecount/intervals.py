@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special, stats
 
 from .bursts import Burst
-from .ingest import finite, read_keys
+from .ingest import MacAddress, finite, read_keys
 
 DEFAULT_INTERVAL_CUTOFF = 600.0
 DEFAULT_BIN_WIDTH = 10.0
@@ -27,18 +27,6 @@ _MODEL_KEYS = {
 
 class InsufficientSamplesError(ValueError):
     """Raised when there is not enough data to fit an interval model."""
-
-
-@dataclass(frozen=True)
-class IntervalSample:
-    """One probing interval, attributed to the MAC or device that produced it."""
-
-    tau: float
-    key: str
-
-    def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValueError(f"interval must be positive, got {self.tau!r}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +76,8 @@ class IntervalModel:
 
 def extract_intervals(
     bursts: Sequence[Burst], cutoff: float = DEFAULT_INTERVAL_CUTOFF
-) -> list[IntervalSample]:
-    """Pairwise differences of consecutive probing instants per MAC.
+) -> np.ndarray:
+    """Pairwise differences of consecutive probing instants per MAC, in burst order.
 
     Gaps above ``cutoff`` are discarded: such a gap more plausibly reflects a
     departure/return or a MAC rotation than a probing interval.
@@ -97,53 +85,29 @@ def extract_intervals(
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     prev_instant = None
-    last_seen: dict[str, float] = {}
-    samples: list[IntervalSample] = []
+    last_seen: dict[MacAddress, float] = {}
+    taus: list[float] = []
     for burst in bursts:
-        if prev_instant is not None and burst.probing_instant < prev_instant:
+        instant = burst.probing_instant
+        if prev_instant is not None and instant < prev_instant:
             raise ValueError("bursts not sorted by probing instant")
-        prev_instant = burst.probing_instant
-        key = str(burst.mac)
-        if key in last_seen:
-            tau = burst.probing_instant - last_seen[key]
-            if 0 < tau <= cutoff:
-                samples.append(IntervalSample(tau, key))
-        last_seen[key] = burst.probing_instant
-    return samples
-
-
-def intervals_from_instants(
-    instants_by_key: Mapping[str, Sequence[float]], cutoff: float = DEFAULT_INTERVAL_CUTOFF
-) -> list[IntervalSample]:
-    """Interval samples from per-entity probing instants.
-
-    Ground-truth mode for simulator traces: keys are true device identifiers,
-    so MAC rotation does not truncate the pairing.
-    """
-    samples = []
-    for key, instants in instants_by_key.items():
-        for a, b in zip(instants, instants[1:]):
-            tau = b - a
-            if 0 < tau <= cutoff:
-                samples.append(IntervalSample(tau, key))
-    return samples
-
-
-def _taus(samples: Iterable[IntervalSample | float]) -> np.ndarray:
-    return np.array(
-        [s.tau if isinstance(s, IntervalSample) else float(s) for s in samples], dtype=float
-    )
+        prev_instant = instant
+        last = last_seen.get(burst.mac)
+        if last is not None and 0 < instant - last <= cutoff:
+            taus.append(instant - last)
+        last_seen[burst.mac] = instant
+    return np.array(taus, dtype=np.float64)
 
 
 def fit(
-    samples: Sequence[IntervalSample | float],
+    samples: Sequence[float],
     *,
     area_id: str = "default",
     cutoff: float = DEFAULT_INTERVAL_CUTOFF,
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> IntervalModel:
     """Fit an interval model: arithmetic mean, sample std (n-1), histogram."""
-    taus = _taus(samples)
+    taus = np.asarray(samples, dtype=float)
     if taus.size < 2:
         raise InsufficientSamplesError("insufficient interval samples (need at least 2)")
     if bin_width <= 0 or cutoff <= 0:
@@ -161,14 +125,14 @@ def fit(
     )
 
 
-def ljung_box(samples: Sequence[IntervalSample | float], num_lags: int) -> tuple[float, float]:
+def ljung_box(samples: Sequence[float], num_lags: int) -> tuple[float, float]:
     """Ljung-Box independence test.
 
     Q = n(n+2) * sum_k rho_k^2 / (n-k) for k = 1..num_lags, with rho_k the
     lag-k sample autocorrelation; the p-value comes from the chi-squared
     distribution with num_lags degrees of freedom.
     """
-    x = _taus(samples)
+    x = np.asarray(samples, dtype=float)
     n = x.size
     if not 1 <= num_lags < n:
         raise ValueError("need sample_count > num_lags >= 1")
@@ -185,16 +149,14 @@ def ljung_box(samples: Sequence[IntervalSample | float], num_lags: int) -> tuple
     return q, p_value
 
 
-def ks_two_sample(
-    a: Sequence[IntervalSample | float], b: Sequence[IntervalSample | float]
-) -> tuple[float, float]:
+def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov test with the asymptotic p-value.
 
     D is the supremum distance between the empirical CDFs; the p-value is the
     Kolmogorov distribution's tail at sqrt(n_a*n_b/(n_a+n_b)) * D.
     """
-    xa = np.sort(_taus(a))
-    xb = np.sort(_taus(b))
+    xa = np.sort(np.asarray(a, dtype=float))
+    xb = np.sort(np.asarray(b, dtype=float))
     if xa.size == 0 or xb.size == 0:
         raise ValueError("both samples must be non-empty")
     pooled = np.concatenate([xa, xb])

@@ -431,16 +431,12 @@ def _poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> 
     return np.concatenate(chunks)
 
 
-def _physical_mac(rng: np.random.Generator) -> MacAddress:
-    octets = rng.integers(0, 256, 6)
-    octets[0] &= 0xFC  # globally administered unicast
-    return MacAddress(tuple(int(o) for o in octets))  # type: ignore[arg-type]
-
-
-def _random_virtual_mac(rng: np.random.Generator) -> MacAddress:
-    octets = rng.integers(0, 256, 6)
-    octets[0] = (octets[0] & 0xFC) | 0x02  # locally administered unicast
-    return MacAddress(tuple(int(o) for o in octets))  # type: ignore[arg-type]
+def _draw_mac(rng: np.random.Generator, randomized: bool) -> MacAddress:
+    """A unicast MAC from six random octets: locally administered when randomized,
+    globally administered otherwise."""
+    octets = rng.integers(0, 256, 6).tolist()
+    octets[0] = (octets[0] & 0xFC) | (0x02 if randomized else 0x00)
+    return MacAddress(int.from_bytes(bytes(octets), "big"))
 
 
 def _device_events(
@@ -450,7 +446,7 @@ def _device_events(
     if config.interval_scale_sigma > 0:
         s = config.interval_scale_sigma
         scale = float(rng.lognormal(-0.5 * s * s, s))  # unit mean across devices
-    persistent = _physical_mac(rng)
+    persistent = _draw_mac(rng, randomized=False)
     instants = probing_instants(
         config.interval_dist, enter, leave, rng, config.phase_mode, scale
     )
@@ -459,7 +455,7 @@ def _device_events(
     for instant in instants.tolist():
         n_frames = int(rng.integers(lo, hi + 1))
         if config.rotation_prob > 0 and rng.random() < config.rotation_prob:
-            mac = _random_virtual_mac(rng)
+            mac = _draw_mac(rng, randomized=True)
         else:
             mac = persistent
         if n_frames == 1:
@@ -500,5 +496,5 @@ def simulate(config: SimConfig) -> tuple[list[PrfEvent], GroundTruthTrace]:
             entities.append(Entity(f"d{device_index}", "device", person_id, enter, leave))
             device_index += 1
             events.extend(_device_events(config, rng, enter, leave))
-    events.sort(key=lambda e: (e.timestamp, str(e.mac)))
+    events.sort(key=lambda e: (e.timestamp, e.mac))
     return events, GroundTruthTrace(tuple(entities))

@@ -341,6 +341,36 @@ def test_default_grids_join_in_eval(tmp_path, capsys):
     assert "nrmse" in capsys.readouterr().out
 
 
+def test_default_grids_join_in_calibrate(tmp_path, capsys):
+    # count keeps the trailing window holding the last probing instant, truth
+    # stops at the last departure: calibrate joins the shared starts, as eval does
+    events, truth, model = _simulate(tmp_path, "duration 3600\nseed 8\n")
+    counts, people = tmp_path / "counts.txt", tmp_path / "people_ref.txt"
+    assert main(["count", str(events), "--model", str(model), "--out", str(counts)]) == 0
+    assert main(["truth", "--truth", str(truth), "--kind", "person", "--out", str(people)]) == 0
+    assert len(_starts(counts)) > len(_starts(people))
+    assert main(["calibrate", str(counts), str(people)]) == 0
+    out = capsys.readouterr().out
+    shared = len(set(_starts(counts)) & set(_starts(people)))
+    assert f"source_window_span {shared * 180.0!r}" in out
+
+
+def test_calibrate_without_shared_window_starts_exits_1(tmp_path, capsys):
+    device = tmp_path / "device.txt"
+    device.write_text("0.000000 180.000000 30 0.166667 11.400000 1.000000 0.100000\n")
+    people = tmp_path / "people.txt"
+    people.write_text("180.000000 10.0\n")
+    assert main(["calibrate", str(device), str(people)]) == 1
+    assert "no overlapping window starts" in capsys.readouterr().err
+
+
+def test_count_rejects_timestamps_past_32_bit_seconds(tmp_path, capsys):
+    events = tmp_path / "far.events"
+    events.write_text("1e308 aa:bb:cc:dd:ee:01 ap1\n")
+    assert main(["count", str(events), "--baseline", "mac"]) == 1
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_pinned_grid_runs_past_the_data_for_every_series(tmp_path, capsys):
     events, truth, model = _simulate(
         tmp_path, "fixed_persons 10\narrival_rate 0\nduration 1800\nseed 9\n"

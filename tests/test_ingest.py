@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,10 +26,30 @@ def test_mac_parse_and_format_canonical():
     assert MacAddress.parse(str(mac)) == mac
 
 
-@given(st.tuples(*[st.integers(0, 255)] * 6))
-def test_mac_round_trip(octets):
-    mac = MacAddress(octets)
+MAC_VALUES = st.integers(0, 2**48 - 1)
+
+
+@given(MAC_VALUES)
+def test_mac_round_trip(value):
+    mac = MacAddress(value)
     assert MacAddress.parse(str(mac)) == mac
+
+
+@given(st.lists(MAC_VALUES, max_size=20))
+def test_mac_integer_identity(values):
+    macs = [MacAddress(v) for v in values]
+    assert sorted(macs) == sorted(macs, key=str)
+    for mac in macs:
+        assert MacAddress.parse(str(mac)) == mac
+        assert len(mac.octets) == 6
+        assert MacAddress(int.from_bytes(bytes(mac.octets), "big")) == mac
+        assert ":".join(f"{o:02x}" for o in mac.octets) == str(mac)
+
+
+@given(st.one_of(st.integers(max_value=-1), st.integers(min_value=2**48)))
+def test_mac_rejects_values_outside_48_bits(value):
+    with pytest.raises(ValueError, match="out of range"):
+        MacAddress(value)
 
 
 @pytest.mark.parametrize("bad", ["", "aa:bb:cc:dd:ee", "zz:00:00:00:00:01", "aabbccddeeff", "a:b:c:d:e:f"])
@@ -48,9 +70,10 @@ def test_is_randomized(text, expected):
     assert is_randomized(MacAddress.parse(text)) is expected
 
 
-@given(st.tuples(*[st.integers(0, 255)] * 6))
-def test_is_randomized_depends_only_on_first_octet(octets):
-    mac = MacAddress(octets)
+@given(MAC_VALUES)
+def test_is_randomized_depends_only_on_first_octet(value):
+    mac = MacAddress(value)
+    octets = value.to_bytes(6, "big")
     expected = bool(octets[0] & 0x02) and not octets[0] & 0x01
     assert is_randomized(mac) is expected
 
@@ -61,6 +84,9 @@ def test_event_rejects_bad_timestamp():
         PrfEvent(float("nan"), mac, "ap")
     with pytest.raises(ValueError):
         PrfEvent(-1.0, mac, "ap")
+    with pytest.raises(ValueError):
+        PrfEvent(2.0**32, mac, "ap")
+    assert PrfEvent(2.0**32 - 1e-6, mac, "ap").timestamp < 2**32
 
 
 # ---------------------------------------------------------------- text format
@@ -94,6 +120,8 @@ def test_parse_events_rssi_optional():
     [
         ("1.0 zz:00:00:00:00:01 ap1", "line 1"),
         ("nan aa:bb:cc:dd:ee:01 ap1", "line 1"),
+        ("1e308 aa:bb:cc:dd:ee:01 ap1", "line 1: event timestamp"),
+        ("4294967296.0 aa:bb:cc:dd:ee:01 ap1", "line 1: event timestamp"),
         ("notatime aa:bb:cc:dd:ee:01 ap1", "line 1"),
         ("1.0 aa:bb:cc:dd:ee:01", "line 1"),
         ("1.0 aa:bb:cc:dd:ee:01 ap1 low", "line 1"),
@@ -213,6 +241,17 @@ def test_parse_capture_truncated_record_names_offset():
     data = pcap(GOLDEN_RECORDS)[:-5]
     with pytest.raises(ParseError, match=r"byte offset \d+"):
         parse_capture(data)
+
+
+def test_parse_capture_rejects_microseconds_past_one_second():
+    # the second record (at byte offset 24 + 16 + 24) claims 5,000,000 us
+    data = bytearray(pcap(GOLDEN_RECORDS))
+    offset = 24 + 16 + len(GOLDEN_RECORDS[0][1])
+    struct.pack_into("<I", data, offset + 4, 5_000_000)
+    with pytest.raises(ParseError, match=f"microsecond field 5000000 .* byte offset {offset}"):
+        parse_capture(bytes(data))
+    struct.pack_into("<I", data, offset + 4, 999_999)
+    assert [e.timestamp for e in parse_capture(bytes(data))] == [1.0, 2.999999, 3.0]
 
 
 def test_parse_capture_truncated_record_header_names_offset():

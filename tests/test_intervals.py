@@ -13,7 +13,6 @@ from probecount.intervals import (
     extract_intervals,
     fit,
     format_model,
-    intervals_from_instants,
     ks_two_sample,
     ljung_box,
     parse_model,
@@ -32,12 +31,12 @@ def burst(t, mac=MAC_A):
 
 def test_extract_pairwise_differences():
     samples = extract_intervals([burst(0.0), burst(60.0), burst(150.0)], cutoff=600.0)
-    assert [s.tau for s in samples] == [60.0, 90.0]
+    assert samples.tolist() == [60.0, 90.0]
 
 
 def test_extract_applies_cutoff():
     samples = extract_intervals([burst(0.0), burst(60.0), burst(2000.0)], cutoff=600.0)
-    assert [s.tau for s in samples] == [60.0]
+    assert samples.tolist() == [60.0]
 
 
 def test_extract_keys_by_mac():
@@ -46,7 +45,8 @@ def test_extract_keys_by_mac():
         key=lambda b: b.probing_instant,
     )
     samples = extract_intervals(bursts, cutoff=600.0)
-    assert {(s.key, s.tau) for s in samples} == {(str(MAC_A), 60.0), (str(MAC_B), 90.0)}
+    # in burst order: MAC_A's 0 -> 60, then MAC_B's 10 -> 100
+    assert samples.tolist() == [60.0, 90.0]
 
 
 def test_extract_sample_count_accounting():
@@ -63,22 +63,7 @@ def test_extract_unsorted_raises():
 
 
 def test_extract_empty():
-    assert extract_intervals([]) == []
-
-
-def test_extract_ground_truth_mode_converges():
-    # Intervals sampled per true device id: the mean must converge to the
-    # configured distribution mean (law of large numbers).
-    rng = np.random.default_rng(7)
-    instants_by_device = {}
-    per_device = 101
-    for d in range(100):
-        steps = rng.uniform(30.0, 90.0, per_device)
-        instants_by_device[f"dev{d}"] = np.cumsum(steps).tolist()
-    samples = intervals_from_instants(instants_by_device, cutoff=600.0)
-    assert len(samples) == 100 * (per_device - 1)
-    mean = sum(s.tau for s in samples) / len(samples)
-    assert abs(mean - 60.0) / 60.0 < 0.02
+    assert extract_intervals([]).tolist() == []
 
 
 def test_extract_from_simulated_trace_with_persistent_macs():
@@ -100,7 +85,7 @@ def test_extract_from_simulated_trace_with_persistent_macs():
     events, _ = simulate(cfg)
     samples = extract_intervals(aggregate(events), cutoff=600.0)
     assert len(samples) > 9000
-    mean = sum(s.tau for s in samples) / len(samples)
+    mean = sum(samples) / len(samples)
     assert abs(mean - 60.0) / 60.0 < 0.02
 
 
