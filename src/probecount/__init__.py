@@ -1,9 +1,10 @@
 """Learning-free Wi-Fi device and people counting from probe-request streams."""
 
-from .bursts import Burst, aggregate
+from .bursts import Burst, Bursts, aggregate
 from .calibration import CalibrationRatio, PeopleEstimate, estimate_ratio, people_count
 from .counting import Window, WindowEstimate, sliding_windows
 from .ingest import (
+    Events,
     MacAddress,
     ParseError,
     PrfEvent,
@@ -25,7 +26,9 @@ from .simulate import GroundTruthTrace, SimConfig, ground_truth_window
 
 __all__ = [
     "Burst",
+    "Bursts",
     "CalibrationRatio",
+    "Events",
     "GroundTruthTrace",
     "Histogram",
     "InsufficientSamplesError",

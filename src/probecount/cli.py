@@ -13,8 +13,8 @@ from typing import Callable, Sequence, TypeVar
 from . import calibration, counting, intervals, metrics, simulate
 from .bursts import DEFAULT_BURST_GAP, aggregate
 from .ingest import (
-    PCAP_MAGIC,
-    PCAP_MAGIC_SWAPPED,
+    CAPTURE_MAGICS,
+    Events,
     ParseError,
     finite,
     format_events,
@@ -126,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
 
-def _read_input(args: argparse.Namespace) -> list:
+def _read_input(args: argparse.Namespace) -> Events:
     path = Path(args.input)
     data = path.read_bytes()
     fmt = args.format or _sniff_format(data)
@@ -136,10 +136,8 @@ def _read_input(args: argparse.Namespace) -> list:
 
 
 def _sniff_format(data: bytes) -> str:
-    if len(data) >= 4:
-        magic = struct.unpack_from("<I", data, 0)[0]
-        if magic in (PCAP_MAGIC, PCAP_MAGIC_SWAPPED):
-            return "capture"
+    if len(data) >= 4 and struct.unpack_from("<I", data, 0)[0] in CAPTURE_MAGICS:
+        return "capture"
     return "events"
 
 

@@ -8,12 +8,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bursts import Burst
-from .ingest import PrfEvent, finite, read_rows
+from .bursts import Burst, instants_and_macs
+from .ingest import Events, PrfEvent, finite, read_rows
 from .intervals import IntervalModel
 
 DEFAULT_WINDOW_SIZE = 180.0
 DEFAULT_STEP = 180.0
+# The most windows one grid may hold.
+MAX_WINDOWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,34 @@ class WindowEstimate:
 
 def window_grid(start: float, end: float, size: float, step: float) -> list[Window]:
     """Windows of ``size`` at start, start+step, ... that end at or before ``end``."""
+    return [Window(s, size) for s in _grid_starts(start, end, size, step).tolist()]
+
+
+def _grid_starts(start: float, end: float, size: float, step: float) -> np.ndarray:
+    """Starts ``start + i*step`` of the windows that end by ``end`` (within 1e-9).
+
+    The count is computed, then settled on the rule itself, so the grid is the
+    one a loop over i would build; more than ``MAX_WINDOWS`` is an error.
+    """
     if not size > 0 or not step > 0:
         raise ValueError("window size and step must be positive")
     if not (math.isfinite(start) and math.isfinite(end)):
         raise ValueError("window grid start and end must be finite")
-    windows = []
-    i = 0
-    while start + i * step + size <= end + 1e-9:
-        windows.append(Window(start + i * step, size))
-        i += 1
-    return windows
+
+    def fits(i: int) -> bool:
+        return start + i * step + size <= end + 1e-9
+
+    estimate = (end + 1e-9 - size - start) / step
+    n = math.floor(min(estimate, MAX_WINDOWS)) + 1 if estimate >= 0 else 0
+    while n > 0 and not fits(n - 1):
+        n -= 1
+    while n <= MAX_WINDOWS and fits(n):
+        n += 1
+    if n > MAX_WINDOWS:
+        exact = MAX_WINDOWS <= estimate < 2**53
+        count = math.floor(estimate) + 1 if exact else f"more than {MAX_WINDOWS}"
+        raise ValueError(f"window grid of {count} windows exceeds the limit of {MAX_WINDOWS}")
+    return start + np.arange(n) * step
 
 
 def grid_start(first: float, step: float) -> float:
@@ -84,7 +104,7 @@ def grid_start(first: float, step: float) -> float:
 
 
 def _series_grid(
-    times: Iterable[float],
+    times: np.ndarray,
     what: str,
     size: float,
     step: float,
@@ -99,8 +119,7 @@ def _series_grid(
     """
     if not size > 0 or not step > 0:
         raise ValueError("window size and step must be positive")
-    times = np.array(list(times), dtype=float)
-    if np.any(np.diff(times) < 0):
+    if np.any(times[1:] < times[:-1]):
         raise ValueError(f"{what} not sorted")
     if times.size == 0 and (start is None or end is None):
         return [], np.empty((2, 0), dtype=int)
@@ -108,8 +127,8 @@ def _series_grid(
         start = grid_start(float(times[0]), step)
     if end is None:
         end = float(times[-1]) + size
-    windows = window_grid(start, end, size, step)
-    starts = np.array([w.start for w in windows], dtype=float)
+    starts = _grid_starts(start, end, size, step)
+    windows = [Window(s, size) for s in starts.tolist()]
     return windows, np.searchsorted(times, [starts, starts + size], side="left")
 
 
@@ -150,7 +169,7 @@ def sliding_windows(
     if model is None:
         raise ValueError("an interval model is required")
     _check_model(model)
-    instants = (b.probing_instant for b in bursts)
+    instants, _ = instants_and_macs(bursts)
     windows, (lo, hi) = _series_grid(instants, "bursts", size, step, start, end)
     return [_estimate(w, int(h - l), model) for w, l, h in zip(windows, lo, hi)]
 
@@ -164,10 +183,29 @@ def mac_count_series(
     end: float | None = None,
 ) -> list[tuple[Window, int]]:
     """Distinct MACs heard per window (randomization-blind), on the same grid."""
-    timestamps = (e.timestamp for e in events)
-    windows, (lo, hi) = _series_grid(timestamps, "events", size, step, start, end)
-    macs = [e.mac.value for e in events]
-    return [(w, len(set(macs[l:h]))) for w, l, h in zip(windows, lo, hi)]
+    events = Events.of(events)
+    windows, (lo, hi) = _series_grid(events.t, "events", size, step, start, end)
+    return list(zip(windows, _distinct_counts(events.mac, lo, hi).tolist()))
+
+
+def _distinct_counts(mac: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Distinct values of ``mac[lo[w]:hi[w]]`` for each w, with lo and hi non-decreasing.
+
+    Event i is its MAC's first in window w when prev[i] < lo[w] <= i < hi[w],
+    prev[i] being the MAC's previous event; those windows form one run of w.
+    """
+    index = np.arange(mac.size)
+    by_mac = np.argsort(mac, kind="stable")
+    repeat = mac[by_mac[1:]] == mac[by_mac[:-1]]
+    prev = np.full(mac.size, -1)
+    prev[by_mac[1:][repeat]] = by_mac[:-1][repeat]
+    begin = np.maximum(np.searchsorted(lo, prev, side="right"),
+                       np.searchsorted(hi, index, side="right"))
+    stop = np.searchsorted(lo, index, side="right")
+    run = begin < stop
+    edges = np.bincount(begin[run], minlength=lo.size + 1)
+    edges -= np.bincount(stop[run], minlength=lo.size + 1)
+    return np.cumsum(edges)[: lo.size]
 
 
 def format_series(estimates: Iterable[WindowEstimate]) -> str:

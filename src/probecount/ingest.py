@@ -1,5 +1,6 @@
 """Probe-request event ingestion from 802.11 capture files and text logs.
 
+Events are held as columns (``Events``); ``PrfEvent`` is the one-event view.
 Also holds the two readers behind every line-oriented text file: ``read_rows``
 for column files and ``read_keys`` for ``key value`` files.
 """
@@ -8,18 +9,40 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+
+import numpy as np
 
 _Row = TypeVar("_Row")
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
+PCAP_NSEC_MAGIC = 0xA1B23C4D
+PCAP_NSEC_MAGIC_SWAPPED = 0x4D3CB2A1
+PCAPNG_MAGIC = 0x0A0D0D0A  # a section header block; the same in either byte order
 LINKTYPE_IEEE802_11 = 105
 LINKTYPE_RADIOTAP = 127
 
+# Classic capture magic, read little-endian -> (record byte order, name and
+# units per second of the timestamp's fraction field).
+_PCAP_FORMATS = {
+    PCAP_MAGIC: ("<", "microsecond", 10**6),
+    PCAP_MAGIC_SWAPPED: (">", "microsecond", 10**6),
+    PCAP_NSEC_MAGIC: ("<", "nanosecond", 10**9),
+    PCAP_NSEC_MAGIC_SWAPPED: (">", "nanosecond", 10**9),
+}
+# Every magic that marks a capture file rather than event text.
+CAPTURE_MAGICS = frozenset({*_PCAP_FORMATS, PCAPNG_MAGIC})
+
 # A capture stores seconds in 32 bits; no event can be later than that.
 MAX_TIMESTAMP = float(2**32)
+
+# The rssi column's value for an event without one; every other int16 is a
+# valid signal strength.
+RSSI_NONE = -(2**15)
 
 # Frame-control low byte for a probe request: protocol version 0,
 # type 0 (management), subtype 4.
@@ -109,6 +132,17 @@ def read_keys(
     return values
 
 
+def _mac_value(text: str) -> int:
+    """The integer of a colon-hex MAC address."""
+    try:
+        raw = bytes.fromhex(text.replace(":", ""))
+    except ValueError:
+        raw = b""
+    if len(text) != 17 or text[2::3] != ":::::" or len(raw) != 6:
+        raise ValueError(f"malformed MAC address {text!r}")
+    return int.from_bytes(raw, "big")
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class MacAddress:
     """A 48-bit MAC address held as an integer.
@@ -125,13 +159,7 @@ class MacAddress:
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
-        try:
-            raw = bytes.fromhex(text.replace(":", ""))
-        except ValueError:
-            raw = b""
-        if len(text) != 17 or text[2::3] != ":::::" or len(raw) != 6:
-            raise ValueError(f"malformed MAC address {text!r}")
-        return cls(int.from_bytes(raw, "big"))
+        return cls(_mac_value(text))
 
     @property
     def octets(self) -> tuple[int, ...]:
@@ -139,6 +167,13 @@ class MacAddress:
 
     def __str__(self) -> str:
         return self.value.to_bytes(6, "big").hex(":")
+
+
+def _check_event(timestamp: float, rssi: int | None) -> None:
+    if not 0 <= timestamp < MAX_TIMESTAMP:
+        raise ValueError(f"event timestamp {timestamp!r} outside [0, 2**32) s")
+    if rssi is not None and not RSSI_NONE < rssi < 2**15:
+        raise ValueError(f"rssi {rssi!r} outside [{RSSI_NONE + 1}, {2**15 - 1}]")
 
 
 @dataclass(frozen=True)
@@ -151,8 +186,96 @@ class PrfEvent:
     rssi: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.timestamp < MAX_TIMESTAMP:
-            raise ValueError(f"event timestamp {self.timestamp!r} outside [0, 2**32) s")
+        _check_event(self.timestamp, self.rssi)
+
+
+@dataclass(frozen=True, eq=False)
+class Events(Sequence):
+    """Probe-request events as read-only columns, sorted by time.
+
+    ``t`` holds the timestamps (float64, non-decreasing), ``mac`` the 48-bit
+    MACs (uint64), ``ap`` indices into the ``aps`` names (int32) and ``rssi``
+    the signal strengths (int16, ``RSSI_NONE`` where a frame has none).
+    Indexing and iteration yield ``PrfEvent`` views; a slice is ``Events``.
+    """
+
+    t: np.ndarray
+    mac: np.ndarray
+    ap: np.ndarray
+    rssi: np.ndarray
+    aps: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("t", np.float64), ("mac", np.uint64), ("ap", np.int32),
+                            ("rssi", np.int16)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "aps", tuple(self.aps))
+        t = self.t
+        if not len(t) == len(self.mac) == len(self.ap) == len(self.rssi):
+            raise ValueError("event columns differ in length")
+        if not np.all((t >= 0) & (t < MAX_TIMESTAMP)):
+            raise ValueError("event timestamp outside [0, 2**32) s")
+        unsorted = np.flatnonzero(t[1:] < t[:-1])
+        if unsorted.size:
+            i = unsorted[0]
+            raise ValueError(f"events not sorted by timestamp ({t[i + 1]} after {t[i]})")
+        if np.any(self.mac >> np.uint64(48)):
+            raise ValueError("MAC value out of range")
+        if np.any((self.ap < 0) | (self.ap >= len(self.aps))):
+            raise ValueError("event ap index outside the ap table")
+
+    @classmethod
+    def of(cls, events: Iterable[PrfEvent]) -> "Events":
+        """Columns of time-sorted ``PrfEvent``s; an ``Events`` is returned as is."""
+        if isinstance(events, Events):
+            return events
+        return cls._of_rows([(e.timestamp, e.mac.value, e.ap_id, e.rssi) for e in events])
+
+    @classmethod
+    def _of_rows(cls, rows: Sequence[tuple[float, int, str, int | None]]) -> "Events":
+        aps: dict[str, int] = {}
+        return cls(
+            [row[0] for row in rows],
+            [row[1] for row in rows],
+            [aps.setdefault(row[2], len(aps)) for row in rows],
+            [RSSI_NONE if row[3] is None else row[3] for row in rows],
+            tuple(aps),
+        )
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Events(self.t[i], self.mac[i], self.ap[i], self.rssi[i], self.aps)
+        rssi = int(self.rssi[i])
+        return PrfEvent(float(self.t[i]), MacAddress(int(self.mac[i])), self.aps[self.ap[i]],
+                        None if rssi == RSSI_NONE else rssi)
+
+    def __iter__(self) -> Iterator[PrfEvent]:
+        aps = self.aps
+        columns = (self.t.tolist(), self.mac.tolist(), self.ap.tolist(), self.rssi.tolist())
+        for t, mac, ap, rssi in zip(*columns):
+            yield PrfEvent(t, MacAddress(mac), aps[ap], None if rssi == RSSI_NONE else rssi)
+
+    def _ap_names(self) -> list[str]:
+        return [self.aps[i] for i in self.ap.tolist()]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Events):
+            return (
+                len(self) == len(other)
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in ("t", "mac", "rssi"))
+                and self._ap_names() == other._ap_names()
+            )
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def is_randomized(mac: MacAddress) -> bool:
@@ -160,107 +283,164 @@ def is_randomized(mac: MacAddress) -> bool:
     return mac.value >> 40 & 0x03 == 0x02
 
 
-def parse_capture(data: bytes, ap_id: str = "cap0") -> list[PrfEvent]:
+def _uint(buf: np.ndarray, pos: np.ndarray, size: int, little: bool = True) -> np.ndarray:
+    """The unsigned ``size``-byte integers of ``buf`` at each of ``pos``, as int64."""
+    word = np.zeros((pos.size, 8), dtype=np.uint8)
+    field = slice(0, size) if little else slice(8 - size, 8)
+    word[:, field] = buf[pos[:, None] + np.arange(size)]
+    return word.view("<u8" if little else ">u8").ravel().astype(np.int64)
+
+
+def parse_capture(data: bytes, ap_id: str = "cap0") -> Events:
     """Extract probe-request events from a classic capture file.
 
-    Supports the 24-byte-header format with microsecond timestamps, in either
-    byte order, with link type 105 (bare 802.11) or 127 (radiotap-prefixed).
-    Frames other than probe requests are skipped silently.
+    Supports the 24-byte-header format with microsecond or nanosecond
+    timestamps, in either byte order, with link type 105 (bare 802.11) or 127
+    (radiotap-prefixed).  Timestamps are rounded to the microsecond.  Frames
+    other than probe requests are skipped silently.
     """
     if len(data) < 24:
         raise ParseError("malformed capture header: shorter than 24 bytes")
     magic = struct.unpack_from("<I", data, 0)[0]
-    if magic == PCAP_MAGIC:
-        bo = "<"
-    elif magic == PCAP_MAGIC_SWAPPED:
-        bo = ">"
-    else:
+    if magic == PCAPNG_MAGIC:
+        raise ParseError(
+            "pcapng capture files are not supported: convert it to classic pcap "
+            "(e.g. editcap -F pcap IN.pcapng OUT.pcap)"
+        )
+    if magic not in _PCAP_FORMATS:
         raise ParseError(f"malformed capture header: unrecognized magic 0x{magic:08x}")
+    bo, unit, per_second = _PCAP_FORMATS[magic]
     linktype = struct.unpack_from(bo + "I", data, 20)[0]
     if linktype not in (LINKTYPE_IEEE802_11, LINKTYPE_RADIOTAP):
         raise ParseError(f"unsupported link type {linktype}")
 
-    record = struct.Struct(bo + "IIII")
-    events: list[PrfEvent] = []
-    offset = 24
-    while offset < len(data):
-        if offset + 16 > len(data):
-            raise ParseError(f"truncated packet record header at byte offset {offset}")
-        ts_sec, ts_usec, incl_len, _orig_len = record.unpack_from(data, offset)
-        if ts_usec >= 1_000_000:
-            raise ParseError(f"microsecond field {ts_usec} out of range at byte offset {offset}")
-        if offset + 16 + incl_len > len(data):
-            raise ParseError(f"truncated packet record at byte offset {offset}")
-        frame = data[offset + 16 : offset + 16 + incl_len]
-        offset += 16 + incl_len
-        parsed = _probe_request(frame, linktype)
-        if parsed is None:
-            continue
-        mac, rssi = parsed
-        # Round to the capture's microsecond resolution so that text
-        # serialization round-trips exactly.
-        timestamp = round(ts_sec + ts_usec / 1e6, 6)
-        events.append(PrfEvent(timestamp, mac, ap_id, rssi))
-    events.sort(key=lambda e: e.timestamp)
-    return events
-
-
-def _probe_request(frame: bytes, linktype: int) -> tuple[MacAddress, int | None] | None:
-    rssi = None
+    record = _record_offsets(data, bo, unit, per_second)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    little = bo == "<"
+    length = _uint(buf, record + 8, 4, little)
+    frame = record + 16
+    rt_len = np.zeros_like(frame)
     if linktype == LINKTYPE_RADIOTAP:
-        if len(frame) < 8:
-            return None
         # Radiotap length is little-endian regardless of the capture byte order.
-        rt_len = struct.unpack_from("<H", frame, 2)[0]
-        if rt_len < 8 or rt_len > len(frame):
-            return None
-        rssi = _radiotap_antsignal(frame[:rt_len])
-        frame = frame[rt_len:]
-    if len(frame) < 16:
-        return None
-    if frame[0] != _PROBE_REQUEST_FC:
-        return None
-    return MacAddress(int.from_bytes(frame[10:16], "big")), rssi
+        has_header = length >= 8
+        rt_len[has_header] = _uint(buf, frame[has_header] + 2, 2)
+        has_header &= (rt_len >= 8) & (rt_len <= length)
+    else:
+        has_header = np.ones(frame.shape, dtype=bool)
+    body = frame + rt_len
+    probe = has_header & (length - rt_len >= 16)
+    probe[probe] = buf[body[probe]] == _PROBE_REQUEST_FC
+    probe = np.flatnonzero(probe)
+
+    micros = _microseconds(buf, record[probe], little, per_second)
+    if linktype == LINKTYPE_RADIOTAP:
+        rssi = _radiotap_antsignal(buf, frame[probe], rt_len[probe])
+    else:
+        rssi = np.full(probe.shape, RSSI_NONE, dtype=np.int16)
+    order = np.argsort(micros, kind="stable")
+    return Events(
+        micros[order] / 1e6,
+        _uint(buf, body[probe][order] + 10, 6, little=False),
+        np.zeros(probe.size, dtype=np.int32),
+        rssi[order],
+        (ap_id,),
+    )
 
 
-def _radiotap_antsignal(header: bytes) -> int | None:
-    words = []
-    offset = 4
-    while True:
-        if offset + 4 > len(header):
-            return None
-        word = struct.unpack_from("<I", header, offset)[0]
-        words.append(word)
-        offset += 4
-        if not word & _RADIOTAP_EXT_BIT:
-            break
-    present = words[0]
-    for bit in range(_RADIOTAP_ANTSIGNAL_BIT + 1):
-        if not present & (1 << bit):
-            continue
-        if bit == _RADIOTAP_ANTSIGNAL_BIT:
-            if offset >= len(header):
-                return None
-            return struct.unpack_from("<b", header, offset)[0]
-        align, size = _RADIOTAP_LAYOUT[bit]
-        offset = (offset + align - 1) // align * align + size
-    return None
+def _record_offsets(data: bytes, bo: str, unit: str, per_second: int) -> np.ndarray:
+    """Byte offset of every packet record, checking each record header."""
+    fraction_and_length = struct.Struct(bo + "4xII").unpack_from
+    offsets = []
+    offset, end = 24, len(data)
+    while offset + 16 <= end:
+        fraction, incl_len = fraction_and_length(data, offset)
+        if fraction >= per_second:
+            raise ParseError(f"{unit} field {fraction} out of range at byte offset {offset}")
+        if offset + 16 + incl_len > end:
+            raise ParseError(f"truncated packet record at byte offset {offset}")
+        offsets.append(offset)
+        offset += 16 + incl_len
+    if offset < end:
+        raise ParseError(f"truncated packet record header at byte offset {offset}")
+    return np.array(offsets, dtype=np.int64)
 
 
-def parse_events(text: str) -> list[PrfEvent]:
+def _microseconds(buf: np.ndarray, record: np.ndarray, little: bool, per_second: int) -> np.ndarray:
+    """Whole microseconds of each record's timestamp, nanoseconds rounded half to even.
+
+    For a microsecond capture ``micros / 1e6`` equals
+    ``round(sec + usec / 1e6, 6)``: below 2**32 s the float sum lies within
+    half a microsecond of the exact time.
+    """
+    sec = _uint(buf, record, 4, little)
+    fraction = _uint(buf, record + 4, 4, little)
+    if per_second == 10**9:
+        fraction, rest = np.divmod(fraction, 1000)
+        fraction += (rest > 500) | ((rest == 500) & (fraction % 2 == 1))
+        late = np.flatnonzero(sec * 10**6 + fraction >= 2**32 * 10**6)
+        if late.size:
+            raise ParseError(
+                f"timestamp rounds to 2**32 s at byte offset {record[late[0]]}"
+            )
+    return sec * 10**6 + fraction
+
+
+def _radiotap_antsignal(buf: np.ndarray, frame: np.ndarray, rt_len: np.ndarray) -> np.ndarray:
+    """The int8 antenna signal of each radiotap header, or ``RSSI_NONE``.
+
+    The present words are read for every header, word by word while the
+    extension bit is set; the field offset is computed once per layout.
+    """
+    first_word = np.zeros_like(frame)
+    words = np.zeros_like(frame)  # present words of a complete bitmap, else 0
+    reading = np.arange(frame.size)
+    pos = 4
+    while reading.size:
+        reading = reading[pos + 4 <= rt_len[reading]]
+        word = _uint(buf, frame[reading] + pos, 4)
+        if pos == 4:
+            first_word[reading] = word
+        last = (word & _RADIOTAP_EXT_BIT) == 0
+        words[reading[last]] = pos // 4
+        reading = reading[~last]
+        pos += 4
+    layout = (first_word & 0x3F) | (words << 6)
+    layouts, which = np.unique(layout, return_inverse=True)
+    field = np.array(
+        [_antsignal_offset(int(key) & 0x3F, 4 + 4 * (int(key) >> 6)) for key in layouts],
+        dtype=np.int64,
+    )[which.reshape(-1)]
+    ok = (words > 0) & (field >= 0) & (field < rt_len)
+    rssi = np.full(frame.shape, RSSI_NONE, dtype=np.int16)
+    rssi[ok] = buf[frame[ok] + field[ok]].view(np.int8)
+    return rssi
+
+
+def _antsignal_offset(present: int, offset: int) -> int:
+    """Offset of the antenna-signal field after the present words end at ``offset``,
+    or -1 when the field is absent."""
+    if not present & 1 << _RADIOTAP_ANTSIGNAL_BIT:
+        return -1
+    for bit, (align, size) in _RADIOTAP_LAYOUT.items():
+        if present & 1 << bit:
+            offset = (offset + align - 1) // align * align + size
+    return offset
+
+
+def _event_row(timestamp: float, mac: int, ap_id: str, rssi: int | None = None) -> tuple:
+    _check_event(timestamp, rssi)
+    return timestamp, mac, ap_id, rssi
+
+
+def parse_events(text: str) -> Events:
     """Parse the line-delimited event format.
 
     Each non-comment line is ``<timestamp> <mac> <ap_id> [rssi]``.  Events are
     returned sorted by timestamp; input order is preserved for ties.
     """
-    events = read_rows(
-        text,
-        PrfEvent,
-        (float, MacAddress.parse, str),
-        (float, MacAddress.parse, str, int),
-    )
-    events.sort(key=lambda e: e.timestamp)
-    return events
+    rows = read_rows(text, _event_row, (float, _mac_value, str), (float, _mac_value, str, int))
+    rows.sort(key=itemgetter(0))
+    return Events._of_rows(rows)
 
 
 def format_events(events: Iterable[PrfEvent]) -> str:

@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 from scipy import special, stats
 
-from .bursts import Burst
-from .ingest import MacAddress, finite, read_keys
+from .bursts import Burst, instants_and_macs
+from .ingest import finite, read_keys
 
 DEFAULT_INTERVAL_CUTOFF = 600.0
 DEFAULT_BIN_WIDTH = 10.0
@@ -79,24 +79,21 @@ def extract_intervals(
 ) -> np.ndarray:
     """Pairwise differences of consecutive probing instants per MAC, in burst order.
 
-    Gaps above ``cutoff`` are discarded: such a gap more plausibly reflects a
+    Each interval sits at the position of its later burst.  Gaps above
+    ``cutoff`` are discarded: such a gap more plausibly reflects a
     departure/return or a MAC rotation than a probing interval.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    prev_instant = None
-    last_seen: dict[MacAddress, float] = {}
-    taus: list[float] = []
-    for burst in bursts:
-        instant = burst.probing_instant
-        if prev_instant is not None and instant < prev_instant:
-            raise ValueError("bursts not sorted by probing instant")
-        prev_instant = instant
-        last = last_seen.get(burst.mac)
-        if last is not None and 0 < instant - last <= cutoff:
-            taus.append(instant - last)
-        last_seen[burst.mac] = instant
-    return np.array(taus, dtype=np.float64)
+    instant, mac = instants_and_macs(bursts)
+    if np.any(instant[1:] < instant[:-1]):
+        raise ValueError("bursts not sorted by probing instant")
+    # bursts grouped by MAC, each group in burst order (hence by instant)
+    by_mac = np.argsort(mac, kind="stable")
+    earlier, later = by_mac[:-1], by_mac[1:]
+    tau = instant[later] - instant[earlier]
+    keep = (mac[later] == mac[earlier]) & (tau > 0) & (tau <= cutoff)
+    return tau[keep][np.argsort(later[keep])]
 
 
 def fit(

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probecount.bursts import aggregate
-from probecount.ingest import MacAddress, PrfEvent
+import oracles
+from probecount.bursts import Bursts, aggregate
+from probecount.ingest import Events, MacAddress, PrfEvent
 
 MACS = [MacAddress.parse(f"02:00:00:00:00:{i:02x}") for i in range(4)]
 
@@ -126,3 +127,31 @@ def test_reaggregating_spaced_instants_is_identity():
     instant_events = [ev(b.probing_instant) for b in bursts]
     again = aggregate(instant_events, gap=4.0)
     assert [b.probing_instant for b in again] == [b.probing_instant for b in bursts]
+
+
+# ---------------------------------------------------------------- columns vs oracle
+
+
+def test_bursts_columns_and_views():
+    events = [ev(0.0, MACS[1], "b"), ev(0.5, MACS[0]), ev(1.0, MACS[1], "a"), ev(9.0, MACS[1])]
+    bursts = aggregate(events, gap=4.0)
+    assert isinstance(bursts, Bursts) and len(bursts) == 3
+    assert bursts.instant.tolist() == [0.0, 0.5, 9.0]
+    assert bursts.end.tolist() == [1.0, 0.5, 9.0]
+    assert bursts.frame_count.tolist() == [2, 1, 1]
+    assert bursts.mac.tolist() == [MACS[1].value, MACS[0].value, MACS[1].value]
+    assert [b.ap_ids for b in bursts] == [{"a", "b"}, {"ap0"}, {"ap0"}]
+    assert bursts[-1] == bursts[2] and bursts[1:] == [bursts[1], bursts[2]]
+    assert aggregate(Events.of(events), gap=4.0) == bursts
+
+
+# frame times on a coarse lattice, so that ties and exact-gap pairs occur
+timed_events = st.lists(
+    st.tuples(st.integers(0, 400).map(lambda q: q / 4.0), st.integers(0, 3), st.integers(0, 2)),
+    max_size=60,
+).map(lambda rows: [ev(t, MACS[m], f"ap{a}") for t, m, a in sorted(rows, key=lambda r: r[0])])
+
+
+@given(timed_events, st.sampled_from([0.25, 1.0, 4.0, 7.5, 50.0]))
+def test_aggregate_matches_event_by_event_grouper(events, gap):
+    assert list(aggregate(events, gap=gap)) == oracles.aggregate(events, gap)

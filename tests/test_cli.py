@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from probecount.cli import build_parser, main
@@ -402,3 +404,27 @@ def test_eval_error_names_file_and_line(tmp_path, capsys):
     assert main(["eval", str(good), str(bad)]) == 1
     err = capsys.readouterr().err
     assert "bad.txt: line 2" in err
+
+
+def test_count_rejects_a_grid_above_the_window_limit(tmp_path, capsys):
+    events = tmp_path / "one.events"
+    events.write_text("1.0 aa:bb:cc:dd:ee:01 ap1\n")
+    assert main(["count", str(events), "--baseline", "mac", "--step", "1",
+                 "--start", "0", "--end", "2000000"]) == 1
+    assert "window grid of 1999821 windows exceeds the limit" in capsys.readouterr().err
+
+
+def test_fit_reads_nanosecond_capture(tmp_path, capsys):
+    for swapped in (False, True):
+        cap = tmp_path / "golden.pcap"
+        cap.write_bytes(pcap(GOLDEN_RECORDS, swapped=swapped, nanosecond=True))
+        assert main(["fit", str(cap)]) == 0
+        assert "tau_mean 100.0\n" in capsys.readouterr().out
+
+
+def test_pcapng_input_exits_1_naming_the_format(tmp_path, capsys):
+    cap = tmp_path / "trace.pcapng"
+    cap.write_bytes(struct.pack("<III", 0x0A0D0D0A, 28, 0x1A2B3C4D) + bytes(16))
+    assert main(["fit", str(cap)]) == 1
+    err = capsys.readouterr().err
+    assert "pcapng" in err and "utf-8" not in err

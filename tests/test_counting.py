@@ -1,12 +1,16 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from probecount.bursts import Burst, aggregate
 from probecount.counting import (
+    MAX_WINDOWS,
     Window,
+    _grid_starts,
     format_series,
     grid_start,
     mac_count_series,
@@ -139,6 +143,62 @@ def test_window_grid_rejects_bad_bounds(start, end, size, step, fragment):
     with pytest.raises(ValueError, match=fragment):
         window_grid(start, end, size, step)
 
+
+
+@given(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(0, 2000, allow_nan=False),
+    st.sampled_from([0.1, 0.3, 1.0, 10.0, 180.0, 300.0]),
+    st.sampled_from([0.1, 0.3, 1.0, 10.0, 60.0, 180.0]),
+)
+def test_window_grid_matches_loop(start, steps, size, step):
+    end = start + steps * step
+    assert window_grid(start, end, size, step) == oracles.window_grid(start, end, size, step)
+
+
+@given(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.integers(0, 300),
+    st.sampled_from([0.1, 0.2, 0.7, 1.1, 1 / 3, 10.0]),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]),
+)
+def test_window_grid_matches_loop_at_exact_fits(start, k, step, steps_per_window, offset):
+    # end lands within rounding of the end of window k, where the window count
+    # computed from (end - size - start) / step can be one off
+    size = steps_per_window * step
+    end = start + k * step + size + offset
+    assert window_grid(start, end, size, step) == oracles.window_grid(start, end, size, step)
+
+
+@pytest.mark.parametrize(
+    "start,end,size,step",
+    [
+        (90342.6, 90614.999999999, 180.0, 1.1),
+        (12.3, 26.099999999, 0.6000000000000001, 0.2),
+        (51028.1, 51040.06666666567, 0.3, 1 / 3),
+    ],
+)
+def test_window_grid_count_settles_on_the_rule(start, end, size, step):
+    assert window_grid(start, end, size, step) == oracles.window_grid(start, end, size, step)
+
+
+@pytest.mark.parametrize(
+    "end,step,count",
+    [
+        (2_000_000.0, 1.0, "1999821"),
+        (MAX_WINDOWS + 180.0, 1.0, f"{MAX_WINDOWS + 1}"),
+        (1e300, 1.0, f"more than {MAX_WINDOWS}"),
+    ],
+)
+def test_window_grid_rejects_more_than_the_limit(end, step, count):
+    message = re.escape(f"window grid of {count} windows exceeds the limit of {MAX_WINDOWS}")
+    with pytest.raises(ValueError, match=message):
+        window_grid(0.0, end, 180.0, step)
+
+
+def test_window_grid_limit_is_inclusive():
+    assert len(_grid_starts(0.0, MAX_WINDOWS - 1 + 180.0, 180.0, 1.0)) == MAX_WINDOWS
 
 def test_grid_start_on_step_lattice():
     assert grid_start(58.05, 180.0) == 0.0

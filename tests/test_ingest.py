@@ -1,10 +1,14 @@
 import struct
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from probecount.ingest import (
+    RSSI_NONE,
+    Events,
     MacAddress,
     ParseError,
     PrfEvent,
@@ -14,7 +18,16 @@ from probecount.ingest import (
     parse_events,
 )
 
-from capture_files import beacon, data_frame, pcap, probe_request, radiotap
+from capture_files import (
+    RADIOTAP_FIELDS,
+    beacon,
+    data_frame,
+    pcap,
+    pcap_records,
+    probe_request,
+    radiotap,
+    radiotap_fields,
+)
 
 
 # ---------------------------------------------------------------- MacAddress
@@ -270,3 +283,213 @@ def test_capture_to_text_round_trip():
     text = format_events(events)
     assert parse_events(text) == events
     assert format_events(parse_events(text)) == text
+
+
+# ---------------------------------------------------------------- Events columns
+
+
+def sample_events():
+    return [
+        PrfEvent(1.0, MacAddress(1), "ap0", -60),
+        PrfEvent(1.0, MacAddress(2), "ap1"),
+        PrfEvent(2.5, MacAddress(2**48 - 1), "ap0", -32767),
+    ]
+
+
+def test_events_columns_and_views():
+    listed = sample_events()
+    events = Events.of(listed)
+    assert len(events) == 3
+    assert events.t.dtype == np.float64 and events.mac.dtype == np.uint64
+    assert events.ap.dtype == np.int32 and events.rssi.dtype == np.int16
+    assert events.aps == ("ap0", "ap1")
+    assert events.rssi.tolist() == [-60, RSSI_NONE, -32767]
+    assert events[0] == listed[0] and events[-1] == listed[-1]
+    assert list(events) == listed
+    assert events == listed and events == Events.of(listed)
+    assert events != listed[:2] and events[:2] == listed[:2]
+    assert Events.of(events) is events
+    with pytest.raises(IndexError):
+        events[3]
+
+
+def test_events_columns_are_read_only():
+    events = Events.of(sample_events())
+    with pytest.raises(ValueError):
+        events.t[0] = 5.0
+
+
+def test_events_compare_ap_names_not_indices():
+    a = Events([1.0, 2.0], [1, 1], [0, 1], [RSSI_NONE] * 2, ("x", "y"))
+    b = Events([1.0, 2.0], [1, 1], [1, 0], [RSSI_NONE] * 2, ("y", "x"))
+    assert a == b
+    assert a != Events([1.0, 2.0], [1, 1], [0, 0], [RSSI_NONE] * 2, ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "columns,fragment",
+    [
+        (([2.0, 1.0], [1, 1], [0, 0], [0, 0], ("a",)), "not sorted"),
+        (([-1.0], [1], [0], [0], ("a",)), "timestamp"),
+        (([float("nan")], [1], [0], [0], ("a",)), "timestamp"),
+        (([1.0], [2**48], [0], [0], ("a",)), "MAC"),
+        (([1.0], [1], [1], [0], ("a",)), "ap"),
+        (([1.0], [1, 2], [0], [0], ("a",)), "length"),
+    ],
+)
+def test_events_reject_bad_columns(columns, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Events(*columns)
+
+
+def test_parse_events_rejects_rssi_outside_int16():
+    assert parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 32767\n")[0].rssi == 32767
+    for rssi in ("32768", "-32768"):
+        with pytest.raises(ParseError, match="line 1: rssi"):
+            parse_events(f"1.0 aa:bb:cc:dd:ee:01 ap1 {rssi}\n")
+    with pytest.raises(ValueError, match="rssi"):
+        PrfEvent(1.0, MacAddress(1), "ap", 40000)
+
+
+# ---------------------------------------------------------------- capture variants
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_parse_capture_nanosecond_matches_microsecond(swapped):
+    records = [(1.0, radiotap(probe_request("aa:bb:cc:dd:ee:01"))),
+               (2.000001, radiotap(probe_request("aa:bb:cc:dd:ee:02"), rssi=-40)),
+               (3.5, radiotap(probe_request("aa:bb:cc:dd:ee:03")))]
+    micro = parse_capture(pcap(records, linktype=127, swapped=swapped))
+    nano = parse_capture(pcap(records, linktype=127, swapped=swapped, nanosecond=True))
+    assert nano == micro
+    assert [(e.timestamp, e.rssi) for e in nano] == [(1.0, None), (2.000001, -40), (3.5, None)]
+
+
+def test_parse_capture_nanoseconds_round_half_to_even():
+    frame = probe_request("aa:bb:cc:dd:ee:01")
+    fractions = [499, 500, 1500, 2500, 2501, 999_999_499, 999_999_500]
+    data = pcap_records([(7, f, frame) for f in fractions], nanosecond=True)
+    assert [e.timestamp for e in parse_capture(data)] == [
+        7.0, 7.0, 7.000002, 7.000002, 7.000003, 7.999999, 8.0
+    ]
+
+
+def test_parse_capture_rejects_nanoseconds_past_one_second():
+    frame = probe_request("aa:bb:cc:dd:ee:01")
+    data = pcap_records([(1, 0, frame), (2, 10**9, frame)], nanosecond=True)
+    offset = 24 + 16 + len(frame)
+    with pytest.raises(ParseError, match=f"nanosecond field 1000000000 .* byte offset {offset}"):
+        parse_capture(data)
+
+
+def test_parse_capture_rejects_nanoseconds_rounding_past_32_bits():
+    frame = probe_request("aa:bb:cc:dd:ee:01")
+    last = 2**32 - 1
+    assert parse_capture(pcap_records([(last, 999_999_499, frame)], nanosecond=True))
+    with pytest.raises(ParseError, match="byte offset 24"):
+        parse_capture(pcap_records([(last, 999_999_500, frame)], nanosecond=True))
+
+
+def test_parse_capture_names_pcapng():
+    block = struct.pack("<III", 0x0A0D0D0A, 28, 0x1A2B3C4D) + bytes(16)
+    with pytest.raises(ParseError, match="pcapng.*classic pcap"):
+        parse_capture(block)
+
+
+def test_parse_capture_radiotap_every_field_before_antsignal():
+    fields = {0: bytes(8), 1: b"\x10", 2: b"\x02", 3: bytes(4), 4: bytes(2), 5: b"\xb5"}
+    frame = radiotap_fields(probe_request("aa:bb:cc:dd:ee:01"), fields, ext_words=2)
+    [event] = parse_capture(pcap([(1.0, frame)], linktype=127))
+    assert event.rssi == -75
+
+
+
+def test_parse_capture_radiotap_antsignal_past_header_is_not_read():
+    # rt_len 8 ends the header where the antenna signal would start: the byte
+    # there is the frame's first (0x40), not a signal strength
+    frame = struct.pack("<BBHI", 0, 0, 8, 1 << 5) + probe_request("aa:bb:cc:dd:ee:01")
+    [event] = parse_capture(pcap([(1.0, frame)], linktype=127))
+    assert event.rssi is None
+
+# ---------------------------------------------------------------- differential and fuzz
+
+MAC_TEXTS = st.integers(0, 2**48 - 1).map(lambda v: str(MacAddress(v)))
+
+FRAMES = st.one_of(
+    st.builds(probe_request, MAC_TEXTS),
+    st.builds(probe_request, MAC_TEXTS, st.binary(max_size=4)),
+    st.builds(beacon, MAC_TEXTS),
+    st.builds(data_frame, MAC_TEXTS),
+    st.binary(max_size=20),  # short or arbitrary frames
+)
+
+
+@st.composite
+def radiotap_frames(draw):
+    bits = draw(st.sets(st.sampled_from(sorted(RADIOTAP_FIELDS))))
+    fields = {bit: draw(st.binary(min_size=RADIOTAP_FIELDS[bit][1],
+                                  max_size=RADIOTAP_FIELDS[bit][1])) for bit in bits}
+    rt_len = draw(st.none() | st.none() | st.integers(0, 64))  # a bad length now and then
+    frame = radiotap_fields(draw(FRAMES), fields, draw(st.integers(0, 3)), rt_len)
+    if draw(st.integers(0, 9)) == 0:
+        frame = frame[: draw(st.integers(0, len(frame)))]
+    return frame
+
+
+@st.composite
+def captures(draw):
+    """A classic capture mixing frame kinds, radiotap layouts and byte orders,
+    with a timestamp fraction out of range or the file cut short now and then."""
+    linktype = draw(st.sampled_from([105, 127]))
+    nanosecond = draw(st.booleans())
+    per_second = 10**9 if nanosecond else 10**6
+    # nanosecond times can round up to 2**32 s only in the last second
+    seconds = st.integers(0, 2**32 - (2 if nanosecond else 1))
+    frames = radiotap_frames() if linktype == 127 else FRAMES
+    records = draw(st.lists(
+        st.tuples(st.one_of(st.integers(0, 3), seconds),
+                  st.one_of(st.integers(0, 2), st.integers(0, per_second - 1)), frames),
+        max_size=12,
+    ))
+    if records and draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(records) - 1))
+        records[i] = (records[i][0], draw(st.integers(per_second, 2**32 - 1)), records[i][2])
+    data = pcap_records(records, linktype, draw(st.booleans()), nanosecond)
+    if draw(st.integers(0, 7)) == 0:
+        data = data[: draw(st.integers(24, len(data)))]
+    return data
+
+
+def outcome(parse, data):
+    try:
+        return list(parse(data, "ap"))
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(captures())
+def test_parse_capture_matches_record_by_record_decoder(data):
+    assert outcome(parse_capture, data) == outcome(oracles.parse_capture, data)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([0xA1B2C3D4, 0xD4C3B2A1, 0xA1B23C4D, 0x4D3CB2A1]),
+    st.sampled_from([105, 127]),
+    st.lists(st.tuples(st.binary(min_size=8, max_size=8), st.integers(0, 80),
+                       st.binary(max_size=80)), max_size=8),
+    st.binary(max_size=20),
+)
+def test_parse_capture_random_frames_raise_only_parse_error(magic, linktype, records, tail):
+    """Random record headers (lengths that may lie) and random frame bytes."""
+    bo = "<" if magic in (0xA1B2C3D4, 0xA1B23C4D) else ">"
+    data = struct.pack("<I", magic) + struct.pack(bo + "HHiIII", 2, 4, 0, 0, 65535, linktype)
+    for times, length, frame in records:
+        data += times + struct.pack(bo + "II", length, length) + frame
+    try:
+        events = parse_capture(data + tail)
+    except ParseError:
+        return
+    assert len(events) <= len(records)
+    assert np.all(np.diff(events.t) >= 0)

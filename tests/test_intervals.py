@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probecount.bursts import Burst
-from probecount.ingest import MacAddress
+import oracles
+from probecount.bursts import Burst, aggregate
+from probecount.ingest import MacAddress, PrfEvent
 from probecount.intervals import (
     InsufficientSamplesError,
     IntervalModel,
@@ -87,6 +88,34 @@ def test_extract_from_simulated_trace_with_persistent_macs():
     assert len(samples) > 9000
     mean = sum(samples) / len(samples)
     assert abs(mean - 60.0) / 60.0 < 0.02
+
+
+
+MACS = [MacAddress(v) for v in (1, 2, 2**48 - 1)]
+
+
+@given(
+    st.lists(st.tuples(st.floats(0, 5000, allow_nan=False), st.integers(0, 2)), max_size=50),
+    st.sampled_from([1.0, 60.0, 600.0, 4000.0]),
+)
+def test_extract_matches_burst_by_burst_extractor(rows, cutoff):
+    # hand-made bursts may repeat an instant for one MAC; the interval is then 0
+    bursts = [burst(t, MACS[m]) for t, m in sorted(rows, key=lambda r: r[0])]
+    samples = extract_intervals(bursts, cutoff=cutoff)
+    assert samples.dtype == np.float64
+    assert samples.tolist() == oracles.extract_intervals(bursts, cutoff)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 20000).map(lambda q: q / 8.0), st.integers(0, 2)),
+             max_size=80),
+    st.sampled_from([30.0, 600.0]),
+)
+def test_extract_from_aggregate_matches_extractor(rows, cutoff):
+    events = [PrfEvent(t, MACS[m], "ap0") for t, m in sorted(rows, key=lambda r: r[0])]
+    bursts = aggregate(events)
+    expected = oracles.extract_intervals(list(bursts), cutoff)
+    assert extract_intervals(bursts, cutoff=cutoff).tolist() == expected
 
 
 # ---------------------------------------------------------------- fit
