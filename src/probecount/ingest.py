@@ -143,6 +143,11 @@ def _mac_value(text: str) -> int:
     return int.from_bytes(raw, "big")
 
 
+def _mac_text(value: int) -> str:
+    """The lowercase colon-hex text of a MAC's integer."""
+    return value.to_bytes(6, "big").hex(":")
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class MacAddress:
     """A 48-bit MAC address held as an integer.
@@ -166,7 +171,7 @@ class MacAddress:
         return tuple(self.value.to_bytes(6, "big"))
 
     def __str__(self) -> str:
-        return self.value.to_bytes(6, "big").hex(":")
+        return _mac_text(self.value)
 
 
 def _check_event(timestamp: float, rssi: int | None) -> None:
@@ -444,11 +449,11 @@ def parse_events(text: str) -> Events:
 
 
 def format_events(events: Iterable[PrfEvent]) -> str:
-    """Serialize events to the line-delimited text format."""
-    lines = []
-    for e in events:
-        line = f"{e.timestamp:.6f} {e.mac} {e.ap_id}"
-        if e.rssi is not None:
-            line += f" {e.rssi}"
-        lines.append(line + "\n")
-    return "".join(lines)
+    """Serialize time-sorted events to the line-delimited text format."""
+    events = Events.of(events)
+    columns = (events.t.tolist(), events.mac.tolist(), events.ap.tolist(), events.rssi.tolist())
+    return "".join(
+        f"{t:.6f} {_mac_text(mac)} {events.aps[ap]}"
+        f"{'' if rssi == RSSI_NONE else f' {rssi}'}\n"
+        for t, mac, ap, rssi in zip(*columns)
+    )

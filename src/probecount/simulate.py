@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .counting import Window
-from .ingest import MacAddress, PrfEvent, finite, read_keys, read_rows
+from .ingest import RSSI_NONE, Events, finite, read_keys, read_rows
 from .intervals import parse_model
 
 
@@ -24,9 +24,18 @@ from .intervals import parse_model
 # interval / dwell distributions
 
 
+def _check_positive(what: str, value: float) -> None:
+    """Interval and dwell distributions need a positive, finite mean."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Exponential:
     mean_value: float
+
+    def __post_init__(self) -> None:
+        _check_positive("exp mean", self.mean_value)
 
     def mean(self) -> float:
         return self.mean_value
@@ -46,6 +55,17 @@ class LogNormal:
     mu: float
     sigma: float
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(
+                f"lognormal sigma must be non-negative and finite, got {self.sigma!r}"
+            )
+        try:
+            mean = self.mean()
+        except OverflowError:
+            mean = math.inf
+        _check_positive("lognormal mean", mean)
+
     def mean(self) -> float:
         return math.exp(self.mu + self.sigma**2 / 2)
 
@@ -64,6 +84,9 @@ class LogNormal:
 class Constant:
     value: float
 
+    def __post_init__(self) -> None:
+        _check_positive("const value", self.value)
+
     def mean(self) -> float:
         return self.value
 
@@ -81,6 +104,13 @@ class Constant:
 class UniformInterval:
     low: float
     high: float
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.low <= self.high < math.inf:
+            raise ValueError(
+                f"uniform needs 0 <= low <= high, got low={self.low!r}, high={self.high!r}"
+            )
+        _check_positive("uniform mean", self.mean())
 
     def mean(self) -> float:
         return (self.low + self.high) / 2
@@ -103,6 +133,9 @@ class HistogramInterval:
 
     bin_width: float
     counts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_positive("histogram mean", self.mean())
 
     def _probs(self) -> np.ndarray:
         counts = np.asarray(self.counts, dtype=float)
@@ -159,6 +192,12 @@ def equilibrium_residual(dist: Distribution, rng: np.random.Generator, size: int
 class PoissonCount:
     mean_value: float
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.mean_value < math.inf:
+            raise ValueError(
+                f"poisson mean must be non-negative and finite, got {self.mean_value!r}"
+            )
+
     def mean(self) -> float:
         return self.mean_value
 
@@ -170,6 +209,11 @@ class PoissonCount:
 class ConstantCount:
     value: int
 
+    def __post_init__(self) -> None:
+        if not (self.value >= 0 and float(self.value).is_integer()):
+            raise ValueError(f"const value must be a whole number >= 0, got {self.value!r}")
+        object.__setattr__(self, "value", int(self.value))
+
     def mean(self) -> float:
         return float(self.value)
 
@@ -180,55 +224,57 @@ class ConstantCount:
 CountDistribution = PoissonCount | ConstantCount
 
 
-def _parse_kwargs(body: str) -> dict[str, str]:
-    out = {}
+# Spec name -> (distribution, its parameter names in constructor order).
+_INTERVAL_SPECS = {
+    "exp": (Exponential, ("mean",)),
+    "lognormal": (LogNormal, ("mu", "sigma")),
+    "const": (Constant, ("value",)),
+    "uniform": (UniformInterval, ("low", "high")),
+}
+_COUNT_SPECS = {
+    "poisson": (PoissonCount, ("mean",)),
+    "const": (ConstantCount, ("value",)),
+}
+
+
+def _parse_spec(spec: str, what: str, table: dict[str, tuple[type, tuple[str, ...]]]):
+    """The distribution of a ``name:key=value,...`` spec; every parameter is
+    required once, and must be a finite number."""
+    name, sep, body = spec.partition(":")
+    if not sep:
+        raise ValueError(f"malformed {what} spec {spec!r}")
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    cls, names = table[name]
+    values: dict[str, float] = {}
     for part in body.split(","):
-        key, sep, value = part.partition("=")
+        key, sep, value = (field.strip() for field in part.partition("="))
         if not sep:
             raise ValueError(f"expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
-    return out
+        if key not in names:
+            raise ValueError(f"{name} has no parameter {key!r}")
+        if key in values:
+            raise ValueError(f"{name} parameter {key!r} given twice")
+        values[key] = finite(value)
+    missing = [key for key in names if key not in values]
+    if missing:
+        raise ValueError(f"{what} spec {spec!r} missing parameter {', '.join(missing)}")
+    return cls(*(values[key] for key in names))
 
 
 def parse_distribution(spec: str) -> Distribution:
     """Parse `exp:mean=60`, `lognormal:mu=..,sigma=..`, `const:value=..`,
     `uniform:low=..,high=..`, or `hist:<model file path>`."""
-    name, sep, body = spec.partition(":")
-    if not sep:
-        raise ValueError(f"malformed distribution spec {spec!r}")
-    if name == "hist":
-        with open(body, "r", encoding="utf-8") as fh:
+    if spec.startswith("hist:"):
+        with open(spec[len("hist:"):], "r", encoding="utf-8") as fh:
             model = parse_model(fh.read())
         return HistogramInterval(model.histogram.bin_width, model.histogram.counts)
-    kwargs = _parse_kwargs(body)
-    try:
-        if name == "exp":
-            return Exponential(float(kwargs["mean"]))
-        if name == "lognormal":
-            return LogNormal(float(kwargs["mu"]), float(kwargs["sigma"]))
-        if name == "const":
-            return Constant(float(kwargs["value"]))
-        if name == "uniform":
-            return UniformInterval(float(kwargs["low"]), float(kwargs["high"]))
-    except KeyError as exc:
-        raise ValueError(f"distribution spec {spec!r} missing parameter {exc}") from None
-    raise ValueError(f"unknown distribution {name!r}")
+    return _parse_spec(spec, "distribution", _INTERVAL_SPECS)
 
 
 def parse_count_distribution(spec: str) -> CountDistribution:
     """Parse `poisson:mean=1.14` or `const:value=1`."""
-    name, sep, body = spec.partition(":")
-    if not sep:
-        raise ValueError(f"malformed count distribution spec {spec!r}")
-    kwargs = _parse_kwargs(body)
-    try:
-        if name == "poisson":
-            return PoissonCount(float(kwargs["mean"]))
-        if name == "const":
-            return ConstantCount(int(kwargs["value"]))
-    except KeyError as exc:
-        raise ValueError(f"count distribution spec {spec!r} missing parameter {exc}") from None
-    raise ValueError(f"unknown count distribution {name!r}")
+    return _parse_spec(spec, "count distribution", _COUNT_SPECS)
 
 
 # --------------------------------------------------------------------------
@@ -270,6 +316,10 @@ class SimConfig:
             raise ValueError("fixed_persons must be non-negative")
         if self.interval_scale_sigma < 0:
             raise ValueError("interval_scale_sigma must be non-negative")
+        if not RSSI_NONE < self.rssi < 2**15:
+            raise ValueError(f"rssi must lie in [{RSSI_NONE + 1}, {2**15 - 1}], got {self.rssi!r}")
+        if self.ap_id.split() != [self.ap_id]:
+            raise ValueError(f"ap_id must be one token without whitespace, got {self.ap_id!r}")
 
 
 def parse_config(text: str) -> SimConfig:
@@ -402,27 +452,19 @@ def probing_instants(
     first = start + wait
     if first >= end:
         return np.empty(0)
-    chunks = [np.array([first])]
-    mean_step = dist.mean() * scale
-    while True:
-        last = float(chunks[-1][-1])
-        need = max(8, int((end - last) / mean_step * 1.25) + 8)
-        steps = dist.sample(rng, need) * scale
-        ts = last + np.cumsum(steps)
-        inside = ts[ts < end]
-        chunks.append(inside)
-        if inside.size < ts.size:
-            break
-    return np.concatenate(chunks)
+    later = _renewals(first, end, dist.mean() * scale, lambda n: dist.sample(rng, n) * scale, 8)
+    return np.concatenate(([first], later))
 
 
-def _poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    mean = 1.0 / rate
+def _renewals(
+    t: float, horizon: float, mean: float, draw: Callable[[int], np.ndarray], pad: int
+) -> np.ndarray:
+    """Renewals after ``t`` and before ``horizon``, with intervals from ``draw(n)``,
+    drawn in chunks of 1.25 times the expected count plus ``pad``."""
     chunks = []
-    t = 0.0
     while True:
-        need = max(16, int((horizon - t) / mean * 1.25) + 16)
-        ts = t + np.cumsum(rng.exponential(mean, need))
+        need = max(pad, int((horizon - t) / mean * 1.25) + pad)
+        ts = t + np.cumsum(draw(need))
         inside = ts[ts < horizon]
         chunks.append(inside)
         if inside.size < ts.size:
@@ -431,17 +473,18 @@ def _poisson_arrivals(rng: np.random.Generator, rate: float, horizon: float) -> 
     return np.concatenate(chunks)
 
 
-def _draw_mac(rng: np.random.Generator, randomized: bool) -> MacAddress:
+def _draw_mac(rng: np.random.Generator, randomized: bool) -> int:
     """A unicast MAC from six random octets: locally administered when randomized,
     globally administered otherwise."""
     octets = rng.integers(0, 256, 6).tolist()
     octets[0] = (octets[0] & 0xFC) | (0x02 if randomized else 0x00)
-    return MacAddress(int.from_bytes(bytes(octets), "big"))
+    return int.from_bytes(bytes(octets), "big")
 
 
-def _device_events(
+def _device_bursts(
     config: SimConfig, rng: np.random.Generator, enter: float, leave: float
-) -> list[PrfEvent]:
+) -> list[tuple[float, int, int]]:
+    """One device's bursts: (probing instant, frame count, MAC)."""
     scale = 1.0
     if config.interval_scale_sigma > 0:
         s = config.interval_scale_sigma
@@ -451,23 +494,15 @@ def _device_events(
         config.interval_dist, enter, leave, rng, config.phase_mode, scale
     )
     lo, hi = config.frames_per_burst
-    events = []
+    bursts = []
     for instant in instants.tolist():
         n_frames = int(rng.integers(lo, hi + 1))
-        if config.rotation_prob > 0 and rng.random() < config.rotation_prob:
-            mac = _draw_mac(rng, randomized=True)
-        else:
-            mac = persistent
-        if n_frames == 1:
-            offsets = [0.0]
-        else:
-            offsets = np.linspace(0.0, config.burst_duration, n_frames).tolist()
-        for off in offsets:
-            events.append(PrfEvent(round(instant + off, 6), mac, config.ap_id, config.rssi))
-    return events
+        rotate = config.rotation_prob > 0 and rng.random() < config.rotation_prob
+        bursts.append((instant, n_frames, _draw_mac(rng, True) if rotate else persistent))
+    return bursts
 
 
-def simulate(config: SimConfig) -> tuple[list[PrfEvent], GroundTruthTrace]:
+def simulate(config: SimConfig) -> tuple[Events, GroundTruthTrace]:
     """Generate a probe-request event stream and its ground-truth trace.
 
     Persons arriving before ``duration`` dwell to completion, so events may
@@ -478,13 +513,14 @@ def simulate(config: SimConfig) -> tuple[list[PrfEvent], GroundTruthTrace]:
     for _ in range(config.fixed_persons):
         spans.append((0.0, round(config.duration, 6)))
     if config.arrival_rate > 0 and config.duration > 0:
-        arrivals = _poisson_arrivals(rng, config.arrival_rate, config.duration)
+        mean = 1.0 / config.arrival_rate
+        arrivals = _renewals(0.0, config.duration, mean, lambda n: rng.exponential(mean, n), 16)
         dwells = config.dwell_dist.sample(rng, arrivals.size)
         for arrive, dwell in zip(arrivals.tolist(), dwells.tolist()):
             spans.append((round(arrive, 6), round(arrive + dwell, 6)))
 
     entities: list[Entity] = []
-    events: list[PrfEvent] = []
+    bursts: list[tuple[float, int, int]] = []
     device_index = 0
     for person_index, (enter, leave) in enumerate(spans):
         if not leave > enter:
@@ -495,6 +531,19 @@ def simulate(config: SimConfig) -> tuple[list[PrfEvent], GroundTruthTrace]:
         for _ in range(n_devices):
             entities.append(Entity(f"d{device_index}", "device", person_id, enter, leave))
             device_index += 1
-            events.extend(_device_events(config, rng, enter, leave))
-    events.sort(key=lambda e: (e.timestamp, e.mac))
+            bursts += _device_bursts(config, rng, enter, leave)
+
+    # Frame k of a burst of n lies at np.linspace(0, burst_duration, n)[k]:
+    # k * (burst_duration / (n - 1)), and burst_duration itself for the last.
+    count = np.array([b[1] for b in bursts], dtype=np.int64)
+    n = np.repeat(count, count)
+    k = np.arange(n.size) - np.repeat(np.cumsum(count) - count, count)
+    d = config.burst_duration
+    offset = np.where((k == n - 1) & (n > 1), d, k * (d / np.maximum(n - 1, 1)))
+    t = np.repeat(np.array([b[0] for b in bursts], dtype=np.float64), count) + offset
+    t = np.array([round(x, 6) for x in t.tolist()])  # Python's round, as np.round differs
+    mac = np.repeat(np.array([b[2] for b in bursts], dtype=np.uint64), count)
+    order = np.lexsort((mac, t))
+    events = Events(t[order], mac[order], np.zeros(t.size, dtype=np.int32),
+                    np.full(t.size, config.rssi, dtype=np.int16), (config.ap_id,))
     return events, GroundTruthTrace(tuple(entities))

@@ -1,15 +1,19 @@
 """Plain-Python reference implementations of the columnar core.
 
 Each works one object at a time: a per-record capture decoder, a per-event
-burst grouper, a per-burst interval extractor and the window-grid loop.  The
-differential tests compare the package's numpy code against them.
+burst grouper, a per-burst interval extractor, the window-grid loop, a
+per-event text writer and a per-frame simulator.  The differential tests
+compare the package's numpy code against them.
 """
 
 import struct
 
+import numpy as np
+
 from probecount.bursts import Burst
 from probecount.counting import Window
 from probecount.ingest import MacAddress, ParseError, PrfEvent
+from probecount.simulate import Entity, GroundTruthTrace, equilibrium_residual
 
 _FORMATS = {
     0xA1B2C3D4: ("<", "microsecond", 10**6),
@@ -140,3 +144,112 @@ def window_grid(start, end, size, step):
         windows.append(Window(start + i * step, size))
         i += 1
     return windows
+
+
+def format_events(events):
+    """The event text format, written event by event."""
+    lines = []
+    for e in events:
+        line = f"{e.timestamp:.6f} {e.mac} {e.ap_id}"
+        if e.rssi is not None:
+            line += f" {e.rssi}"
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+def probing_instants(dist, start, end, rng, phase_mode="equilibrium", scale=1.0):
+    """Renewal probing instants within [start, end), drawn in chunks of 8 or more."""
+    if end <= start:
+        return np.empty(0)
+    if phase_mode == "equilibrium":
+        wait = float(equilibrium_residual(dist, rng, 1)[0]) * scale
+    else:
+        wait = float(dist.sample(rng, 1)[0]) * scale
+    first = start + wait
+    if first >= end:
+        return np.empty(0)
+    chunks = [np.array([first])]
+    mean_step = dist.mean() * scale
+    while True:
+        last = float(chunks[-1][-1])
+        need = max(8, int((end - last) / mean_step * 1.25) + 8)
+        steps = dist.sample(rng, need) * scale
+        ts = last + np.cumsum(steps)
+        inside = ts[ts < end]
+        chunks.append(inside)
+        if inside.size < ts.size:
+            break
+    return np.concatenate(chunks)
+
+
+def _poisson_arrivals(rng, rate, horizon):
+    mean = 1.0 / rate
+    chunks = []
+    t = 0.0
+    while True:
+        need = max(16, int((horizon - t) / mean * 1.25) + 16)
+        ts = t + np.cumsum(rng.exponential(mean, need))
+        inside = ts[ts < horizon]
+        chunks.append(inside)
+        if inside.size < ts.size:
+            break
+        t = float(ts[-1])
+    return np.concatenate(chunks)
+
+
+def _draw_mac(rng, randomized):
+    octets = rng.integers(0, 256, 6).tolist()
+    octets[0] = (octets[0] & 0xFC) | (0x02 if randomized else 0x00)
+    return MacAddress(int.from_bytes(bytes(octets), "big"))
+
+
+def _device_events(config, rng, enter, leave):
+    scale = 1.0
+    if config.interval_scale_sigma > 0:
+        s = config.interval_scale_sigma
+        scale = float(rng.lognormal(-0.5 * s * s, s))
+    persistent = _draw_mac(rng, randomized=False)
+    instants = probing_instants(
+        config.interval_dist, enter, leave, rng, config.phase_mode, scale
+    )
+    lo, hi = config.frames_per_burst
+    events = []
+    for instant in instants.tolist():
+        n_frames = int(rng.integers(lo, hi + 1))
+        if config.rotation_prob > 0 and rng.random() < config.rotation_prob:
+            mac = _draw_mac(rng, randomized=True)
+        else:
+            mac = persistent
+        if n_frames == 1:
+            offsets = [0.0]
+        else:
+            offsets = np.linspace(0.0, config.burst_duration, n_frames).tolist()
+        for off in offsets:
+            events.append(PrfEvent(round(instant + off, 6), mac, config.ap_id, config.rssi))
+    return events
+
+
+def simulate(config):
+    """Events and ground truth of a simulator config, built frame by frame."""
+    rng = np.random.default_rng(config.seed)
+    spans = [(0.0, round(config.duration, 6))] * config.fixed_persons
+    if config.arrival_rate > 0 and config.duration > 0:
+        arrivals = _poisson_arrivals(rng, config.arrival_rate, config.duration)
+        dwells = config.dwell_dist.sample(rng, arrivals.size)
+        for arrive, dwell in zip(arrivals.tolist(), dwells.tolist()):
+            spans.append((round(arrive, 6), round(arrive + dwell, 6)))
+    entities = []
+    events = []
+    device_index = 0
+    for person_index, (enter, leave) in enumerate(spans):
+        if not leave > enter:
+            continue
+        person_id = f"p{person_index}"
+        entities.append(Entity(person_id, "person", "-", enter, leave))
+        n_devices = int(config.devices_per_person_dist.sample(rng, 1)[0])
+        for _ in range(n_devices):
+            entities.append(Entity(f"d{device_index}", "device", person_id, enter, leave))
+            device_index += 1
+            events.extend(_device_events(config, rng, enter, leave))
+    events.sort(key=lambda e: (e.timestamp, e.mac))
+    return events, GroundTruthTrace(tuple(entities))

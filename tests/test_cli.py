@@ -428,3 +428,49 @@ def test_pcapng_input_exits_1_naming_the_format(tmp_path, capsys):
     assert main(["fit", str(cap)]) == 1
     err = capsys.readouterr().err
     assert "pcapng" in err and "utf-8" not in err
+
+
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("interval_dist const:value=-1", "interval_dist: const value must be positive"),
+        ("interval_dist exp:mean=0", "interval_dist: exp mean must be positive"),
+        ("interval_dist const:value=0", "interval_dist: const value must be positive"),
+        ("interval_dist uniform:low=-10,high=10", "interval_dist: uniform needs 0 <= low"),
+        ("interval_dist exp:mean=60,foo=3", "interval_dist: exp has no parameter 'foo'"),
+        ("interval_dist exp:mean=60,mean=5", "interval_dist: exp parameter 'mean' given twice"),
+        ("interval_dist uniform:low=5", "interval_dist: distribution spec 'uniform:low=5' "
+                                        "missing parameter high"),
+        ("interval_dist exp:mean=inf", "interval_dist: non-finite number 'inf'"),
+        ("dwell_dist exp:mean=-300", "dwell_dist: exp mean must be positive"),
+        ("devices_per_person_dist poisson:mean=-1",
+         "devices_per_person_dist: poisson mean must be non-negative"),
+        ("devices_per_person_dist const:value=-2",
+         "devices_per_person_dist: const value must be a whole number >= 0"),
+    ],
+)
+def test_simulate_rejects_bad_distribution_specs(tmp_path, capsys, line, fragment):
+    config = tmp_path / "sim.cfg"
+    config.write_text(f"duration 600\n{line}\n")
+    events = tmp_path / "sim.events"
+    assert main(["simulate", "--config", str(config), "--events", str(events),
+                 "--truth", str(tmp_path / "sim.truth")]) == 1
+    assert f"error: line 2: {fragment}" in capsys.readouterr().err
+    assert not events.exists()
+
+
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("ap_id lobby east", "ap_id must be one token without whitespace, got 'lobby east'"),
+        ("rssi 40000", "rssi must lie in [-32767, 32767], got 40000"),
+    ],
+)
+def test_simulate_rejects_bad_ap_id_and_rssi(tmp_path, capsys, line, fragment):
+    config = tmp_path / "sim.cfg"
+    config.write_text(f"duration 600\n{line}\n")
+    events = tmp_path / "sim.events"
+    assert main(["simulate", "--config", str(config), "--events", str(events),
+                 "--truth", str(tmp_path / "sim.truth")]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not events.exists()

@@ -351,6 +351,48 @@ def test_parse_events_rejects_rssi_outside_int16():
         PrfEvent(1.0, MacAddress(1), "ap", 40000)
 
 
+def test_format_events_matches_per_event_writer():
+    # rssi none and the int16 extremes, three APs, tied timestamps
+    events = Events(
+        [1.0, 1.0, 1.0, 2.5, 2.5, 3.000001],
+        [5, 3, 3, 2**48 - 1, 0, 7],
+        [0, 1, 2, 1, 0, 2],
+        [RSSI_NONE, -60, RSSI_NONE, 127, -32767, 32767],
+        ("ap0", "lobby", "x"),
+    )
+    text = format_events(events)
+    assert text == oracles.format_events(events)
+    assert text.splitlines()[:2] == [
+        "1.000000 00:00:00:00:00:05 ap0",
+        "1.000000 00:00:00:00:00:03 lobby -60",
+    ]
+    assert format_events(list(events)) == text
+    assert parse_events(text) == events
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.5, 7.25, 1e6 + 0.000001]),
+            st.integers(0, 2**48 - 1),
+            st.sampled_from(["a", "b", "ap-3"]),
+            st.one_of(st.none(), st.integers(RSSI_NONE + 1, 2**15 - 1)),
+        ),
+        max_size=30,
+    )
+)
+def test_format_events_from_columns_matches_views(rows):
+    rows.sort(key=lambda row: row[0])
+    events = Events.of(PrfEvent(t, MacAddress(mac), ap, rssi) for t, mac, ap, rssi in rows)
+    assert format_events(events) == oracles.format_events(events)
+
+
+def test_format_events_needs_time_order():
+    late, early = (PrfEvent(t, MacAddress(1), "ap0") for t in (2.0, 1.0))
+    with pytest.raises(ValueError, match="not sorted by timestamp"):
+        format_events([late, early])
+
+
 # ---------------------------------------------------------------- capture variants
 
 

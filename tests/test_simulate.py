@@ -1,10 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from probecount.counting import Window
-from probecount.ingest import format_events, is_randomized, parse_events
+from probecount.ingest import Events, format_events, is_randomized, parse_events
 from probecount.simulate import (
     Constant,
     ConstantCount,
@@ -16,6 +20,7 @@ from probecount.simulate import (
     PoissonCount,
     SimConfig,
     UniformInterval,
+    _renewals,
     equilibrium_residual,
     format_trace,
     ground_truth_window,
@@ -46,6 +51,34 @@ def test_parse_distribution_specs():
 def test_parse_distribution_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_distribution(bad)
+
+
+@pytest.mark.parametrize(
+    "dist,fragment",
+    [
+        (lambda: Exponential(0.0), "exp mean must be positive"),
+        (lambda: Exponential(math.inf), "exp mean must be positive and finite"),
+        (lambda: Constant(-1.0), "const value must be positive"),
+        (lambda: UniformInterval(-10.0, 10.0), "uniform needs 0 <= low <= high"),
+        (lambda: UniformInterval(0.0, 0.0), "uniform mean must be positive"),
+        (lambda: LogNormal(3.0, -1.0), "lognormal sigma must be non-negative"),
+        (lambda: LogNormal(1000.0, 1.0), "lognormal mean must be positive and finite"),
+        (lambda: LogNormal(-1000.0, 1.0), "lognormal mean must be positive"),
+        (lambda: HistogramInterval(10.0, (0, 0)), "no mass"),
+        (lambda: PoissonCount(-1.0), "poisson mean must be non-negative"),
+        (lambda: ConstantCount(-2), "const value must be a whole number >= 0"),
+        (lambda: ConstantCount(1.5), "const value must be a whole number >= 0"),
+    ],
+)
+def test_distributions_check_their_range(dist, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        dist()
+
+
+def test_count_distributions_allow_zero():
+    assert parse_count_distribution("const:value=0") == ConstantCount(0)
+    assert parse_count_distribution("poisson:mean=0") == PoissonCount(0.0)
+    assert isinstance(parse_count_distribution("const:value=2").value, int)
 
 
 @pytest.mark.parametrize(
@@ -387,6 +420,27 @@ def test_parse_trace_errors_name_the_line(text, fragment):
         parse_trace(text)
 
 
+@pytest.mark.parametrize(
+    "field,value,fragment",
+    [
+        ("rssi", -32768, r"rssi must lie in \[-32767, 32767\]"),
+        ("rssi", 32768, "rssi must lie in"),
+        ("ap_id", "lobby east", "ap_id must be one token"),
+        ("ap_id", "", "ap_id must be one token"),
+        ("ap_id", "lobby\t", "ap_id must be one token"),
+    ],
+)
+def test_config_checks_rssi_and_ap_id(field, value, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        SimConfig(**{field: value})
+
+
+def test_config_accepts_rssi_extremes():
+    for rssi in (-32767, 32767):
+        events, _ = simulate(SimConfig(duration=300.0, seed=1, rssi=rssi, ap_id="a-1"))
+        assert len(events) and set(events.rssi.tolist()) == {rssi}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(rotation_prob=1.5)
@@ -401,3 +455,129 @@ def test_config_validation():
 def test_trace_round_trip():
     _, trace = simulate(SimConfig(duration=1500.0, seed=31))
     assert parse_trace(format_trace(trace)) == trace
+
+
+# ---------------------------------------------------------------- byte identity
+
+
+def test_simulate_returns_columns():
+    events, _ = simulate(SimConfig(duration=600.0, seed=3, ap_id="lobby", rssi=-42))
+    assert isinstance(events, Events)
+    assert events.aps == ("lobby",)
+    assert set(events.rssi.tolist()) == {-42}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=st.tuples(st.integers(1, 6), st.integers(0, 4)),
+    burst_duration=st.floats(0.001, 10.0),
+    rotation_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    interval_scale_sigma=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    phase_mode=st.sampled_from(["equilibrium", "ordinary"]),
+    population=st.one_of(
+        st.tuples(st.integers(0, 6), st.just(0.0)),
+        st.tuples(st.just(0), st.floats(0.001, 0.05)),
+    ),
+    interval_dist=st.sampled_from(
+        [Exponential(20.0), LogNormal(2.5, 0.8), UniformInterval(2.0, 30.0), Constant(7.5)]
+    ),
+    devices=st.sampled_from([ConstantCount(1), PoissonCount(1.5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_matches_frame_by_frame_simulator(
+    frames, burst_duration, rotation_prob, interval_scale_sigma, phase_mode, population,
+    interval_dist, devices, seed,
+):
+    fixed_persons, arrival_rate = population
+    cfg = SimConfig(
+        arrival_rate=arrival_rate,
+        fixed_persons=fixed_persons,
+        interval_dist=interval_dist,
+        burst_duration=burst_duration,
+        frames_per_burst=(frames[0], frames[0] + frames[1]),
+        devices_per_person_dist=devices,
+        rotation_prob=rotation_prob,
+        phase_mode=phase_mode,
+        duration=600.0,
+        seed=seed,
+        interval_scale_sigma=interval_scale_sigma,
+    )
+    events, trace = simulate(cfg)
+    expected_events, expected_trace = oracles.simulate(cfg)
+    assert events == Events.of(expected_events)
+    assert format_events(events) == oracles.format_events(expected_events)
+    assert trace == expected_trace
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dist=st.sampled_from([Exponential(5.0), LogNormal(1.0, 1.2), UniformInterval(0.0, 3.0)]),
+    start=st.floats(0.0, 100.0),
+    span=st.floats(0.0, 2000.0),
+    scale=st.floats(0.1, 3.0),
+    phase_mode=st.sampled_from(["equilibrium", "ordinary"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_renewal_loop_keeps_the_draws(dist, start, span, scale, phase_mode, seed):
+    args = (dist, start, start + span)
+    ours = probing_instants(*args, np.random.default_rng(seed), phase_mode, scale)
+    theirs = oracles.probing_instants(*args, np.random.default_rng(seed), phase_mode, scale)
+    assert ours.tolist() == theirs.tolist()
+    rate = 1.0 / (1.0 + scale)
+    mean, rng = 1.0 / rate, np.random.default_rng(seed)
+    ours = _renewals(0.0, span, mean, lambda n: rng.exponential(mean, n), 16)
+    theirs = oracles._poisson_arrivals(np.random.default_rng(seed), rate, span)
+    assert ours.tolist() == theirs.tolist()
+
+
+# Event and truth files of three configs: (config, event count, sha256 of the
+# event text followed by the truth text), as the frame-by-frame simulator in
+# oracles.py wrote them.
+GOLDEN_SIMULATIONS = [
+    (
+        "duration 1800\nseed 1\n",
+        784,
+        "2e24c1abc05931cea673614e5013716d573247ea6b463dffa49b634ced07c440",
+    ),
+    (
+        "arrival_rate 0.0\nfixed_persons 6\ninterval_dist lognormal:mu=3.5,sigma=0.8\n"
+        "frames_per_burst 2..5\nburst_duration 0.7\nrotation_prob 0.3\n"
+        "interval_scale_sigma 0.4\nphase_mode ordinary\nduration 1200\nseed 4\n"
+        "ap_id lobby\nrssi -42\n",
+        1030,
+        "c120448685fa52edac60b61ed4becd0d54e57d012a3eacba602e1cdf0c114aed",
+    ),
+    (
+        "arrival_rate 0.2\ndwell_dist uniform:low=60,high=240\n"
+        "interval_dist uniform:low=5,high=40\ndevices_per_person_dist poisson:mean=1.5\n"
+        "rotation_prob 0.0\nframes_per_burst 3\nburst_duration 2.5\nduration 600\nseed 9\n",
+        3189,
+        "f0475b916d9d3d8d99d6877fb3fda803d2cf364e3cb8a8dcc4db56d465ce4f6a",
+    ),
+    (
+        # every device probes at the same instants: ties broken by MAC
+        "arrival_rate 0\nfixed_persons 5\ninterval_dist const:value=10\nphase_mode ordinary\n"
+        "frames_per_burst 1..3\nburst_duration 1\nrotation_prob 0.5\nduration 300\nseed 2\n",
+        278,
+        "ba1cc74f93340ac0dcae429607d46abd8ccdbc59566e4b3178a0ed2c9cba61de",
+    ),
+]
+
+
+@pytest.mark.parametrize("config,count,digest", GOLDEN_SIMULATIONS)
+def test_simulated_files_keep_their_bytes(config, count, digest):
+    events, trace = simulate(parse_config(config))
+    assert len(events) == count
+    text = format_events(events) + format_trace(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_simulated_timestamps_round_like_python():
+    # 10.0000005 lies just above the midpoint: round() gives 10.000001, while
+    # np.round(x, 6) rounds the product 10000000.5 half to even, to 10.0.
+    cfg = SimConfig(
+        arrival_rate=0.0, fixed_persons=1, interval_dist=Constant(10.0000005),
+        phase_mode="ordinary", frames_per_burst=(1, 1), duration=15.0, seed=0,
+    )
+    events, _ = simulate(cfg)
+    assert events.t.tolist() == [10.000001]
