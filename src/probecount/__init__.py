@@ -1,8 +1,8 @@
 """Learning-free Wi-Fi device and people counting from probe-request streams."""
 
-from .bursts import Burst, Bursts, aggregate
-from .calibration import CalibrationRatio, PeopleEstimate, estimate_ratio, people_count
-from .counting import Window, WindowEstimate, sliding_windows
+from .bursts import Bursts, aggregate
+from .calibration import CalibrationRatio, estimate_ratio, people_count
+from .counting import sliding_windows
 from .ingest import (
     Events,
     MacAddress,
@@ -22,10 +22,9 @@ from .intervals import (
     ljung_box,
 )
 from .metrics import SeriesPair, mape, nrmse, rmse
-from .simulate import GroundTruthTrace, SimConfig, ground_truth_window
+from .simulate import GroundTruthTrace, SimConfig, ground_truth_series
 
 __all__ = [
-    "Burst",
     "Bursts",
     "CalibrationRatio",
     "Events",
@@ -35,17 +34,14 @@ __all__ = [
     "IntervalModel",
     "MacAddress",
     "ParseError",
-    "PeopleEstimate",
     "PrfEvent",
     "SeriesPair",
     "SimConfig",
-    "Window",
-    "WindowEstimate",
     "aggregate",
     "estimate_ratio",
     "extract_intervals",
     "format_events",
-    "ground_truth_window",
+    "ground_truth_series",
     "is_randomized",
     "ks_two_sample",
     "ljung_box",

@@ -1,17 +1,28 @@
-"""Device-to-person calibration and people-count estimation."""
+"""Device-to-person calibration and people-count estimation.
+
+Series are numpy record arrays: a reference series has fields ``start`` and
+``value`` (``REFERENCE_DTYPE``), a people series ``PEOPLE_DTYPE``.  A device
+series is the counting model's, read here by its ``start``, ``w``,
+``burst_count``, ``n_hat`` and ``nrmse`` fields.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .counting import Window, WindowEstimate
-from .ingest import finite, read_keys, read_rows
+import numpy as np
+
+from .ingest import finite, format_rows, read_keys, read_rows
 
 _RATIO_KEYS = dict.fromkeys(
     ("alpha", "nrmse_people_ref", "nrmse_device_cal", "source_window_span"), finite
 )
+
+REFERENCE_DTYPE = np.dtype([("start", np.float64), ("value", np.float64)])
+# m_hat = n_hat / alpha, and the propagated NRMSE (NaN for an empty window).
+PEOPLE_DTYPE = np.dtype([
+    ("start", np.float64), ("w", np.float64), ("m_hat", np.float64), ("nrmse", np.float64),
+])
 
 
 @dataclass(frozen=True)
@@ -30,60 +41,63 @@ class CalibrationRatio:
             raise ValueError("NRMSE components must be non-negative")
 
 
-@dataclass(frozen=True)
-class PeopleEstimate:
-    window: Window
-    m_hat: float
-    nrmse_estimate: float | None
-
-
 def estimate_ratio(
-    device_series: Sequence[WindowEstimate],
-    people_series: Sequence[tuple[float, float]],
+    device_series: np.recarray,
+    people_series: np.recarray,
     *,
     nrmse_people_ref: float = 0.08,
 ) -> CalibrationRatio:
     """Device-to-person ratio from a calibration region.
 
-    ``people_series`` holds (window start, reference people count) pairs on
-    the same windows as ``device_series``.  The ratio is the ratio of sums,
+    ``people_series`` holds the reference people counts (``REFERENCE_DTYPE``)
+    on the same windows as ``device_series``.  The ratio is the ratio of sums,
     i.e. dwell-time weighted; the reference NRMSE is caller-supplied and the
     device-side NRMSE is the mean of the per-window estimates.
     """
-    if len(device_series) != len(people_series) or not device_series:
+    if len(device_series) != len(people_series) or not len(device_series):
         raise ValueError("device and people series must align on identical windows")
-    for est, (start, _) in zip(device_series, people_series):
-        if abs(est.window.start - start) > 1e-6:
+    device_starts, people_starts = device_series.start.tolist(), people_series.start.tolist()
+    for device_start, people_start in zip(device_starts, people_starts):
+        if abs(device_start - people_start) > 1e-6:
             raise ValueError(
-                f"misaligned windows: device window at {est.window.start}, people at {start}"
+                f"misaligned windows: device window at {device_start}, people at {people_start}"
             )
-    people_total = sum(v for _, v in people_series)
+    if np.any(people_series.value < 0):
+        raise ValueError("people counts must be non-negative")
+    # Python's left-to-right sums, on which the written ratio's last digits depend
+    people_total = sum(people_series.value.tolist())
     if people_total <= 0:
         raise ValueError("people series sums to zero")
-    device_total = sum(e.n_hat for e in device_series)
+    device_total = sum(device_series.n_hat.tolist())
     if device_total <= 0:
         raise ValueError("device series sums to zero; cannot calibrate")
-    per_window = [e.nrmse_estimate for e in device_series if e.nrmse_estimate is not None]
+    nrmse = device_series.nrmse
+    per_window = nrmse[~np.isnan(nrmse)].tolist()
     nrmse_device_cal = sum(per_window) / len(per_window) if per_window else 0.0
-    first, last = device_series[0].window, device_series[-1].window
     return CalibrationRatio(
         alpha=device_total / people_total,
         nrmse_people_ref=nrmse_people_ref,
         nrmse_device_cal=nrmse_device_cal,
-        source_window_span=last.end - first.start,
+        source_window_span=device_starts[-1] + float(device_series.w[-1]) - device_starts[0],
     )
 
 
-def people_count(estimate: WindowEstimate, ratio: CalibrationRatio) -> PeopleEstimate:
-    """People count for one window: n_hat / alpha, with propagated NRMSE."""
-    if estimate.burst_count == 0:
-        return PeopleEstimate(estimate.window, 0.0, None)
-    nrmse = math.sqrt(
-        ratio.nrmse_people_ref**2
-        + ratio.nrmse_device_cal**2
-        + (estimate.nrmse_estimate or 0.0) ** 2
+def people_count(series: np.recarray, ratio: CalibrationRatio) -> np.recarray:
+    """People counts of a device series: n_hat / alpha, with propagated NRMSE.
+
+    An empty window (B = 0) has m_hat 0 and NaN NRMSE; elsewhere a window's
+    NaN NRMSE counts as 0 in the root-sum-square.
+    """
+    seen = series.burst_count > 0
+    device = np.where(np.isnan(series.nrmse), 0.0, series.nrmse)
+    fixed = ratio.nrmse_people_ref**2 + ratio.nrmse_device_cal**2
+    # device * device can differ from Python's device**2 in the last bit, far
+    # below the six decimals the people series is written with
+    return np.rec.fromarrays(
+        [series.start, series.w, np.where(seen, series.n_hat / ratio.alpha, 0.0),
+         np.where(seen, np.sqrt(fixed + device * device), np.nan)],
+        dtype=PEOPLE_DTYPE,
     )
-    return PeopleEstimate(estimate.window, estimate.n_hat / ratio.alpha, nrmse)
 
 
 def format_ratio(ratio: CalibrationRatio) -> str:
@@ -99,18 +113,17 @@ def parse_ratio(text: str) -> CalibrationRatio:
     return CalibrationRatio(**read_keys(text, "ratio", _RATIO_KEYS))
 
 
-def format_people_series(estimates: Sequence[PeopleEstimate]) -> str:
-    lines = ["# start w m_hat nrmse\n"]
-    for e in estimates:
-        nrmse = "nan" if e.nrmse_estimate is None else f"{e.nrmse_estimate:.6f}"
-        lines.append(f"{e.window.start:.6f} {e.window.size:.6f} {e.m_hat:.6f} {nrmse}\n")
-    return "".join(lines)
+def format_people_series(series: np.recarray) -> str:
+    return "# start w m_hat nrmse\n" + format_rows(
+        "%.6f %.6f %.6f %.6f\n", [series[name] for name in PEOPLE_DTYPE.names]
+    )
 
 
-def format_reference_series(series: Sequence[tuple[float, float]]) -> str:
-    return "".join(f"{start:.6f} {value:.6f}\n" for start, value in series)
+def format_reference_series(series: np.recarray) -> str:
+    return format_rows("%.6f %.6f\n", [series.start, series.value])
 
 
-def parse_reference_series(text: str) -> list[tuple[float, float]]:
+def parse_reference_series(text: str) -> np.recarray:
     """Parse `start value` reference lines (e.g. camera people counts)."""
-    return read_rows(text, lambda start, value: (start, value), (finite, finite))
+    rows = read_rows(text, lambda start, value: (start, value), (finite, finite))
+    return np.array(rows, dtype=REFERENCE_DTYPE).view(np.recarray)

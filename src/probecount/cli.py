@@ -6,9 +6,9 @@ import argparse
 import struct
 import sys
 from dataclasses import replace
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from . import calibration, counting, intervals, metrics, simulate
 from .bursts import DEFAULT_BURST_GAP, aggregate
@@ -18,12 +18,11 @@ from .ingest import (
     ParseError,
     finite,
     format_events,
+    format_rows,
     parse_capture,
     parse_events,
     read_rows,
 )
-
-_Row = TypeVar("_Row")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -169,8 +168,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     grid = dict(start=args.start, end=args.end)
     if args.baseline == "mac":
         series = counting.mac_count_series(events, args.window, args.step, **grid)
-        text = "# start w unique_macs\n" + "".join(
-            f"{w.start:.6f} {w.size:.6f} {n}\n" for w, n in series
+        text = "# start w unique_macs\n" + format_rows(
+            f"%.6f {args.window:.6f} %d\n", [series.start, series.macs]
         )
         _write_output(text, args.out)
         return EXIT_OK
@@ -201,9 +200,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     people_series = calibration.parse_reference_series(
         Path(args.people_series).read_text(encoding="utf-8")
     )
-    pairs = _join_on_start(device_series, people_series, start=lambda e: e.window.start)
+    rows, refs = _join_on_start(device_series, people_series)
     ratio = calibration.estimate_ratio(
-        [e for e, _ in pairs], [p for _, p in pairs], nrmse_people_ref=args.people_nrmse
+        device_series[rows], people_series[refs], nrmse_people_ref=args.people_nrmse
     )
     _write_output(calibration.format_ratio(ratio), args.out)
     return EXIT_OK
@@ -212,7 +211,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_people(args: argparse.Namespace) -> int:
     device_series = counting.parse_series(Path(args.device_series).read_text(encoding="utf-8"))
     ratio = calibration.parse_ratio(Path(args.ratio).read_text(encoding="utf-8"))
-    people = [calibration.people_count(e, ratio) for e in device_series]
+    people = calibration.people_count(device_series, ratio)
     _write_output(calibration.format_people_series(people), args.out)
     return EXIT_OK
 
@@ -222,40 +221,39 @@ def _cmd_people(args: argparse.Namespace) -> int:
 _VALUE_COLUMN = {2: 1, 3: 2, 4: 2, 7: 4}
 
 
-def _read_value_series(path: str) -> list[tuple[float, float]]:
-    """Read (window start, value) pairs from any of the series formats."""
+def _read_value_series(path: str) -> np.recarray:
+    """Read (window start, value) records from any of the series formats."""
     layouts = [
         [finite if i in (0, col) else str for i in range(n)] for n, col in _VALUE_COLUMN.items()
     ]
     try:
-        return read_rows(
+        rows = read_rows(
             Path(path).read_text(encoding="utf-8"),
             lambda *row: (row[0], row[_VALUE_COLUMN[len(row)]]),
             *layouts,
         )
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    return np.array(rows, dtype=calibration.REFERENCE_DTYPE).view(np.recarray)
 
 
-def _join_on_start(
-    rows: Sequence[_Row],
-    reference: Sequence[tuple[float, float]],
-    start: Callable[[_Row], float] = itemgetter(0),
-) -> list[tuple[_Row, tuple[float, float]]]:
-    """(row, reference row) pairs, in the order of ``rows``, whose window starts
-    agree to the microsecond."""
-    by_start = {round(ref[0], 6): ref for ref in reference}
-    pairs = [(row, by_start[key]) for row in rows if (key := round(start(row), 6)) in by_start]
+def _join_on_start(rows: np.recarray, reference: np.recarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of the row and reference windows whose starts agree to the
+    microsecond, in the order of ``rows``."""
+    by_start = {round(start, 6): j for j, start in enumerate(reference.start.tolist())}
+    pairs = [(i, by_start[key]) for i, start in enumerate(rows.start.tolist())
+             if (key := round(start, 6)) in by_start]
     if not pairs:
         raise ValueError("no overlapping window starts between the two series")
-    return pairs
+    i, j = np.array(pairs).T
+    return i, j
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    pairs = _join_on_start(
-        _read_value_series(args.estimates), _read_value_series(args.reference)
-    )
-    pair = metrics.SeriesPair.of([e[1] for e, _ in pairs], [r[1] for _, r in pairs])
+    estimates = _read_value_series(args.estimates)
+    reference = _read_value_series(args.reference)
+    i, j = _join_on_start(estimates, reference)
+    pair = metrics.SeriesPair.of(estimates.value[i].tolist(), reference.value[j].tolist())
     lines = (
         f"rmse {metrics.rmse(pair):.6f}",
         f"mape {metrics.mape(pair):.6f}",
@@ -274,15 +272,13 @@ def _cmd_truth(args: argparse.Namespace) -> int:
     if start is None:
         start = counting.grid_start(min(e.enter for e in entities), args.step)
     end = args.end if args.end is not None else max(e.leave for e in entities)
-    windows = counting.window_grid(start, end, args.window, args.step)
-    if not windows:
+    starts = counting.window_grid(start, end, args.window, args.step)
+    if not starts.size:
         raise ValueError("no complete window fits before --end")
-    series = simulate.ground_truth_series(trace, windows)
-    values = [n for n, _ in series] if args.kind == "device" else [m for _, m in series]
-    text = calibration.format_reference_series(
-        [(w.start, v) for w, v in zip(windows, values)]
-    )
-    _write_output(text, args.out)
+    truth = simulate.ground_truth_series(trace, starts, args.window)
+    values = truth.n_bar if args.kind == "device" else truth.m_bar
+    series = np.rec.fromarrays([starts, values], dtype=calibration.REFERENCE_DTYPE)
+    _write_output(calibration.format_reference_series(series), args.out)
     return EXIT_OK
 
 

@@ -1,15 +1,19 @@
-"""Sliding-window device counting from burst rates, with its error bound."""
+"""Sliding-window device counting from burst rates, with its error bound.
+
+A window series is a numpy record array with one field per column of its
+file: ``SERIES_DTYPE`` for the counting model, ``MAC_SERIES_DTYPE`` for the
+unique-MAC baseline.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .bursts import Burst, instants_and_macs
-from .ingest import Events, PrfEvent, finite, read_rows
+from .bursts import Bursts
+from .ingest import Events, PrfEvent, finite, format_rows, read_rows
 from .intervals import IntervalModel
 
 DEFAULT_WINDOW_SIZE = 180.0
@@ -17,53 +21,20 @@ DEFAULT_STEP = 180.0
 # The most windows one grid may hold.
 MAX_WINDOWS = 1_000_000
 
-
-@dataclass(frozen=True)
-class Window:
-    start: float
-    size: float
-
-    def __post_init__(self) -> None:
-        if not self.size > 0:
-            raise ValueError("window size must be positive")
-
-    @property
-    def end(self) -> float:
-        return self.start + self.size
-
-    def contains(self, t: float) -> bool:
-        return self.start <= t < self.end
+# One window of the counting model: its start and size w, the bursts B whose
+# probing instant lies in [start, start+w), the rate B/w, n_hat = B*tau_mean/w,
+# the variance lower bound B*tau_std^2/w^2, and the predicted NRMSE
+# tau_std/(tau_mean*sqrt(B)), NaN for an empty window.
+SERIES_DTYPE = np.dtype([
+    ("start", np.float64), ("w", np.float64), ("burst_count", np.int64), ("rate", np.float64),
+    ("n_hat", np.float64), ("var_lower_bound", np.float64), ("nrmse", np.float64),
+])
+# One window of the baseline: its start and the distinct MACs heard in it.
+MAC_SERIES_DTYPE = np.dtype([("start", np.float64), ("macs", np.int64)])
 
 
-@dataclass(frozen=True)
-class WindowEstimate:
-    """Per-window output of the counting model.
-
-    ``n_hat`` is burst_count * tau_mean / size: the ratio of the window's
-    aggregated probing rate to the mean per-device rate.  ``var_lower_bound``
-    is burst_count * tau_std^2 / size^2, and ``nrmse_estimate`` is
-    tau_std / (tau_mean * sqrt(burst_count)), or None for an empty window.
-    """
-
-    window: Window
-    burst_count: int
-    rate: float
-    n_hat: float
-    var_lower_bound: float
-    nrmse_estimate: float | None
-
-    def __post_init__(self) -> None:
-        if self.burst_count < 0:
-            raise ValueError("burst count cannot be negative")
-
-
-def window_grid(start: float, end: float, size: float, step: float) -> list[Window]:
-    """Windows of ``size`` at start, start+step, ... that end at or before ``end``."""
-    return [Window(s, size) for s in _grid_starts(start, end, size, step).tolist()]
-
-
-def _grid_starts(start: float, end: float, size: float, step: float) -> np.ndarray:
-    """Starts ``start + i*step`` of the windows that end by ``end`` (within 1e-9).
+def window_grid(start: float, end: float, size: float, step: float) -> np.ndarray:
+    """Starts ``start + i*step`` of the windows of ``size`` that end by ``end`` (within 1e-9).
 
     The count is computed, then settled on the rule itself, so the grid is the
     one a loop over i would build; more than ``MAX_WINDOWS`` is an error.
@@ -110,8 +81,8 @@ def _series_grid(
     step: float,
     start: float | None,
     end: float | None,
-) -> tuple[list[Window], np.ndarray]:
-    """The grid over sorted ``times`` and each window's [lo, hi) slice of them.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's starts over sorted ``times``, and each window's [lo, hi) slice of them.
 
     ``start`` defaults to the lattice point at or before the first time and
     ``end`` to the last time plus ``size``, so the trailing window holding the
@@ -122,14 +93,15 @@ def _series_grid(
     if np.any(times[1:] < times[:-1]):
         raise ValueError(f"{what} not sorted")
     if times.size == 0 and (start is None or end is None):
-        return [], np.empty((2, 0), dtype=int)
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty(0), empty, empty
     if start is None:
         start = grid_start(float(times[0]), step)
     if end is None:
         end = float(times[-1]) + size
-    starts = _grid_starts(start, end, size, step)
-    windows = [Window(s, size) for s in starts.tolist()]
-    return windows, np.searchsorted(times, [starts, starts + size], side="left")
+    starts = window_grid(start, end, size, step)
+    lo, hi = np.searchsorted(times, [starts, starts + size], side="left")
+    return starts, lo, hi
 
 
 def _check_model(model: IntervalModel) -> None:
@@ -139,53 +111,49 @@ def _check_model(model: IntervalModel) -> None:
         raise ValueError("interval model has non-positive tau_mean")
 
 
-def _estimate(window: Window, burst_count: int, model: IntervalModel) -> WindowEstimate:
-    w = window.size
-    rate = burst_count / w
-    n_hat = burst_count * model.tau_mean / w
-    var_lower_bound = burst_count * model.tau_std**2 / w**2
-    if burst_count > 0:
-        nrmse = model.tau_std / (model.tau_mean * math.sqrt(burst_count))
-    else:
-        nrmse = None
-    return WindowEstimate(window, burst_count, rate, n_hat, var_lower_bound, nrmse)
-
-
 def sliding_windows(
-    bursts: Sequence[Burst],
-    size: float = DEFAULT_WINDOW_SIZE,
-    step: float = DEFAULT_STEP,
-    model: IntervalModel | None = None,
+    bursts: Bursts,
+    size: float,
+    step: float,
+    model: IntervalModel,
     *,
     start: float | None = None,
     end: float | None = None,
-) -> list[WindowEstimate]:
-    """Estimates on the window grid over the bursts' probing instants.
+) -> np.recarray:
+    """The count series (``SERIES_DTYPE``) on the window grid over the bursts' instants.
 
     A burst counts in a window when its probing instant lies in
     [start, start+size).  ``start`` defaults to the multiple of ``step`` at or
     before the first instant, and ``end`` to the last instant plus ``size``.
     """
-    if model is None:
-        raise ValueError("an interval model is required")
     _check_model(model)
-    instants, _ = instants_and_macs(bursts)
-    windows, (lo, hi) = _series_grid(instants, "bursts", size, step, start, end)
-    return [_estimate(w, int(h - l), model) for w, l, h in zip(windows, lo, hi)]
+    starts, lo, hi = _series_grid(bursts.instant, "bursts", size, step, start, end)
+    b = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nrmse = np.where(b > 0, model.tau_std / (model.tau_mean * np.sqrt(b)), np.nan)
+    # the squares stay Python floats: numpy's x*x and Python's x**2 can differ
+    # in the last bit, and the written series must not change
+    return np.rec.fromarrays(
+        [starts, np.full(b.size, size), b, b / size, b * model.tau_mean / size,
+         b * model.tau_std**2 / size**2, nrmse],
+        dtype=SERIES_DTYPE,
+    )
 
 
 def mac_count_series(
-    events: Sequence[PrfEvent],
-    size: float = DEFAULT_WINDOW_SIZE,
-    step: float = DEFAULT_STEP,
+    events: Iterable[PrfEvent],
+    size: float,
+    step: float,
     *,
     start: float | None = None,
     end: float | None = None,
-) -> list[tuple[Window, int]]:
-    """Distinct MACs heard per window (randomization-blind), on the same grid."""
+) -> np.recarray:
+    """Distinct MACs heard per window (randomization-blind), on the same grid,
+    as ``MAC_SERIES_DTYPE`` records."""
     events = Events.of(events)
-    windows, (lo, hi) = _series_grid(events.t, "events", size, step, start, end)
-    return list(zip(windows, _distinct_counts(events.mac, lo, hi).tolist()))
+    starts, lo, hi = _series_grid(events.t, "events", size, step, start, end)
+    return np.rec.fromarrays([starts, _distinct_counts(events.mac, lo, hi)],
+                             dtype=MAC_SERIES_DTYPE)
 
 
 def _distinct_counts(mac: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -208,30 +176,40 @@ def _distinct_counts(mac: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return np.cumsum(edges)[: lo.size]
 
 
-def format_series(estimates: Iterable[WindowEstimate]) -> str:
-    """One line per window: start size burst_count rate n_hat var_bound nrmse."""
-    lines = ["# start w B R n_hat var_lower_bound nrmse\n"]
-    for e in estimates:
-        nrmse = "nan" if e.nrmse_estimate is None else f"{e.nrmse_estimate:.6f}"
-        lines.append(
-            f"{e.window.start:.6f} {e.window.size:.6f} {e.burst_count} "
-            f"{e.rate:.6f} {e.n_hat:.6f} {e.var_lower_bound:.6f} {nrmse}\n"
-        )
-    return "".join(lines)
+def format_series(series: np.recarray) -> str:
+    """One line per window: start w B rate n_hat var_lower_bound nrmse."""
+    return "# start w B R n_hat var_lower_bound nrmse\n" + format_rows(
+        "%.6f %.6f %d %.6f %.6f %.6f %.6f\n", [series[name] for name in SERIES_DTYPE.names]
+    )
 
 
-def _nrmse(text: str) -> float | None:
+def _window_size(text: str) -> float:
+    value = finite(text)
+    if not value > 0:
+        raise ValueError("window size must be positive")
+    return value
+
+
+def _burst_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("burst count cannot be negative")
+    if value >= 2**63:
+        raise ValueError(f"burst count {value} out of range")
+    return value
+
+
+def _nrmse(text: str) -> float:
     value = float(text)
     if math.isinf(value):
         raise ValueError(f"infinite nrmse {text!r}")
-    return None if math.isnan(value) else value
+    return value
 
 
-def _window_estimate(start, size, burst_count, rate, n_hat, var_lower_bound, nrmse):
-    return WindowEstimate(Window(start, size), burst_count, rate, n_hat, var_lower_bound, nrmse)
-
-
-def parse_series(text: str) -> list[WindowEstimate]:
-    return read_rows(
-        text, _window_estimate, (finite, finite, int, finite, finite, finite, _nrmse)
+def parse_series(text: str) -> np.recarray:
+    """The count series of ``format_series`` text, as ``SERIES_DTYPE`` records."""
+    rows = read_rows(
+        text, lambda *row: row,
+        (finite, _window_size, _burst_count, finite, finite, finite, _nrmse),
     )
+    return np.array(rows, dtype=SERIES_DTYPE).view(np.recarray)

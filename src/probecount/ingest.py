@@ -2,7 +2,8 @@
 
 Events are held as columns (``Events``); ``PrfEvent`` is the one-event view.
 Also holds the two readers behind every line-oriented text file: ``read_rows``
-for column files and ``read_keys`` for ``key value`` files.
+for column files and ``read_keys`` for ``key value`` files, and the writer
+``format_rows`` for column files.
 """
 
 from __future__ import annotations
@@ -103,6 +104,22 @@ def read_rows(
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     return rows
+
+
+# Rows converted to Python objects at once by format_rows.
+_FORMAT_CHUNK = 1 << 16
+
+
+def format_rows(fmt: str, columns: Sequence[np.ndarray]) -> str:
+    """The lines ``fmt % row`` for the rows of equal-length ``columns``.
+
+    Rows are converted a chunk at a time, so that only one chunk's Python
+    numbers are alive at once rather than every column's.
+    """
+    return "".join(
+        "".join(map(fmt.__mod__, zip(*(c[i : i + _FORMAT_CHUNK].tolist() for c in columns))))
+        for i in range(0, len(columns[0]), _FORMAT_CHUNK)
+    )
 
 
 def read_keys(
@@ -276,8 +293,6 @@ class Events(Sequence):
                         for c in ("t", "mac", "rssi"))
                 and self._ap_names() == other._ap_names()
             )
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special, stats
 
-from .bursts import Burst, instants_and_macs
+from .bursts import Bursts
 from .ingest import finite, read_keys
 
 DEFAULT_INTERVAL_CUTOFF = 600.0
@@ -74,9 +74,7 @@ class IntervalModel:
         return cls(area_id, tau_mean, tau_std, sample_count, Histogram(cutoff, (sample_count,)))
 
 
-def extract_intervals(
-    bursts: Sequence[Burst], cutoff: float = DEFAULT_INTERVAL_CUTOFF
-) -> np.ndarray:
+def extract_intervals(bursts: Bursts, cutoff: float = DEFAULT_INTERVAL_CUTOFF) -> np.ndarray:
     """Pairwise differences of consecutive probing instants per MAC, in burst order.
 
     Each interval sits at the position of its later burst.  Gaps above
@@ -85,7 +83,7 @@ def extract_intervals(
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    instant, mac = instants_and_macs(bursts)
+    instant, mac = bursts.instant, bursts.mac
     if np.any(instant[1:] < instant[:-1]):
         raise ValueError("bursts not sorted by probing instant")
     # bursts grouped by MAC, each group in burst order (hence by instant)

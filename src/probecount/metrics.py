@@ -17,6 +17,8 @@ class SeriesPair:
             raise ValueError("series must be non-empty and of equal length")
         if not all(math.isfinite(r) for r in self.references):
             raise ValueError("references must be finite")
+        if any(r < 0 for r in self.references):
+            raise ValueError("references are counts and must be non-negative")
 
     @classmethod
     def of(cls, estimates: Sequence[float], references: Sequence[float]) -> "SeriesPair":

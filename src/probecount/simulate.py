@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .counting import Window
 from .ingest import RSSI_NONE, Events, finite, read_keys, read_rows
 from .intervals import parse_model
 
@@ -280,6 +279,11 @@ def parse_count_distribution(spec: str) -> CountDistribution:
 # --------------------------------------------------------------------------
 # configuration
 
+# The most frames, persons and devices a config may expect to generate.  The
+# simulator and the event writer peak at about 700 bytes per event, so the
+# limit holds a run to about 7 GB.
+MAX_EXPECTED_RECORDS = 10_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -320,6 +324,31 @@ class SimConfig:
             raise ValueError(f"rssi must lie in [{RSSI_NONE + 1}, {2**15 - 1}], got {self.rssi!r}")
         if self.ap_id.split() != [self.ap_id]:
             raise ValueError(f"ap_id must be one token without whitespace, got {self.ap_id!r}")
+        expected = self.expected_records()
+        if not expected <= MAX_EXPECTED_RECORDS:
+            raise ValueError(
+                f"config expects about {expected:.3g} frames, persons and devices, "
+                f"more than the limit of {MAX_EXPECTED_RECORDS}"
+            )
+
+    def expected_records(self) -> float:
+        """Expected frames plus persons and devices, from the config's means.
+
+        A device present for time T sends about T / tau_mean bursts, and
+        exp(sigma**2) times that with a per-device interval scale of lognormal
+        spread sigma (the mean of 1/scale); the count takes the most frames a
+        burst can hold.
+        """
+        try:
+            persons = self.fixed_persons + self.arrival_rate * self.duration
+            presence = (self.fixed_persons * self.duration
+                        + self.arrival_rate * self.duration * self.dwell_dist.mean())
+            devices = self.devices_per_person_dist.mean()
+            rate = math.exp(self.interval_scale_sigma**2) / self.interval_dist.mean()
+            frames = presence * devices * rate * self.frames_per_burst[1]
+            return persons * (1 + devices) + frames
+        except OverflowError:
+            return math.inf
 
 
 def parse_config(text: str) -> SimConfig:
@@ -383,34 +412,31 @@ class GroundTruthTrace:
         return tuple(e for e in self.entities if e.kind == "person")
 
 
-def _overlap_total(enter: np.ndarray, leave: np.ndarray, window: Window) -> float:
+# One window of ground truth: the time-averaged device and person counts.
+TRUTH_DTYPE = np.dtype([("n_bar", np.float64), ("m_bar", np.float64)])
+
+
+def _overlap_total(enter: np.ndarray, leave: np.ndarray, start: float, end: float) -> float:
     if enter.size == 0:
         return 0.0
-    overlap = np.minimum(leave, window.end) - np.maximum(enter, window.start)
+    overlap = np.minimum(leave, end) - np.maximum(enter, start)
     return float(np.clip(overlap, 0.0, None).sum())
 
 
-def ground_truth_series(
-    trace: GroundTruthTrace, windows: Sequence[Window]
-) -> list[tuple[float, float]]:
-    """Exact (device, person) window averages for each window."""
+def ground_truth_series(trace: GroundTruthTrace, starts: np.ndarray, w: float) -> np.recarray:
+    """Exact device and person averages (``TRUTH_DTYPE``) over each window
+    [start, start + w), by interval overlap."""
     devices = trace.devices()
     persons = trace.persons()
     dx = np.array([e.enter for e in devices])
     dy = np.array([e.leave for e in devices])
     px = np.array([e.enter for e in persons])
     py = np.array([e.leave for e in persons])
-    out = []
-    for window in windows:
-        n_bar = _overlap_total(dx, dy, window) / window.size
-        m_bar = _overlap_total(px, py, window) / window.size
-        out.append((n_bar, m_bar))
-    return out
-
-
-def ground_truth_window(trace: GroundTruthTrace, window: Window) -> tuple[float, float]:
-    """Exact window-averaged device and people counts, by interval overlap."""
-    return ground_truth_series(trace, [window])[0]
+    rows = [
+        (_overlap_total(dx, dy, s, s + w) / w, _overlap_total(px, py, s, s + w) / w)
+        for s in starts.tolist()
+    ]
+    return np.array(rows, dtype=TRUTH_DTYPE).view(np.recarray)
 
 
 def format_trace(trace: GroundTruthTrace) -> str:

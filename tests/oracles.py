@@ -1,17 +1,20 @@
 """Plain-Python reference implementations of the columnar core.
 
 Each works one object at a time: a per-record capture decoder, a per-event
-burst grouper, a per-burst interval extractor, the window-grid loop, a
+burst grouper, a per-burst interval extractor, the window-grid loop, the
+per-window count, people and ground-truth series with their text writers, a
 per-event text writer and a per-frame simulator.  The differential tests
 compare the package's numpy code against them.
 """
 
+import math
 import struct
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
-from probecount.bursts import Burst
-from probecount.counting import Window
+from probecount.counting import grid_start
 from probecount.ingest import MacAddress, ParseError, PrfEvent
 from probecount.simulate import Entity, GroundTruthTrace, equilibrium_residual
 
@@ -104,36 +107,64 @@ def _radiotap_antsignal(header):
 
 
 def aggregate(events, gap):
-    """Bursts of time-sorted events, grouped event by event."""
-    open_bursts = {}  # mac -> [start, last_timestamp, frame_count, ap_ids]
+    """Bursts of time-sorted events, grouped event by event, as
+    (mac value, probing instant, end time, frame count) in (instant, mac) order."""
+    open_bursts = {}  # mac -> [start, last_timestamp, frame_count]
     out = []
     for event in events:
-        cur = open_bursts.get(event.mac)
+        mac = event.mac.value
+        cur = open_bursts.get(mac)
         if cur is not None and event.timestamp - cur[1] <= gap:
             cur[1] = event.timestamp
             cur[2] += 1
-            cur[3].add(event.ap_id)
         else:
             if cur is not None:
-                out.append(Burst(event.mac, cur[0], cur[1], cur[2], frozenset(cur[3])))
-            open_bursts[event.mac] = [event.timestamp, event.timestamp, 1, {event.ap_id}]
+                out.append((mac, *cur))
+            open_bursts[mac] = [event.timestamp, event.timestamp, 1]
     for mac, cur in open_bursts.items():
-        out.append(Burst(mac, cur[0], cur[1], cur[2], frozenset(cur[3])))
-    out.sort(key=lambda b: (b.probing_instant, b.mac))
+        out.append((mac, *cur))
+    out.sort(key=lambda b: (b[1], b[0]))
     return out
 
 
 def extract_intervals(bursts, cutoff):
-    """Kept intervals between each MAC's consecutive bursts, burst by burst."""
+    """Kept intervals between each MAC's consecutive bursts, burst by burst;
+    ``bursts`` are (mac, probing instant) pairs in burst order."""
     last_seen = {}
     taus = []
-    for burst in bursts:
-        instant = burst.probing_instant
-        last = last_seen.get(burst.mac)
+    for mac, instant in bursts:
+        last = last_seen.get(mac)
         if last is not None and 0 < instant - last <= cutoff:
             taus.append(instant - last)
-        last_seen[burst.mac] = instant
+        last_seen[mac] = instant
     return taus
+
+
+@dataclass(frozen=True)
+class Window:
+    start: float
+    size: float
+
+    @property
+    def end(self):
+        return self.start + self.size
+
+
+@dataclass(frozen=True)
+class WindowEstimate:
+    window: Window
+    burst_count: int
+    rate: float
+    n_hat: float
+    var_lower_bound: float
+    nrmse_estimate: float | None
+
+
+@dataclass(frozen=True)
+class PeopleEstimate:
+    window: Window
+    m_hat: float
+    nrmse_estimate: float | None
 
 
 def window_grid(start, end, size, step):
@@ -144,6 +175,94 @@ def window_grid(start, end, size, step):
         windows.append(Window(start + i * step, size))
         i += 1
     return windows
+
+
+def _estimate(window, burst_count, model):
+    w = window.size
+    rate = burst_count / w
+    n_hat = burst_count * model.tau_mean / w
+    var_lower_bound = burst_count * model.tau_std**2 / w**2
+    if burst_count > 0:
+        nrmse = model.tau_std / (model.tau_mean * math.sqrt(burst_count))
+    else:
+        nrmse = None
+    return WindowEstimate(window, burst_count, rate, n_hat, var_lower_bound, nrmse)
+
+
+def sliding_windows(instants, size, step, model, start=None, end=None):
+    """Per-window estimates over sorted probing ``instants``, window by window."""
+    if start is None:
+        start = grid_start(instants[0], step)
+    if end is None:
+        end = instants[-1] + size
+    return [
+        _estimate(w, bisect_left(instants, w.end) - bisect_left(instants, w.start), model)
+        for w in window_grid(start, end, size, step)
+    ]
+
+
+def format_series(estimates):
+    lines = ["# start w B R n_hat var_lower_bound nrmse\n"]
+    for e in estimates:
+        nrmse = "nan" if e.nrmse_estimate is None else f"{e.nrmse_estimate:.6f}"
+        lines.append(
+            f"{e.window.start:.6f} {e.window.size:.6f} {e.burst_count} "
+            f"{e.rate:.6f} {e.n_hat:.6f} {e.var_lower_bound:.6f} {nrmse}\n"
+        )
+    return "".join(lines)
+
+
+def estimate_ratio(device_series, people_series, nrmse_people_ref=0.08):
+    """(alpha, nrmse_people_ref, nrmse_device_cal, source_window_span) of
+    ``WindowEstimate``s and (start, people) pairs on the same windows."""
+    people_total = sum(v for _, v in people_series)
+    device_total = sum(e.n_hat for e in device_series)
+    per_window = [e.nrmse_estimate for e in device_series if e.nrmse_estimate is not None]
+    nrmse_device_cal = sum(per_window) / len(per_window) if per_window else 0.0
+    first, last = device_series[0].window, device_series[-1].window
+    return (device_total / people_total, nrmse_people_ref, nrmse_device_cal,
+            last.end - first.start)
+
+
+def people_count(estimate, ratio):
+    """People count of one window under ``ratio`` (a ``CalibrationRatio``)."""
+    if estimate.burst_count == 0:
+        return PeopleEstimate(estimate.window, 0.0, None)
+    nrmse = math.sqrt(
+        ratio.nrmse_people_ref**2
+        + ratio.nrmse_device_cal**2
+        + (estimate.nrmse_estimate or 0.0) ** 2
+    )
+    return PeopleEstimate(estimate.window, estimate.n_hat / ratio.alpha, nrmse)
+
+
+def format_people_series(estimates):
+    lines = ["# start w m_hat nrmse\n"]
+    for e in estimates:
+        nrmse = "nan" if e.nrmse_estimate is None else f"{e.nrmse_estimate:.6f}"
+        lines.append(f"{e.window.start:.6f} {e.window.size:.6f} {e.m_hat:.6f} {nrmse}\n")
+    return "".join(lines)
+
+
+def _overlap_total(enter, leave, window):
+    if enter.size == 0:
+        return 0.0
+    overlap = np.minimum(leave, window.end) - np.maximum(enter, window.start)
+    return float(np.clip(overlap, 0.0, None).sum())
+
+
+def ground_truth_series(trace, windows):
+    """Exact (device, person) averages of each window, window by window."""
+    devices = trace.devices()
+    persons = trace.persons()
+    dx = np.array([e.enter for e in devices])
+    dy = np.array([e.leave for e in devices])
+    px = np.array([e.enter for e in persons])
+    py = np.array([e.leave for e in persons])
+    return [
+        (_overlap_total(dx, dy, w) / w.size, _overlap_total(px, py, w) / w.size)
+        for w in windows
+    ]
 
 
 def format_events(events):

@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from probecount.bursts import aggregate
+from probecount.bursts import Bursts, aggregate
 from probecount.calibration import estimate_ratio, people_count
-from probecount.counting import Window, mac_count_series, sliding_windows
+from probecount.counting import mac_count_series, sliding_windows
 from probecount.ingest import format_events, parse_capture, parse_events
 from probecount.intervals import IntervalModel, ks_two_sample, ljung_box
 from probecount.metrics import SeriesPair, nrmse
@@ -27,7 +27,6 @@ from probecount.simulate import (
     PoissonCount,
     SimConfig,
     ground_truth_series,
-    ground_truth_window,
     probing_instants,
     simulate,
 )
@@ -65,10 +64,10 @@ def _arrivals_run(interval_dist, seed):
     model = IntervalModel.from_moments("sim", interval_dist.mean(), interval_dist.std())
     estimates = sliding_windows(bursts, W, W, model, start=WARMUP, end=cfg.duration)
     assert len(estimates) == N_WINDOWS
-    truths = ground_truth_series(trace, [e.window for e in estimates])
+    truths = ground_truth_series(trace, estimates.start, W)
     return {
         "estimates": estimates,
-        "n_bar": np.array([n for n, _ in truths]),
+        "n_bar": truths.n_bar,
         "sigma": interval_dist.std(),
         "build_seconds": time.perf_counter() - started,
     }
@@ -121,7 +120,7 @@ def test_criterion_1_window_average_anchor():
             Entity("dC", "device", "p0", 300.0, 600.0),
         )
     )
-    n_bar, _ = ground_truth_window(trace, Window(0.0, 600.0))
+    [(n_bar, _)] = ground_truth_series(trace, np.array([0.0]), 600.0)
     elapsed = time.perf_counter() - started
     ok = abs(n_bar - 2.5) < 1e-9 and elapsed < 1.0
     report(1, ok, f"two-full-plus-one-half trace averages {n_bar} ({elapsed:.3f}s)")
@@ -131,7 +130,7 @@ def test_criterion_2_unbiasedness(exp_arrivals, lognormal_arrivals):
     started = time.perf_counter()
     ratios = {}
     for label, run in (("exponential", exp_arrivals), ("lognormal", lognormal_arrivals)):
-        n_hat = np.array([e.n_hat for e in run["estimates"]])
+        n_hat = run["estimates"].n_hat
         ratios[label] = float(np.mean(n_hat / run["n_bar"]))
     elapsed = (
         time.perf_counter() - started
@@ -151,8 +150,8 @@ def test_criterion_3_error_model_bound(exp_arrivals, lognormal_arrivals, fixed_p
     started = time.perf_counter()
     mse_ratios = {}
     for label, run in (("exponential", exp_arrivals), ("lognormal", lognormal_arrivals)):
-        n_hat = np.array([e.n_hat for e in run["estimates"]])
-        b = np.array([e.burst_count for e in run["estimates"]])
+        n_hat = run["estimates"].n_hat
+        b = run["estimates"].burst_count
         mse = float(np.mean((n_hat - run["n_bar"]) ** 2))
         bound = float(np.mean(b * run["sigma"] ** 2 / W**2))
         mse_ratios[label] = mse / bound
@@ -162,7 +161,7 @@ def test_criterion_3_error_model_bound(exp_arrivals, lognormal_arrivals, fixed_p
     estimates = sliding_windows(
         pop["bursts"], W, W, pop["model"], start=WARMUP, end=pop["duration"]
     )
-    var = float(np.var([e.n_hat for e in estimates], ddof=1))
+    var = float(np.var(estimates.n_hat, ddof=1))
     var_target = 50 * TAU / W
     var_ratio = var / var_target
 
@@ -191,12 +190,12 @@ def test_criterion_4_nrmse_trend(fixed_population):
     # predicted NRMSE by exactly sqrt(2)
     model = fixed_population["model"]
     [single] = sliding_windows(
-        [_burst(i * 6.0) for i in range(100)], 600.0, 600.0, model, start=0.0, end=600.0
+        _bursts([i * 6.0 for i in range(100)]), 600.0, 600.0, model, start=0.0, end=600.0
     )
     [double] = sliding_windows(
-        [_burst(i * 6.0) for i in range(200)], 1200.0, 1200.0, model, start=0.0, end=1200.0
+        _bursts([i * 6.0 for i in range(200)]), 1200.0, 1200.0, model, start=0.0, end=1200.0
     )
-    analytic_ratio = single.nrmse_estimate / double.nrmse_estimate
+    analytic_ratio = single.nrmse / double.nrmse
     analytic_ok = abs(analytic_ratio - math.sqrt(2)) < 1e-12
 
     pop = fixed_population
@@ -205,10 +204,10 @@ def test_criterion_4_nrmse_trend(fixed_population):
         estimates = sliding_windows(
             pop["bursts"], w, w, model, start=WARMUP, end=pop["duration"]
         )
-        truths = ground_truth_series(pop["trace"], [e.window for e in estimates])
-        pair = SeriesPair.of([e.n_hat for e in estimates], [n for n, _ in truths])
+        truths = ground_truth_series(pop["trace"], estimates.start, w)
+        pair = SeriesPair.of(estimates.n_hat, truths.n_bar)
         empirical.append(nrmse(pair))
-        mean_b = float(np.mean([e.burst_count for e in estimates]))
+        mean_b = float(np.mean(estimates.burst_count))
         predicted.append(TAU / (TAU * math.sqrt(mean_b)))
     monotone = all(a > b for a, b in zip(empirical, empirical[1:]))
     within = all(p / 1.5 <= e <= 1.5 * p for e, p in zip(empirical, predicted))
@@ -217,11 +216,11 @@ def test_criterion_4_nrmse_trend(fixed_population):
     report(4, ok, f"sqrt2 ratio={analytic_ratio:.12f}; empirical/predicted by w: {pairs}")
 
 
-def _burst(t):
-    from probecount.bursts import Burst
-    from probecount.ingest import MacAddress
-
-    return Burst(MacAddress.parse("02:00:00:00:00:01"), t, t, 1, frozenset({"ap0"}))
+def _bursts(times):
+    """One-frame bursts of MAC 02:00:00:00:00:01 at sorted ``times``."""
+    t = np.array(times, dtype=np.float64)
+    return Bursts(t, t, np.full(t.size, 0x020000000001, dtype=np.uint64),
+                  np.ones(t.size, dtype=np.int64))
 
 
 def test_criterion_5_baseline_overcounting(fixed_population):
@@ -230,7 +229,7 @@ def test_criterion_5_baseline_overcounting(fixed_population):
     end = WARMUP + 100 * w
     macs = mac_count_series(pop["events"], w, w, start=WARMUP, end=end)
     estimates = sliding_windows(pop["bursts"], w, w, pop["model"], start=WARMUP, end=end)
-    truths = ground_truth_series(pop["trace"], [e.window for e in estimates])
+    truths = ground_truth_series(pop["trace"], estimates.start, w)
     base, rate = [], []
     for (_, macs_heard), estimate, (n_bar, _) in zip(macs, estimates, truths):
         base.append(macs_heard / n_bar)
@@ -249,7 +248,7 @@ def test_criterion_5_baseline_overcounting(fixed_population):
     )
     events, trace = simulate(cfg)
     macs = mac_count_series(events, w, w, start=600.0, end=cfg.duration)
-    truths = ground_truth_series(trace, [win for win, _ in macs])
+    truths = ground_truth_series(trace, macs.start, w)
     persistent_base = float(
         np.mean([heard / n for (_, heard), (n, _) in zip(macs, truths)])
     )
@@ -283,19 +282,15 @@ def test_criterion_6_calibration():
     calib = sliding_windows(bursts, w, w, model, start=warmup, end=warmup + calib_span)
     test = sliding_windows(bursts, w, w, model, start=warmup + calib_span, end=duration)
 
-    calib_truths = ground_truth_series(trace, [e.window for e in calib])
-    people_ref = [(e.window.start, m) for e, (_, m) in zip(calib, calib_truths)]
+    calib_truths = ground_truth_series(trace, calib.start, w)
+    people_ref = np.rec.fromarrays([calib.start, calib_truths.m_bar], names="start,value")
     ratio = estimate_ratio(calib, people_ref, nrmse_people_ref=0.0)
 
-    people_estimates = [people_count(e, ratio) for e in test]
-    test_truths = ground_truth_series(trace, [e.window for e in test])
-    pair = SeriesPair.of(
-        [p.m_hat for p in people_estimates], [m for _, m in test_truths]
-    )
+    people_estimates = people_count(test, ratio)
+    test_truths = ground_truth_series(trace, test.start, w)
+    pair = SeriesPair.of(people_estimates.m_hat, test_truths.m_bar)
     empirical = nrmse(pair)
-    propagated = float(
-        np.mean([p.nrmse_estimate for p in people_estimates if p.nrmse_estimate is not None])
-    )
+    propagated = float(np.mean(people_estimates.nrmse[~np.isnan(people_estimates.nrmse)]))
     elapsed = time.perf_counter() - started
     alpha_ok = 1.14 * 0.95 <= ratio.alpha <= 1.14 * 1.05
     ok = alpha_ok and empirical <= 1.5 * propagated

@@ -1,14 +1,23 @@
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from probecount.bursts import aggregate
 from probecount.calibration import (
+    REFERENCE_DTYPE,
+    CalibrationRatio,
     estimate_ratio,
+    format_people_series,
     format_ratio,
     parse_ratio,
     parse_reference_series,
     people_count,
 )
-from probecount.counting import Window, WindowEstimate, sliding_windows
+from probecount.counting import SERIES_DTYPE, sliding_windows
 from probecount.intervals import IntervalModel
 from probecount.simulate import (
     Exponential,
@@ -20,59 +29,73 @@ from probecount.simulate import (
 
 
 def estimate(start, n_hat, burst_count=100, size=180.0, nrmse=0.05):
-    return WindowEstimate(
-        Window(start, size), burst_count, burst_count / size, n_hat, 1.0, nrmse
-    )
+    """One window's row of a device series."""
+    return (start, size, burst_count, burst_count / size, n_hat, 1.0, nrmse)
+
+
+def device(*rows):
+    return np.array(list(rows), dtype=SERIES_DTYPE).view(np.recarray)
+
+
+def refs(*pairs):
+    return np.array(list(pairs), dtype=REFERENCE_DTYPE).view(np.recarray)
 
 
 def test_identity_ratio():
     ratio = estimate_ratio(
-        [estimate(0.0, 10.0), estimate(180.0, 10.0)],
-        [(0.0, 10.0), (180.0, 10.0)],
+        device(estimate(0.0, 10.0), estimate(180.0, 10.0)),
+        refs((0.0, 10.0), (180.0, 10.0)),
     )
     assert ratio.alpha == pytest.approx(1.0)
 
 
 def test_campus_magnitude_ratio():
-    ratio = estimate_ratio([estimate(0.0, 11.4)], [(0.0, 10.0)])
+    ratio = estimate_ratio(device(estimate(0.0, 11.4)), refs((0.0, 10.0)))
     assert ratio.alpha == pytest.approx(1.14)
 
 
 def test_ratio_is_sum_weighted():
     # ratio of sums, not mean of per-window ratios
     ratio = estimate_ratio(
-        [estimate(0.0, 30.0), estimate(180.0, 2.0)],
-        [(0.0, 10.0), (180.0, 6.0)],
+        device(estimate(0.0, 30.0), estimate(180.0, 2.0)),
+        refs((0.0, 10.0), (180.0, 6.0)),
     )
     assert ratio.alpha == pytest.approx(32.0 / 16.0)
 
 
 def test_ratio_scale_invariance():
     a = estimate_ratio(
-        [estimate(0.0, 8.0), estimate(180.0, 12.0)], [(0.0, 5.0), (180.0, 9.0)]
+        device(estimate(0.0, 8.0), estimate(180.0, 12.0)), refs((0.0, 5.0), (180.0, 9.0))
     )
     b = estimate_ratio(
-        [estimate(0.0, 24.0), estimate(180.0, 36.0)], [(0.0, 15.0), (180.0, 27.0)]
+        device(estimate(0.0, 24.0), estimate(180.0, 36.0)), refs((0.0, 15.0), (180.0, 27.0))
     )
     assert a.alpha == pytest.approx(b.alpha)
 
 
 def test_misaligned_windows_raise():
     with pytest.raises(ValueError, match="misaligned"):
-        estimate_ratio([estimate(0.0, 10.0)], [(60.0, 10.0)])
+        estimate_ratio(device(estimate(0.0, 10.0)), refs((60.0, 10.0)))
     with pytest.raises(ValueError, match="align"):
-        estimate_ratio([estimate(0.0, 10.0)], [(0.0, 10.0), (180.0, 10.0)])
+        estimate_ratio(device(estimate(0.0, 10.0)), refs((0.0, 10.0), (180.0, 10.0)))
 
 
 def test_zero_people_raises():
     with pytest.raises(ValueError, match="zero"):
-        estimate_ratio([estimate(0.0, 10.0)], [(0.0, 0.0)])
+        estimate_ratio(device(estimate(0.0, 10.0)), refs((0.0, 0.0)))
+
+
+def test_negative_people_count_raises():
+    # the sum is positive, but a reference is a count of people
+    with pytest.raises(ValueError, match="non-negative"):
+        estimate_ratio(device(estimate(0.0, 10.0), estimate(180.0, 10.0)),
+                       refs((0.0, -2.0), (180.0, 5.0)))
 
 
 def test_ratio_stores_window_span_and_device_nrmse():
     ratio = estimate_ratio(
-        [estimate(0.0, 10.0, nrmse=0.04), estimate(180.0, 10.0, nrmse=0.06)],
-        [(0.0, 10.0), (180.0, 10.0)],
+        device(estimate(0.0, 10.0, nrmse=0.04), estimate(180.0, 10.0, nrmse=0.06)),
+        refs((0.0, 10.0), (180.0, 10.0)),
         nrmse_people_ref=0.08,
     )
     assert ratio.source_window_span == pytest.approx(360.0)
@@ -81,54 +104,54 @@ def test_ratio_stores_window_span_and_device_nrmse():
 
 
 def test_people_count_division():
-    ratio = estimate_ratio([estimate(0.0, 11.4)], [(0.0, 10.0)])
-    out = people_count(estimate(0.0, 11.4), ratio)
+    ratio = estimate_ratio(device(estimate(0.0, 11.4)), refs((0.0, 10.0)))
+    [out] = people_count(device(estimate(0.0, 11.4)), ratio)
     assert out.m_hat == pytest.approx(10.0)
 
 
 def test_people_count_error_propagation():
     ratio = estimate_ratio(
-        [estimate(0.0, 10.0, nrmse=0.06)], [(0.0, 10.0)], nrmse_people_ref=0.08
+        device(estimate(0.0, 10.0, nrmse=0.06)), refs((0.0, 10.0)), nrmse_people_ref=0.08
     )
-    out = people_count(estimate(0.0, 10.0, nrmse=0.0), ratio)
+    [out] = people_count(device(estimate(0.0, 10.0, nrmse=0.0)), ratio)
     # 3-4-5 right triangle scaled: sqrt(0.08^2 + 0.06^2) = 0.1
-    assert out.nrmse_estimate == pytest.approx(0.1)
+    assert out.nrmse == pytest.approx(0.1)
 
 
 def test_people_count_empty_window_marker():
-    ratio = estimate_ratio([estimate(0.0, 10.0)], [(0.0, 10.0)])
-    empty = WindowEstimate(Window(0.0, 180.0), 0, 0.0, 0.0, 0.0, None)
-    out = people_count(empty, ratio)
+    ratio = estimate_ratio(device(estimate(0.0, 10.0)), refs((0.0, 10.0)))
+    empty = (0.0, 180.0, 0, 0.0, 0.0, 0.0, math.nan)
+    [out] = people_count(device(empty), ratio)
     assert out.m_hat == 0.0
-    assert out.nrmse_estimate is None
+    assert math.isnan(out.nrmse)
 
 
 def test_propagated_nrmse_dominates_components():
     ratio = estimate_ratio(
-        [estimate(0.0, 10.0, nrmse=0.03)], [(0.0, 10.0)], nrmse_people_ref=0.07
+        device(estimate(0.0, 10.0, nrmse=0.03)), refs((0.0, 10.0)), nrmse_people_ref=0.07
     )
-    out = people_count(estimate(0.0, 10.0, nrmse=0.05), ratio)
-    assert out.nrmse_estimate >= 0.07
-    assert out.nrmse_estimate >= 0.05
-    assert out.nrmse_estimate >= ratio.nrmse_device_cal
+    [out] = people_count(device(estimate(0.0, 10.0, nrmse=0.05)), ratio)
+    assert out.nrmse >= 0.07
+    assert out.nrmse >= 0.05
+    assert out.nrmse >= ratio.nrmse_device_cal
 
 
 def test_calibration_region_sum_consistency():
-    device_series = [estimate(0.0, 8.3), estimate(180.0, 12.9), estimate(360.0, 3.4)]
-    people_series = [(0.0, 7.0), (180.0, 11.0), (360.0, 4.0)]
+    device_series = device(estimate(0.0, 8.3), estimate(180.0, 12.9), estimate(360.0, 3.4))
+    people_series = refs((0.0, 7.0), (180.0, 11.0), (360.0, 4.0))
     ratio = estimate_ratio(device_series, people_series)
-    estimated = [people_count(e, ratio).m_hat for e in device_series]
-    assert sum(estimated) == pytest.approx(sum(v for _, v in people_series), rel=1e-9)
+    estimated = people_count(device_series, ratio).m_hat
+    assert sum(estimated) == pytest.approx(sum(people_series.value), rel=1e-9)
 
 
 def test_ratio_file_round_trip():
-    ratio = estimate_ratio([estimate(0.0, 11.4)], [(0.0, 10.0)], nrmse_people_ref=0.08)
+    ratio = estimate_ratio(device(estimate(0.0, 11.4)), refs((0.0, 10.0)), nrmse_people_ref=0.08)
     assert parse_ratio(format_ratio(ratio)) == ratio
 
 
 def test_parse_reference_series():
     series = parse_reference_series("# header\n0.000000 10.5\n180.000000 12.0\n")
-    assert series == [(0.0, 10.5), (180.0, 12.0)]
+    assert series.tolist() == [(0.0, 10.5), (180.0, 12.0)]
     with pytest.raises(ValueError, match="line 1"):
         parse_reference_series("1.0 2.0 3.0\n")
 
@@ -180,10 +203,70 @@ def test_simulated_poisson_device_load_recovers_alpha():
     model = IntervalModel.from_moments("sim", 60.0, 60.0)
     bursts = aggregate(events)
     device_series = sliding_windows(bursts, 180.0, 180.0, model, start=1500.0)
-    device_series = [e for e in device_series if e.window.end <= cfg.duration]
-    truths = ground_truth_series(trace, [e.window for e in device_series])
-    people_series = [
-        (e.window.start, m) for e, (_, m) in zip(device_series, truths)
-    ]
+    device_series = device_series[device_series.start + device_series.w <= cfg.duration]
+    truths = ground_truth_series(trace, device_series.start, 180.0)
+    people_series = np.rec.fromarrays([device_series.start, truths.m_bar],
+                                      dtype=REFERENCE_DTYPE)
     ratio = estimate_ratio(device_series, people_series, nrmse_people_ref=0.0)
     assert 1.425 <= ratio.alpha <= 1.575
+
+
+def _oracle_estimates(series):
+    """The per-window objects the series' rows were before they became columns."""
+    return [
+        oracles.WindowEstimate(oracles.Window(start, w), b, rate, n_hat, var,
+                               None if math.isnan(nrmse) else nrmse)
+        for start, w, b, rate, n_hat, var, nrmse in series.tolist()
+    ]
+
+
+windows = st.lists(
+    st.tuples(
+        st.integers(0, 40),  # B; 0 is an empty window
+        st.floats(0.0, 100.0),  # n_hat, whatever B is
+        st.one_of(st.just(math.nan), st.floats(0.0, 2.0)),  # nan also where B > 0
+        st.floats(0.0, 50.0),  # reference people count
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _check_against_oracle(rows, w, nrmse_people_ref):
+    """Ratio and people series of (B, n_hat, nrmse, reference) rows on a grid of
+    size-``w`` windows, as the text the per-window code wrote."""
+    starts = [i * w for i in range(len(rows))]
+    series = device(*[(start, w, b, b / w, n_hat, 1.0, nrmse)
+                      for start, (b, n_hat, nrmse, _) in zip(starts, rows)])
+    people = refs(*[(start, row[3]) for start, row in zip(starts, rows)])
+    expected = _oracle_estimates(series)
+    if sum(people.value.tolist()) <= 0 or sum(series.n_hat.tolist()) <= 0:
+        with pytest.raises(ValueError, match="zero"):
+            estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
+        return
+    ratio = estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
+    oracle_ratio = oracles.estimate_ratio(
+        expected, list(zip(starts, people.value.tolist())), nrmse_people_ref
+    )
+    assert format_ratio(ratio) == format_ratio(CalibrationRatio(*oracle_ratio))
+    assert format_people_series(people_count(series, ratio)) == oracles.format_people_series(
+        [oracles.people_count(e, ratio) for e in expected]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows, st.sampled_from([0.5, 10.0, 180.0, 900.0]), st.floats(0.0, 0.5))
+def test_ratio_and_people_series_match_per_window_oracle(rows, w, nrmse_people_ref):
+    _check_against_oracle(rows, w, nrmse_people_ref)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ratio_of_long_series_matches_per_window_oracle(seed):
+    # 40 windows of arbitrary values: the ratio file prints repr, whose last
+    # digits follow the order of the sums
+    rng = np.random.default_rng(seed)
+    b = rng.integers(0, 40, 40)
+    nrmse = np.where(rng.random(40) < 0.2, np.nan, rng.random(40))
+    rows = list(zip(b.tolist(), (rng.random(40) * 100).tolist(), nrmse.tolist(),
+                    (rng.random(40) * 50).tolist()))
+    _check_against_oracle(rows, 180.0, 0.08)

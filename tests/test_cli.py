@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import pytest
@@ -474,3 +475,138 @@ def test_simulate_rejects_bad_ap_id_and_rssi(tmp_path, capsys, line, fragment):
                  "--truth", str(tmp_path / "sim.truth")]) == 1
     assert fragment in capsys.readouterr().err
     assert not events.exists()
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("devices_per_person_dist const:value=1e30\n", "2.88e+33"),
+        ("fixed_persons 100000000000000000000\narrival_rate 0\n", "1.82e+22"),
+    ],
+)
+def test_simulate_rejects_configs_above_the_record_limit(tmp_path, capsys, text, expected):
+    config = tmp_path / "sim.cfg"
+    config.write_text(text)
+    events = tmp_path / "sim.events"
+    assert main(["simulate", "--config", str(config), "--events", str(events),
+                 "--truth", str(tmp_path / "sim.truth")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config expects about {expected} frames, persons and devices" in err
+    assert not events.exists()
+
+
+def test_eval_rejects_a_negative_reference(tmp_path, capsys):
+    estimates, reference = tmp_path / "est.txt", tmp_path / "ref.txt"
+    estimates.write_text("0.000000 1.0\n180.000000 1.0\n")
+    reference.write_text("0.000000 -2.0\n180.000000 5.0\n")
+    assert main(["eval", str(estimates), str(reference)]) == 1
+    assert "references are counts and must be non-negative" in capsys.readouterr().err
+
+
+def test_calibrate_rejects_a_negative_people_count(tmp_path, capsys):
+    device = tmp_path / "device.txt"
+    device.write_text(
+        "0.000000 180.000000 30 0.166667 11.400000 1.000000 0.100000\n"
+        "180.000000 180.000000 30 0.166667 11.400000 1.000000 0.100000\n"
+    )
+    people = tmp_path / "people.txt"
+    people.write_text("0.000000 -2.0\n180.000000 5.0\n")
+    assert main(["calibrate", str(device), str(people)]) == 1
+    assert "people counts must be non-negative" in capsys.readouterr().err
+
+
+GOLDEN_CONFIG = (
+    "arrival_rate 0.05\nfixed_persons 3\ndevices_per_person_dist poisson:mean=1.3\n"
+    "rotation_prob 0.5\nduration 1800\nseed 7\n"
+)
+GOLDEN_MODEL = (
+    "area_id sim\ntau_mean 60.0\ntau_std 55.0\nsample_count 1000\nbin_width 600.0\n"
+    "histogram 1000\n"
+)
+# sha256 of every file the chain writes, and the output, for each grid: the
+# bytes the per-window objects wrote before the series became record arrays.
+# The pinned grid runs past the data, into empty windows.
+GOLDEN_DIGESTS = {
+    "default": {
+        "counts": "7fb82a28abad243ebb68147cc9713a2c77042f8bc7181f43ac00044083ba2650",
+        "dev": "48fc5411439aaa1493066be06754ee7e3a7ac12d0ab458614659069c0a6097ae",
+        "stdout": (
+            "events=1134 devices=102 persons=93\n"
+            "rmse 2.565902\n"
+            "mape 0.188538\n"
+            "nrmse 0.189377\n"
+            "rmse 24.714689\n"
+            "mape 1.692015\n"
+            "nrmse 1.824074\n"
+            "rmse 3.592136\n"
+            "mape 0.193905\n"
+            "nrmse 0.257367\n"
+        ),
+        "macs": "1a044ef8327978e37f7c01dd35b933aa2d2b0b8ae268e1bee820b97c1f0a431f",
+        "people": "61c3435af22c8923cc484e3ee7f456d0bcd8f452bf8f0b60ec037865b8f791db",
+        "person": "b6d800711ef4852ece432d6a4530fae3e26b12ba8a420bc3b6709f79f757e144",
+        "ratio": "79650e88676b8b8994ff6baad64a71089cf2127753e4891b06ce9c54f9d149cc",
+        "sim.events": "2ccff3671526bea66d3a4db06f9acf1d8bb420b831a4e2195364af155669e46a",
+        "sim.truth": "46b614e294fc9846e7efdcfe02a31ed999e349bebfb1054da984e00a57a12cc0",
+    },
+    "pinned": {
+        "counts": "06c2ec13187df1a22a9f2a9c9900edef1eb94de788f6c764967de02b00f1e00e",
+        "dev": "c8cd2bf75c420c2eecdf05b5457af5e9d26f4ca89842c8fab88e8c82151539cb",
+        "stdout": (
+            "events=1134 devices=102 persons=93\n"
+            "rmse 1.225983\n"
+            "mape 0.183547\n"
+            "nrmse 0.247377\n"
+            "rmse 27.759510\n"
+            "mape 3.457871\n"
+            "nrmse 5.601269\n"
+            "rmse 1.976799\n"
+            "mape 0.421970\n"
+            "nrmse 0.348708\n"
+        ),
+        "macs": "8d33f1ed5e4b9524f9d49141752c1c8f36dfa08fe40a96e5dfb7012c3f7f306e",
+        "people": "ef2b39fc893ef503a1c139d25cce219535aaa6f552c8f387f285e3054c635957",
+        "person": "f932252da52d1b05e714b831ddd52f9ae9baa139bb1a4aeb8481dcb38ab2afea",
+        "ratio": "2338f1ce71fa36e30202208e6ecd26613b1bb6632c9762f9362054c41f60f6fb",
+        "sim.events": "2ccff3671526bea66d3a4db06f9acf1d8bb420b831a4e2195364af155669e46a",
+        "sim.truth": "46b614e294fc9846e7efdcfe02a31ed999e349bebfb1054da984e00a57a12cc0",
+    },
+}
+
+
+def _golden_chain(d, grid):
+    """Run simulate -> count (model and baseline) -> truth -> calibrate -> people
+    -> eval in ``d``; returns the sha256 of each file written."""
+    (d / "sim.cfg").write_text(GOLDEN_CONFIG)
+    (d / "known.model").write_text(GOLDEN_MODEL)
+    f = {name: str(d / name) for name in ("sim.cfg", "known.model", "sim.events", "sim.truth",
+                                          "counts", "macs", "dev", "person", "ratio", "people")}
+    steps = [
+        ["simulate", "--config", f["sim.cfg"], "--events", f["sim.events"],
+         "--truth", f["sim.truth"]],
+        ["count", f["sim.events"], "--model", f["known.model"], *grid, "--out", f["counts"]],
+        ["count", f["sim.events"], "--baseline", "mac", *grid, "--out", f["macs"]],
+        ["truth", "--truth", f["sim.truth"], *grid, "--out", f["dev"]],
+        ["truth", "--truth", f["sim.truth"], "--kind", "person", *grid, "--out", f["person"]],
+        ["calibrate", f["counts"], f["person"], "--out", f["ratio"]],
+        ["people", f["counts"], "--ratio", f["ratio"], "--out", f["people"]],
+        ["eval", f["counts"], f["dev"]],
+        ["eval", f["macs"], f["dev"]],
+        ["eval", f["people"], f["person"]],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    outputs = ("sim.events", "sim.truth", "counts", "macs", "dev", "person", "ratio", "people")
+    return {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in outputs}
+
+
+@pytest.mark.parametrize(
+    "name,grid",
+    [("default", []), ("pinned", ["--window", "300", "--step", "60", "--start", "0",
+                                  "--end", "6000"])],
+)
+def test_cli_chain_outputs_match_golden_digests(tmp_path, capsys, name, grid):
+    capsys.readouterr()
+    digests = _golden_chain(tmp_path, grid)
+    digests["stdout"] = capsys.readouterr().out
+    assert digests == GOLDEN_DIGESTS[name]

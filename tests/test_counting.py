@@ -1,16 +1,15 @@
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from probecount.bursts import Burst, aggregate
+from probecount.bursts import Bursts, aggregate
 from probecount.counting import (
     MAX_WINDOWS,
-    Window,
-    _grid_starts,
     format_series,
     grid_start,
     mac_count_series,
@@ -24,8 +23,11 @@ from probecount.intervals import IntervalModel
 MAC = MacAddress.parse("02:00:00:00:00:01")
 
 
-def burst(t):
-    return Burst(MAC, t, t, 1, frozenset({"ap0"}))
+def at(*times):
+    """One-frame bursts of MAC at sorted ``times``."""
+    t = np.array(times, dtype=np.float64)
+    return Bursts(t, t, np.full(t.size, MAC.value, dtype=np.uint64),
+                  np.ones(t.size, dtype=np.int64))
 
 
 def model(tau_mean=60.0, tau_std=60.0):
@@ -33,55 +35,63 @@ def model(tau_mean=60.0, tau_std=60.0):
 
 
 def one_window(bursts, window, m):
-    """The estimate of one pinned window."""
-    [est] = sliding_windows(
-        bursts, window.size, window.size, m, start=window.start, end=window.end
-    )
+    """The estimate of one pinned (start, size) window."""
+    start, size = window
+    [est] = sliding_windows(bursts, size, size, m, start=start, end=start + size)
     return est
 
 
 def one_mac_window(events, window):
-    """Distinct MACs of one pinned window."""
-    [(_, n)] = mac_count_series(events, window.size, window.size, start=window.start, end=window.end)
+    """Distinct MACs of one pinned (start, size) window."""
+    start, size = window
+    [(_, n)] = mac_count_series(events, size, size, start=start, end=start + size)
     return n
 
 
+def contains(start, size, t):
+    return start <= t < start + size
+
+
+def oracle_starts(start, end, size, step):
+    return [w.start for w in oracles.window_grid(start, end, size, step)]
+
+
 def test_count_window_direct_evaluation():
-    bursts = [burst(i * 6.0) for i in range(100)]
-    est = one_window(bursts, Window(0.0, 600.0), model(60.0, 60.0))
+    bursts = at(*(i * 6.0 for i in range(100)))
+    est = one_window(bursts, (0.0, 600.0), model(60.0, 60.0))
     assert est.burst_count == 100
     assert est.n_hat == pytest.approx(10.0)
     assert est.rate == pytest.approx(100 / 600.0)
     assert est.var_lower_bound == pytest.approx(100 * 3600.0 / 360000.0)  # = 1.0
-    assert est.nrmse_estimate == pytest.approx(0.1)
+    assert est.nrmse == pytest.approx(0.1)
 
 
 def test_count_window_empty():
-    est = one_window([], Window(0.0, 600.0), model())
+    est = one_window(at(), (0.0, 600.0), model())
     assert est.burst_count == 0
     assert est.n_hat == 0.0
     assert est.var_lower_bound == 0.0
-    assert est.nrmse_estimate is None
+    assert math.isnan(est.nrmse)
 
 
 def test_count_window_half_open_membership():
-    bursts = [burst(0.0), burst(599.999999), burst(600.0)]
-    est = one_window(bursts, Window(0.0, 600.0), model())
+    bursts = at(0.0, 599.999999, 600.0)
+    est = one_window(bursts, (0.0, 600.0), model())
     assert est.burst_count == 2
 
 
 def test_count_window_unfitted_model():
     empty = IntervalModel("x", 60.0, 60.0, 0, histogram=model().histogram)
     with pytest.raises(ValueError, match="unfitted interval model"):
-        one_window([], Window(0.0, 600.0), empty)
+        one_window(at(), (0.0, 600.0), empty)
 
 
 def test_sliding_windows_partition():
-    bursts = [burst(float(t)) for t in range(0, 1000)]
+    bursts = at(*(float(t) for t in range(0, 1000)))
     estimates = sliding_windows(bursts, 200.0, 200.0, model())
     assert len(estimates) == 5
-    assert [e.window.start for e in estimates] == [0.0, 200.0, 400.0, 600.0, 800.0]
-    assert sum(e.burst_count for e in estimates) == 1000
+    assert estimates.start.tolist() == [0.0, 200.0, 400.0, 600.0, 800.0]
+    assert estimates.burst_count.sum() == 1000
 
 
 @given(
@@ -89,9 +99,9 @@ def test_sliding_windows_partition():
     st.integers(10, 500),
 )
 def test_sliding_step_equals_window_conserves_bursts(times, size):
-    bursts = [burst(t) for t in sorted(times)]
+    bursts = at(*sorted(times))
     estimates = sliding_windows(bursts, float(size), float(size), model())
-    assert sum(e.burst_count for e in estimates) == len(bursts)
+    assert estimates.burst_count.sum() == len(bursts)
 
 
 @given(
@@ -100,33 +110,32 @@ def test_sliding_step_equals_window_conserves_bursts(times, size):
     st.floats(5.0, 100.0),
 )
 def test_sliding_windows_match_brute_force_membership(times, size, step):
-    bursts = [burst(t) for t in sorted(times)]
+    bursts = at(*sorted(times))
     estimates = sliding_windows(bursts, size, step, model())
     for e in estimates:
-        expected = sum(1 for b in bursts if e.window.contains(b.probing_instant))
+        expected = sum(1 for t in bursts.instant.tolist() if contains(e.start, e.w, t))
         assert e.burst_count == expected
 
 
 def test_overlapping_windows_interior_multiplicity():
     # step < w: interior bursts appear in ceil(w/step) or floor(w/step) windows
-    bursts = [burst(float(t)) for t in range(0, 1000, 7)]
+    bursts = at(*(float(t) for t in range(0, 1000, 7)))
     size, step = 100.0, 30.0
     estimates = sliding_windows(bursts, size, step, model())
     lo, hi = math.floor(size / step), math.ceil(size / step)
-    for b in bursts:
-        if b.probing_instant < size or b.probing_instant > 1000 - size:
+    for t in bursts.instant.tolist():
+        if t < size or t > 1000 - size:
             continue  # edge windows may truncate membership
-        count = sum(1 for e in estimates if e.window.contains(b.probing_instant))
+        count = sum(1 for e in estimates if contains(e.start, e.w, t))
         assert count in (lo, hi)
 
 
 def test_window_grid_keeps_windows_ending_by_end():
     grid = window_grid(0.0, 1000.0, 300.0, 200.0)
-    assert [w.start for w in grid] == [0.0, 200.0, 400.0, 600.0]
-    assert all(w.size == 300.0 for w in grid)
+    assert grid.tolist() == [0.0, 200.0, 400.0, 600.0]
     # a window ending within 1e-9 of end still fits
     assert len(window_grid(0.0, 0.3 - 1e-10, 0.1, 0.1)) == 3
-    assert window_grid(500.0, 100.0, 10.0, 10.0) == []
+    assert window_grid(500.0, 100.0, 10.0, 10.0).tolist() == []
 
 
 @pytest.mark.parametrize(
@@ -153,7 +162,7 @@ def test_window_grid_rejects_bad_bounds(start, end, size, step, fragment):
 )
 def test_window_grid_matches_loop(start, steps, size, step):
     end = start + steps * step
-    assert window_grid(start, end, size, step) == oracles.window_grid(start, end, size, step)
+    assert window_grid(start, end, size, step).tolist() == oracle_starts(start, end, size, step)
 
 
 @given(
@@ -168,7 +177,7 @@ def test_window_grid_matches_loop_at_exact_fits(start, k, step, steps_per_window
     # computed from (end - size - start) / step can be one off
     size = steps_per_window * step
     end = start + k * step + size + offset
-    assert window_grid(start, end, size, step) == oracles.window_grid(start, end, size, step)
+    assert window_grid(start, end, size, step).tolist() == oracle_starts(start, end, size, step)
 
 
 @pytest.mark.parametrize(
@@ -180,7 +189,7 @@ def test_window_grid_matches_loop_at_exact_fits(start, k, step, steps_per_window
     ],
 )
 def test_window_grid_count_settles_on_the_rule(start, end, size, step):
-    assert window_grid(start, end, size, step) == oracles.window_grid(start, end, size, step)
+    assert window_grid(start, end, size, step).tolist() == oracle_starts(start, end, size, step)
 
 
 @pytest.mark.parametrize(
@@ -198,7 +207,7 @@ def test_window_grid_rejects_more_than_the_limit(end, step, count):
 
 
 def test_window_grid_limit_is_inclusive():
-    assert len(_grid_starts(0.0, MAX_WINDOWS - 1 + 180.0, 180.0, 1.0)) == MAX_WINDOWS
+    assert len(window_grid(0.0, MAX_WINDOWS - 1 + 180.0, 180.0, 1.0)) == MAX_WINDOWS
 
 def test_grid_start_on_step_lattice():
     assert grid_start(58.05, 180.0) == 0.0
@@ -207,66 +216,62 @@ def test_grid_start_on_step_lattice():
     # 90142.79999999999 / 0.3 rounds up to a whole number of steps
     first = 90142.79999999999
     assert grid_start(first, 0.3) <= first
-    estimates = sliding_windows([burst(first)], 0.3, 0.3, model())
-    assert sum(e.burst_count for e in estimates) == 1
+    estimates = sliding_windows(at(first), 0.3, 0.3, model())
+    assert estimates.burst_count.sum() == 1
     with pytest.raises(ValueError, match="positive"):
         grid_start(10.0, 0.0)
 
 
 def test_default_grids_start_on_step_lattice():
-    bursts = [burst(t) for t in [58.05, 200.0, 401.0]]
+    bursts = at(58.05, 200.0, 401.0)
     estimates = sliding_windows(bursts, 180.0, 180.0, model())
-    assert [e.window.start for e in estimates] == [0.0, 180.0, 360.0]
-    events = [ev(b.probing_instant, "02:00:00:00:00:01") for b in bursts]
-    assert [w.start for w, _ in mac_count_series(events, 180.0, 180.0)] == [0.0, 180.0, 360.0]
+    assert estimates.start.tolist() == [0.0, 180.0, 360.0]
+    events = [ev(t, "02:00:00:00:00:01") for t in bursts.instant.tolist()]
+    assert mac_count_series(events, 180.0, 180.0).start.tolist() == [0.0, 180.0, 360.0]
 
 
 def test_end_runs_grid_past_the_data():
-    bursts = [burst(float(t)) for t in range(0, 500, 10)]
+    bursts = at(*(float(t) for t in range(0, 500, 10)))
     estimates = sliding_windows(bursts, 180.0, 180.0, model(), start=0.0, end=1800.0)
-    assert [e.window.start for e in estimates] == [i * 180.0 for i in range(10)]
-    assert [e.burst_count for e in estimates[3:]] == [0] * 7
-    events = [ev(b.probing_instant, "02:00:00:00:00:01") for b in bursts]
+    assert estimates.start.tolist() == [i * 180.0 for i in range(10)]
+    assert estimates.burst_count[3:].tolist() == [0] * 7
+    events = [ev(t, "02:00:00:00:00:01") for t in bursts.instant.tolist()]
     series = mac_count_series(events, 180.0, 180.0, start=0.0, end=1800.0)
-    assert [w for w, _ in series] == [e.window for e in estimates]
-    assert [n for _, n in series] == [1, 1, 1] + [0] * 7
+    assert series.start.tolist() == estimates.start.tolist()
+    assert series.macs.tolist() == [1, 1, 1] + [0] * 7
 
 
 def test_sliding_windows_rejects_unsorted():
     with pytest.raises(ValueError, match="sorted"):
-        sliding_windows([burst(10.0), burst(0.0)], 100.0, 100.0, model())
+        sliding_windows(at(10.0, 0.0), 100.0, 100.0, model())
 
 
 def test_sliding_windows_empty():
-    assert sliding_windows([], 100.0, 100.0, model()) == []
+    assert len(sliding_windows(at(), 100.0, 100.0, model())) == 0
 
 
 def test_time_scale_invariance():
     c = 8.0  # power of two keeps the arithmetic exact
-    bursts = [burst(t) for t in [5.0, 17.0, 130.0]]
-    scaled = [burst(t.probing_instant * c) for t in bursts]
-    a = one_window(bursts, Window(0.0, 180.0), model(60.0, 60.0))
-    b = one_window(scaled, Window(0.0, 180.0 * c), model(60.0 * c, 60.0 * c))
+    bursts = at(5.0, 17.0, 130.0)
+    scaled = at(*(t * c for t in bursts.instant.tolist()))
+    a = one_window(bursts, (0.0, 180.0), model(60.0, 60.0))
+    b = one_window(scaled, (0.0, 180.0 * c), model(60.0 * c, 60.0 * c))
     assert a.burst_count == b.burst_count
     assert a.n_hat == b.n_hat
 
 
 def test_linearity_in_bursts():
-    bursts = [burst(t) for t in [1.0, 2.0, 50.0]]
-    single = one_window(bursts, Window(0.0, 180.0), model())
-    doubled = one_window(
-        sorted(bursts + bursts, key=lambda b: b.probing_instant),
-        Window(0.0, 180.0),
-        model(),
-    )
+    times = [1.0, 2.0, 50.0]
+    single = one_window(at(*times), (0.0, 180.0), model())
+    doubled = one_window(at(*sorted(times + times)), (0.0, 180.0), model())
     assert doubled.burst_count == 2 * single.burst_count
     assert doubled.n_hat == 2 * single.n_hat
 
 
 def test_monotonicity():
-    window = Window(0.0, 180.0)
-    bursts = [burst(t) for t in [1.0, 2.0]]
-    more = sorted(bursts + [burst(90.0)], key=lambda b: b.probing_instant)
+    window = (0.0, 180.0)
+    bursts = at(1.0, 2.0)
+    more = at(1.0, 2.0, 90.0)
     assert one_window(more, window, model()).n_hat >= one_window(bursts, window, model()).n_hat
 
 
@@ -283,17 +288,19 @@ def test_mac_baseline_counts_distinct_macs():
         ev(2.0, "02:00:00:00:00:01"),
         ev(3.0, "02:00:00:00:00:02"),
     ]
-    assert one_mac_window(events, Window(0.0, 10.0)) == 2
+    assert one_mac_window(events, (0.0, 10.0)) == 2
 
 
 def test_mac_baseline_empty_window():
-    assert one_mac_window([], Window(0.0, 10.0)) == 0
+    assert one_mac_window([], (0.0, 10.0)) == 0
 
 
 def test_mac_baseline_overcounts_under_rotation():
     # Same simulated scene at increasing rotation probability: the baseline's
     # overcount ratio grows while the rate model stays put.
-    from probecount.simulate import SimConfig, Exponential, ConstantCount, simulate, ground_truth_window
+    from probecount.simulate import (
+        ConstantCount, Exponential, SimConfig, ground_truth_series, simulate,
+    )
 
     ratios = []
     for rotation in (0.0, 0.5, 1.0):
@@ -307,8 +314,8 @@ def test_mac_baseline_overcounts_under_rotation():
             seed=13,
         )
         events, trace = simulate(cfg)
-        window = Window(300.0, 2400.0)
-        n_bar, _ = ground_truth_window(trace, window)
+        window = (300.0, 2400.0)
+        [(n_bar, _)] = ground_truth_series(trace, np.array([300.0]), 2400.0)
         baseline = one_mac_window(events, window)
         rate_est = one_window(aggregate(events), window, model(60.0, 60.0))
         ratios.append(baseline / n_bar)
@@ -327,8 +334,8 @@ def test_mac_baseline_overcounts_under_rotation():
 )
 def test_mac_count_series_matches_brute_force(frames, size, step):
     events = [ev(t, f"02:00:00:00:00:{m:02x}") for t, m in sorted(frames)]
-    for window, n in mac_count_series(events, float(size), float(step)):
-        assert n == len({e.mac for e in events if window.contains(e.timestamp)})
+    for start, n in mac_count_series(events, float(size), float(step)):
+        assert n == len({e.mac for e in events if contains(start, size, e.timestamp)})
 
 
 def test_mac_count_series_rejects_unsorted():
@@ -340,25 +347,26 @@ def test_mac_count_series_rejects_unsorted():
 def test_mac_count_series_grid_matches_sliding_windows():
     events = [ev(float(t), "02:00:00:00:00:01") for t in range(0, 100, 10)]
     series = mac_count_series(events, 50.0, 50.0)
-    assert [w.start for w, _ in series] == [0.0, 50.0]
-    assert [n for _, n in series] == [1, 1]
+    assert series.start.tolist() == [0.0, 50.0]
+    assert series.macs.tolist() == [1, 1]
 
 
 # ---------------------------------------------------------------- series files
 
 
 def test_series_round_trip():
-    bursts = [burst(t) for t in [1.0, 2.0, 300.0]]
+    bursts = at(1.0, 2.0, 300.0)
     estimates = sliding_windows(bursts, 180.0, 180.0, model())
-    estimates.append(one_window([], Window(900.0, 180.0), model()))  # nan nrmse
+    empty = sliding_windows(at(), 180.0, 180.0, model(), start=900.0, end=1080.0)  # nan nrmse
+    estimates = np.concatenate([estimates, empty]).view(np.recarray)
     text = format_series(estimates)
     parsed = parse_series(text)
     assert len(parsed) == len(estimates)
     for a, b in zip(parsed, estimates):
-        assert a.window == b.window
+        assert (a.start, a.w) == (b.start, b.w)
         assert a.burst_count == b.burst_count
         assert a.n_hat == pytest.approx(b.n_hat, abs=1e-6)
-        assert (a.nrmse_estimate is None) == (b.nrmse_estimate is None)
+        assert math.isnan(a.nrmse) == math.isnan(b.nrmse)
 
 
 def test_parse_series_rejects_wrong_field_count():
@@ -374,8 +382,33 @@ def test_parse_series_rejects_wrong_field_count():
         "0.0 180.0 3 0.1 nan 1.0 0.1",
         "0.0 180.0 3 0.1 10.0 1.0 inf",
         "0.0 -180.0 3 0.1 10.0 1.0 0.1",  # window size must be positive
+        "0.0 180.0 -3 0.1 10.0 1.0 0.1",  # burst count cannot be negative
     ],
 )
 def test_parse_series_errors_name_the_line(line):
     with pytest.raises(ValueError, match="line 2"):
         parse_series("# start w B R n_hat var_lower_bound nrmse\n" + line + "\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.floats(0, 3000, allow_nan=False), max_size=60),
+    st.sampled_from([0.3, 10.0, 60.0, 180.0, 900.0]),
+    st.sampled_from([0.7, 10.0, 60.0, 180.0]),
+    st.floats(0.5, 600.0),
+    st.floats(0.0, 600.0),
+    st.booleans(),
+)
+def test_format_series_matches_per_window_oracle(times, size, step, tau_mean, tau_std, pinned):
+    # a pinned grid runs past the data, so empty windows (nan nrmse) occur
+    times = sorted(times)
+    grid = dict(start=0.0, end=3500.0) if pinned or not times else {}
+    m = model(tau_mean, tau_std)
+    ours = sliding_windows(at(*times), size, step, m, **grid)
+    theirs = oracles.sliding_windows(times, size, step, m, **grid)
+    assert format_series(ours) == oracles.format_series(theirs)
+    # the values themselves are the same floats
+    assert [(*row[:6], None if math.isnan(row[6]) else row[6]) for row in ours.tolist()] == [
+        (e.window.start, e.window.size, e.burst_count, e.rate, e.n_hat, e.var_lower_bound,
+         e.nrmse_estimate) for e in theirs
+    ]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from probecount.bursts import Burst, aggregate
+from probecount.bursts import Bursts, aggregate
 from probecount.ingest import MacAddress, PrfEvent
 from probecount.intervals import (
     InsufficientSamplesError,
@@ -23,28 +23,35 @@ MAC_A = MacAddress.parse("02:00:00:00:00:01")
 MAC_B = MacAddress.parse("02:00:00:00:00:02")
 
 
-def burst(t, mac=MAC_A):
-    return Burst(mac, t, t, 1, frozenset({"ap0"}))
+def bursts_of(rows):
+    """One-frame bursts at the (time, MAC) ``rows``, in their order."""
+    t = np.array([time for time, _ in rows], dtype=np.float64)
+    mac = np.array([mac.value for _, mac in rows], dtype=np.uint64)
+    return Bursts(t, t, mac, np.ones(t.size, dtype=np.int64))
+
+
+def at(*times, mac=MAC_A):
+    return bursts_of([(t, mac) for t in times])
 
 
 # ---------------------------------------------------------------- extraction
 
 
 def test_extract_pairwise_differences():
-    samples = extract_intervals([burst(0.0), burst(60.0), burst(150.0)], cutoff=600.0)
+    samples = extract_intervals(at(0.0, 60.0, 150.0), cutoff=600.0)
     assert samples.tolist() == [60.0, 90.0]
 
 
 def test_extract_applies_cutoff():
-    samples = extract_intervals([burst(0.0), burst(60.0), burst(2000.0)], cutoff=600.0)
+    samples = extract_intervals(at(0.0, 60.0, 2000.0), cutoff=600.0)
     assert samples.tolist() == [60.0]
 
 
 def test_extract_keys_by_mac():
-    bursts = sorted(
-        [burst(0.0, MAC_A), burst(10.0, MAC_B), burst(60.0, MAC_A), burst(100.0, MAC_B)],
-        key=lambda b: b.probing_instant,
-    )
+    bursts = bursts_of(sorted(
+        [(0.0, MAC_A), (10.0, MAC_B), (60.0, MAC_A), (100.0, MAC_B)],
+        key=lambda b: b[0],
+    ))
     samples = extract_intervals(bursts, cutoff=600.0)
     # in burst order: MAC_A's 0 -> 60, then MAC_B's 10 -> 100
     assert samples.tolist() == [60.0, 90.0]
@@ -52,7 +59,7 @@ def test_extract_keys_by_mac():
 
 def test_extract_sample_count_accounting():
     instants = [0.0, 50.0, 120.0, 1000.0, 1030.0]
-    bursts = [burst(t) for t in instants]
+    bursts = at(*instants)
     samples = extract_intervals(bursts, cutoff=600.0)
     discarded = 1  # the 120 -> 1000 gap
     assert len(samples) == (len(bursts) - 1) - discarded
@@ -60,11 +67,11 @@ def test_extract_sample_count_accounting():
 
 def test_extract_unsorted_raises():
     with pytest.raises(ValueError, match="sorted"):
-        extract_intervals([burst(10.0), burst(0.0)])
+        extract_intervals(at(10.0, 0.0))
 
 
 def test_extract_empty():
-    assert extract_intervals([]).tolist() == []
+    assert extract_intervals(at()).tolist() == []
 
 
 def test_extract_from_simulated_trace_with_persistent_macs():
@@ -100,10 +107,11 @@ MACS = [MacAddress(v) for v in (1, 2, 2**48 - 1)]
 )
 def test_extract_matches_burst_by_burst_extractor(rows, cutoff):
     # hand-made bursts may repeat an instant for one MAC; the interval is then 0
-    bursts = [burst(t, MACS[m]) for t, m in sorted(rows, key=lambda r: r[0])]
-    samples = extract_intervals(bursts, cutoff=cutoff)
+    rows = [(t, MACS[m]) for t, m in sorted(rows, key=lambda r: r[0])]
+    samples = extract_intervals(bursts_of(rows), cutoff=cutoff)
     assert samples.dtype == np.float64
-    assert samples.tolist() == oracles.extract_intervals(bursts, cutoff)
+    expected = oracles.extract_intervals([(mac.value, t) for t, mac in rows], cutoff)
+    assert samples.tolist() == expected
 
 
 @given(
@@ -114,7 +122,7 @@ def test_extract_matches_burst_by_burst_extractor(rows, cutoff):
 def test_extract_from_aggregate_matches_extractor(rows, cutoff):
     events = [PrfEvent(t, MACS[m], "ap0") for t, m in sorted(rows, key=lambda r: r[0])]
     bursts = aggregate(events)
-    expected = oracles.extract_intervals(list(bursts), cutoff)
+    expected = oracles.extract_intervals(zip(bursts.mac.tolist(), bursts.instant.tolist()), cutoff)
     assert extract_intervals(bursts, cutoff=cutoff).tolist() == expected
 
 

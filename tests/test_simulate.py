@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from probecount.counting import Window
 from probecount.ingest import Events, format_events, is_randomized, parse_events
 from probecount.simulate import (
     Constant,
@@ -22,8 +22,9 @@ from probecount.simulate import (
     UniformInterval,
     _renewals,
     equilibrium_residual,
+    MAX_EXPECTED_RECORDS,
     format_trace,
-    ground_truth_window,
+    ground_truth_series,
     parse_config,
     parse_count_distribution,
     parse_distribution,
@@ -172,19 +173,25 @@ def trace_of(*spans):
     return GroundTruthTrace(tuple(entities))
 
 
+def window_truth(trace, start, size):
+    """(n_bar, m_bar) of the one window [start, start + size)."""
+    [(n_bar, m_bar)] = ground_truth_series(trace, np.array([start]), size)
+    return n_bar, m_bar
+
+
 def test_ground_truth_two_full_one_half():
     trace = trace_of(
         ("device", 0.0, 600.0),
         ("device", 0.0, 600.0),
         ("device", 300.0, 600.0),
     )
-    n_bar, m_bar = ground_truth_window(trace, Window(0.0, 600.0))
+    n_bar, m_bar = window_truth(trace, 0.0, 600.0)
     assert n_bar == pytest.approx(2.5, abs=1e-12)
     assert m_bar == 0.0
 
 
 def test_ground_truth_empty_trace():
-    assert ground_truth_window(GroundTruthTrace(()), Window(0.0, 100.0)) == (0.0, 0.0)
+    assert window_truth(GroundTruthTrace(()), 0.0, 100.0) == (0.0, 0.0)
 
 
 def test_ground_truth_matches_riemann_sum():
@@ -192,11 +199,10 @@ def test_ground_truth_matches_riemann_sum():
     spans = [("device", float(a), float(a + d)) for a, d in
              zip(rng.uniform(0, 500, 40), rng.uniform(1, 400, 40))]
     trace = trace_of(*spans)
-    window = Window(100.0, 300.0)
-    n_bar, _ = ground_truth_window(trace, window)
+    n_bar, _ = window_truth(trace, 100.0, 300.0)
 
     # brute-force discretization of N(t) at 1 ms resolution
-    ts = np.arange(window.start, window.end, 1e-3) + 0.5e-3
+    ts = np.arange(100.0, 400.0, 1e-3) + 0.5e-3
     n_t = np.zeros_like(ts)
     for _, enter, leave in spans:
         n_t += (ts >= enter) & (ts < leave)
@@ -207,9 +213,8 @@ def test_ground_truth_additivity():
     a = trace_of(("device", 0.0, 50.0), ("device", 20.0, 80.0))
     b = trace_of(("device", 10.0, 90.0))
     merged = GroundTruthTrace(a.entities + b.entities)
-    window = Window(0.0, 100.0)
-    assert ground_truth_window(merged, window)[0] == pytest.approx(
-        ground_truth_window(a, window)[0] + ground_truth_window(b, window)[0]
+    assert window_truth(merged, 0.0, 100.0)[0] == pytest.approx(
+        window_truth(a, 0.0, 100.0)[0] + window_truth(b, 0.0, 100.0)[0]
     )
 
 
@@ -218,11 +223,26 @@ def test_ground_truth_window_partition():
     spans = [("device", float(a), float(a + d)) for a, d in
              zip(rng.uniform(0, 900, 25), rng.uniform(1, 300, 25))]
     trace = trace_of(*spans)
-    whole = Window(0.0, 1200.0)
-    parts = [Window(i * 300.0, 300.0) for i in range(4)]
-    whole_avg = ground_truth_window(trace, whole)[0]
-    part_avgs = [ground_truth_window(trace, w)[0] for w in parts]
+    whole_avg = window_truth(trace, 0.0, 1200.0)[0]
+    part_avgs = ground_truth_series(trace, np.arange(4) * 300.0, 300.0).n_bar.tolist()
     assert whole_avg == pytest.approx(sum(part_avgs) / 4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["device", "person"]), st.floats(0, 2000),
+                       st.floats(0.001, 1500)), max_size=30),
+    st.floats(-500, 2500),
+    st.integers(0, 40),
+    st.sampled_from([0.3, 10.0, 180.0, 900.0]),
+    st.sampled_from([0.7, 60.0, 180.0]),
+)
+def test_ground_truth_series_matches_per_window_oracle(spans, start, n, w, step):
+    trace = trace_of(*((kind, enter, enter + dwell) for kind, enter, dwell in spans))
+    starts = start + np.arange(n) * step
+    windows = [oracles.Window(s, w) for s in starts.tolist()]
+    truth = ground_truth_series(trace, starts, w)
+    assert truth.tolist() == oracles.ground_truth_series(trace, windows)
 
 
 # ---------------------------------------------------------------- simulate()
@@ -244,7 +264,7 @@ def test_simulate_seed_changes_output():
 
 def test_simulate_zero_duration_empty():
     events, trace = simulate(SimConfig(duration=0.0, seed=5))
-    assert events == []
+    assert len(events) == 0
     assert trace.entities == ()
 
 
@@ -450,6 +470,35 @@ def test_config_validation():
         SimConfig(frames_per_burst=(0, 2))
     with pytest.raises(ValueError):
         SimConfig(duration=-1.0)
+
+
+@pytest.mark.parametrize(
+    "config,expected",
+    [
+        (dict(devices_per_person_dist=ConstantCount(1e30)), "2.88e+33"),
+        (dict(fixed_persons=10**20, arrival_rate=0.0), "1.82e+22"),
+        (dict(fixed_persons=10**400, arrival_rate=0.0), "inf"),
+        (dict(arrival_rate=1e12, dwell_dist=Exponential(1e-9), duration=3600.0), "7.2e+15"),
+        (dict(interval_scale_sigma=30.0), "inf"),
+    ],
+)
+def test_config_rejects_more_than_the_expected_records_limit(config, expected):
+    message = f"about {expected} frames, persons and devices, more than the limit"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimConfig(**config)
+
+
+def test_config_expected_records_from_the_means():
+    cfg = SimConfig(arrival_rate=0.1, dwell_dist=Exponential(300.0), duration=3600.0,
+                    fixed_persons=2, devices_per_person_dist=PoissonCount(1.5),
+                    interval_dist=Exponential(60.0), frames_per_burst=(1, 3))
+    persons = 2 + 0.1 * 3600.0
+    frames = (2 * 3600.0 + 0.1 * 3600.0 * 300.0) * 1.5 / 60.0 * 3
+    assert cfg.expected_records() == pytest.approx(persons * 2.5 + frames)
+    # persons count even when they carry no device
+    with pytest.raises(ValueError, match="more than the limit"):
+        SimConfig(fixed_persons=MAX_EXPECTED_RECORDS + 1, arrival_rate=0.0,
+                  devices_per_person_dist=ConstantCount(0))
 
 
 def test_trace_round_trip():
