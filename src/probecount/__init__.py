@@ -7,7 +7,6 @@ from .ingest import (
     Events,
     MacAddress,
     ParseError,
-    PrfEvent,
     format_events,
     is_randomized,
     parse_capture,
@@ -34,7 +33,6 @@ __all__ = [
     "IntervalModel",
     "MacAddress",
     "ParseError",
-    "PrfEvent",
     "SeriesPair",
     "SimConfig",
     "aggregate",

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .ingest import Events, PrfEvent
+from .ingest import Events
 
 DEFAULT_BURST_GAP = 4.0
 
@@ -29,17 +28,15 @@ class Bursts:
         return len(self.instant)
 
 
-def aggregate(events: Iterable[PrfEvent], gap: float = DEFAULT_BURST_GAP) -> Bursts:
-    """Group time-sorted events into bursts per MAC.
+def aggregate(events: Events, gap: float = DEFAULT_BURST_GAP) -> Bursts:
+    """Group events into bursts per MAC.
 
     Consecutive events of one MAC separated by at most ``gap`` seconds belong
     to the same burst; a larger gap starts a new one.  The probing instant is
-    the first event's timestamp.  Raises on unsorted input rather than
-    re-sorting, to surface upstream bugs.
+    the first event's timestamp.
     """
-    if gap <= 0:
+    if not gap > 0:
         raise ValueError("gap must be positive")
-    events = Events.of(events)
     order = np.lexsort((events.t, events.mac))
     t, mac = events.t[order], events.mac[order]
     starts = np.ones(t.shape, dtype=bool)

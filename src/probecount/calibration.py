@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import finite, format_rows, read_keys, read_rows
+from .ingest import (
+    finite, format_rows, non_negative, non_negative_or_nan, positive, read_keys, read_rows,
+)
 
 _RATIO_KEYS = dict.fromkeys(
     ("alpha", "nrmse_people_ref", "nrmse_device_cal", "source_window_span"), finite
@@ -23,6 +25,9 @@ REFERENCE_DTYPE = np.dtype([("start", np.float64), ("value", np.float64)])
 PEOPLE_DTYPE = np.dtype([
     ("start", np.float64), ("w", np.float64), ("m_hat", np.float64), ("nrmse", np.float64),
 ])
+# The converter of each column of the two series files.
+REFERENCE_COLUMNS = (finite, finite)
+PEOPLE_COLUMNS = (finite, positive, non_negative, non_negative_or_nan)
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,7 @@ class CalibrationRatio:
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if self.nrmse_people_ref < 0 or self.nrmse_device_cal < 0:
+        if not self.nrmse_people_ref >= 0 or not self.nrmse_device_cal >= 0:
             raise ValueError("NRMSE components must be non-negative")
 
 
@@ -125,5 +130,5 @@ def format_reference_series(series: np.recarray) -> str:
 
 def parse_reference_series(text: str) -> np.recarray:
     """Parse `start value` reference lines (e.g. camera people counts)."""
-    rows = read_rows(text, lambda start, value: (start, value), (finite, finite))
+    rows = read_rows(text, lambda start, value: (start, value), REFERENCE_COLUMNS)
     return np.array(rows, dtype=REFERENCE_DTYPE).view(np.recarray)

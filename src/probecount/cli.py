@@ -7,6 +7,7 @@ import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -16,13 +17,15 @@ from .ingest import (
     CAPTURE_MAGICS,
     Events,
     ParseError,
-    finite,
+    data_lines,
     format_events,
     format_rows,
     parse_capture,
     parse_events,
     read_rows,
 )
+
+_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -125,13 +128,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
 
+def _read_file(path: str, parse: Callable[[Any], _T], *, binary: bool = False) -> _T:
+    """``parse`` of the UTF-8 text (with ``binary``, the bytes) of file ``path``;
+    an error in the content names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data if binary else data.decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _read_input(args: argparse.Namespace) -> Events:
-    path = Path(args.input)
-    data = path.read_bytes()
-    fmt = args.format or _sniff_format(data)
-    if fmt == "capture":
-        return parse_capture(data, ap_id=args.ap_id or path.stem)
-    return parse_events(data.decode("utf-8"))
+    def parse(data: bytes) -> Events:
+        if (args.format or _sniff_format(data)) == "capture":
+            return parse_capture(data, ap_id=args.ap_id or Path(args.input).stem)
+        return parse_events(data.decode("utf-8"))
+
+    return _read_file(args.input, parse, binary=True)
 
 
 def _sniff_format(data: bytes) -> str:
@@ -175,7 +188,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.model:
         raise ParseError("--model is required unless --baseline is given")
-    model = intervals.parse_model(Path(args.model).read_text(encoding="utf-8"))
+    model = _read_file(args.model, intervals.parse_model)
     bursts = aggregate(events, gap=args.gap)
     estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
     _write_output(counting.format_series(estimates), args.out)
@@ -183,7 +196,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = simulate.parse_config(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_file(args.config, simulate.parse_config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     events, trace = simulate.simulate(config)
@@ -196,11 +209,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    device_series = counting.parse_series(Path(args.device_series).read_text(encoding="utf-8"))
-    people_series = calibration.parse_reference_series(
-        Path(args.people_series).read_text(encoding="utf-8")
-    )
-    rows, refs = _join_on_start(device_series, people_series)
+    device_series = _read_file(args.device_series, counting.parse_series)
+    people_series = _read_file(args.people_series, calibration.parse_reference_series)
+    rows, refs = _join_on_start(_start_index(device_series, args.device_series),
+                                _start_index(people_series, args.people_series))
     ratio = calibration.estimate_ratio(
         device_series[rows], people_series[refs], nrmse_people_ref=args.people_nrmse
     )
@@ -209,40 +221,46 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_people(args: argparse.Namespace) -> int:
-    device_series = counting.parse_series(Path(args.device_series).read_text(encoding="utf-8"))
-    ratio = calibration.parse_ratio(Path(args.ratio).read_text(encoding="utf-8"))
+    device_series = _read_file(args.device_series, counting.parse_series)
+    ratio = _read_file(args.ratio, calibration.parse_ratio)
     people = calibration.people_count(device_series, ratio)
     _write_output(calibration.format_people_series(people), args.out)
     return EXIT_OK
 
 
-# Value column of each series layout, by field count: start value;
-# start w value; start w m_hat nrmse; start w B R n_hat var nrmse.
-_VALUE_COLUMN = {2: 1, 3: 2, 4: 2, 7: 4}
+# The series formats eval reads, by field count: each column's converter and
+# the column eval compares (start value; start w unique_macs; start w m_hat
+# nrmse; start w B R n_hat var nrmse).
+_SERIES_FORMATS = {
+    2: (calibration.REFERENCE_COLUMNS, 1),
+    3: (counting.MAC_SERIES_COLUMNS, 2),
+    4: (calibration.PEOPLE_COLUMNS, 2),
+    7: (counting.SERIES_COLUMNS, 4),
+}
 
 
-def _read_value_series(path: str) -> np.recarray:
-    """Read (window start, value) records from any of the series formats."""
-    layouts = [
-        [finite if i in (0, col) else str for i in range(n)] for n, col in _VALUE_COLUMN.items()
-    ]
-    try:
-        rows = read_rows(
-            Path(path).read_text(encoding="utf-8"),
-            lambda *row: (row[0], row[_VALUE_COLUMN[len(row)]]),
-            *layouts,
-        )
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+def _parse_value_series(text: str) -> np.recarray:
+    """(window start, value) records of a series file, in the format of its first row."""
+    width = len(next(data_lines(text), (0, ""))[1].split())
+    widths = [width] if width in _SERIES_FORMATS else list(_SERIES_FORMATS)
+    rows = read_rows(text, lambda *row: (row[0], row[_SERIES_FORMATS[len(row)][1]]),
+                     *(_SERIES_FORMATS[n][0] for n in widths))
     return np.array(rows, dtype=calibration.REFERENCE_DTYPE).view(np.recarray)
 
 
-def _join_on_start(rows: np.recarray, reference: np.recarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (i, j) of the row and reference windows whose starts agree to the
-    microsecond, in the order of ``rows``."""
-    by_start = {round(start, 6): j for j, start in enumerate(reference.start.tolist())}
-    pairs = [(i, by_start[key]) for i, start in enumerate(rows.start.tolist())
-             if (key := round(start, 6)) in by_start]
+def _start_index(series: np.recarray, path: str) -> dict[float, int]:
+    """The row of each window start, to the microsecond, of the series read from ``path``."""
+    index: dict[float, int] = {}
+    for i, start in enumerate(series.start.tolist()):
+        if index.setdefault(key := round(start, 6), i) != i:
+            raise ParseError(f"{path}: window start {key:.6f} repeats")
+    return index
+
+
+def _join_on_start(rows: dict[float, int], reference: dict[float, int]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) of the row and reference windows with the same start, in row order."""
+    pairs = [(i, reference[key]) for key, i in rows.items() if key in reference]
     if not pairs:
         raise ValueError("no overlapping window starts between the two series")
     i, j = np.array(pairs).T
@@ -250,9 +268,10 @@ def _join_on_start(rows: np.recarray, reference: np.recarray) -> tuple[np.ndarra
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    estimates = _read_value_series(args.estimates)
-    reference = _read_value_series(args.reference)
-    i, j = _join_on_start(estimates, reference)
+    estimates = _read_file(args.estimates, _parse_value_series)
+    reference = _read_file(args.reference, _parse_value_series)
+    i, j = _join_on_start(_start_index(estimates, args.estimates),
+                          _start_index(reference, args.reference))
     pair = metrics.SeriesPair.of(estimates.value[i].tolist(), reference.value[j].tolist())
     lines = (
         f"rmse {metrics.rmse(pair):.6f}",
@@ -264,7 +283,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_truth(args: argparse.Namespace) -> int:
-    trace = simulate.parse_trace(Path(args.truth_file).read_text(encoding="utf-8"))
+    trace = _read_file(args.truth_file, simulate.parse_trace)
     entities = trace.devices() if args.kind == "device" else trace.persons()
     if not entities:
         raise ValueError(f"trace contains no {args.kind} entities")

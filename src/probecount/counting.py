@@ -8,12 +8,14 @@ unique-MAC baseline.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
 from .bursts import Bursts
-from .ingest import Events, PrfEvent, finite, format_rows, read_rows
+from .ingest import (
+    Events, finite, format_rows, non_negative, non_negative_int, non_negative_or_nan, positive,
+    read_rows,
+)
 from .intervals import IntervalModel
 
 DEFAULT_WINDOW_SIZE = 180.0
@@ -31,6 +33,11 @@ SERIES_DTYPE = np.dtype([
 ])
 # One window of the baseline: its start and the distinct MACs heard in it.
 MAC_SERIES_DTYPE = np.dtype([("start", np.float64), ("macs", np.int64)])
+# The converter of each column of the count series file and of the baseline's
+# file (start w unique_macs).
+SERIES_COLUMNS = (finite, positive, non_negative_int, non_negative, non_negative, non_negative,
+                  non_negative_or_nan)
+MAC_SERIES_COLUMNS = (finite, positive, non_negative_int)
 
 
 def window_grid(start: float, end: float, size: float, step: float) -> np.ndarray:
@@ -141,7 +148,7 @@ def sliding_windows(
 
 
 def mac_count_series(
-    events: Iterable[PrfEvent],
+    events: Events,
     size: float,
     step: float,
     *,
@@ -150,7 +157,6 @@ def mac_count_series(
 ) -> np.recarray:
     """Distinct MACs heard per window (randomization-blind), on the same grid,
     as ``MAC_SERIES_DTYPE`` records."""
-    events = Events.of(events)
     starts, lo, hi = _series_grid(events.t, "events", size, step, start, end)
     return np.rec.fromarrays([starts, _distinct_counts(events.mac, lo, hi)],
                              dtype=MAC_SERIES_DTYPE)
@@ -183,33 +189,7 @@ def format_series(series: np.recarray) -> str:
     )
 
 
-def _window_size(text: str) -> float:
-    value = finite(text)
-    if not value > 0:
-        raise ValueError("window size must be positive")
-    return value
-
-
-def _burst_count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("burst count cannot be negative")
-    if value >= 2**63:
-        raise ValueError(f"burst count {value} out of range")
-    return value
-
-
-def _nrmse(text: str) -> float:
-    value = float(text)
-    if math.isinf(value):
-        raise ValueError(f"infinite nrmse {text!r}")
-    return value
-
-
 def parse_series(text: str) -> np.recarray:
     """The count series of ``format_series`` text, as ``SERIES_DTYPE`` records."""
-    rows = read_rows(
-        text, lambda *row: row,
-        (finite, _window_size, _burst_count, finite, finite, finite, _nrmse),
-    )
-    return np.array(rows, dtype=SERIES_DTYPE).view(np.recarray)
+    return np.array(read_rows(text, lambda *row: row, SERIES_COLUMNS),
+                    dtype=SERIES_DTYPE).view(np.recarray)

@@ -1,6 +1,7 @@
 """Probe-request event ingestion from 802.11 capture files and text logs.
 
-Events are held as columns (``Events``); ``PrfEvent`` is the one-event view.
+Events are held as columns (``Events``); ``PrfEvent`` is the one-event view
+that iterating them yields.
 Also holds the two readers behind every line-oriented text file: ``read_rows``
 for column files and ``read_keys`` for ``key value`` files, and the writer
 ``format_rows`` for column files.
@@ -75,7 +76,38 @@ def finite(text: str) -> float:
     return value
 
 
-def _data_lines(text: str) -> Iterable[tuple[int, str]]:
+def positive(text: str) -> float:
+    """A float field that must be finite and above zero."""
+    value = finite(text)
+    if not value > 0:
+        raise ValueError(f"non-positive number {text!r}")
+    return value
+
+
+def non_negative(text: str) -> float:
+    """A float field that must be finite and not negative."""
+    value = finite(text)
+    if value < 0:
+        raise ValueError(f"negative number {text!r}")
+    return value
+
+
+def non_negative_or_nan(text: str) -> float:
+    """A float field that must be NaN (no value) or finite and not negative."""
+    value = float(text)
+    return value if math.isnan(value) else non_negative(text)
+
+
+def non_negative_int(text: str) -> int:
+    """An integer field in [0, 2**63)."""
+    value = int(text)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"count {value} outside [0, 2**63)")
+    return value
+
+
+def data_lines(text: str) -> Iterable[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank or a ``#`` comment."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
@@ -93,7 +125,7 @@ def read_rows(
     """
     by_count = {len(layout): layout for layout in layouts}
     rows = []
-    for lineno, line in _data_lines(text):
+    for lineno, line in data_lines(text):
         fields = line.split()
         layout = by_count.get(len(fields))
         if layout is None:
@@ -131,7 +163,7 @@ def read_keys(
     be present.  Every error about one line names it.
     """
     values: dict[str, Any] = {}
-    for lineno, line in _data_lines(text):
+    for lineno, line in data_lines(text):
         key, *rest = line.split(None, 1)
         if not rest:
             raise ParseError(f"line {lineno}: expected 'key value'")
@@ -179,10 +211,6 @@ class MacAddress:
         if not 0 <= self.value < 1 << 48:
             raise ValueError(f"MAC value out of range: {self.value!r}")
 
-    @classmethod
-    def parse(cls, text: str) -> "MacAddress":
-        return cls(_mac_value(text))
-
     @property
     def octets(self) -> tuple[int, ...]:
         return tuple(self.value.to_bytes(6, "big"))
@@ -212,13 +240,13 @@ class PrfEvent:
 
 
 @dataclass(frozen=True, eq=False)
-class Events(Sequence):
+class Events:
     """Probe-request events as read-only columns, sorted by time.
 
     ``t`` holds the timestamps (float64, non-decreasing), ``mac`` the 48-bit
     MACs (uint64), ``ap`` indices into the ``aps`` names (int32) and ``rssi``
     the signal strengths (int16, ``RSSI_NONE`` where a frame has none).
-    Indexing and iteration yield ``PrfEvent`` views; a slice is ``Events``.
+    Iteration yields ``PrfEvent`` views.
     """
 
     t: np.ndarray
@@ -248,33 +276,8 @@ class Events(Sequence):
         if np.any((self.ap < 0) | (self.ap >= len(self.aps))):
             raise ValueError("event ap index outside the ap table")
 
-    @classmethod
-    def of(cls, events: Iterable[PrfEvent]) -> "Events":
-        """Columns of time-sorted ``PrfEvent``s; an ``Events`` is returned as is."""
-        if isinstance(events, Events):
-            return events
-        return cls._of_rows([(e.timestamp, e.mac.value, e.ap_id, e.rssi) for e in events])
-
-    @classmethod
-    def _of_rows(cls, rows: Sequence[tuple[float, int, str, int | None]]) -> "Events":
-        aps: dict[str, int] = {}
-        return cls(
-            [row[0] for row in rows],
-            [row[1] for row in rows],
-            [aps.setdefault(row[2], len(aps)) for row in rows],
-            [RSSI_NONE if row[3] is None else row[3] for row in rows],
-            tuple(aps),
-        )
-
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Events(self.t[i], self.mac[i], self.ap[i], self.rssi[i], self.aps)
-        rssi = int(self.rssi[i])
-        return PrfEvent(float(self.t[i]), MacAddress(int(self.mac[i])), self.aps[self.ap[i]],
-                        None if rssi == RSSI_NONE else rssi)
 
     def __iter__(self) -> Iterator[PrfEvent]:
         aps = self.aps
@@ -282,25 +285,14 @@ class Events(Sequence):
         for t, mac, ap, rssi in zip(*columns):
             yield PrfEvent(t, MacAddress(mac), aps[ap], None if rssi == RSSI_NONE else rssi)
 
-    def _ap_names(self) -> list[str]:
-        return [self.aps[i] for i in self.ap.tolist()]
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Events):
-            return (
-                len(self) == len(other)
-                and all(np.array_equal(getattr(self, c), getattr(other, c))
-                        for c in ("t", "mac", "rssi"))
-                and self._ap_names() == other._ap_names()
-            )
-        return NotImplemented
+def is_randomized(mac: int | np.ndarray) -> bool | np.ndarray:
+    """True for a locally-administered unicast address (a fabricated MAC).
 
-    __hash__ = None  # type: ignore[assignment]
-
-
-def is_randomized(mac: MacAddress) -> bool:
-    """True for a locally-administered unicast address (a fabricated MAC)."""
-    return mac.value >> 40 & 0x03 == 0x02
+    ``mac`` is a MAC's integer or a uint64 column of them, such as
+    ``Bursts.mac``; a column gives a boolean array.
+    """
+    return mac >> 40 & 0x03 == 0x02
 
 
 def _uint(buf: np.ndarray, pos: np.ndarray, size: int, little: bool = True) -> np.ndarray:
@@ -449,7 +441,7 @@ def _antsignal_offset(present: int, offset: int) -> int:
 
 def _event_row(timestamp: float, mac: int, ap_id: str, rssi: int | None = None) -> tuple:
     _check_event(timestamp, rssi)
-    return timestamp, mac, ap_id, rssi
+    return timestamp, mac, ap_id, RSSI_NONE if rssi is None else rssi
 
 
 def parse_events(text: str) -> Events:
@@ -460,12 +452,14 @@ def parse_events(text: str) -> Events:
     """
     rows = read_rows(text, _event_row, (float, _mac_value, str), (float, _mac_value, str, int))
     rows.sort(key=itemgetter(0))
-    return Events._of_rows(rows)
+    aps: dict[str, int] = {}
+    return Events([row[0] for row in rows], [row[1] for row in rows],
+                  [aps.setdefault(row[2], len(aps)) for row in rows], [row[3] for row in rows],
+                  tuple(aps))
 
 
-def format_events(events: Iterable[PrfEvent]) -> str:
-    """Serialize time-sorted events to the line-delimited text format."""
-    events = Events.of(events)
+def format_events(events: Events) -> str:
+    """Serialize events to the line-delimited text format."""
     columns = (events.t.tolist(), events.mac.tolist(), events.ap.tolist(), events.rssi.tolist())
     return "".join(
         f"{t:.6f} {_mac_text(mac)} {events.aps[ap]}"

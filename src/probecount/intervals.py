@@ -10,7 +10,7 @@ import numpy as np
 from scipy import special, stats
 
 from .bursts import Bursts
-from .ingest import finite, read_keys
+from .ingest import finite, non_negative_int, read_keys
 
 DEFAULT_INTERVAL_CUTOFF = 600.0
 DEFAULT_BIN_WIDTH = 10.0
@@ -19,9 +19,9 @@ _MODEL_KEYS = {
     "area_id": str,
     "tau_mean": finite,
     "tau_std": finite,
-    "sample_count": int,
+    "sample_count": non_negative_int,
     "bin_width": finite,
-    "histogram": lambda text: tuple(int(c) for c in text.split()),
+    "histogram": lambda text: tuple(map(non_negative_int, text.split())),
 }
 
 
@@ -81,7 +81,7 @@ def extract_intervals(bursts: Bursts, cutoff: float = DEFAULT_INTERVAL_CUTOFF) -
     ``cutoff`` are discarded: such a gap more plausibly reflects a
     departure/return or a MAC rotation than a probing interval.
     """
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     instant, mac = bursts.instant, bursts.mac
     if np.any(instant[1:] < instant[:-1]):
@@ -105,7 +105,7 @@ def fit(
     taus = np.asarray(samples, dtype=float)
     if taus.size < 2:
         raise InsufficientSamplesError("insufficient interval samples (need at least 2)")
-    if bin_width <= 0 or cutoff <= 0:
+    if not bin_width > 0 or not cutoff > 0:
         raise ValueError("cutoff and bin_width must be positive")
     if np.any(taus <= 0) or np.any(taus > cutoff):
         raise ValueError("interval samples must lie in (0, cutoff]")

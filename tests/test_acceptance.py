@@ -339,13 +339,14 @@ def test_criterion_9_parser_golden_files():
     with_radiotap = parse_capture(pcap(rt_records, linktype=127))
 
     bare_ok = [(e.timestamp, str(e.mac)) for e in native] == expected
-    swap_ok = swapped == native
+    swap_ok = list(swapped) == list(native)
     rt_ok = (
         [(e.timestamp, str(e.mac)) for e in with_radiotap] == expected
         and all(e.rssi == -70 for e in with_radiotap)
     )
     text = format_events(native)
-    round_trip_ok = parse_events(text) == native and format_events(parse_events(text)) == text
+    round_trip_ok = (list(parse_events(text)) == list(native)
+                     and format_events(parse_events(text)) == text)
     ok = bare_ok and swap_ok and rt_ok and round_trip_ok
     report(
         9,

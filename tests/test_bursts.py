@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 import oracles
 from probecount.bursts import Bursts, aggregate
-from probecount.ingest import Events, MacAddress, PrfEvent
+from event_columns import events_of, mac
+from probecount.ingest import MacAddress, PrfEvent
 
-MACS = [MacAddress.parse(f"02:00:00:00:00:{i:02x}") for i in range(4)]
+MACS = [mac(f"02:00:00:00:00:{i:02x}") for i in range(4)]
 
 
 def ev(t, mac=MACS[0], ap="ap0"):
@@ -14,7 +15,7 @@ def ev(t, mac=MACS[0], ap="ap0"):
 
 
 def test_single_burst_within_gap():
-    bursts = aggregate([ev(0.0), ev(1.0), ev(2.0)], gap=4.0)
+    bursts = aggregate(events_of([ev(0.0), ev(1.0), ev(2.0)]), gap=4.0)
     assert len(bursts) == 1
     assert bursts.instant.tolist() == [0.0]
     assert bursts.end.tolist() == [2.0]
@@ -22,14 +23,14 @@ def test_single_burst_within_gap():
 
 
 def test_gap_exceeded_starts_new_burst():
-    bursts = aggregate([ev(0.0), ev(10.0)], gap=4.0)
+    bursts = aggregate(events_of([ev(0.0), ev(10.0)]), gap=4.0)
     assert bursts.instant.tolist() == [0.0, 10.0]
     assert bursts.frame_count.tolist() == [1, 1]
 
 
 def test_gap_boundary_is_inclusive():
-    assert len(aggregate([ev(0.0), ev(4.0)], gap=4.0)) == 1
-    assert len(aggregate([ev(0.0), ev(4.0000001)], gap=4.0)) == 2
+    assert len(aggregate(events_of([ev(0.0), ev(4.0)]), gap=4.0)) == 1
+    assert len(aggregate(events_of([ev(0.0), ev(4.0000001)]), gap=4.0)) == 2
 
 
 def test_macs_grouped_independently():
@@ -37,30 +38,32 @@ def test_macs_grouped_independently():
         [ev(0.0, MACS[0]), ev(1.0, MACS[1]), ev(2.0, MACS[0]), ev(3.0, MACS[1])],
         key=lambda e: e.timestamp,
     )
-    bursts = aggregate(events, gap=4.0)
+    bursts = aggregate(events_of(events), gap=4.0)
     assert len(bursts) == 2
     assert {str(MacAddress(m)) for m in bursts.mac.tolist()} == {str(MACS[0]), str(MACS[1])}
     assert bursts.frame_count.tolist() == [2, 2]
 
 
 def test_frames_from_several_aps_join_one_burst():
-    bursts = aggregate([ev(0.0, ap="ap0"), ev(0.0, ap="ap1"), ev(1.0, ap="ap0")], gap=4.0)
+    events = events_of([ev(0.0, ap="ap0"), ev(0.0, ap="ap1"), ev(1.0, ap="ap0")])
+    bursts = aggregate(events, gap=4.0)
     assert len(bursts) == 1
     assert bursts.frame_count.tolist() == [3]  # duplicates are kept
 
 
 def test_unsorted_input_raises():
     with pytest.raises(ValueError, match="sorted"):
-        aggregate([ev(5.0), ev(1.0)], gap=4.0)
+        aggregate(events_of([ev(5.0), ev(1.0)]), gap=4.0)
 
 
 def test_gap_must_be_positive():
-    with pytest.raises(ValueError):
-        aggregate([ev(0.0)], gap=0.0)
+    for gap in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="gap must be positive"):
+            aggregate(events_of([ev(0.0)]), gap=gap)
 
 
 def test_empty_input():
-    assert len(aggregate([], gap=4.0)) == 0
+    assert len(aggregate(events_of([]), gap=4.0)) == 0
 
 
 def brute_force_partition(events, gap):
@@ -92,7 +95,7 @@ event_lists = st.lists(
 
 @given(event_lists, st.floats(0.1, 50.0))
 def test_matches_brute_force_grouper(events, gap):
-    bursts = aggregate(events, gap=gap)
+    bursts = aggregate(events_of(events), gap=gap)
     expected = brute_force_partition(events, gap)
 
     # reconstruct the aggregate's partition as index groups
@@ -113,17 +116,17 @@ def test_matches_brute_force_grouper(events, gap):
 
 @given(event_lists, st.floats(0.1, 50.0))
 def test_output_sorted_and_deterministic(events, gap):
-    bursts = aggregate(events, gap=gap)
-    assert _columns(bursts) == _columns(aggregate(events, gap=gap))
+    bursts = aggregate(events_of(events), gap=gap)
+    assert _columns(bursts) == _columns(aggregate(events_of(events), gap=gap))
     instants = bursts.instant.tolist()
     assert instants == sorted(instants)
     assert all(bursts.end - bursts.instant <= gap * bursts.frame_count)
 
 
 def test_reaggregating_spaced_instants_is_identity():
-    bursts = aggregate([ev(0.0), ev(1.0), ev(60.0), ev(61.0)], gap=4.0)
+    bursts = aggregate(events_of([ev(0.0), ev(1.0), ev(60.0), ev(61.0)]), gap=4.0)
     instant_events = [ev(t) for t in bursts.instant.tolist()]
-    again = aggregate(instant_events, gap=4.0)
+    again = aggregate(events_of(instant_events), gap=4.0)
     assert again.instant.tolist() == bursts.instant.tolist()
 
 
@@ -138,13 +141,12 @@ def _columns(bursts):
 
 def test_bursts_columns():
     events = [ev(0.0, MACS[1], "b"), ev(0.5, MACS[0]), ev(1.0, MACS[1], "a"), ev(9.0, MACS[1])]
-    bursts = aggregate(events, gap=4.0)
+    bursts = aggregate(events_of(events), gap=4.0)
     assert isinstance(bursts, Bursts) and len(bursts) == 3
     assert bursts.instant.tolist() == [0.0, 0.5, 9.0]
     assert bursts.end.tolist() == [1.0, 0.5, 9.0]
     assert bursts.frame_count.tolist() == [2, 1, 1]
     assert bursts.mac.tolist() == [MACS[1].value, MACS[0].value, MACS[1].value]
-    assert _columns(aggregate(Events.of(events), gap=4.0)) == _columns(bursts)
 
 
 # frame times on a coarse lattice, so that ties and exact-gap pairs occur
@@ -156,4 +158,4 @@ timed_events = st.lists(
 
 @given(timed_events, st.sampled_from([0.25, 1.0, 4.0, 7.5, 50.0]))
 def test_aggregate_matches_event_by_event_grouper(events, gap):
-    assert _columns(aggregate(events, gap=gap)) == oracles.aggregate(events, gap)
+    assert _columns(aggregate(events_of(events), gap=gap)) == oracles.aggregate(events, gap)

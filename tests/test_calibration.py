@@ -92,6 +92,16 @@ def test_negative_people_count_raises():
                        refs((0.0, -2.0), (180.0, 5.0)))
 
 
+@pytest.mark.parametrize("nrmse", [-0.1, math.nan])
+def test_ratio_rejects_negative_or_nan_nrmse_terms(nrmse):
+    with pytest.raises(ValueError, match="NRMSE components must be non-negative"):
+        CalibrationRatio(1.0, nrmse, 0.1, 180.0)
+    with pytest.raises(ValueError, match="NRMSE components must be non-negative"):
+        CalibrationRatio(1.0, 0.08, nrmse, 180.0)
+    with pytest.raises(ValueError, match="NRMSE components must be non-negative"):
+        estimate_ratio(device(estimate(0.0, 10.0)), refs((0.0, 5.0)), nrmse_people_ref=nrmse)
+
+
 def test_ratio_stores_window_span_and_device_nrmse():
     ratio = estimate_ratio(
         device(estimate(0.0, 10.0, nrmse=0.04), estimate(180.0, 10.0, nrmse=0.06)),
@@ -242,6 +252,11 @@ def _check_against_oracle(rows, w, nrmse_people_ref):
     expected = _oracle_estimates(series)
     if sum(people.value.tolist()) <= 0 or sum(series.n_hat.tolist()) <= 0:
         with pytest.raises(ValueError, match="zero"):
+            estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
+        return
+    if sum(series.n_hat.tolist()) / sum(people.value.tolist()) == 0:
+        # a subnormal device total: the ratio underflows, and a zero alpha is refused
+        with pytest.raises(ValueError, match="alpha must be positive"):
             estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
         return
     ratio = estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)

@@ -296,7 +296,7 @@ def test_cli_pipeline_matches_in_process_composition(tmp_path):
     )
     assert counts_path.read_text() == format_series(in_process)
     # and the file-parsed events equal the in-process events exactly
-    assert parse_events(events_path.read_text()) == events
+    assert list(parse_events(events_path.read_text())) == list(events)
 
 
 def test_truth_person_series(tmp_path, capsys):
@@ -456,7 +456,7 @@ def test_simulate_rejects_bad_distribution_specs(tmp_path, capsys, line, fragmen
     events = tmp_path / "sim.events"
     assert main(["simulate", "--config", str(config), "--events", str(events),
                  "--truth", str(tmp_path / "sim.truth")]) == 1
-    assert f"error: line 2: {fragment}" in capsys.readouterr().err
+    assert f"error: {config}: line 2: {fragment}" in capsys.readouterr().err
     assert not events.exists()
 
 
@@ -491,7 +491,7 @@ def test_simulate_rejects_configs_above_the_record_limit(tmp_path, capsys, text,
     assert main(["simulate", "--config", str(config), "--events", str(events),
                  "--truth", str(tmp_path / "sim.truth")]) == 1
     err = capsys.readouterr().err
-    assert f"error: config expects about {expected} frames, persons and devices" in err
+    assert f"error: {config}: config expects about {expected} frames, persons and devices" in err
     assert not events.exists()
 
 
@@ -610,3 +610,134 @@ def test_cli_chain_outputs_match_golden_digests(tmp_path, capsys, name, grid):
     digests = _golden_chain(tmp_path, grid)
     digests["stdout"] = capsys.readouterr().out
     assert digests == GOLDEN_DIGESTS[name]
+
+
+# ---------------------------------------------------------------- input-file edges
+
+COUNT_ROW = "0.000000 180.000000 30 0.166667 11.400000 1.000000 0.100000\n"
+RATIO_TEXT = "alpha 1.0\nnrmse_people_ref 0.08\nnrmse_device_cal 0.1\nsource_window_span 180.0\n"
+TRUTH_TEXT = "p0 person - 0.0 600.0\nd0 device p0 0.0 600.0\n"
+
+
+def _files(tmp_path, **texts):
+    """Write each ``name=text`` under tmp_path; the paths as strings, by name."""
+    paths = {}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0.0 -5 abc x 3.0 y z",  # count series: a bad w and non-numbers
+        "0.0 180.0 3 0.1 10.0 1.0 -0.1",  # count series: negative nrmse
+        "0.0 180.0 -2",  # MAC baseline: negative count
+        "0.0 0 2",  # MAC baseline: zero window
+        "0.0 180.0 2.5",  # MAC baseline: a count that is not whole
+        "0.0 180.0 -1.0 0.1",  # people series: negative m_hat
+        "0.0 180.0 1.0 inf",  # people series: infinite nrmse
+        "0.0 nan",  # reference: non-finite value
+    ],
+)
+def test_eval_reads_every_column_with_its_format_converters(tmp_path, capsys, row):
+    f = _files(tmp_path, est=row + "\n", ref="0.0 3.0\n")
+    assert main(["eval", f["est"], f["ref"]]) == 1
+    assert f"error: {f['est']}: line 1: " in capsys.readouterr().err
+
+
+def test_eval_reads_the_baseline_and_people_formats(tmp_path, capsys):
+    f = _files(tmp_path, macs="# start w unique_macs\n0.0 180.0 4\n180.0 180.0 0\n",
+               people="# start w m_hat nrmse\n0.0 180.0 2.0 0.1\n180.0 180.0 0.0 nan\n",
+               ref="0.0 4.0\n180.0 1.0\n")
+    assert main(["eval", f["macs"], f["ref"]]) == 0
+    assert capsys.readouterr().out.startswith("rmse 0.707107\n")
+    assert main(["eval", f["people"], f["ref"]]) == 0
+    assert capsys.readouterr().out.startswith("rmse 1.581139\n")
+
+
+def test_eval_first_row_fixes_the_layout(tmp_path, capsys):
+    f = _files(tmp_path, est="# counts\n" + COUNT_ROW + "180.0 2.0\n", ref="0.0 3.0\n")
+    assert main(["eval", f["est"], f["ref"]]) == 1
+    assert f"error: {f['est']}: line 3: expected 7 fields, got 2" in capsys.readouterr().err
+    f = _files(tmp_path, est="0.0 1 2 3 4\n", ref="0.0 3.0\n")
+    assert main(["eval", f["est"], f["ref"]]) == 1
+    assert "line 1: expected 2 or 3 or 4 or 7 fields, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate"])
+def test_a_repeated_window_start_exits_1_naming_it(tmp_path, capsys, command):
+    f = _files(tmp_path, est=COUNT_ROW, ref="0.0 3.0\n0.000000 100.0\n")
+    assert main([command, f["est"], f["ref"]]) == 1
+    assert f"error: {f['ref']}: window start 0.000000 repeats" in capsys.readouterr().err
+    f = _files(tmp_path, est=COUNT_ROW + COUNT_ROW, ref="0.0 3.0\n")
+    assert main([command, f["est"], f["ref"]]) == 1
+    assert f"error: {f['est']}: window start 0.000000 repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,fragment",
+    [
+        (["count", "{events}", "--model", "{model}", "--gap", "nan"], "gap must be positive"),
+        (["fit", "{events}", "--bin-width", "nan"], "cutoff and bin_width must be positive"),
+        (["fit", "{events}", "--cutoff", "nan"], "cutoff must be positive"),
+        (["calibrate", "{series}", "{ref}", "--people-nrmse", "nan"],
+         "NRMSE components must be non-negative"),
+    ],
+)
+def test_nan_parameters_exit_1(tmp_path, capsys, args, fragment):
+    f = _files(tmp_path, events=EVENTS_TEXT, series=COUNT_ROW, ref="0.0 3.0\n",
+               model="area_id a\ntau_mean 60.0\ntau_std 60.0\nsample_count 1\n"
+                     "bin_width 600.0\nhistogram 1\n")
+    assert main([arg.format(**f) for arg in args]) == 1
+    assert f"error: {fragment}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "counts,fragment",
+    [
+        ("sample_count -5\nbin_width 600.0\nhistogram -5\n", "line 4: sample_count: count -5"),
+        ("sample_count 10\nbin_width 300.0\nhistogram 20 -10\n", "line 6: histogram: count -10"),
+    ],
+)
+def test_count_rejects_negative_model_counts(tmp_path, capsys, counts, fragment):
+    f = _files(tmp_path, events=EVENTS_TEXT,
+               model="area_id a\ntau_mean 60.0\ntau_std 60.0\n" + counts)
+    assert main(["count", f["events"], "--model", f["model"]]) == 1
+    assert f"error: {f['model']}: {fragment}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", [3, 4, 5, 6])
+def test_people_rejects_negative_series_values(tmp_path, capsys, column):
+    fields = COUNT_ROW.split()
+    fields[column] = "-1.000000"
+    f = _files(tmp_path, series=COUNT_ROW + "180.0 " + " ".join(fields[1:]) + "\n",
+               ratio=RATIO_TEXT)
+    assert main(["people", f["series"], "--ratio", f["ratio"]]) == 1
+    assert f"error: {f['series']}: line 2: negative number '-1.000000'" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "args,bad",
+    [
+        (["fit", "{bad}"], "1.0 aa:bb:cc:dd:ee:01\n"),
+        (["count", "{bad}", "--baseline", "mac"], "1.0 aa:bb:cc:dd:ee:01 ap0 loud\n"),
+        (["count", "{events}", "--model", "{bad}"], "tau_mean 60.0\n"),
+        (["simulate", "--config", "{bad}", "--events", "{out}", "--truth", "{out}"],
+         "duration -1\n"),
+        (["calibrate", "{bad}", "{ref}"], "0.0 180.0\n"),
+        (["calibrate", "{series}", "{bad}"], "0.0 x\n"),
+        (["people", "{bad}", "--ratio", "{ratio}"], "0.0 180.0 3\n"),
+        (["people", "{series}", "--ratio", "{bad}"], "alpha 0\n"),
+        (["eval", "{series}", "{bad}"], "0.0\n"),
+        (["truth", "--truth", "{bad}"], "p0 person\n"),
+    ],
+)
+def test_every_input_file_error_names_the_file(tmp_path, capsys, args, bad):
+    f = _files(tmp_path, bad=bad, events=EVENTS_TEXT, series=COUNT_ROW, ref="0.0 3.0\n",
+               ratio=RATIO_TEXT, truth=TRUTH_TEXT)
+    f["out"] = str(tmp_path / "out")
+    assert main([arg.format(**f) for arg in args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {f['bad']}: ")

@@ -17,10 +17,11 @@ from probecount.counting import (
     sliding_windows,
     window_grid,
 )
-from probecount.ingest import MacAddress, PrfEvent
+from event_columns import events_of, mac
+from probecount.ingest import PrfEvent
 from probecount.intervals import IntervalModel
 
-MAC = MacAddress.parse("02:00:00:00:00:01")
+MAC = mac("02:00:00:00:00:01")
 
 
 def at(*times):
@@ -226,7 +227,7 @@ def test_default_grids_start_on_step_lattice():
     bursts = at(58.05, 200.0, 401.0)
     estimates = sliding_windows(bursts, 180.0, 180.0, model())
     assert estimates.start.tolist() == [0.0, 180.0, 360.0]
-    events = [ev(t, "02:00:00:00:00:01") for t in bursts.instant.tolist()]
+    events = events_of(ev(t, "02:00:00:00:00:01") for t in bursts.instant.tolist())
     assert mac_count_series(events, 180.0, 180.0).start.tolist() == [0.0, 180.0, 360.0]
 
 
@@ -235,7 +236,7 @@ def test_end_runs_grid_past_the_data():
     estimates = sliding_windows(bursts, 180.0, 180.0, model(), start=0.0, end=1800.0)
     assert estimates.start.tolist() == [i * 180.0 for i in range(10)]
     assert estimates.burst_count[3:].tolist() == [0] * 7
-    events = [ev(t, "02:00:00:00:00:01") for t in bursts.instant.tolist()]
+    events = events_of(ev(t, "02:00:00:00:00:01") for t in bursts.instant.tolist())
     series = mac_count_series(events, 180.0, 180.0, start=0.0, end=1800.0)
     assert series.start.tolist() == estimates.start.tolist()
     assert series.macs.tolist() == [1, 1, 1] + [0] * 7
@@ -279,20 +280,20 @@ def test_monotonicity():
 
 
 def ev(t, mac_text, ap="ap0"):
-    return PrfEvent(t, MacAddress.parse(mac_text), ap)
+    return PrfEvent(t, mac(mac_text), ap)
 
 
 def test_mac_baseline_counts_distinct_macs():
-    events = [
+    events = events_of([
         ev(1.0, "02:00:00:00:00:01"),
         ev(2.0, "02:00:00:00:00:01"),
         ev(3.0, "02:00:00:00:00:02"),
-    ]
+    ])
     assert one_mac_window(events, (0.0, 10.0)) == 2
 
 
 def test_mac_baseline_empty_window():
-    assert one_mac_window([], (0.0, 10.0)) == 0
+    assert one_mac_window(events_of([]), (0.0, 10.0)) == 0
 
 
 def test_mac_baseline_overcounts_under_rotation():
@@ -334,18 +335,18 @@ def test_mac_baseline_overcounts_under_rotation():
 )
 def test_mac_count_series_matches_brute_force(frames, size, step):
     events = [ev(t, f"02:00:00:00:00:{m:02x}") for t, m in sorted(frames)]
-    for start, n in mac_count_series(events, float(size), float(step)):
+    for start, n in mac_count_series(events_of(events), float(size), float(step)):
         assert n == len({e.mac for e in events if contains(start, size, e.timestamp)})
 
 
 def test_mac_count_series_rejects_unsorted():
     events = [ev(10.0, "02:00:00:00:00:01"), ev(0.0, "02:00:00:00:00:01")]
     with pytest.raises(ValueError, match="sorted"):
-        mac_count_series(events, 100.0, 100.0)
+        mac_count_series(events_of(events), 100.0, 100.0)
 
 
 def test_mac_count_series_grid_matches_sliding_windows():
-    events = [ev(float(t), "02:00:00:00:00:01") for t in range(0, 100, 10)]
+    events = events_of(ev(float(t), "02:00:00:00:00:01") for t in range(0, 100, 10))
     series = mac_count_series(events, 50.0, 50.0)
     assert series.start.tolist() == [0.0, 50.0]
     assert series.macs.tolist() == [1, 1]
@@ -383,11 +384,20 @@ def test_parse_series_rejects_wrong_field_count():
         "0.0 180.0 3 0.1 10.0 1.0 inf",
         "0.0 -180.0 3 0.1 10.0 1.0 0.1",  # window size must be positive
         "0.0 180.0 -3 0.1 10.0 1.0 0.1",  # burst count cannot be negative
+        "0.0 180.0 3 -0.1 10.0 1.0 0.1",  # nor the rate, n_hat, bound or nrmse
+        "0.0 180.0 3 0.1 -10.0 1.0 0.1",
+        "0.0 180.0 3 0.1 10.0 -1.0 0.1",
+        "0.0 180.0 3 0.1 10.0 1.0 -0.1",
     ],
 )
 def test_parse_series_errors_name_the_line(line):
     with pytest.raises(ValueError, match="line 2"):
         parse_series("# start w B R n_hat var_lower_bound nrmse\n" + line + "\n")
+
+
+def test_parse_series_reads_an_empty_window_with_nan_nrmse():
+    [row] = parse_series("0.0 180.0 0 0.0 0.0 0.0 nan\n")
+    assert row.burst_count == 0 and math.isnan(row.nrmse)
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from event_columns import events_of, mac
 from probecount.ingest import (
     RSSI_NONE,
     Events,
@@ -33,10 +34,15 @@ from capture_files import (
 # ---------------------------------------------------------------- MacAddress
 
 
+def macs_read_back(macs):
+    """The MACs of an event text holding one event per MAC, in the same order."""
+    return [e.mac for e in parse_events("".join(f"0.0 {m} ap\n" for m in macs))]
+
+
 def test_mac_parse_and_format_canonical():
-    mac = MacAddress.parse("AA:bb:CC:dd:EE:01")
-    assert str(mac) == "aa:bb:cc:dd:ee:01"
-    assert MacAddress.parse(str(mac)) == mac
+    [event] = parse_events("1.0 AA:bb:CC:dd:EE:01 ap\n")
+    assert str(event.mac) == "aa:bb:cc:dd:ee:01"
+    assert macs_read_back([event.mac]) == [event.mac]
 
 
 MAC_VALUES = st.integers(0, 2**48 - 1)
@@ -45,15 +51,15 @@ MAC_VALUES = st.integers(0, 2**48 - 1)
 @given(MAC_VALUES)
 def test_mac_round_trip(value):
     mac = MacAddress(value)
-    assert MacAddress.parse(str(mac)) == mac
+    assert macs_read_back([mac]) == [mac]
 
 
 @given(st.lists(MAC_VALUES, max_size=20))
 def test_mac_integer_identity(values):
     macs = [MacAddress(v) for v in values]
     assert sorted(macs) == sorted(macs, key=str)
+    assert macs_read_back(macs) == macs
     for mac in macs:
-        assert MacAddress.parse(str(mac)) == mac
         assert len(mac.octets) == 6
         assert MacAddress(int.from_bytes(bytes(mac.octets), "big")) == mac
         assert ":".join(f"{o:02x}" for o in mac.octets) == str(mac)
@@ -67,8 +73,8 @@ def test_mac_rejects_values_outside_48_bits(value):
 
 @pytest.mark.parametrize("bad", ["", "aa:bb:cc:dd:ee", "zz:00:00:00:00:01", "aabbccddeeff", "a:b:c:d:e:f"])
 def test_mac_parse_rejects_malformed(bad):
-    with pytest.raises(ValueError):
-        MacAddress.parse(bad)
+    with pytest.raises(ParseError, match="line 1"):
+        parse_events(f"1.0 {bad} ap\n")
 
 
 @pytest.mark.parametrize(
@@ -80,19 +86,25 @@ def test_mac_parse_rejects_malformed(bad):
     ],
 )
 def test_is_randomized(text, expected):
-    assert is_randomized(MacAddress.parse(text)) is expected
+    assert is_randomized(mac(text).value) is expected
 
 
 @given(MAC_VALUES)
 def test_is_randomized_depends_only_on_first_octet(value):
-    mac = MacAddress(value)
     octets = value.to_bytes(6, "big")
     expected = bool(octets[0] & 0x02) and not octets[0] & 0x01
-    assert is_randomized(mac) is expected
+    assert is_randomized(value) is expected
+
+
+@given(st.lists(MAC_VALUES, max_size=20))
+def test_is_randomized_on_a_column_matches_the_scalar_form(values):
+    flags = is_randomized(np.array(values, dtype=np.uint64))
+    assert flags.dtype == np.bool_
+    assert flags.tolist() == [is_randomized(v) for v in values]
 
 
 def test_event_rejects_bad_timestamp():
-    mac = MacAddress.parse("02:00:00:00:00:01")
+    mac = MacAddress(0x02_00_00_00_00_01)
     with pytest.raises(ValueError):
         PrfEvent(float("nan"), mac, "ap")
     with pytest.raises(ValueError):
@@ -124,8 +136,7 @@ def test_parse_events_empty_input():
 
 def test_parse_events_rssi_optional():
     events = parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 -63\n2.0 aa:bb:cc:dd:ee:01 ap1\n")
-    assert events[0].rssi == -63
-    assert events[1].rssi is None
+    assert [e.rssi for e in events] == [-63, None]
 
 
 @pytest.mark.parametrize(
@@ -192,37 +203,36 @@ def test_parse_capture_skips_non_probe_frames():
 def test_parse_capture_byte_swapped_matches_native():
     native = parse_capture(pcap(GOLDEN_RECORDS))
     swapped = parse_capture(pcap(GOLDEN_RECORDS, swapped=True))
-    assert native == swapped
+    assert list(native) == list(swapped)
 
 
 def test_parse_capture_radiotap_with_rssi():
     records = [(1.25, radiotap(probe_request("aa:bb:cc:dd:ee:01"), rssi=-72))]
-    events = parse_capture(pcap(records, linktype=127))
-    assert len(events) == 1
-    assert events[0].rssi == -72
-    assert str(events[0].mac) == "aa:bb:cc:dd:ee:01"
-    assert events[0].timestamp == 1.25
+    [event] = parse_capture(pcap(records, linktype=127))
+    assert event.rssi == -72
+    assert str(event.mac) == "aa:bb:cc:dd:ee:01"
+    assert event.timestamp == 1.25
 
 
 def test_parse_capture_radiotap_without_rssi():
     records = [(1.0, radiotap(probe_request("aa:bb:cc:dd:ee:01")))]
-    events = parse_capture(pcap(records, linktype=127))
-    assert events[0].rssi is None
+    [event] = parse_capture(pcap(records, linktype=127))
+    assert event.rssi is None
 
 
 def test_parse_capture_radiotap_alignment_and_extension():
     # TSFT forces 8-byte alignment before the antenna signal; the extended
     # present bitmap shifts the field area by another word.
     frame = radiotap(probe_request("aa:bb:cc:dd:ee:01"), rssi=-55, tsft=123456, extended=True)
-    events = parse_capture(pcap([(2.0, frame)], linktype=127))
-    assert events[0].rssi == -55
+    [event] = parse_capture(pcap([(2.0, frame)], linktype=127))
+    assert event.rssi == -55
 
 
 def test_parse_capture_radiotap_swapped_byte_order():
     records = [(1.25, radiotap(probe_request("aa:bb:cc:dd:ee:01"), rssi=-72))]
     native = parse_capture(pcap(records, linktype=127))
     swapped = parse_capture(pcap(records, linktype=127, swapped=True))
-    assert native == swapped
+    assert list(native) == list(swapped)
 
 
 def test_parse_capture_sorts_out_of_order_records():
@@ -231,8 +241,8 @@ def test_parse_capture_sorts_out_of_order_records():
 
 
 def test_parse_capture_microsecond_timestamps():
-    events = parse_capture(pcap([(1.000001, probe_request("aa:bb:cc:dd:ee:01"))]))
-    assert events[0].timestamp == 1.000001
+    [event] = parse_capture(pcap([(1.000001, probe_request("aa:bb:cc:dd:ee:01"))]))
+    assert event.timestamp == 1.000001
 
 
 def test_parse_capture_rejects_bad_magic():
@@ -281,7 +291,7 @@ def test_capture_to_text_round_trip():
     ]
     events = parse_capture(pcap(records), ap_id="ap0")
     text = format_events(events)
-    assert parse_events(text) == events
+    assert list(parse_events(text)) == list(events)
     assert format_events(parse_events(text)) == text
 
 
@@ -298,23 +308,17 @@ def sample_events():
 
 def test_events_columns_and_views():
     listed = sample_events()
-    events = Events.of(listed)
+    events = events_of(listed)
     assert len(events) == 3
     assert events.t.dtype == np.float64 and events.mac.dtype == np.uint64
     assert events.ap.dtype == np.int32 and events.rssi.dtype == np.int16
     assert events.aps == ("ap0", "ap1")
     assert events.rssi.tolist() == [-60, RSSI_NONE, -32767]
-    assert events[0] == listed[0] and events[-1] == listed[-1]
     assert list(events) == listed
-    assert events == Events.of(listed)
-    assert events != Events.of(listed[:2]) and list(events[:2]) == listed[:2]
-    assert Events.of(events) is events
-    with pytest.raises(IndexError):
-        events[3]
 
 
 def test_events_columns_are_read_only():
-    events = Events.of(sample_events())
+    events = events_of(sample_events())
     with pytest.raises(ValueError):
         events.t[0] = 5.0
 
@@ -322,8 +326,8 @@ def test_events_columns_are_read_only():
 def test_events_compare_ap_names_not_indices():
     a = Events([1.0, 2.0], [1, 1], [0, 1], [RSSI_NONE] * 2, ("x", "y"))
     b = Events([1.0, 2.0], [1, 1], [1, 0], [RSSI_NONE] * 2, ("y", "x"))
-    assert a == b
-    assert a != Events([1.0, 2.0], [1, 1], [0, 0], [RSSI_NONE] * 2, ("x", "y"))
+    assert list(a) == list(b)
+    assert list(a) != list(Events([1.0, 2.0], [1, 1], [0, 0], [RSSI_NONE] * 2, ("x", "y")))
 
 
 @pytest.mark.parametrize(
@@ -343,7 +347,8 @@ def test_events_reject_bad_columns(columns, fragment):
 
 
 def test_parse_events_rejects_rssi_outside_int16():
-    assert parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 32767\n")[0].rssi == 32767
+    [event] = parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 32767\n")
+    assert event.rssi == 32767
     for rssi in ("32768", "-32768"):
         with pytest.raises(ParseError, match="line 1: rssi"):
             parse_events(f"1.0 aa:bb:cc:dd:ee:01 ap1 {rssi}\n")
@@ -366,8 +371,7 @@ def test_format_events_matches_per_event_writer():
         "1.000000 00:00:00:00:00:05 ap0",
         "1.000000 00:00:00:00:00:03 lobby -60",
     ]
-    assert format_events(list(events)) == text
-    assert parse_events(text) == events
+    assert list(parse_events(text)) == list(events)
 
 
 @given(
@@ -383,14 +387,14 @@ def test_format_events_matches_per_event_writer():
 )
 def test_format_events_from_columns_matches_views(rows):
     rows.sort(key=lambda row: row[0])
-    events = Events.of(PrfEvent(t, MacAddress(mac), ap, rssi) for t, mac, ap, rssi in rows)
+    events = events_of(PrfEvent(t, MacAddress(mac), ap, rssi) for t, mac, ap, rssi in rows)
     assert format_events(events) == oracles.format_events(events)
 
 
 def test_format_events_needs_time_order():
     late, early = (PrfEvent(t, MacAddress(1), "ap0") for t in (2.0, 1.0))
     with pytest.raises(ValueError, match="not sorted by timestamp"):
-        format_events([late, early])
+        format_events(events_of([late, early]))
 
 
 # ---------------------------------------------------------------- capture variants
@@ -403,7 +407,7 @@ def test_parse_capture_nanosecond_matches_microsecond(swapped):
                (3.5, radiotap(probe_request("aa:bb:cc:dd:ee:03")))]
     micro = parse_capture(pcap(records, linktype=127, swapped=swapped))
     nano = parse_capture(pcap(records, linktype=127, swapped=swapped, nanosecond=True))
-    assert nano == micro
+    assert list(nano) == list(micro)
     assert [(e.timestamp, e.rssi) for e in nano] == [(1.0, None), (2.000001, -40), (3.5, None)]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from probecount.bursts import Bursts, aggregate
+from event_columns import events_of
 from probecount.ingest import MacAddress, PrfEvent
 from probecount.intervals import (
     InsufficientSamplesError,
@@ -19,8 +20,8 @@ from probecount.intervals import (
     parse_model,
 )
 
-MAC_A = MacAddress.parse("02:00:00:00:00:01")
-MAC_B = MacAddress.parse("02:00:00:00:00:02")
+MAC_A = MacAddress(0x02_00_00_00_00_01)
+MAC_B = MacAddress(0x02_00_00_00_00_02)
 
 
 def bursts_of(rows):
@@ -120,7 +121,7 @@ def test_extract_matches_burst_by_burst_extractor(rows, cutoff):
     st.sampled_from([30.0, 600.0]),
 )
 def test_extract_from_aggregate_matches_extractor(rows, cutoff):
-    events = [PrfEvent(t, MACS[m], "ap0") for t, m in sorted(rows, key=lambda r: r[0])]
+    events = events_of(PrfEvent(t, MACS[m], "ap0") for t, m in sorted(rows, key=lambda r: r[0]))
     bursts = aggregate(events)
     expected = oracles.extract_intervals(zip(bursts.mac.tolist(), bursts.instant.tolist()), cutoff)
     assert extract_intervals(bursts, cutoff=cutoff).tolist() == expected
@@ -152,6 +153,16 @@ def test_fit_requires_two_samples():
 def test_fit_rejects_samples_beyond_cutoff():
     with pytest.raises(ValueError):
         fit([10.0, 700.0], cutoff=600.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_cutoff_and_bin_width_must_be_positive(value):
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        extract_intervals(at(0.0, 60.0), cutoff=value)
+    with pytest.raises(ValueError, match="cutoff and bin_width must be positive"):
+        fit([30.0, 90.0], bin_width=value)
+    with pytest.raises(ValueError, match="cutoff and bin_width must be positive"):
+        fit([30.0, 90.0], cutoff=value)
 
 
 def test_fit_histogram_mass_conservation():
@@ -220,6 +231,8 @@ def test_model_text_helper_parses():
         ({"bin_width": "0"}, "bin_width must be positive"),
         ({"bin_width": "-10.0"}, "bin_width must be positive"),
         ({"histogram": "1 0 1"}, "histogram holds 2 samples, sample_count is 3"),
+        ({"sample_count": "-5", "histogram": "-5"}, "line 4: sample_count: count -5 outside"),
+        ({"histogram": "20 -10 -7"}, "line 6: histogram: count -10 outside"),
     ],
 )
 def test_parse_model_rejects_bad_values(changes, fragment):
