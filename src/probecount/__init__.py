@@ -13,7 +13,6 @@ from .ingest import (
     parse_events,
 )
 from .intervals import (
-    Histogram,
     InsufficientSamplesError,
     IntervalModel,
     extract_intervals,
@@ -28,7 +27,6 @@ __all__ = [
     "CalibrationRatio",
     "Events",
     "GroundTruthTrace",
-    "Histogram",
     "InsufficientSamplesError",
     "IntervalModel",
     "MacAddress",

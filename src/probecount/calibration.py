@@ -8,6 +8,7 @@ series is the counting model's, read here by its ``start``, ``w``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class CalibrationRatio:
     source_window_span: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if not self.nrmse_people_ref >= 0 or not self.nrmse_device_cal >= 0:
             raise ValueError("NRMSE components must be non-negative")
 
@@ -76,11 +77,17 @@ def estimate_ratio(
     device_total = sum(device_series.n_hat.tolist())
     if device_total <= 0:
         raise ValueError("device series sums to zero; cannot calibrate")
+    alpha = device_total / people_total
+    if not 0 < alpha < math.inf:
+        raise ValueError(
+            f"the ratio of the device total {device_total!r} to the people total "
+            f"{people_total!r} is not a positive finite number"
+        )
     nrmse = device_series.nrmse
     per_window = nrmse[~np.isnan(nrmse)].tolist()
     nrmse_device_cal = sum(per_window) / len(per_window) if per_window else 0.0
     return CalibrationRatio(
-        alpha=device_total / people_total,
+        alpha=alpha,
         nrmse_people_ref=nrmse_people_ref,
         nrmse_device_cal=nrmse_device_cal,
         source_window_span=device_starts[-1] + float(device_series.w[-1]) - device_starts[0],

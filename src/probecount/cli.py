@@ -7,7 +7,6 @@ import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -19,13 +18,11 @@ from .ingest import (
     ParseError,
     data_lines,
     format_events,
-    format_rows,
     parse_capture,
     parse_events,
+    read_file,
     read_rows,
 )
-
-_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -96,9 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_ingest_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--format", choices=["capture", "events"],
-                     help="input format (default: sniff the file magic)")
-    cmd.add_argument("--ap-id", help="capture-point id for capture input (default: file stem)")
     cmd.add_argument("--gap", type=float, default=DEFAULT_BURST_GAP,
                      help="burst aggregation gap in seconds")
 
@@ -128,29 +122,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
 
-def _read_file(path: str, parse: Callable[[Any], _T], *, binary: bool = False) -> _T:
-    """``parse`` of the UTF-8 text (with ``binary``, the bytes) of file ``path``;
-    an error in the content names the file."""
-    data = Path(path).read_bytes()
-    try:
-        return parse(data if binary else data.decode("utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def _read_input(args: argparse.Namespace) -> Events:
+    """The input file's events: a capture when its magic is a capture magic (the
+    events' ap id is then the file stem), else event text."""
     def parse(data: bytes) -> Events:
-        if (args.format or _sniff_format(data)) == "capture":
-            return parse_capture(data, ap_id=args.ap_id or Path(args.input).stem)
+        if len(data) >= 4 and struct.unpack_from("<I", data, 0)[0] in CAPTURE_MAGICS:
+            return parse_capture(data, ap_id=Path(args.input).stem)
         return parse_events(data.decode("utf-8"))
 
-    return _read_file(args.input, parse, binary=True)
-
-
-def _sniff_format(data: bytes) -> str:
-    if len(data) >= 4 and struct.unpack_from("<I", data, 0)[0] in CAPTURE_MAGICS:
-        return "capture"
-    return "events"
+    return read_file(args.input, parse, binary=True)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -181,14 +161,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
     grid = dict(start=args.start, end=args.end)
     if args.baseline == "mac":
         series = counting.mac_count_series(events, args.window, args.step, **grid)
-        text = "# start w unique_macs\n" + format_rows(
-            f"%.6f {args.window:.6f} %d\n", [series.start, series.macs]
-        )
-        _write_output(text, args.out)
+        _write_output(counting.format_mac_series(series, args.window), args.out)
         return EXIT_OK
     if not args.model:
         raise ParseError("--model is required unless --baseline is given")
-    model = _read_file(args.model, intervals.parse_model)
+    model = read_file(args.model, intervals.parse_model)
     bursts = aggregate(events, gap=args.gap)
     estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
     _write_output(counting.format_series(estimates), args.out)
@@ -196,21 +173,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _read_file(args.config, simulate.parse_config)
+    config = read_file(args.config, simulate.parse_config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     events, trace = simulate.simulate(config)
     Path(args.events).write_text(format_events(events), encoding="utf-8")
     Path(args.truth).write_text(simulate.format_trace(trace), encoding="utf-8")
-    print(
-        f"events={len(events)} devices={len(trace.devices())} persons={len(trace.persons())}"
-    )
+    kind = trace.entities.kind
+    print(f"events={len(events)} devices={np.count_nonzero(kind == 'device')} "
+          f"persons={np.count_nonzero(kind == 'person')}")
     return EXIT_OK
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    device_series = _read_file(args.device_series, counting.parse_series)
-    people_series = _read_file(args.people_series, calibration.parse_reference_series)
+    device_series = read_file(args.device_series, counting.parse_series)
+    people_series = read_file(args.people_series, calibration.parse_reference_series)
     rows, refs = _join_on_start(_start_index(device_series, args.device_series),
                                 _start_index(people_series, args.people_series))
     ratio = calibration.estimate_ratio(
@@ -221,8 +198,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_people(args: argparse.Namespace) -> int:
-    device_series = _read_file(args.device_series, counting.parse_series)
-    ratio = _read_file(args.ratio, calibration.parse_ratio)
+    device_series = read_file(args.device_series, counting.parse_series)
+    ratio = read_file(args.ratio, calibration.parse_ratio)
     people = calibration.people_count(device_series, ratio)
     _write_output(calibration.format_people_series(people), args.out)
     return EXIT_OK
@@ -268,8 +245,8 @@ def _join_on_start(rows: dict[float, int], reference: dict[float, int]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    estimates = _read_file(args.estimates, _parse_value_series)
-    reference = _read_file(args.reference, _parse_value_series)
+    estimates = read_file(args.estimates, _parse_value_series)
+    reference = read_file(args.reference, _parse_value_series)
     i, j = _join_on_start(_start_index(estimates, args.estimates),
                           _start_index(reference, args.reference))
     pair = metrics.SeriesPair.of(estimates.value[i].tolist(), reference.value[j].tolist())
@@ -283,14 +260,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_truth(args: argparse.Namespace) -> int:
-    trace = _read_file(args.truth_file, simulate.parse_trace)
-    entities = trace.devices() if args.kind == "device" else trace.persons()
-    if not entities:
+    trace = read_file(args.truth_file, simulate.parse_trace)
+    entities = trace.entities[trace.entities.kind == args.kind]
+    if not entities.size:
         raise ValueError(f"trace contains no {args.kind} entities")
     start = args.start
     if start is None:
-        start = counting.grid_start(min(e.enter for e in entities), args.step)
-    end = args.end if args.end is not None else max(e.leave for e in entities)
+        start = counting.grid_start(float(entities.enter.min()), args.step)
+    end = args.end if args.end is not None else float(entities.leave.max())
     starts = counting.window_grid(start, end, args.window, args.step)
     if not starts.size:
         raise ValueError("no complete window fits before --end")

@@ -189,6 +189,13 @@ def format_series(series: np.recarray) -> str:
     )
 
 
+def format_mac_series(series: np.recarray, w: float) -> str:
+    """One line per window of the baseline: start w unique_macs."""
+    return "# start w unique_macs\n" + format_rows(
+        f"%.6f {w:.6f} %d\n", [series.start, series.macs]
+    )
+
+
 def parse_series(text: str) -> np.recarray:
     """The count series of ``format_series`` text, as ``SERIES_DTYPE`` records."""
     return np.array(read_rows(text, lambda *row: row, SERIES_COLUMNS),

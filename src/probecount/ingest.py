@@ -3,8 +3,9 @@
 Events are held as columns (``Events``); ``PrfEvent`` is the one-event view
 that iterating them yields.
 Also holds the two readers behind every line-oriented text file: ``read_rows``
-for column files and ``read_keys`` for ``key value`` files, and the writer
-``format_rows`` for column files.
+for column files and ``read_keys`` for ``key value`` files, the writer
+``format_rows`` for column files, and ``read_file``, which names the file in
+its content's errors.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
+from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
 _Row = TypeVar("_Row")
+_T = TypeVar("_T")
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
@@ -179,6 +182,16 @@ def read_keys(
     if required and missing:
         raise ParseError(f"{what} file missing keys: {', '.join(missing)}")
     return values
+
+
+def read_file(path: str, parse: Callable[[Any], _T], *, binary: bool = False) -> _T:
+    """``parse`` of the UTF-8 text (with ``binary``, the bytes) of file ``path``;
+    an error in the content names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data if binary else data.decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _mac_value(text: str) -> int:

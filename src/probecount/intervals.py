@@ -14,6 +14,8 @@ from .ingest import finite, non_negative_int, read_keys
 
 DEFAULT_INTERVAL_CUTOFF = 600.0
 DEFAULT_BIN_WIDTH = 10.0
+# The most bins a fitted histogram may hold.
+MAX_BINS = 1_000_000
 
 _MODEL_KEYS = {
     "area_id": str,
@@ -30,28 +32,23 @@ class InsufficientSamplesError(ValueError):
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Fixed-width histogram of interval durations starting at zero."""
-
-    bin_width: float
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
 class IntervalModel:
-    """Mean, spread, and histogram of probing intervals for one area."""
+    """Mean, spread, and histogram of probing intervals for one area, one field
+    per model file key; ``histogram`` counts samples in bins of ``bin_width`` from 0."""
 
     area_id: str
     tau_mean: float
     tau_std: float
     sample_count: int
-    histogram: Histogram
+    bin_width: float
+    histogram: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not self.bin_width > 0:
+            raise ValueError("interval model bin_width must be positive")
+        if (total := sum(self.histogram)) != self.sample_count:
+            raise ValueError(f"interval model histogram holds {total} samples, "
+                             f"sample_count is {self.sample_count}")
         if self.sample_count > 0 and not self.tau_mean > 0:
             raise ValueError("tau_mean must be positive for a fitted model")
         if self.tau_std < 0:
@@ -71,7 +68,7 @@ class IntervalModel:
         The histogram degenerates to a single bin so that its mass still
         accounts for every sample.
         """
-        return cls(area_id, tau_mean, tau_std, sample_count, Histogram(cutoff, (sample_count,)))
+        return cls(area_id, tau_mean, tau_std, sample_count, cutoff, (sample_count,))
 
 
 def extract_intervals(bursts: Bursts, cutoff: float = DEFAULT_INTERVAL_CUTOFF) -> np.ndarray:
@@ -109,14 +106,19 @@ def fit(
         raise ValueError("cutoff and bin_width must be positive")
     if np.any(taus <= 0) or np.any(taus > cutoff):
         raise ValueError("interval samples must lie in (0, cutoff]")
-    n_bins = math.ceil(cutoff / bin_width)
+    bins = cutoff / bin_width
+    if bins > MAX_BINS:
+        count = math.ceil(bins) if bins < 2**53 else f"about {bins:.3g}"
+        raise ValueError(f"histogram of {count} bins exceeds the limit of {MAX_BINS}")
+    n_bins = math.ceil(bins)
     counts, _ = np.histogram(taus, bins=n_bins, range=(0.0, n_bins * bin_width))
     return IntervalModel(
         area_id=area_id,
         tau_mean=float(np.mean(taus)),
         tau_std=float(np.std(taus, ddof=1)),
         sample_count=int(taus.size),
-        histogram=Histogram(bin_width, tuple(int(c) for c in counts)),
+        bin_width=bin_width,
+        histogram=tuple(counts.tolist()),
     )
 
 
@@ -169,22 +171,11 @@ def format_model(model: IntervalModel) -> str:
         f"tau_mean {model.tau_mean!r}",
         f"tau_std {model.tau_std!r}",
         f"sample_count {model.sample_count}",
-        f"bin_width {model.histogram.bin_width!r}",
-        "histogram " + " ".join(str(c) for c in model.histogram.counts),
+        f"bin_width {model.bin_width!r}",
+        "histogram " + " ".join(map(str, model.histogram)),
     ]
     return "".join(line + "\n" for line in lines)
 
 
 def parse_model(text: str) -> IntervalModel:
-    values = read_keys(text, "interval model", _MODEL_KEYS)
-    if not values["bin_width"] > 0:
-        raise ValueError("interval model bin_width must be positive")
-    histogram = Histogram(values["bin_width"], values["histogram"])
-    if histogram.total != values["sample_count"]:
-        raise ValueError(
-            f"interval model histogram holds {histogram.total} samples, "
-            f"sample_count is {values['sample_count']}"
-        )
-    return IntervalModel(
-        values["area_id"], values["tau_mean"], values["tau_std"], values["sample_count"], histogram
-    )
+    return IntervalModel(**read_keys(text, "interval model", _MODEL_KEYS))

@@ -16,7 +16,7 @@ import numpy as np
 
 from probecount.counting import grid_start
 from probecount.ingest import MacAddress, ParseError, PrfEvent
-from probecount.simulate import Entity, GroundTruthTrace, equilibrium_residual
+from probecount.simulate import equilibrium_residual
 
 _FORMATS = {
     0xA1B2C3D4: ("<", "microsecond", 10**6),
@@ -251,14 +251,15 @@ def _overlap_total(enter, leave, window):
     return float(np.clip(overlap, 0.0, None).sum())
 
 
-def ground_truth_series(trace, windows):
-    """Exact (device, person) averages of each window, window by window."""
-    devices = trace.devices()
-    persons = trace.persons()
-    dx = np.array([e.enter for e in devices])
-    dy = np.array([e.leave for e in devices])
-    px = np.array([e.enter for e in persons])
-    py = np.array([e.leave for e in persons])
+def ground_truth_series(entities, windows):
+    """Exact (device, person) averages of each window, window by window, from
+    (entity_id, kind, owner, enter, leave) rows."""
+    devices = [e for e in entities if e[1] == "device"]
+    persons = [e for e in entities if e[1] == "person"]
+    dx = np.array([e[3] for e in devices])
+    dy = np.array([e[4] for e in devices])
+    px = np.array([e[3] for e in persons])
+    py = np.array([e[4] for e in persons])
     return [
         (_overlap_total(dx, dy, w) / w.size, _overlap_total(px, py, w) / w.size)
         for w in windows
@@ -349,7 +350,8 @@ def _device_events(config, rng, enter, leave):
 
 
 def simulate(config):
-    """Events and ground truth of a simulator config, built frame by frame."""
+    """Events and ground-truth rows (entity_id, kind, owner, enter, leave) of a
+    simulator config, built frame by frame."""
     rng = np.random.default_rng(config.seed)
     spans = [(0.0, round(config.duration, 6))] * config.fixed_persons
     if config.arrival_rate > 0 and config.duration > 0:
@@ -364,11 +366,11 @@ def simulate(config):
         if not leave > enter:
             continue
         person_id = f"p{person_index}"
-        entities.append(Entity(person_id, "person", "-", enter, leave))
+        entities.append((person_id, "person", "-", enter, leave))
         n_devices = int(config.devices_per_person_dist.sample(rng, 1)[0])
         for _ in range(n_devices):
-            entities.append(Entity(f"d{device_index}", "device", person_id, enter, leave))
+            entities.append((f"d{device_index}", "device", person_id, enter, leave))
             device_index += 1
             events.extend(_device_events(config, rng, enter, leave))
     events.sort(key=lambda e: (e.timestamp, e.mac))
-    return events, GroundTruthTrace(tuple(entities))
+    return events, entities

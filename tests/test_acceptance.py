@@ -20,12 +20,12 @@ from probecount.intervals import IntervalModel, ks_two_sample, ljung_box
 from probecount.metrics import SeriesPair, nrmse
 from probecount.simulate import (
     ConstantCount,
-    Entity,
     Exponential,
     GroundTruthTrace,
     LogNormal,
     PoissonCount,
     SimConfig,
+    TRACE_DTYPE,
     ground_truth_series,
     probing_instants,
     simulate,
@@ -114,11 +114,14 @@ def fixed_population():
 def test_criterion_1_window_average_anchor():
     started = time.perf_counter()
     trace = GroundTruthTrace(
-        (
-            Entity("dA", "device", "p0", 0.0, 600.0),
-            Entity("dB", "device", "p0", 0.0, 600.0),
-            Entity("dC", "device", "p0", 300.0, 600.0),
-        )
+        np.array(
+            [
+                ("dA", "device", "p0", 0.0, 600.0),
+                ("dB", "device", "p0", 0.0, 600.0),
+                ("dC", "device", "p0", 300.0, 600.0),
+            ],
+            dtype=TRACE_DTYPE,
+        ).view(np.recarray)
     )
     [(n_bar, _)] = ground_truth_series(trace, np.array([0.0]), 600.0)
     elapsed = time.perf_counter() - started

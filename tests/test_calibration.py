@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,9 +255,9 @@ def _check_against_oracle(rows, w, nrmse_people_ref):
         with pytest.raises(ValueError, match="zero"):
             estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
         return
-    if sum(series.n_hat.tolist()) / sum(people.value.tolist()) == 0:
-        # a subnormal device total: the ratio underflows, and a zero alpha is refused
-        with pytest.raises(ValueError, match="alpha must be positive"):
+    if not 0 < sum(series.n_hat.tolist()) / sum(people.value.tolist()) < math.inf:
+        # a subnormal total: the ratio underflows or overflows, and is refused
+        with pytest.raises(ValueError, match="is not a positive finite number"):
             estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
         return
     ratio = estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
@@ -273,6 +274,20 @@ def _check_against_oracle(rows, w, nrmse_people_ref):
 @given(windows, st.sampled_from([0.5, 10.0, 180.0, 900.0]), st.floats(0.0, 0.5))
 def test_ratio_and_people_series_match_per_window_oracle(rows, w, nrmse_people_ref):
     _check_against_oracle(rows, w, nrmse_people_ref)
+
+
+@pytest.mark.parametrize("n_hat,reference", [(10.0, 5e-324), (5e-324, 2.0)])
+def test_ratio_that_overflows_or_underflows_is_refused(n_hat, reference):
+    _check_against_oracle([(30, n_hat, 0.1, reference)], 180.0, 0.08)
+    message = f"device total {n_hat!r} to the people total {reference!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimate_ratio(device(estimate(0.0, n_hat)), refs((0.0, reference)))
+
+
+def test_ratio_must_be_positive_and_finite():
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            CalibrationRatio(alpha, 0.08, 0.1, 180.0)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -31,6 +31,13 @@ def test_parser_defaults():
     assert args.gap == 4.0
 
 
+@pytest.mark.parametrize("flag", [["--format", "events"], ["--ap-id", "lobby"]])
+def test_parser_has_no_flags_that_change_no_output(flag):
+    # the file magic alone picks the parser, and no command reads the ap column
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fit", "in.txt", *flag])
+
+
 def test_parser_rejects_unknown_baseline():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["count", "in.txt", "--baseline", "magic"])
@@ -741,3 +748,53 @@ def test_every_input_file_error_names_the_file(tmp_path, capsys, args, bad):
     f["out"] = str(tmp_path / "out")
     assert main([arg.format(**f) for arg in args]) == 1
     assert capsys.readouterr().err.startswith(f"error: {f['bad']}: ")
+
+
+@pytest.mark.parametrize("n_hat,reference", [("10.000000", "5e-324"), ("5e-324", "2.0")])
+def test_calibrate_refuses_a_ratio_that_overflows_or_underflows(tmp_path, capsys, n_hat,
+                                                                reference):
+    fields = COUNT_ROW.split()
+    fields[4] = n_hat
+    f = _files(tmp_path, series=" ".join(fields) + "\n", ref=f"0.0 {reference}\n")
+    ratio = tmp_path / "ratio.txt"
+    assert main(["calibrate", f["series"], f["ref"], "--out", str(ratio)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the ratio of the device total {float(n_hat)!r} to the people total "
+        f"{float(reference)!r} is not a positive finite number\n"
+    )
+    assert not ratio.exists()
+
+
+@pytest.mark.parametrize("bin_width,count", [("1e-300", "about 6e+302"),
+                                             ("0.00048828125", "1228800")])
+def test_fit_rejects_a_histogram_above_the_bin_limit(tmp_path, capsys, bin_width, count):
+    f = _files(tmp_path, events=EVENTS_TEXT)
+    assert main(["fit", f["events"], "--bin-width", bin_width]) == 1
+    assert capsys.readouterr().err == (
+        f"error: histogram of {count} bins exceeds the limit of 1000000\n"
+    )
+
+
+def test_simulate_from_a_fitted_histogram(tmp_path, capsys):
+    model = str(tmp_path / "fitted.model")
+    f = _files(tmp_path, rotating="duration 900\nseed 1\nrotation_prob 0.3\n",
+               hist=f"duration 900\nseed 2\ninterval_dist hist:{model}\n")
+    events = str(tmp_path / "events")
+
+    def simulate(config):
+        return main(["simulate", "--config", config, "--events", events,
+                     "--truth", str(tmp_path / "truth")])
+
+    assert simulate(f["rotating"]) == 0
+    assert main(["fit", events, "--out", model]) == 0
+    assert simulate(f["hist"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("events=")
+    assert main(["count", events, "--model", model]) == 0
+    # an error in the model file names both files
+    (tmp_path / "fitted.model").write_text("area_id a\n")
+    capsys.readouterr()
+    assert simulate(f["hist"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {f['hist']}: line 3: interval_dist: {model}: interval model file "
+        "missing keys: tau_mean, tau_std, sample_count, bin_width, histogram\n"
+    )

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from probecount.bursts import Bursts, aggregate
 from probecount.counting import (
+    MAC_SERIES_DTYPE,
     MAX_WINDOWS,
+    format_mac_series,
     format_series,
     grid_start,
     mac_count_series,
@@ -81,8 +83,15 @@ def test_count_window_half_open_membership():
     assert est.burst_count == 2
 
 
+def test_format_mac_series_writes_start_w_and_count():
+    series = np.rec.fromarrays([[0.0, 60.0], [3, 0]], dtype=MAC_SERIES_DTYPE)
+    assert format_mac_series(series, 180.0) == (
+        "# start w unique_macs\n0.000000 180.000000 3\n60.000000 180.000000 0\n"
+    )
+
+
 def test_count_window_unfitted_model():
-    empty = IntervalModel("x", 60.0, 60.0, 0, histogram=model().histogram)
+    empty = IntervalModel("x", 60.0, 60.0, 0, bin_width=600.0, histogram=(0,))
     with pytest.raises(ValueError, match="unfitted interval model"):
         one_window(at(), (0.0, 600.0), empty)
 

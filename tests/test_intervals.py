@@ -10,6 +10,7 @@ from probecount.bursts import Bursts, aggregate
 from event_columns import events_of
 from probecount.ingest import MacAddress, PrfEvent
 from probecount.intervals import (
+    MAX_BINS,
     InsufficientSamplesError,
     IntervalModel,
     extract_intervals,
@@ -169,7 +170,7 @@ def test_fit_histogram_mass_conservation():
     rng = np.random.default_rng(3)
     taus = rng.uniform(1.0, 599.0, 1000)
     model = fit(taus.tolist())
-    assert model.histogram.total == model.sample_count == 1000
+    assert sum(model.histogram) == model.sample_count == 1000
 
 
 def test_fit_exponential_draws():
@@ -189,7 +190,20 @@ def test_fit_scale_equivariant(power):
     m2 = fit([c * t for t in base], cutoff=c * 600.0, bin_width=c * 10.0)
     assert m2.tau_mean == c * m1.tau_mean
     assert m2.tau_std == c * m1.tau_std
-    assert m2.histogram.counts == m1.histogram.counts
+    assert m2.histogram == m1.histogram
+
+
+def test_fit_bounds_the_histogram_before_allocating():
+    width = 2.0**-10  # a power of two keeps cutoff / width exact
+    model = fit([30.0, 90.0], cutoff=MAX_BINS * width, bin_width=width)
+    assert len(model.histogram) == MAX_BINS
+    with pytest.raises(ValueError, match=f"histogram of {MAX_BINS + 1} bins exceeds the "
+                                         f"limit of {MAX_BINS}"):
+        fit([30.0, 90.0], cutoff=(MAX_BINS + 1) * width, bin_width=width)
+    with pytest.raises(ValueError, match=r"histogram of about 6e\+302 bins"):
+        fit([30.0, 90.0], bin_width=1e-300)
+    with pytest.raises(ValueError, match="histogram of about inf bins"):
+        fit([30.0, 90.0], bin_width=5e-324)
 
 
 def test_model_round_trip():
@@ -219,7 +233,7 @@ def model_text(**changes):
 
 
 def test_model_text_helper_parses():
-    assert parse_model(model_text()).histogram.counts == (1, 0, 2)
+    assert parse_model(model_text()).histogram == (1, 0, 2)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +263,7 @@ def test_parse_model_rejects_unknown_and_duplicate_keys():
 
 def test_from_moments_keeps_invariants():
     model = IntervalModel.from_moments("sim", 60.0, 78.6, sample_count=1000)
-    assert model.histogram.total == model.sample_count
+    assert sum(model.histogram) == model.sample_count
     assert model.tau_mean == 60.0
 
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from probecount.ingest import Events, format_events, is_randomized, parse_events
+from probecount.intervals import fit, format_model
 from probecount.simulate import (
     Constant,
     ConstantCount,
-    Entity,
     Exponential,
     GroundTruthTrace,
     HistogramInterval,
@@ -23,6 +23,7 @@ from probecount.simulate import (
     _renewals,
     equilibrium_residual,
     MAX_EXPECTED_RECORDS,
+    TRACE_DTYPE,
     format_trace,
     ground_truth_series,
     parse_config,
@@ -46,6 +47,25 @@ def test_parse_distribution_specs():
     assert parse_distribution("uniform:low=30,high=90") == UniformInterval(30.0, 90.0)
     assert parse_count_distribution("poisson:mean=1.14") == PoissonCount(1.14)
     assert parse_count_distribution("const:value=2") == ConstantCount(2)
+
+
+def test_hist_spec_reads_a_fitted_model(tmp_path):
+    model = fit([30.0, 90.0, 45.5, 12.0], bin_width=20.0)
+    path = tmp_path / "fitted.model"
+    path.write_text(format_model(model))
+    assert parse_distribution(f"hist:{path}") == HistogramInterval(20.0, model.histogram)
+    assert parse_config(f"interval_dist hist:{path}\n").interval_dist.mean() == pytest.approx(
+        (10.0 + 30.0 + 50.0 + 90.0) / 4  # the midpoints of the four samples' bins
+    )
+
+
+def test_hist_spec_errors_name_the_model_file(tmp_path):
+    path = tmp_path / "bad.model"
+    path.write_text("area_id a\ntau_mean 60.0\n")
+    message = (f"line 1: interval_dist: {path}: interval model file missing keys: "
+               "tau_std, sample_count, bin_width, histogram")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(f"interval_dist hist:{path}\n")
 
 
 @pytest.mark.parametrize("bad", ["exp", "exp:m=60", "wavelet:mean=60", "exp:mean"])
@@ -165,12 +185,23 @@ def test_probing_instants_stay_inside_range():
 # ---------------------------------------------------------------- ground truth
 
 
+def rows_of(*spans):
+    """Trace rows (entity_id, kind, owner, enter, leave) of (kind, enter, leave) spans."""
+    return [(f"{kind[0]}{i}", kind, "-" if kind == "person" else "p0", enter, leave)
+            for i, (kind, enter, leave) in enumerate(spans)]
+
+
+def trace_from_rows(rows):
+    return GroundTruthTrace(np.array(rows, dtype=TRACE_DTYPE).view(np.recarray))
+
+
 def trace_of(*spans):
-    entities = []
-    for i, (kind, enter, leave) in enumerate(spans):
-        owner = "-" if kind == "person" else "p0"
-        entities.append(Entity(f"{kind[0]}{i}", kind, owner, enter, leave))
-    return GroundTruthTrace(tuple(entities))
+    return trace_from_rows(rows_of(*spans))
+
+
+def of_kind(trace, kind):
+    """The trace's records of one kind."""
+    return trace.entities[trace.entities.kind == kind]
 
 
 def window_truth(trace, start, size):
@@ -191,7 +222,7 @@ def test_ground_truth_two_full_one_half():
 
 
 def test_ground_truth_empty_trace():
-    assert window_truth(GroundTruthTrace(()), 0.0, 100.0) == (0.0, 0.0)
+    assert window_truth(trace_from_rows([]), 0.0, 100.0) == (0.0, 0.0)
 
 
 def test_ground_truth_matches_riemann_sum():
@@ -212,7 +243,7 @@ def test_ground_truth_matches_riemann_sum():
 def test_ground_truth_additivity():
     a = trace_of(("device", 0.0, 50.0), ("device", 20.0, 80.0))
     b = trace_of(("device", 10.0, 90.0))
-    merged = GroundTruthTrace(a.entities + b.entities)
+    merged = trace_from_rows(a.entities.tolist() + b.entities.tolist())
     assert window_truth(merged, 0.0, 100.0)[0] == pytest.approx(
         window_truth(a, 0.0, 100.0)[0] + window_truth(b, 0.0, 100.0)[0]
     )
@@ -238,11 +269,11 @@ def test_ground_truth_window_partition():
     st.sampled_from([0.7, 60.0, 180.0]),
 )
 def test_ground_truth_series_matches_per_window_oracle(spans, start, n, w, step):
-    trace = trace_of(*((kind, enter, enter + dwell) for kind, enter, dwell in spans))
+    rows = rows_of(*((kind, enter, enter + dwell) for kind, enter, dwell in spans))
     starts = start + np.arange(n) * step
     windows = [oracles.Window(s, w) for s in starts.tolist()]
-    truth = ground_truth_series(trace, starts, w)
-    assert truth.tolist() == oracles.ground_truth_series(trace, windows)
+    truth = ground_truth_series(trace_from_rows(rows), starts, w)
+    assert truth.tolist() == oracles.ground_truth_series(rows, windows)
 
 
 # ---------------------------------------------------------------- simulate()
@@ -253,7 +284,7 @@ def test_simulate_deterministic():
     first = simulate(cfg)
     second = simulate(cfg)
     assert list(first[0]) == list(second[0])
-    assert first[1] == second[1]
+    assert first[1].entities.tolist() == second[1].entities.tolist()
 
 
 def test_simulate_seed_changes_output():
@@ -265,15 +296,15 @@ def test_simulate_seed_changes_output():
 def test_simulate_zero_duration_empty():
     events, trace = simulate(SimConfig(duration=0.0, seed=5))
     assert len(events) == 0
-    assert trace.entities == ()
+    assert trace.entities.tolist() == []
 
 
 def test_simulate_devices_share_owner_dwell():
     cfg = SimConfig(duration=2000.0, seed=7, devices_per_person_dist=PoissonCount(2.0))
     _, trace = simulate(cfg)
-    persons = {e.entity_id: e for e in trace.persons()}
-    assert trace.devices()
-    for device in trace.devices():
+    persons = {e.entity_id: e for e in of_kind(trace, "person")}
+    assert of_kind(trace, "device").size
+    for device in of_kind(trace, "device"):
         owner = persons[device.owner]
         assert (device.enter, device.leave) == (owner.enter, owner.leave)
 
@@ -283,7 +314,7 @@ def test_simulate_rotation_zero_uses_one_physical_mac_per_device():
         arrival_rate=0.0, fixed_persons=5, rotation_prob=0.0, duration=1500.0, seed=9
     )
     events, trace = simulate(cfg)
-    assert len(set(events.mac.tolist())) <= len(trace.devices())
+    assert len(set(events.mac.tolist())) <= len(of_kind(trace, "device"))
     assert not is_randomized(events.mac).any()
 
 
@@ -302,8 +333,8 @@ def test_simulate_rotation_one_uses_fresh_virtual_macs():
 def test_simulate_fixed_persons_span_whole_run():
     cfg = SimConfig(arrival_rate=0.0, fixed_persons=4, duration=800.0, seed=3)
     _, trace = simulate(cfg)
-    assert len(trace.persons()) == 4
-    assert all(p.enter == 0.0 and p.leave == 800.0 for p in trace.persons())
+    assert len(of_kind(trace, "person")) == 4
+    assert all(p.enter == 0.0 and p.leave == 800.0 for p in of_kind(trace, "person"))
 
 
 def test_simulate_events_sorted_and_timestamps_rounded():
@@ -329,7 +360,7 @@ def test_simulate_total_dwell_tracks_burst_count():
         seed=16,
     )
     events, trace = simulate(cfg)
-    total_dwell = sum(e.leave - e.enter for e in trace.devices())
+    total_dwell = sum(e.leave - e.enter for e in of_kind(trace, "device"))
     burst_count = len(events)  # one frame per burst
     assert abs(total_dwell - burst_count * 60.0) / total_dwell <= 0.02
 
@@ -355,7 +386,7 @@ def test_simulate_heterogeneous_interval_scales():
     assert max(means) / min(means) > 1.5
     # device scales have unit mean, so the aggregate burst rate per
     # device-second carries the harmonic factor E[1/s] = exp(sigma^2)
-    total_dwell = sum(e.leave - e.enter for e in trace.devices())
+    total_dwell = sum(e.leave - e.enter for e in of_kind(trace, "device"))
     expected_rate = math.exp(sigma**2) / 60.0
     assert len(events) / total_dwell == pytest.approx(expected_rate, rel=0.05)
 
@@ -502,7 +533,21 @@ def test_config_expected_records_from_the_means():
 
 def test_trace_round_trip():
     _, trace = simulate(SimConfig(duration=1500.0, seed=31))
-    assert parse_trace(format_trace(trace)) == trace
+    assert parse_trace(format_trace(trace)).entities.tolist() == trace.entities.tolist()
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("p0 person - 0.0 10.0\nd0 robot p0 0.0 10.0\n", "line 2: unknown entity kind 'robot'"),
+        ("p0 person - 10.0 10.0\n", "line 1: entity must leave strictly after entering"),
+        ("p0 person - 0.0 nan\n", "line 1: non-finite number 'nan'"),
+        ("p0 person 0.0 10.0\n", "line 1: expected 5 fields, got 4"),
+    ],
+)
+def test_parse_trace_rejects_bad_rows(text, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        parse_trace(text)
 
 
 # ---------------------------------------------------------------- byte identity
@@ -554,7 +599,7 @@ def test_simulate_matches_frame_by_frame_simulator(
     expected_events, expected_trace = oracles.simulate(cfg)
     assert list(events) == expected_events
     assert format_events(events) == oracles.format_events(expected_events)
-    assert trace == expected_trace
+    assert trace.entities.tolist() == expected_trace
 
 
 @settings(max_examples=50, deadline=None)
