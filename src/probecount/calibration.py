@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import (
-    finite, format_rows, non_negative, non_negative_or_nan, positive, read_keys, read_rows,
+    ParseError, finite, format_rows, non_negative, non_negative_or_nan, positive, read_keys,
+    read_rows,
 )
 
 _RATIO_KEYS = dict.fromkeys(
@@ -58,7 +59,8 @@ def estimate_ratio(
     ``people_series`` holds the reference people counts (``REFERENCE_DTYPE``)
     on the same windows as ``device_series``.  The ratio is the ratio of sums,
     i.e. dwell-time weighted; the reference NRMSE is caller-supplied and the
-    device-side NRMSE is the mean of the per-window estimates.
+    device-side NRMSE is the mean of the per-window estimates.  Series that
+    give no ratio raise ParseError.
     """
     if len(device_series) != len(people_series) or not len(device_series):
         raise ValueError("device and people series must align on identical windows")
@@ -69,17 +71,17 @@ def estimate_ratio(
                 f"misaligned windows: device window at {device_start}, people at {people_start}"
             )
     if np.any(people_series.value < 0):
-        raise ValueError("people counts must be non-negative")
+        raise ParseError("people counts must be non-negative")
     # Python's left-to-right sums, on which the written ratio's last digits depend
     people_total = sum(people_series.value.tolist())
     if people_total <= 0:
-        raise ValueError("people series sums to zero")
+        raise ParseError("people series sums to zero")
     device_total = sum(device_series.n_hat.tolist())
     if device_total <= 0:
-        raise ValueError("device series sums to zero; cannot calibrate")
+        raise ParseError("device series sums to zero; cannot calibrate")
     alpha = device_total / people_total
     if not 0 < alpha < math.inf:
-        raise ValueError(
+        raise ParseError(
             f"the ratio of the device total {device_total!r} to the people total "
             f"{people_total!r} is not a positive finite number"
         )
@@ -101,12 +103,16 @@ def people_count(series: np.recarray, ratio: CalibrationRatio) -> np.recarray:
     NaN NRMSE counts as 0 in the root-sum-square.
     """
     seen = series.burst_count > 0
+    with np.errstate(over="ignore"):
+        m_hat = np.where(seen, series.n_hat / ratio.alpha, 0.0)
+    if np.isinf(m_hat).any():
+        raise ValueError(f"n_hat / alpha overflows: alpha {ratio.alpha!r} is too small")
     device = np.where(np.isnan(series.nrmse), 0.0, series.nrmse)
     fixed = ratio.nrmse_people_ref**2 + ratio.nrmse_device_cal**2
     # device * device can differ from Python's device**2 in the last bit, far
     # below the six decimals the people series is written with
     return np.rec.fromarrays(
-        [series.start, series.w, np.where(seen, series.n_hat / ratio.alpha, 0.0),
+        [series.start, series.w, m_hat,
          np.where(seen, np.sqrt(fixed + device * device), np.nan)],
         dtype=PEOPLE_DTYPE,
     )

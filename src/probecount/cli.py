@@ -190,9 +190,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     people_series = read_file(args.people_series, calibration.parse_reference_series)
     rows, refs = _join_on_start(_start_index(device_series, args.device_series),
                                 _start_index(people_series, args.people_series))
-    ratio = calibration.estimate_ratio(
-        device_series[rows], people_series[refs], nrmse_people_ref=args.people_nrmse
-    )
+    try:
+        ratio = calibration.estimate_ratio(
+            device_series[rows], people_series[refs], nrmse_people_ref=args.people_nrmse
+        )
+    except ParseError as exc:
+        raise ParseError(f"{args.device_series}, {args.people_series}: {exc}") from None
     _write_output(calibration.format_ratio(ratio), args.out)
     return EXIT_OK
 
@@ -200,7 +203,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_people(args: argparse.Namespace) -> int:
     device_series = read_file(args.device_series, counting.parse_series)
     ratio = read_file(args.ratio, calibration.parse_ratio)
-    people = calibration.people_count(device_series, ratio)
+    try:
+        people = calibration.people_count(device_series, ratio)
+    except ValueError as exc:
+        raise ValueError(f"{args.ratio}: {exc}") from None
     _write_output(calibration.format_people_series(people), args.out)
     return EXIT_OK
 
@@ -263,7 +269,7 @@ def _cmd_truth(args: argparse.Namespace) -> int:
     trace = read_file(args.truth_file, simulate.parse_trace)
     entities = trace.entities[trace.entities.kind == args.kind]
     if not entities.size:
-        raise ValueError(f"trace contains no {args.kind} entities")
+        raise ValueError(f"{args.truth_file}: trace contains no {args.kind} entities")
     start = args.start
     if start is None:
         start = counting.grid_start(float(entities.enter.min()), args.step)

@@ -9,13 +9,16 @@ and people counts by interval arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .ingest import RSSI_NONE, Events, finite, format_rows, read_file, read_keys, read_rows
+from .ingest import (
+    RSSI_NONE, Events, finite, format_events, format_rows, read_file, read_keys, read_rows,
+)
 from .intervals import parse_model
 
 
@@ -503,18 +506,20 @@ def _draw_mac(rng: np.random.Generator, randomized: bool) -> int:
     return int.from_bytes(bytes(octets), "big")
 
 
-def _device_bursts(
-    config: SimConfig, rng: np.random.Generator, enter: float, leave: float
-) -> list[tuple[float, int, int]]:
-    """One device's bursts: (probing instant, frame count, MAC)."""
+def _device_bursts(config: SimConfig, rng: np.random.Generator, enter: float, leave: float,
+                   replay: _Replay | None = None) -> list[tuple[float, int, int]]:
+    """One device's bursts: (probing instant, frame count, MAC); none with a
+    ``replay``, which takes the instants and the words of the other draws."""
     scale = 1.0
     if config.interval_scale_sigma > 0:
         s = config.interval_scale_sigma
         scale = float(rng.lognormal(-0.5 * s * s, s))  # unit mean across devices
-    persistent = _draw_mac(rng, randomized=False)
-    instants = probing_instants(
-        config.interval_dist, enter, leave, rng, config.phase_mode, scale
-    )
+    persistent = _draw_mac(rng, randomized=False) if replay is None else replay.take(rng, 6)
+    instants = probing_instants(config.interval_dist, enter, leave, rng, config.phase_mode, scale)
+    if replay is not None:
+        replay.instants.append(instants)
+        replay.take(rng, instants.size * replay.u32_per_burst, instants.size * replay.rotate)
+        return []
     lo, hi = config.frames_per_burst
     bursts = []
     for instant in instants.tolist():
@@ -524,22 +529,99 @@ def _device_bursts(
     return bursts
 
 
+class _Replay:
+    """The raw PCG64 words behind ``_device_bursts``' draws at a rotation
+    probability of 0 or 1, where every burst draws alike: a frame count
+    (``integers(lo, hi + 1)``: Lemire's method on a 32-bit draw, none when
+    lo == hi) and, at 1, a coin (``random()``: a word) and six octets (the top
+    bytes of six 32-bit draws).  A 32-bit draw takes a word's low half and
+    holds the high half for the next, and no other draw touches that half; so
+    the run's 32-bit draws are the halves of the words that no coin took."""
+
+    def __init__(self, config: SimConfig) -> None:
+        (self.lo, self.hi), self.rotate = config.frames_per_burst, config.rotation_prob == 1.0
+        self.u32_per_burst = (self.lo < self.hi) + 6 * self.rotate
+        self.u32_drawn, self.words, self.instants = 0, [np.empty(0, np.uint64)], []
+
+    def take(self, rng: np.random.Generator, u32: int, u64: int = 0) -> None:
+        held = self.u32_drawn % 2  # the high half an odd count leaves
+        self.words.append(rng.bit_generator.random_raw(u64 + (u32 + 1 - held) // 2))
+        self.u32_drawn += u32
+
+    def bursts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Each burst's instant, frame count and MAC; None when a frame count
+        needed Lemire's redraw (below span / 2**32 a burst), which is not replayed."""
+        counts = np.array([a.size for a in self.instants], dtype=np.int64)
+        burst, device = np.arange(counts.sum()), np.repeat(np.arange(counts.size), counts)
+        # ranks among the 32-bit draws: each device's MAC, then each burst's first
+        mac_rank = 6 * np.arange(counts.size) + self.u32_per_burst * (np.cumsum(counts) - counts)
+        burst_rank = 6 * (device + 1) + self.u32_per_burst * burst
+        framed = self.lo < self.hi
+        words = np.concatenate(self.words)
+        if self.rotate:  # before a coin: a word per earlier coin and per pair of 32-bit draws
+            words = np.delete(words, burst + (burst_rank + framed + 1) // 2)
+        u32 = words.astype("<u8").view("<u4")  # each word's low half first
+        frames = np.full(burst.size, self.lo, dtype=np.int64)
+        if framed:
+            span = self.hi - self.lo + 1
+            m = u32[burst_rank].astype(np.uint64) * np.uint64(span)
+            if np.any(m & 0xFFFFFFFF < 2**32 % span):
+                return None
+            frames += (m >> 32).astype(np.int64)
+        # the MACs as _draw_mac makes them, of six 32-bit draws from each rank in first
+        first = burst_rank + framed if self.rotate else mac_rank
+        octets = (u32[first[:, None] + np.arange(6)] >> 24).astype(np.uint64)
+        octets[:, 0] = octets[:, 0] & 0xFC | (0x02 if self.rotate else 0x00)
+        mac = np.bitwise_or.reduce(octets << np.arange(40, -1, -8, dtype=np.uint64), axis=1)
+        return np.concatenate([np.empty(0), *self.instants]), frames, (
+            mac if self.rotate else mac[device])
+
+
+def _round6(t: np.ndarray) -> np.ndarray:
+    """``round(x, 6)`` of each element: np.rint of the microseconds, and Python's
+    round within the product's rounding error of a half microsecond."""
+    us = t * 1e6
+    out = np.rint(us) / 1e6
+    near = np.abs(us - np.floor(us) - 0.5) <= np.spacing(us)
+    out[near] = [round(x, 6) for x in t[near].tolist()]
+    return out
+
+
 def simulate(config: SimConfig) -> tuple[Events, GroundTruthTrace]:
     """Generate a probe-request event stream and its ground-truth trace.
 
     Persons arriving before ``duration`` dwell to completion, so events may
     extend past the arrival horizon.  Fully deterministic given the config.
+    A rotation probability of 0 or 1 replays the bursts' draws (``_Replay``)
+    unless this numpy's draws differ or a frame count needed a redraw.
     """
-    rng = np.random.default_rng(config.seed)
-    spans: list[tuple[float, float]] = []
-    for _ in range(config.fixed_persons):
-        spans.append((0.0, round(config.duration, 6)))
+    lo, hi = config.frames_per_burst
+    # integers() takes one 32-bit draw for a range below 2**32 - 1
+    if config.rotation_prob in (0.0, 1.0) and hi - lo < 2**32 - 1 and _replay_agrees():
+        return _simulate(config, replay=True) or _simulate(config, replay=False)
+    return _simulate(config, replay=False)
+
+
+@functools.cache
+def _replay_agrees() -> bool:
+    """Whether the replay gives this numpy's draws, on small runs at both
+    rotation probabilities, with and without a frame-count draw."""
+    configs = [SimConfig(arrival_rate=0.0, fixed_persons=3, frames_per_burst=frames,
+                         rotation_prob=p, duration=900.0)
+               for p, frames in ((0.0, (1, 3)), (1.0, (1, 3)), (1.0, (2, 2)))]
+    return all((replayed := _simulate(c, replay=True)) is not None
+               and format_events(replayed[0]) == format_events(_simulate(c, replay=False)[0])
+               for c in configs)
+
+
+def _simulate(config: SimConfig, replay: bool) -> tuple[Events, GroundTruthTrace] | None:
+    rng, draws = np.random.default_rng(config.seed), _Replay(config) if replay else None
+    spans = [(0.0, round(config.duration, 6))] * config.fixed_persons
     if config.arrival_rate > 0 and config.duration > 0:
         mean = 1.0 / config.arrival_rate
         arrivals = _renewals(0.0, config.duration, mean, lambda n: rng.exponential(mean, n), 16)
         dwells = config.dwell_dist.sample(rng, arrivals.size)
-        for arrive, dwell in zip(arrivals.tolist(), dwells.tolist()):
-            spans.append((round(arrive, 6), round(arrive + dwell, 6)))
+        spans += zip(_round6(arrivals).tolist(), _round6(arrivals + dwells).tolist())
 
     entities: list[tuple] = []
     bursts: list[tuple[float, int, int]] = []
@@ -553,18 +635,24 @@ def simulate(config: SimConfig) -> tuple[Events, GroundTruthTrace]:
         for _ in range(n_devices):
             entities.append((f"d{device_index}", "device", person_id, enter, leave))
             device_index += 1
-            bursts += _device_bursts(config, rng, enter, leave)
+            bursts += _device_bursts(config, rng, enter, leave, draws)
 
+    if draws is None:
+        instant = np.array([b[0] for b in bursts], dtype=np.float64)
+        count = np.array([b[1] for b in bursts], dtype=np.int64)
+        burst_mac = np.array([b[2] for b in bursts], dtype=np.uint64)
+    elif (replayed := draws.bursts()) is None:
+        return None
+    else:
+        instant, count, burst_mac = replayed
     # Frame k of a burst of n lies at np.linspace(0, burst_duration, n)[k]:
     # k * (burst_duration / (n - 1)), and burst_duration itself for the last.
-    count = np.array([b[1] for b in bursts], dtype=np.int64)
     n = np.repeat(count, count)
     k = np.arange(n.size) - np.repeat(np.cumsum(count) - count, count)
     d = config.burst_duration
     offset = np.where((k == n - 1) & (n > 1), d, k * (d / np.maximum(n - 1, 1)))
-    t = np.repeat(np.array([b[0] for b in bursts], dtype=np.float64), count) + offset
-    t = np.array([round(x, 6) for x in t.tolist()])  # Python's round, as np.round differs
-    mac = np.repeat(np.array([b[2] for b in bursts], dtype=np.uint64), count)
+    t = _round6(np.repeat(instant, count) + offset)
+    mac = np.repeat(burst_mac, count)
     order = np.lexsort((mac, t))
     events = Events(t[order], mac[order], np.zeros(t.size, dtype=np.int32),
                     np.full(t.size, config.rssi, dtype=np.int16), (config.ap_id,))

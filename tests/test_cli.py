@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import pytest
 
@@ -759,10 +760,46 @@ def test_calibrate_refuses_a_ratio_that_overflows_or_underflows(tmp_path, capsys
     ratio = tmp_path / "ratio.txt"
     assert main(["calibrate", f["series"], f["ref"], "--out", str(ratio)]) == 1
     assert capsys.readouterr().err == (
-        f"error: the ratio of the device total {float(n_hat)!r} to the people total "
-        f"{float(reference)!r} is not a positive finite number\n"
+        f"error: {f['series']}, {f['ref']}: the ratio of the device total {float(n_hat)!r} "
+        f"to the people total {float(reference)!r} is not a positive finite number\n"
     )
     assert not ratio.exists()
+
+
+@pytest.mark.parametrize(
+    "n_hat,reference,message",
+    [
+        ("11.400000", "0.0", "people series sums to zero"),
+        ("0.000000", "3.0", "device series sums to zero; cannot calibrate"),
+        ("11.400000", "-2.0", "people counts must be non-negative"),
+    ],
+)
+def test_calibrate_errors_name_both_series(tmp_path, capsys, n_hat, reference, message):
+    fields = COUNT_ROW.split()
+    fields[4] = n_hat
+    f = _files(tmp_path, series=" ".join(fields) + "\n", ref=f"0.0 {reference}\n")
+    assert main(["calibrate", f["series"], f["ref"]]) == 1
+    assert capsys.readouterr().err == f"error: {f['series']}, {f['ref']}: {message}\n"
+
+
+def test_people_refuses_an_overflowing_count_naming_the_ratio_file(tmp_path, capsys):
+    f = _files(tmp_path, series=COUNT_ROW, ratio=RATIO_TEXT.replace("alpha 1.0", "alpha 1e-310"))
+    out = tmp_path / "people.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning
+        assert main(["people", f["series"], "--ratio", f["ratio"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {f['ratio']}: n_hat / alpha overflows: alpha 1e-310 is too small\n"
+    )
+    assert not out.exists()
+
+
+def test_truth_without_entities_of_the_kind_names_the_file(tmp_path, capsys):
+    f = _files(tmp_path, truth="d0 device p0 0.0 600.0\n")
+    assert main(["truth", "--truth", f["truth"], "--kind", "person"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {f['truth']}: trace contains no person entities\n"
+    )
 
 
 @pytest.mark.parametrize("bin_width,count", [("1e-300", "about 6e+302"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import probecount.simulate as simulate_module
 from probecount.ingest import Events, format_events, is_randomized, parse_events
 from probecount.intervals import fit, format_model
 from probecount.simulate import (
@@ -20,7 +21,9 @@ from probecount.simulate import (
     PoissonCount,
     SimConfig,
     UniformInterval,
+    _Replay,
     _renewals,
+    _round6,
     equilibrium_residual,
     MAX_EXPECTED_RECORDS,
     TRACE_DTYPE,
@@ -654,6 +657,13 @@ GOLDEN_SIMULATIONS = [
         278,
         "ba1cc74f93340ac0dcae429607d46abd8ccdbc59566e4b3178a0ed2c9cba61de",
     ),
+    (
+        # full rotation with a frame-count draw: the replayed draws
+        "rotation_prob 1.0\nframes_per_burst 2..7\ninterval_scale_sigma 0.3\nduration 1800\n"
+        "seed 5\n",
+        1930,
+        "85eb8baa2a45f0b22e4652b79f7e32b01a37d9691d7ffe2ac095b72ce1b9ca8e",
+    ),
 ]
 
 
@@ -674,3 +684,68 @@ def test_simulated_timestamps_round_like_python():
     )
     events, _ = simulate(cfg)
     assert events.t.tolist() == [10.000001]
+
+
+def _simulated_digest(config):
+    events, trace = simulate(parse_config(config))
+    return hashlib.sha256((format_events(events) + format_trace(trace)).encode()).hexdigest()
+
+
+# the golden configs whose rotation probability is 0 or 1
+REPLAYED = [(config, digest) for config, _, digest in GOLDEN_SIMULATIONS
+            if parse_config(config).rotation_prob in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("config,digest", REPLAYED)
+def test_rotation_zero_or_one_replays_the_draws(monkeypatch, config, digest):
+    assert simulate_module._replay_agrees()  # on this numpy, cached from here on
+    monkeypatch.setattr(simulate_module, "_draw_mac", None)  # the per-burst loop's MAC draw
+    assert _simulated_digest(config) == digest
+
+
+@pytest.mark.parametrize("config,count,digest", GOLDEN_SIMULATIONS)
+def test_a_failed_self_check_draws_burst_by_burst(monkeypatch, config, count, digest):
+    monkeypatch.setattr(simulate_module, "_replay_agrees", lambda: False)
+    monkeypatch.setattr(simulate_module, "_Replay", None)
+    assert _simulated_digest(config) == digest
+
+
+def test_a_frame_count_redraw_is_not_replayed(monkeypatch):
+    replay = _Replay(SimConfig(frames_per_burst=(1, 3), rotation_prob=0.0))
+    replay.instants.append(np.array([5.0]))
+    # one device: three words for its MAC's six 32-bit draws (each the low half,
+    # then the high half of a word), then one whose low half is the burst's
+    # frame-count draw x
+    replay.words.append(np.array([0x0102030405060708, 0, 0, 0], dtype=np.uint64))
+    # span 3: x = 0 leaves (x * 3) mod 2**32 = 0 below 2**32 mod 3 = 1, where
+    # numpy draws again
+    assert replay.bursts() is None
+    replay.words[-1][3] = 0xFFFFFFFF00000000  # the high half is not x
+    assert replay.bursts() is None
+    for x, frames in [(1, 1), (0x55555555, 1), (0x55555556, 2), (2**32 - 1, 3)]:
+        replay.words[-1][3] = x
+        instants, decoded, macs = replay.bursts()
+        assert (instants.tolist(), decoded.tolist(), macs.tolist()) == (
+            [5.0], [frames], [0x040100000000])
+    # simulate then runs the per-burst loop, with the same output
+    monkeypatch.setattr(simulate_module._Replay, "bursts", lambda self: None)
+    [(config, digest)] = [(c, d) for c, d in REPLAYED if "2..7" in c]
+    assert _simulated_digest(config) == digest
+
+
+def _near_half_microseconds(k, ulps):
+    """The float ``ulps`` steps from (k + 0.5) / 1e6, a half-microsecond tie."""
+    x = (k + 0.5) / 1e6
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(0.0, 2.0**32, exclude_max=True),
+    st.builds(_near_half_microseconds, st.integers(0, 2**32 * 10**6 - 1), st.integers(-3, 3)),
+    st.integers(0, 2**38 - 1).map(lambda j: (2 * j + 1) / 128),  # exact ties: odd / 2**7
+), min_size=1, max_size=20))
+def test_rounding_to_the_microsecond_matches_python_round(xs):
+    assert _round6(np.array(xs)).tolist() == [round(x, 6) for x in xs]
