@@ -1,11 +1,14 @@
 """Probe-request event ingestion from 802.11 capture files and text logs.
 
 Events are held as columns (``Events``); ``PrfEvent`` is the one-event view
-that iterating them yields.
-Also holds the two readers behind every line-oriented text file: ``read_rows``
-for column files and ``read_keys`` for ``key value`` files, the writer
-``format_rows`` for column files, and ``read_file``, which names the file in
-its content's errors.
+that iterating them yields.  ``parse_events`` decodes a uniform event file (what
+``format_events`` writes) from one byte buffer, indexing its separators in one
+pass and decoding each column as a block; any other event file goes through
+``read_rows``, with the same events and the same errors.  Also holds the two
+readers behind every line-oriented text file, where only ``\\n`` ends a line:
+``read_rows`` for column files and ``read_keys`` for ``key value`` files; the
+writer ``format_rows`` for column files; and ``read_file``, which names the
+file in its content's errors.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ def non_negative_int(text: str) -> int:
 
 
 def data_lines(text: str) -> Iterable[tuple[int, str]]:
-    """(line number, stripped line) of each line that is not blank or a ``#`` comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """(number, stripped text) of each line but blank and ``#`` lines; only ``\\n`` ends a line."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -457,12 +460,98 @@ def _event_row(timestamp: float, mac: int, ap_id: str, rssi: int | None = None) 
     return timestamp, mac, ap_id, RSSI_NONE if rssi is None else rssi
 
 
+_AP_BYTES = 64  # the longest ap id the columnar reader takes, and its buffer's zero padding
+# The value of each hex digit byte, 256 for any other byte; and the octet of two
+# bytes read as one little-endian uint16, above 255 unless both are hex digits.
+_HEX = np.full(256, 256, dtype=np.uint16)
+_HEX[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [*range(16), *range(10, 16)]
+_OCTETS = ((_HEX << 4) + _HEX[:, None]).ravel()
+
+
+def _rows(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` from each of ``pos``, one row each."""
+    items = np.ndarray(buffer=buf, dtype=f"V{width}", shape=(buf.size - width + 1,), strides=(1,))
+    return items[pos].view(np.uint8).reshape(-1, width)
+
+
+def _decimals(buf: np.ndarray, end: np.ndarray, length: np.ndarray, digits: int,
+              mark: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The exact integer of the digits of each field ending before ``end`` and how many follow
+    its ``mark`` (-1 if none); None unless all are 1 to ``digits`` digits and at most one mark."""
+    width, mark_digit = digits + 1, np.uint8(ord(mark) - 48 & 0xFF)
+    field = _rows(buf, end - width, width) - np.uint8(48)
+    field *= np.arange(width) >= width - length[:, None]  # 0 digits before the field
+    is_mark = field == mark_digit
+    at = is_mark.argmax(axis=1)  # the mark, or 0
+    marked = is_mark[np.arange(end.size), at]
+    field *= ~is_mark
+    if (field.max(initial=0) > 9 or np.count_nonzero(is_mark) > np.count_nonzero(marked)
+            or np.any((length - marked < 1) | (length - marked > digits))):
+        return None
+    value = np.zeros(end.size, dtype=np.int64)
+    for column in field.T:
+        value *= 10
+        value += column
+    scale = 10 ** np.where(marked, width - 1 - at, width)  # take out the mark, read as a 0
+    return value // (scale * 10) * scale + value % scale, np.where(marked, width - 1 - at, -1)
+
+
+def _uniform_events(text: str) -> Events | None:
+    """The events of a uniform event file, decoded as columns; None for any other.
+
+    Uniform is what ``format_events`` writes: ASCII, no ``#`` and no control byte
+    but ``\\n``, ``\\n``-ended lines of 3 or 4 fields split by single spaces,
+    timestamps ``[digits][.digits]`` of at most 15 digits, MACs in either case,
+    rssi ``-?digits``, ap ids of at most 64 bytes, and every value in range.
+    """
+    if not text or not text.isascii() or "#" in text or "\x7f" in text:
+        return None
+    data = text.encode("ascii") + b"\n" * (text[-1] != "\n")
+    buf = np.pad(np.frombuffer(data, dtype=np.uint8), _AP_BYTES)
+    sep = np.flatnonzero(buf[_AP_BYTES:-_AP_BYTES] <= 32) + _AP_BYTES
+    kind = buf[sep]
+    length = np.diff(sep, prepend=_AP_BYTES - 1) - 1  # of the field before each separator
+    ends = np.flatnonzero(kind == 10)
+    fields = np.diff(ends, prepend=-1)
+    if np.any((kind != 10) & (kind != 32)) or 0 in length or np.any((fields < 3) | (fields > 4)):
+        return None
+    line = ends - fields + 1  # the index of each line's first field
+    level = line[fields == 4] + 3
+    # at most 15 digits: the integer and its power of ten are exact, so t rounds once
+    stamps = _decimals(buf, sep[line], length[line], 15, ".")
+    levels = _decimals(buf, sep[level], length[level], 5, "-")
+    mac = _rows(buf, sep[line] + 1, 18)
+    octets = _OCTETS[np.ndarray(buffer=mac, dtype="<u2", shape=(line.size, 6), strides=(18, 3))]
+    width = int(length[line + 2].max())
+    if (stamps is None or levels is None or np.any(length[line + 1] != 17)
+            or np.any(mac[:, 2:17:3] != ord(":")) or octets.max(initial=0) > 255
+            or np.any((levels[1] >= 0) & (levels[1] != length[level] - 1)) or width > _AP_BYTES):
+        return None
+    t = stamps[0] / 10.0 ** np.maximum(stamps[1], 0)
+    if not np.all(t < MAX_TIMESTAMP) or np.any(levels[0] >= 2**15):
+        return None
+    rssi = np.full(line.size, RSSI_NONE, dtype=np.int16)
+    rssi[fields == 4] = np.where(levels[1] >= 0, -levels[0], levels[0])
+    macs = np.pad(octets.astype(np.uint8), ((0, 0), (2, 0))).view(">u8")
+    names = _rows(buf, sep[line + 1] + 1, width)
+    names[np.arange(width) >= length[line + 2, None]] = 0
+    order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else slice(None)
+    aps, first, ap = np.unique(names.view(f"S{width}").ravel()[order], return_index=True,
+                               return_inverse=True)
+    rank = np.argsort(first)  # names by first appearance
+    return Events(t[order], macs.ravel()[order], np.argsort(rank)[ap.ravel()],
+                  rssi[order], [name.decode() for name in aps[rank]])
+
+
 def parse_events(text: str) -> Events:
     """Parse the line-delimited event format.
 
     Each non-comment line is ``<timestamp> <mac> <ap_id> [rssi]``.  Events are
     returned sorted by timestamp; input order is preserved for ties.
     """
+    events = _uniform_events(text)
+    if events is not None:
+        return events
     rows = read_rows(text, _event_row, (float, _mac_value, str), (float, _mac_value, str, int))
     rows.sort(key=itemgetter(0))
     aps: dict[str, int] = {}

@@ -835,3 +835,22 @@ def test_simulate_from_a_fitted_histogram(tmp_path, capsys):
         f"error: {f['hist']}: line 3: interval_dist: {model}: interval model file "
         "missing keys: tau_mean, tau_std, sample_count, bin_width, histogram\n"
     )
+
+
+@pytest.mark.parametrize("breaker", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                     "\u2029"])
+def test_error_line_numbers_count_newlines_only(tmp_path, capsys, breaker):
+    f = _files(tmp_path, events=f"1.0 aa:bb:cc:dd:ee:ff ap1{breaker}\n2.0 zz:bb:cc:dd:ee:ff ap1\n")
+    assert main(["count", f["events"], "--baseline", "mac"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {f['events']}: line 2: malformed MAC address 'zz:bb:cc:dd:ee:ff'\n"
+    )
+
+
+def test_a_lone_carriage_return_does_not_end_a_line(tmp_path, capsys):
+    line = "1.0 aa:bb:cc:dd:ee:ff ap1"
+    f = _files(tmp_path, crlf=f"{line}\r\n{line}\r\n", cr=f"{line}\r{line}\r")
+    assert main(["count", f["crlf"], "--baseline", "mac"]) == 0
+    capsys.readouterr()
+    assert main(["count", f["cr"], "--baseline", "mac"]) == 1
+    assert capsys.readouterr().err == f"error: {f['cr']}: line 1: expected 3 or 4 fields, got 6\n"

@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from event_columns import events_of, mac
+from probecount import ingest
 from probecount.ingest import (
     RSSI_NONE,
     Events,
@@ -167,6 +169,132 @@ def test_text_round_trip_is_byte_identical():
     once = format_events(parse_events(text))
     assert once == text
     assert format_events(parse_events(once)) == once
+
+
+# ---------------------------------------------------------------- columnar reader
+#
+# parse_events decodes a uniform file as columns and any other through
+# read_rows; both paths must give the same events or the same error.
+
+
+def _outcome(text):
+    """parse_events' events, ``t`` as bits, or its error message."""
+    try:
+        events = parse_events(text)
+    except ParseError as exc:
+        return str(exc)
+    return (events.t.view(np.uint64).tolist(), events.mac.tolist(), events.ap.tolist(),
+            events.rssi.tolist(), events.aps)
+
+
+def _row_outcome(text):
+    with mock.patch.object(ingest, "_uniform_events", lambda text: None):
+        return _outcome(text)
+
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_AP_CHARS = "".join(chr(c) for c in range(33, 127) if chr(c) != "#")
+
+_stamps = st.one_of(
+    st.builds("{:.{}f}".format, st.floats(0, 2**32 - 1), st.integers(0, 5)),
+    st.builds(str, st.integers(0, 2**32 - 1)),
+    st.from_regex(r"\A[0-9]{0,7}\.[0-9]{1,8}\Z"),
+    st.sampled_from(["5.", ".5", "0", "007.250", "4294967295.99999", "4294967295.9999",
+                     "123456789.012345", "0.00000000000001"]),
+)
+_macs = st.lists(st.text(_HEX_DIGITS, min_size=2, max_size=2), min_size=6, max_size=6).map(":".join)
+_aps = st.text(_AP_CHARS, min_size=1, max_size=6) | st.sampled_from(["ap1", "ap2", "AP1", "0"])
+_rssis = st.builds(str, st.integers(-32767, 32767)) | st.sampled_from(["-0", "0007", "-00060"])
+_lines = st.tuples(_stamps, _macs, _aps, st.none() | _rssis).map(
+    lambda f: " ".join(x for x in f if x is not None))
+
+
+def _text(lines, trailing):
+    return "\n".join(lines) + ("\n" if trailing and lines else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines, max_size=12), st.booleans())
+def test_uniform_text_takes_the_columnar_path_with_the_row_reader_result(lines, trailing):
+    text = _text(lines, trailing)
+    assert (ingest._uniform_events(text) is None) == (text == "")
+    assert _outcome(text) == _row_outcome(text)
+
+
+# Each fallback trigger, as a line that differs from a uniform line only by it.
+FALLBACK_LINES = {
+    "comment": "# 1.0 aa:bb:cc:dd:ee:01 ap1",
+    "hash in an ap id": "1.0 aa:bb:cc:dd:ee:01 ap#1",
+    "blank line": "",
+    "tab": "1.0\taa:bb:cc:dd:ee:01 ap1",
+    "two spaces": "1.0  aa:bb:cc:dd:ee:01 ap1",
+    "leading space": " 1.0 aa:bb:cc:dd:ee:01 ap1",
+    "trailing space": "1.0 aa:bb:cc:dd:ee:01 ap1 ",
+    "crlf": "1.0 aa:bb:cc:dd:ee:01 ap1\r",
+    "lone cr": "1.0 aa:bb:cc:dd:ee:01 ap1\r2.0 aa:bb:cc:dd:ee:02 ap1",
+    "form feed": "1.0 aa:bb:cc:dd:ee:01 ap1\x0c",
+    "nul": "1.0 aa:bb:cc:dd:ee:01 ap\x001",
+    "delete": "1.0 aa:bb:cc:dd:ee:01 ap\x7f",
+    "non-ascii ap id": "1.0 aa:bb:cc:dd:ee:01 café",
+    "non-ascii space": "1.0\u00a0aa:bb:cc:dd:ee:01 ap1",
+    "plus sign rssi": "1.0 aa:bb:cc:dd:ee:01 ap1 +5",
+    "underscore rssi": "1.0 aa:bb:cc:dd:ee:01 ap1 -6_0",
+    "underscore timestamp": "1_0.5 aa:bb:cc:dd:ee:01 ap1",
+    "unicode digits": "\u0661.5 aa:bb:cc:dd:ee:01 ap1",
+    "unicode rssi digits": "1.0 aa:bb:cc:dd:ee:01 ap1 -\u0666\u0660",
+    "exponent": "1e3 aa:bb:cc:dd:ee:01 ap1",
+    "nan": "nan aa:bb:cc:dd:ee:01 ap1",
+    "inf": "inf aa:bb:cc:dd:ee:01 ap1",
+    "sign on a timestamp": "+1.0 aa:bb:cc:dd:ee:01 ap1",
+    "two points": "1.0.5 aa:bb:cc:dd:ee:01 ap1",
+    "point alone": ". aa:bb:cc:dd:ee:01 ap1",
+    "16 digits": "4294967295.123456 aa:bb:cc:dd:ee:01 ap1",
+    "16 digits below 2**53": "12345.67890123456 aa:bb:cc:dd:ee:01 ap1",
+    "17 digits at 2**32": "4294967295.9999999 aa:bb:cc:dd:ee:01 ap1",
+    "17 digits rounding below 2**32": "4294967295.9999990 aa:bb:cc:dd:ee:01 ap1",
+    "timestamp at 2**32": "4294967296 aa:bb:cc:dd:ee:01 ap1",
+    "rssi above int16": "1.0 aa:bb:cc:dd:ee:01 ap1 32768",
+    "rssi at the missing mark": "1.0 aa:bb:cc:dd:ee:01 ap1 -32768",
+    "six-digit rssi": "1.0 aa:bb:cc:dd:ee:01 ap1 -000060",
+    "minus alone": "1.0 aa:bb:cc:dd:ee:01 ap1 -",
+    "minus inside rssi": "1.0 aa:bb:cc:dd:ee:01 ap1 6-0",
+    "dashed mac": "1.0 aa-bb-cc-dd-ee-01 ap1",
+    "colon in a nibble": "1.0 aa:b::cc:dd:ee:01 ap1",
+    "short mac": "1.0 aa:bb:cc:dd:ee:1 ap1",
+    "non-hex mac": "1.0 aa:bb:cc:dd:ee:0g ap1",
+    "two fields": "1.0 aa:bb:cc:dd:ee:01",
+    "five fields": "1.0 aa:bb:cc:dd:ee:01 ap1 -60 x",
+    "long ap id": "1.0 aa:bb:cc:dd:ee:01 " + "a" * 65,
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("trigger", sorted(FALLBACK_LINES))
+def test_fallback_triggers_take_the_row_reader(trigger, where):
+    lines = ["0.5 02:00:00:00:00:01 ap2 -60", "2.0 aa:BB:cc:DD:ee:02 ap1"]
+    lines.insert({"first": 0, "middle": 1, "last": 2}[where], FALLBACK_LINES[trigger])
+    text = "\n".join(lines) + "\n"
+    assert ingest._uniform_events(text) is None
+    assert _outcome(text) == _row_outcome(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_lines, min_size=1, max_size=8), st.sampled_from(sorted(FALLBACK_LINES)),
+       st.data())
+def test_fallback_within_generated_text_matches_the_row_reader(lines, trigger, data):
+    lines.insert(data.draw(st.integers(0, len(lines))), FALLBACK_LINES[trigger])
+    text = _text(lines, data.draw(st.booleans()))
+    assert ingest._uniform_events(text) is None
+    assert _outcome(text) == _row_outcome(text)
+
+
+def test_columnar_path_decodes_15_digits_and_numbers_aps_by_appearance():
+    stamp = "4294967295.99999"  # 15 digits: decoded, and below 2**32
+    assert ingest._uniform_events(f"{stamp} aa:bb:cc:dd:ee:01 ap1\n").t[0] == float(stamp)
+    # ap ids are numbered by first appearance in time order, not by name
+    text = "3.0 aa:bb:cc:dd:ee:01 a\n1.0 aa:bb:cc:dd:ee:01 c\n2.0 aa:bb:cc:dd:ee:01 b\n"
+    assert ingest._uniform_events(text).aps == ("c", "b", "a")
+    assert _outcome(text) == _row_outcome(text)
 
 
 # ---------------------------------------------------------------- capture format
