@@ -23,6 +23,8 @@ _RATIO_KEYS = dict.fromkeys(
 )
 
 REFERENCE_DTYPE = np.dtype([("start", np.float64), ("value", np.float64)])
+# The NRMSE of a reference people counter whose own is not given.
+PEOPLE_NRMSE = 0.08
 # m_hat = n_hat / alpha, and the propagated NRMSE (NaN for an empty window).
 PEOPLE_DTYPE = np.dtype([
     ("start", np.float64), ("w", np.float64), ("m_hat", np.float64), ("nrmse", np.float64),
@@ -52,7 +54,7 @@ def estimate_ratio(
     device_series: np.recarray,
     people_series: np.recarray,
     *,
-    nrmse_people_ref: float = 0.08,
+    nrmse_people_ref: float = PEOPLE_NRMSE,
 ) -> CalibrationRatio:
     """Device-to-person ratio from a calibration region.
 
@@ -64,12 +66,13 @@ def estimate_ratio(
     """
     if len(device_series) != len(people_series) or not len(device_series):
         raise ValueError("device and people series must align on identical windows")
-    device_starts, people_starts = device_series.start.tolist(), people_series.start.tolist()
-    for device_start, people_start in zip(device_starts, people_starts):
-        if abs(device_start - people_start) > 1e-6:
-            raise ValueError(
-                f"misaligned windows: device window at {device_start}, people at {people_start}"
-            )
+    start, people_start = device_series.start, people_series.start
+    with np.errstate(invalid="ignore"):
+        misaligned = np.flatnonzero(np.abs(start - people_start) > 1e-6)
+    if misaligned.size:
+        i = misaligned[0]
+        raise ValueError(f"misaligned windows: device window at {start[i].item()}, "
+                         f"people at {people_start[i].item()}")
     if np.any(people_series.value < 0):
         raise ParseError("people counts must be non-negative")
     # Python's left-to-right sums, on which the written ratio's last digits depend
@@ -92,7 +95,7 @@ def estimate_ratio(
         alpha=alpha,
         nrmse_people_ref=nrmse_people_ref,
         nrmse_device_cal=nrmse_device_cal,
-        source_window_span=device_starts[-1] + float(device_series.w[-1]) - device_starts[0],
+        source_window_span=float(start[-1] + device_series.w[-1] - start[0]),
     )
 
 

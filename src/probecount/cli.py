@@ -7,6 +7,7 @@ import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .ingest import (
     parse_events,
     read_file,
     read_rows,
+    round6,
 )
 
 EXIT_OK = 0
@@ -66,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="estimate the device-to-person ratio")
     cal.add_argument("device_series", help="window series from the calibration region")
     cal.add_argument("people_series", help="reference people counts (start value per line)")
-    cal.add_argument("--people-nrmse", type=float, default=0.08,
+    cal.add_argument("--people-nrmse", type=float, default=calibration.PEOPLE_NRMSE,
                      help="NRMSE of the reference people counter")
     cal.add_argument("--out", help="ratio file (stdout when omitted)")
     cal.set_defaults(func=_cmd_calibrate)
@@ -186,13 +188,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    device_series = read_file(args.device_series, counting.parse_series)
-    people_series = read_file(args.people_series, calibration.parse_reference_series)
-    rows, refs = _join_on_start(_start_index(device_series, args.device_series),
-                                _start_index(people_series, args.people_series))
+    device_series, people_series = _read_joined(
+        (args.device_series, counting.parse_series),
+        (args.people_series, calibration.parse_reference_series),
+    )
     try:
         ratio = calibration.estimate_ratio(
-            device_series[rows], people_series[refs], nrmse_people_ref=args.people_nrmse
+            device_series, people_series, nrmse_people_ref=args.people_nrmse
         )
     except ParseError as exc:
         raise ParseError(f"{args.device_series}, {args.people_series}: {exc}") from None
@@ -231,37 +233,30 @@ def _parse_value_series(text: str) -> np.recarray:
     return np.array(rows, dtype=calibration.REFERENCE_DTYPE).view(np.recarray)
 
 
-def _start_index(series: np.recarray, path: str) -> dict[float, int]:
-    """The row of each window start, to the microsecond, of the series read from ``path``."""
-    index: dict[float, int] = {}
-    for i, start in enumerate(series.start.tolist()):
-        if index.setdefault(key := round(start, 6), i) != i:
-            raise ParseError(f"{path}: window start {key:.6f} repeats")
-    return index
-
-
-def _join_on_start(rows: dict[float, int], reference: dict[float, int]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (i, j) of the row and reference windows with the same start, in row order."""
-    pairs = [(i, reference[key]) for key, i in rows.items() if key in reference]
-    if not pairs:
+def _read_joined(*files: tuple[str, Callable]) -> tuple[np.recarray, np.recarray]:
+    """The two series of ``files`` (path, parser) cut to the windows whose starts
+    they share to the microsecond, in the first series' row order.  A start that
+    repeats in a series is an error naming the first repeat in row order."""
+    series = [read_file(path, parse) for path, parse in files]
+    keys = [round6(rows.start) for rows in series]
+    for key, (path, _) in zip(keys, files):
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+        if repeats.size:
+            raise ParseError(f"{path}: window start {key[repeats.min()]:.6f} repeats")
+    _, i, j = np.intersect1d(*keys, assume_unique=True, return_indices=True)
+    if not i.size:
         raise ValueError("no overlapping window starts between the two series")
-    i, j = np.array(pairs).T
-    return i, j
+    order = np.argsort(i)
+    return series[0][i[order]], series[1][j[order]]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    estimates = read_file(args.estimates, _parse_value_series)
-    reference = read_file(args.reference, _parse_value_series)
-    i, j = _join_on_start(_start_index(estimates, args.estimates),
-                          _start_index(reference, args.reference))
-    pair = metrics.SeriesPair.of(estimates.value[i].tolist(), reference.value[j].tolist())
-    lines = (
-        f"rmse {metrics.rmse(pair):.6f}",
-        f"mape {metrics.mape(pair):.6f}",
-        f"nrmse {metrics.nrmse(pair):.6f}",
-    )
-    print("\n".join(lines))
+    estimates, reference = _read_joined((args.estimates, _parse_value_series),
+                                        (args.reference, _parse_value_series))
+    pair = metrics.SeriesPair.of(estimates.value.tolist(), reference.value.tolist())
+    print(f"rmse {metrics.rmse(pair):.6f}\nmape {metrics.mape(pair):.6f}\n"
+          f"nrmse {metrics.nrmse(pair):.6f}")
     return EXIT_OK
 
 

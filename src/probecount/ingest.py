@@ -7,8 +7,8 @@ pass and decoding each column as a block; any other event file goes through
 ``read_rows``, with the same events and the same errors.  Also holds the two
 readers behind every line-oriented text file, where only ``\\n`` ends a line:
 ``read_rows`` for column files and ``read_keys`` for ``key value`` files; the
-writer ``format_rows`` for column files; and ``read_file``, which names the
-file in its content's errors.
+writer ``format_rows``; ``read_file``, which names the file in its content's
+errors; and ``round6``, the package's one rounding to the microsecond.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -110,6 +109,17 @@ def non_negative_int(text: str) -> int:
     if not 0 <= value < 2**63:
         raise ValueError(f"count {value} outside [0, 2**63)")
     return value
+
+
+def round6(x: np.ndarray) -> np.ndarray:
+    """``round(v, 6)`` of each element, exact for every finite float: np.rint of its
+    microseconds, or Python's round within their rounding error of a half or on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        us = x * 1e6
+        near = ~(np.abs(us - np.floor(us) - 0.5) > np.abs(np.spacing(us)))
+    out = np.rint(us) / 1e6
+    out[near] = [round(v, 6) for v in x[near].tolist()]
+    return out
 
 
 def data_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -262,7 +272,6 @@ class Events:
     ``t`` holds the timestamps (float64, non-decreasing), ``mac`` the 48-bit
     MACs (uint64), ``ap`` indices into the ``aps`` names (int32) and ``rssi``
     the signal strengths (int16, ``RSSI_NONE`` where a frame has none).
-    Iteration yields ``PrfEvent`` views.
     """
 
     t: np.ndarray
@@ -296,6 +305,7 @@ class Events:
         return len(self.t)
 
     def __iter__(self) -> Iterator[PrfEvent]:
+        """``PrfEvent`` views, one per event; outside tests only ``bench/inputs.py`` iterates."""
         aps = self.aps
         columns = (self.t.tolist(), self.mac.tolist(), self.ap.tolist(), self.rssi.tolist())
         for t, mac, ap, rssi in zip(*columns):
@@ -457,7 +467,7 @@ def _antsignal_offset(present: int, offset: int) -> int:
 
 def _event_row(timestamp: float, mac: int, ap_id: str, rssi: int | None = None) -> tuple:
     _check_event(timestamp, rssi)
-    return timestamp, mac, ap_id, RSSI_NONE if rssi is None else rssi
+    return timestamp, mac, ap_id.encode(), RSSI_NONE if rssi is None else rssi
 
 
 _AP_BYTES = 64  # the longest ap id the columnar reader takes, and its buffer's zero padding
@@ -535,12 +545,18 @@ def _uniform_events(text: str) -> Events | None:
     macs = np.pad(octets.astype(np.uint8), ((0, 0), (2, 0))).view(">u8")
     names = _rows(buf, sep[line + 1] + 1, width)
     names[np.arange(width) >= length[line + 2, None]] = 0
+    return _sorted_events(t, macs.ravel(), names.view(f"S{width}").ravel(), rssi)
+
+
+def _sorted_events(t: np.ndarray, mac: np.ndarray, names: np.ndarray,
+                   rssi: np.ndarray) -> Events:
+    """The events of the columns, stably sorted by time, with ap ids numbered by
+    their UTF-8 ``names``' first appearance in that order."""
     order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else slice(None)
-    aps, first, ap = np.unique(names.view(f"S{width}").ravel()[order], return_index=True,
-                               return_inverse=True)
+    aps, first, ap = np.unique(names[order], return_index=True, return_inverse=True)
     rank = np.argsort(first)  # names by first appearance
-    return Events(t[order], macs.ravel()[order], np.argsort(rank)[ap.ravel()],
-                  rssi[order], [name.decode() for name in aps[rank]])
+    return Events(t[order], mac[order], np.argsort(rank)[ap.ravel()], rssi[order],
+                  [name.decode() for name in aps[rank]])
 
 
 def parse_events(text: str) -> Events:
@@ -553,11 +569,7 @@ def parse_events(text: str) -> Events:
     if events is not None:
         return events
     rows = read_rows(text, _event_row, (float, _mac_value, str), (float, _mac_value, str, int))
-    rows.sort(key=itemgetter(0))
-    aps: dict[str, int] = {}
-    return Events([row[0] for row in rows], [row[1] for row in rows],
-                  [aps.setdefault(row[2], len(aps)) for row in rows], [row[3] for row in rows],
-                  tuple(aps))
+    return _sorted_events(*(np.array([row[k] for row in rows]) for k in range(4)))
 
 
 def format_events(events: Events) -> str:

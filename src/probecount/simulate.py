@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .ingest import (
-    RSSI_NONE, Events, finite, format_events, format_rows, read_file, read_keys, read_rows,
+    RSSI_NONE, Events, finite, format_events, format_rows, read_file, read_keys, read_rows, round6,
 )
 from .intervals import parse_model
 
@@ -577,16 +577,6 @@ class _Replay:
             mac if self.rotate else mac[device])
 
 
-def _round6(t: np.ndarray) -> np.ndarray:
-    """``round(x, 6)`` of each element: np.rint of the microseconds, and Python's
-    round within the product's rounding error of a half microsecond."""
-    us = t * 1e6
-    out = np.rint(us) / 1e6
-    near = np.abs(us - np.floor(us) - 0.5) <= np.spacing(us)
-    out[near] = [round(x, 6) for x in t[near].tolist()]
-    return out
-
-
 def simulate(config: SimConfig) -> tuple[Events, GroundTruthTrace]:
     """Generate a probe-request event stream and its ground-truth trace.
 
@@ -621,7 +611,7 @@ def _simulate(config: SimConfig, replay: bool) -> tuple[Events, GroundTruthTrace
         mean = 1.0 / config.arrival_rate
         arrivals = _renewals(0.0, config.duration, mean, lambda n: rng.exponential(mean, n), 16)
         dwells = config.dwell_dist.sample(rng, arrivals.size)
-        spans += zip(_round6(arrivals).tolist(), _round6(arrivals + dwells).tolist())
+        spans += zip(round6(arrivals).tolist(), round6(arrivals + dwells).tolist())
 
     entities: list[tuple] = []
     bursts: list[tuple[float, int, int]] = []
@@ -651,7 +641,7 @@ def _simulate(config: SimConfig, replay: bool) -> tuple[Events, GroundTruthTrace
     k = np.arange(n.size) - np.repeat(np.cumsum(count) - count, count)
     d = config.burst_duration
     offset = np.where((k == n - 1) & (n > 1), d, k * (d / np.maximum(n - 1, 1)))
-    t = _round6(np.repeat(instant, count) + offset)
+    t = round6(np.repeat(instant, count) + offset)
     mac = np.repeat(burst_mac, count)
     order = np.lexsort((mac, t))
     events = Events(t[order], mac[order], np.zeros(t.size, dtype=np.int32),

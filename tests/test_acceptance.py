@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from probecount import cli
 from probecount.bursts import Bursts, aggregate
 from probecount.calibration import estimate_ratio, people_count
 from probecount.counting import mac_count_series, sliding_windows
@@ -396,3 +397,30 @@ def test_criterion_10_statistical_test_calibration():
         f"null acceptance LB={lb_accept}/100 KS={ks_accept}/100; "
         f"alternative rejection LB={lb_reject}/100 KS={ks_reject}/100",
     )
+
+
+def test_criterion_11_cli_pipeline_without_rotation(tmp_path, capsys):
+    # simulate -> fit -> count -> truth -> eval through the command line: the fitted
+    # model's counts are unbiased when every device keeps its MAC.  Predicted NRMSE
+    # sqrt(sigma^2 / (N w tau)) = 0.037; seeds 1-5 gave 0.031-0.039.
+    config = tmp_path / "sim.cfg"
+    config.write_text("arrival_rate 0\nfixed_persons 50\ninterval_dist exp:mean=60\n"
+                      "devices_per_person_dist const:value=1\nrotation_prob 0\nduration 14400\n"
+                      "seed 3\n")
+    events, truth, model, counts, device = (
+        str(tmp_path / name) for name in ("sim.events", "sim.truth", "fitted.model",
+                                          "counts.txt", "device.txt"))
+    grid = ["--window", str(W), "--step", str(W), "--start", "0", "--end", "14400"]
+    for argv in (["simulate", "--config", str(config), "--events", events, "--truth", truth],
+                 ["fit", events, "--out", model],
+                 ["count", events, "--model", model, "--out", counts, *grid],
+                 ["truth", "--truth", truth, "--out", device, *grid]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", counts, device]) == 0
+    eval_nrmse = float(capsys.readouterr().out.split()[-1])
+    n_hat, n_bar = np.loadtxt(counts, usecols=4), np.loadtxt(device, usecols=1)
+    ratio = float(n_hat.mean() / n_bar.mean())
+    ok = len(n_hat) == 16 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
+    report(11, ok, f"fitted model, rotation 0: mean n_hat / mean n_bar = {ratio:.4f}, "
+                   f"eval nrmse {eval_nrmse:.4f} over {len(n_hat)} windows")

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 import warnings
 
@@ -682,6 +683,78 @@ def test_a_repeated_window_start_exits_1_naming_it(tmp_path, capsys, command):
     f = _files(tmp_path, est=COUNT_ROW + COUNT_ROW, ref="0.0 3.0\n")
     assert main([command, f["est"], f["ref"]]) == 1
     assert f"error: {f['est']}: window start 0.000000 repeats" in capsys.readouterr().err
+
+
+def _count_rows(starts, n_hats=None):
+    """Count series rows of 180 s windows at ``starts``."""
+    n_hats = n_hats or [11.4] * len(starts)
+    return "".join(f"{start} 180.0 30 0.166667 {n_hat} 1.0 0.1\n"
+                   for start, n_hat in zip(starts, n_hats))
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate"])
+def test_a_repeated_window_start_is_named_by_its_first_repeat_in_row_order(
+        tmp_path, capsys, command):
+    # 360 repeats first in row order; 180, the smallest repeated start, repeats after it
+    repeated = [360.0, 180.0, 360.0, 180.0]
+    f = _files(tmp_path, est=_count_rows([0.0]), ref="".join(f"{s} 3.0\n" for s in repeated))
+    assert main([command, f["est"], f["ref"]]) == 1
+    assert capsys.readouterr().err == f"error: {f['ref']}: window start 360.000000 repeats\n"
+    f = _files(tmp_path, est=_count_rows(repeated), ref="0.0 3.0\n")
+    assert main([command, f["est"], f["ref"]]) == 1
+    assert capsys.readouterr().err == f"error: {f['est']}: window start 360.000000 repeats\n"
+
+
+def _joined_outputs(tmp_path, capsys, command, est_starts, ref_starts):
+    """The output of ``command`` on a three-window count series and a reference, at the
+    given starts; every row's values differ, so a row left out of the join shows."""
+    f = _files(tmp_path, est=_count_rows(est_starts, [11.4, 5.0, 7.5]),
+               ref="".join(f"{s} {v}\n" for s, v in zip(ref_starts, [10.0, 6.0, 7.0])))
+    assert main([command, f["est"], f["ref"]]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate"])
+@pytest.mark.parametrize("est_starts,ref_starts", [
+    # starts 0.3 us apart are the same start to the microsecond
+    (["0.0", "180.0", "360.0"], ["0.0000003", "180.0000003", "359.9999997"]),
+    (["-0.0", "180.0", "360.0"], ["0.0", "180.0", "360.0"]),
+    (["0.0", "180.0", "360.0"], ["-0.0", "180.0", "360.0"]),
+])
+def test_starts_equal_to_the_microsecond_join_every_row(tmp_path, capsys, command, est_starts,
+                                                        ref_starts):
+    same = ["0.0", "180.0", "360.0"]
+    expected = _joined_outputs(tmp_path, capsys, command, same, same)
+    assert _joined_outputs(tmp_path, capsys, command, est_starts, ref_starts) == expected
+
+
+def test_joined_rows_keep_the_device_series_row_order(tmp_path, capsys):
+    # alpha is a ratio of left-to-right sums, whose last bits follow the row order
+    n_hats = [0.2, 0.3, 0.1]
+    f = _files(tmp_path, est=_count_rows([360.0, 0.0, 180.0], n_hats),
+               ref="0.0 1.0\n180.0 1.0\n360.0 1.0\n")
+    assert main(["calibrate", f["est"], f["ref"]]) == 0
+    assert capsys.readouterr().out.startswith(f"alpha {sum(n_hats) / 3.0!r}\n")
+
+
+def test_a_negative_start_grid_joins_in_eval_and_calibrate(tmp_path, capsys):
+    events, truth, model = _simulate(tmp_path, "duration 3600\nseed 8\n")
+    grid = ["--start", "-540", "--end", "3600"]
+    counts = tmp_path / "counts.txt"
+    assert main(["count", str(events), "--model", str(model), "--out", str(counts), *grid]) == 0
+    for kind in ("device", "person"):
+        out = tmp_path / f"{kind}.txt"
+        assert main(["truth", "--truth", str(truth), "--kind", kind, "--out", str(out),
+                     *grid]) == 0
+    assert _starts(counts) == _starts(tmp_path / "device.txt")
+    assert _starts(counts)[:4] == ["-540.000000", "-360.000000", "-180.000000", "0.000000"]
+    assert main(["calibrate", str(counts), str(tmp_path / "person.txt")]) == 0
+    assert f"source_window_span {4140.0!r}" in capsys.readouterr().out  # every window
+    assert main(["eval", str(counts), str(tmp_path / "device.txt")]) == 0
+    n_hat = [float(l.split()[4]) for l in counts.read_text().splitlines()[1:]]
+    n_bar = [float(l.split()[1]) for l in (tmp_path / "device.txt").read_text().splitlines()]
+    rmse = math.sqrt(sum((y - r) ** 2 for y, r in zip(n_hat, n_bar)) / len(n_bar))
+    assert capsys.readouterr().out.startswith(f"rmse {rmse:.6f}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 import probecount.simulate as simulate_module
-from probecount.ingest import Events, format_events, is_randomized, parse_events
+from probecount.ingest import Events, format_events, is_randomized, parse_events, round6
 from probecount.intervals import fit, format_model
 from probecount.simulate import (
     Constant,
@@ -23,7 +25,6 @@ from probecount.simulate import (
     UniformInterval,
     _Replay,
     _renewals,
-    _round6,
     equilibrium_residual,
     MAX_EXPECTED_RECORDS,
     TRACE_DTYPE,
@@ -743,9 +744,16 @@ def _near_half_microseconds(k, ulps):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(
-    st.floats(0.0, 2.0**32, exclude_max=True),
-    st.builds(_near_half_microseconds, st.integers(0, 2**32 * 10**6 - 1), st.integers(-3, 3)),
-    st.integers(0, 2**38 - 1).map(lambda j: (2 * j + 1) / 128),  # exact ties: odd / 2**7
+    st.floats(-(2.0**32), 2.0**32),
+    st.floats(allow_nan=False, allow_infinity=False),  # up to the largest finite float
+    st.sampled_from([0.0, -0.0, -1e-7, sys.float_info.max, -sys.float_info.max]),
+    st.builds(_near_half_microseconds, st.integers(-(2**32) * 10**6, 2**32 * 10**6 - 1),
+              st.integers(-3, 3)),
+    st.integers(-(2**38), 2**38 - 1).map(lambda j: (2 * j + 1) / 128),  # exact ties: odd / 2**7
 ), min_size=1, max_size=20))
 def test_rounding_to_the_microsecond_matches_python_round(xs):
-    assert _round6(np.array(xs)).tolist() == [round(x, 6) for x in xs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning
+        rounded = round6(np.array(xs)).tolist()
+    # repr tells -0.0 from 0.0: the sign is kept
+    assert list(map(repr, rounded)) == [repr(round(x, 6)) for x in xs]
