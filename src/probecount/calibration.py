@@ -15,7 +15,7 @@ import numpy as np
 
 from .ingest import (
     ParseError, finite, format_rows, non_negative, non_negative_or_nan, positive, read_keys,
-    read_rows,
+    read_records,
 )
 
 _RATIO_KEYS = dict.fromkeys(
@@ -144,7 +144,6 @@ def format_reference_series(series: np.recarray) -> str:
     return format_rows("%.6f %.6f\n", [series.start, series.value])
 
 
-def parse_reference_series(text: str) -> np.recarray:
+def parse_reference_series(data: bytes | str) -> np.recarray:
     """Parse `start value` reference lines (e.g. camera people counts)."""
-    rows = read_rows(text, lambda start, value: (start, value), REFERENCE_COLUMNS)
-    return np.array(rows, dtype=REFERENCE_DTYPE).view(np.recarray)
+    return read_records(data, REFERENCE_DTYPE, REFERENCE_COLUMNS)

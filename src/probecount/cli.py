@@ -21,6 +21,7 @@ from .ingest import (
     format_events,
     parse_capture,
     parse_events,
+    read_columns,
     read_file,
     read_rows,
     round6,
@@ -130,9 +131,9 @@ def _read_input(args: argparse.Namespace) -> Events:
     def parse(data: bytes) -> Events:
         if len(data) >= 4 and struct.unpack_from("<I", data, 0)[0] in CAPTURE_MAGICS:
             return parse_capture(data, ap_id=Path(args.input).stem)
-        return parse_events(data.decode("utf-8"))
+        return parse_events(data)
 
-    return read_file(args.input, parse, binary=True)
+    return read_file(args.input, parse)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -224,8 +225,14 @@ _SERIES_FORMATS = {
 }
 
 
-def _parse_value_series(text: str) -> np.recarray:
+def _parse_value_series(data: bytes | str) -> np.recarray:
     """(window start, value) records of a series file, in the format of its first row."""
+    decoded = read_columns(data, *(layout for layout, _ in _SERIES_FORMATS.values()))
+    if decoded is not None and np.all(decoded[0] == decoded[0][0]):
+        columns = decoded[1]
+        return np.rec.fromarrays([columns[0], columns[_SERIES_FORMATS[len(columns)][1]]],
+                                 dtype=calibration.REFERENCE_DTYPE)
+    text = data if isinstance(data, str) else data.decode("utf-8")
     width = len(next(data_lines(text), (0, ""))[1].split())
     widths = [width] if width in _SERIES_FORMATS else list(_SERIES_FORMATS)
     rows = read_rows(text, lambda *row: (row[0], row[_SERIES_FORMATS[len(row)][1]]),

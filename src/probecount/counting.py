@@ -14,7 +14,7 @@ import numpy as np
 from .bursts import Bursts
 from .ingest import (
     Events, finite, format_rows, non_negative, non_negative_int, non_negative_or_nan, positive,
-    read_rows,
+    read_records,
 )
 from .intervals import IntervalModel
 
@@ -196,7 +196,6 @@ def format_mac_series(series: np.recarray, w: float) -> str:
     )
 
 
-def parse_series(text: str) -> np.recarray:
+def parse_series(data: bytes | str) -> np.recarray:
     """The count series of ``format_series`` text, as ``SERIES_DTYPE`` records."""
-    return np.array(read_rows(text, lambda *row: row, SERIES_COLUMNS),
-                    dtype=SERIES_DTYPE).view(np.recarray)
+    return read_records(data, SERIES_DTYPE, SERIES_COLUMNS)

@@ -1,19 +1,25 @@
 """Probe-request event ingestion from 802.11 capture files and text logs.
 
 Events are held as columns (``Events``); ``PrfEvent`` is the one-event view
-that iterating them yields.  ``parse_events`` decodes a uniform event file (what
-``format_events`` writes) from one byte buffer, indexing its separators in one
-pass and decoding each column as a block; any other event file goes through
-``read_rows``, with the same events and the same errors.  Also holds the two
-readers behind every line-oriented text file, where only ``\\n`` ends a line:
-``read_rows`` for column files and ``read_keys`` for ``key value`` files; the
-writer ``format_rows``; ``read_file``, which names the file in its content's
-errors; and ``round6``, the package's one rounding to the microsecond.
+that iterating them yields.  Also holds the text layer behind every
+line-oriented file, where only ``\\n`` ends a line.  Every column file (event
+text, window series, reference series, ground-truth sidecar) is first offered
+to ``read_columns``, which indexes the separators of its bytes in one pass and
+decodes each column as a block by its converter's grammar, with ``#`` and
+blank lines, runs of whitespace and CRLF endings masked.  A file it does not
+vouch for (non-ASCII text, a control byte, a field outside its grammar or
+range) goes through ``read_rows``, so the values and every error message are
+the row reader's either way.  ``read_keys`` reads ``key value`` files;
+``format_rows`` writes ``%.6f``, ``%d`` and ``%s`` rows as one digit matrix,
+with the text ``%`` writes; ``read_file`` hands a file's bytes to its parser
+and names the file in its content's errors; and ``round6`` is the package's
+one rounding to the microsecond.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -122,8 +128,11 @@ def round6(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def data_lines(text: str) -> Iterable[tuple[int, str]]:
-    """(number, stripped text) of each line but blank and ``#`` lines; only ``\\n`` ends a line."""
+def data_lines(text: str | bytes) -> Iterable[tuple[int, str]]:
+    """(number, stripped text) of each line but blank and ``#`` lines of the text (or
+    UTF-8 bytes); only ``\\n`` ends a line."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
@@ -131,7 +140,7 @@ def data_lines(text: str) -> Iterable[tuple[int, str]]:
 
 
 def read_rows(
-    text: str, build: Callable[..., _Row], *layouts: Sequence[Callable[[str], Any]]
+    text: str | bytes, build: Callable[..., _Row], *layouts: Sequence[Callable[[str], Any]]
 ) -> list[_Row]:
     """Rows of a whitespace-separated column file, skipping blank and ``#`` lines.
 
@@ -154,24 +163,122 @@ def read_rows(
     return rows
 
 
-# Rows converted to Python objects at once by format_rows.
-_FORMAT_CHUNK = 1 << 16
+# Rows handled at once by the columnar reader and by format_rows, and bytes
+# scanned at once by the reader: so that their temporaries stay small.
+_CHUNK = 1 << 16
+_SCAN = 1 << 22
+# The conversions format_rows writes as a digit matrix.
+_SPECS = re.compile(r"(%\.6f|%d|%s)")
+# Digits as little-endian uint16 lanes of two ASCII bytes: _PAIRS[p] is 0..99
+# without a leading zero (nothing for 0) and _PAIRS[100 + p] with it; _UNITS[d]
+# is one digit, and _POINTS[d] a digit and the point.
+_PAIRS = np.frombuffer((b"%2d" * 100 % tuple(range(100))).replace(b" ", b"\0")
+                       + b"%02d" * 100 % tuple(range(100)), dtype="<u2").copy()
+_PAIRS[0] = 0
+_UNITS = np.frombuffer(b"".join(b"\0%d" % d for d in range(10)), dtype="<u2")
+_POINTS = np.frombuffer(b"".join(b"%d." % d for d in range(10)), dtype="<u2")
+_HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode(), dtype=np.uint8).reshape(256, 2)
+
+
+def _upper(v: np.ndarray, lanes: np.ndarray) -> None:
+    """Write the digits of each uint64 of ``v`` into the uint16 ``lanes``, two a lane from
+    the right, without leading zeros; digits past the lanes are dropped."""
+    for i in range(lanes.shape[1] - 1, -1, -1):
+        quotient = v // 100  # a division by a constant; numpy's % is several times slower
+        lanes[:, i] = _PAIRS.take(v - quotient * 100 + (quotient > 0) * np.uint64(100))
+        v = quotient
+
+
+def _decimal(x: np.ndarray, spec: str) -> np.ndarray | None:
+    """``%.6f`` of each float64 (``%d`` of each integer) as zero-padded ASCII rows; None for
+    another dtype, an infinity or |x| >= 2**53/1e6.  The microseconds are np.rint's, or
+    Python's within their rounding error of a half."""
+    point = spec == "%.6f"
+    if x.dtype != np.float64 if point else x.dtype.kind not in "iu":
+        return None
+    nan = np.isnan(x)
+    if point:
+        us = np.abs(x)
+        us[nan] = 0.0
+        if not np.all(us < 2**53 / 1e6):
+            return None
+        us *= 1e6
+        # us * 2**-52 bounds the product's rounding error, as np.spacing(us) does
+        near = np.flatnonzero(~(np.abs(us - np.floor(us) - 0.5) > us * 2.0**-52))
+        us[near] = [int(("%.6f" % abs(v)).replace(".", "")) for v in x[near].tolist()]
+        magnitude = np.rint(us).astype(np.int64).view(np.uint64)
+    else:
+        magnitude = x.astype(np.uint64)  # two's complement, so negation gives |x|
+        np.negative(magnitude, out=magnitude, where=x < 0)
+    whole = magnitude // 10**6 if point else magnitude
+    tens = whole // 10
+    upper = (len(str(int(tens.max(initial=0)))) + 1) // 2
+    lanes = np.zeros((x.size, upper + 2 + 3 * point), dtype="<u2")
+    lanes[:, 0] = np.signbit(x) * np.uint16(ord("-"))  # Python keeps the sign of -0.000000
+    _upper(tens, lanes[:, 1 : upper + 1])
+    lanes[:, upper + 1] = (_POINTS if point else _UNITS).take(whole - tens * 10)
+    if point:
+        _upper(magnitude - whole * 10**6 + 10**6, lanes[:, upper + 2 :])  # the 1 is dropped
+    block = lanes.view(np.uint8)
+    block[nan] = 0
+    block[nan, :3] = np.frombuffer(b"nan", dtype=np.uint8)
+    return block
+
+
+def _text(column: np.ndarray) -> np.ndarray | None:
+    """``%s`` of each value as zero-padded UTF-8 rows (bytes columns are taken as ASCII
+    text); None when a value holds a NUL."""
+    if column.dtype.kind != "S":
+        encoded = [str(v).encode() for v in column.tolist()]
+        if b"\0" in b"".join(encoded):
+            return None
+        column = np.array(encoded, dtype=bytes)
+    column = np.ascontiguousarray(column)
+    return column.view(np.uint8).reshape(column.size, column.itemsize)
+
+
+def _format_chunk(parts: list[str], columns: list[np.ndarray]) -> str | None:
+    """The lines of ``columns`` formatted with the split format ``parts`` as one digit
+    matrix, each column a zero-padded block, written without its 0 bytes; None when a
+    block cannot be."""
+    n = len(columns[0])
+    blocks = []
+    for k, literal in enumerate(parts[::2]):
+        text = np.frombuffer(literal.encode(), dtype=np.uint8)
+        blocks.append(np.broadcast_to(text, (n, text.size)))
+        if k < len(columns):
+            spec = parts[2 * k + 1]
+            blocks.append(_text(columns[k]) if spec == "%s" else _decimal(columns[k], spec))
+            if blocks[-1] is None:
+                return None
+    matrix = np.concatenate(blocks, axis=1)
+    return matrix[matrix != 0].tobytes().decode()
 
 
 def format_rows(fmt: str, columns: Sequence[np.ndarray]) -> str:
-    """The lines ``fmt % row`` for the rows of equal-length ``columns``.
+    """The lines ``fmt % row`` for the rows of equal-length ``columns``; a bytes
+    column is ASCII text.
 
-    Rows are converted a chunk at a time, so that only one chunk's Python
-    numbers are alive at once rather than every column's.
+    A chunk of rows at a time, a format made of ``%.6f``, ``%d`` and ``%s`` is
+    written as a digit matrix (``_format_chunk``); a chunk that holds an
+    infinity, |x| >= 2**53/1e6 or a NUL, and any other format, takes ``%``.
     """
-    return "".join(
-        "".join(map(fmt.__mod__, zip(*(c[i : i + _FORMAT_CHUNK].tolist() for c in columns))))
-        for i in range(0, len(columns[0]), _FORMAT_CHUNK)
-    )
+    parts = _SPECS.split(fmt)
+    literals = "".join(parts[::2])
+    matrix = "%" not in literals and "\0" not in literals and len(parts) // 2 == len(columns)
+    out = []
+    for i in range(0, len(columns[0]), _CHUNK):
+        chunk = [c[i : i + _CHUNK] for c in columns]
+        text = _format_chunk(parts, chunk) if matrix else None
+        if text is None:
+            rows = zip(*((c.astype(str) if c.dtype.kind == "S" else c).tolist() for c in chunk))
+            text = "".join(map(fmt.__mod__, rows))
+        out.append(text)
+    return "".join(out)
 
 
 def read_keys(
-    text: str, what: str, keys: Mapping[str, Callable[[str], Any]], *, required: bool = True
+    text: str | bytes, what: str, keys: Mapping[str, Callable[[str], Any]], *, required: bool = True
 ) -> dict[str, Any]:
     """Converted values of a ``key value`` file, skipping blank and ``#`` lines.
 
@@ -197,12 +304,12 @@ def read_keys(
     return values
 
 
-def read_file(path: str, parse: Callable[[Any], _T], *, binary: bool = False) -> _T:
-    """``parse`` of the UTF-8 text (with ``binary``, the bytes) of file ``path``;
-    an error in the content names the file."""
+def read_file(path: str, parse: Callable[[bytes], _T]) -> _T:
+    """``parse`` of the bytes of file ``path``; an error in the content (UTF-8
+    decoding included) names the file."""
     data = Path(path).read_bytes()
     try:
-        return parse(data if binary else data.decode("utf-8"))
+        return parse(data)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -321,12 +428,25 @@ def is_randomized(mac: int | np.ndarray) -> bool | np.ndarray:
     return mac >> 40 & 0x03 == 0x02
 
 
+def _gather(buf: np.ndarray, pos: np.ndarray, dtype: str) -> np.ndarray:
+    """The ``dtype`` item that starts at each of ``pos`` in the bytes of ``buf``."""
+    size = np.dtype(dtype).itemsize
+    return np.ndarray(buffer=buf, dtype=dtype, shape=(buf.size - size + 1,), strides=(1,))[pos]
+
+
+def _rows(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` from each of ``pos``, one row each."""
+    return _gather(buf, pos, f"V{width}").view(np.uint8).reshape(-1, width)
+
+
 def _uint(buf: np.ndarray, pos: np.ndarray, size: int, little: bool = True) -> np.ndarray:
     """The unsigned ``size``-byte integers of ``buf`` at each of ``pos``, as int64."""
+    order = "<" if little else ">"
+    if size in (2, 4):
+        return _gather(buf, pos, f"{order}u{size}").astype(np.int64)
     word = np.zeros((pos.size, 8), dtype=np.uint8)
-    field = slice(0, size) if little else slice(8 - size, 8)
-    word[:, field] = buf[pos[:, None] + np.arange(size)]
-    return word.view("<u8" if little else ">u8").ravel().astype(np.int64)
+    word[:, slice(0, size) if little else slice(8 - size, 8)] = _rows(buf, pos, size)
+    return word.view(f"{order}u8").ravel().astype(np.int64)
 
 
 def parse_capture(data: bytes, ap_id: str = "cap0") -> Events:
@@ -470,7 +590,12 @@ def _event_row(timestamp: float, mac: int, ap_id: str, rssi: int | None = None) 
     return timestamp, mac, ap_id.encode(), RSSI_NONE if rssi is None else rssi
 
 
-_AP_BYTES = 64  # the longest ap id the columnar reader takes, and its buffer's zero padding
+# Zero bytes around the columnar reader's buffer: room for a number's window
+# before the first field, and the longest token it takes.
+_PAD = 64
+# The bytes that str.split() and str.strip() take as whitespace.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 # The value of each hex digit byte, 256 for any other byte; and the octet of two
 # bytes read as one little-endian uint16, above 255 unless both are hex digits.
 _HEX = np.full(256, 256, dtype=np.uint16)
@@ -478,74 +603,178 @@ _HEX[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [*range(16), *r
 _OCTETS = ((_HEX << 4) + _HEX[:, None]).ravel()
 
 
-def _rows(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``buf`` from each of ``pos``, one row each."""
-    items = np.ndarray(buffer=buf, dtype=f"V{width}", shape=(buf.size - width + 1,), strides=(1,))
-    return items[pos].view(np.uint8).reshape(-1, width)
+# A number's 16-byte window as byte masks, one 16-byte item a row: its last n
+# bytes (_TAIL[n]), and the bytes after column c (_AFTER[c + 1]; _AFTER[0] keeps all).
+_TAIL = ((np.arange(16) >= 16 - np.arange(17)[:, None]) * np.uint8(255)).view("V16").ravel()
+_AFTER = ((np.arange(16) > np.arange(-1, 16)[:, None]) * np.uint8(255)).view("V16").ravel()
+_POW10F = 10.0 ** np.arange(16)
 
 
-def _decimals(buf: np.ndarray, end: np.ndarray, length: np.ndarray, digits: int,
-              mark: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The exact integer of the digits of each field ending before ``end`` and how many follow
-    its ``mark`` (-1 if none); None unless all are 1 to ``digits`` digits and at most one mark."""
-    width, mark_digit = digits + 1, np.uint8(ord(mark) - 48 & 0xFF)
-    field = _rows(buf, end - width, width) - np.uint8(48)
-    field *= np.arange(width) >= width - length[:, None]  # 0 digits before the field
-    is_mark = field == mark_digit
-    at = is_mark.argmax(axis=1)  # the mark, or 0
-    marked = is_mark[np.arange(end.size), at]
-    field *= ~is_mark
-    if (field.max(initial=0) > 9 or np.count_nonzero(is_mark) > np.count_nonzero(marked)
-            or np.any((length - marked < 1) | (length - marked > digits))):
-        return None
-    value = np.zeros(end.size, dtype=np.int64)
-    for column in field.T:
-        value *= 10
-        value += column
-    scale = 10 ** np.where(marked, width - 1 - at, width)  # take out the mark, read as a 0
-    return value // (scale * 10) * scale + value % scale, np.where(marked, width - 1 - at, -1)
+def _number(buf: np.ndarray, end: np.ndarray, length: np.ndarray,
+            point: bool = True) -> np.ndarray | None:
+    """Each field [end - length, end) read as ``-?digits[.digits]`` (float64), or without
+    ``point`` as ``-?digits`` (int64), of at most 15 digits; None unless all are.
 
-
-def _uniform_events(text: str) -> Events | None:
-    """The events of a uniform event file, decoded as columns; None for any other.
-
-    Uniform is what ``format_events`` writes: ASCII, no ``#`` and no control byte
-    but ``\\n``, ``\\n``-ended lines of 3 or 4 fields split by single spaces,
-    timestamps ``[digits][.digits]`` of at most 15 digits, MACs in either case,
-    rssi ``-?digits``, ap ids of at most 64 bytes, and every value in range.
+    The 16-byte window that ends each field is two little-endian words of digit
+    lanes; the lanes before the point move up over it, and each word is read as
+    eight digits at once (Lemire's SWAR digit parsing).
     """
-    if not text or not text.isascii() or "#" in text or "\x7f" in text:
+    negative = buf[end - length] == ord("-")
+    length = length - negative
+    window = _rows(buf, end - 16, 16) - np.uint8(48)
+    word = window.view("<u8")
+    word &= _TAIL.take(np.minimum(length, 16)).view("<u8").reshape(-1, 2)  # 0 before the field
+    mark = (window == np.uint8(ord(".") - 48 & 0xFF)).view("<u8")  # 1 in the point's lane
+    word &= ~(mark * 0xFF)
+    marks = mark * 0x0101010101010101 >> 56
+    marks = marks[:, 0] + marks[:, 1]
+    if (window.max(initial=0) > 9 or marks.max(initial=0) > point
+            or np.any((length - marks < 1) | (length - marks > 15))):
         return None
-    data = text.encode("ascii") + b"\n" * (text[-1] != "\n")
-    buf = np.pad(np.frombuffer(data, dtype=np.uint8), _AP_BYTES)
-    sep = np.flatnonzero(buf[_AP_BYTES:-_AP_BYTES] <= 32) + _AP_BYTES
+    if point:
+        lane = (mark * 0x0102030405060708 >> 56).astype(np.int64)  # 1 + the point's lane, or 0
+        column = np.where(lane[:, 1], lane[:, 1] + 7, lane[:, 0] - 1)  # -1 without a point
+        shifted = word << 8
+        shifted[:, 1] |= word[:, 0] >> 56
+        keep = _AFTER.take(column + 1).view("<u8").reshape(-1, 2)
+        word = word & keep | shifted & ~keep
+    word = (word * 10 + (word >> 8)) & 0x00FF00FF00FF00FF
+    word = (word * 100 + (word >> 16)) & 0x0000FFFF0000FFFF
+    word = (word * 10000 + (word >> 32)) & 0xFFFFFFFF
+    value = word[:, 1].astype(np.int64) + word[:, 0].astype(np.int64) * 10**8
+    if point:
+        value = value / _POW10F.take(np.where(column < 0, 0, 15 - column))
+    return np.where(negative, -value, value)
+
+
+def _nan_or_number(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """Each field read as ``nan`` or as ``_number``; None unless all are."""
+    nan = (length == 3) & (_gather(buf, end - 4, "<u4") >> 8 == int.from_bytes(b"nan", "little"))
+    value = np.full(end.size, np.nan)
+    number = _number(buf, end[~nan], length[~nan])
+    if number is not None:
+        value[~nan] = number
+        return value
+
+
+def _mac(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """Each field read as a colon-hex MAC in either case, as uint64; None unless all are."""
+    mac = _rows(buf, end - 17, 17)
+    octets = _OCTETS[np.ndarray(buffer=mac, dtype="<u2", shape=(end.size, 6), strides=(17, 3))]
+    if np.any(length != 17) or np.any(mac[:, 2::3] != ord(":")) or octets.max(initial=0) > 255:
+        return None
+    word = np.zeros((end.size, 8), dtype=np.uint8)
+    word[:, 2:] = octets
+    return word.view(">u8").ravel()
+
+
+def _token(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """Each field as bytes; None when one is longer than the buffer's padding."""
+    width = int(length.max(initial=1))
+    if width > _PAD:
+        return None
+    tokens = _rows(buf, end - length, width)
+    tokens *= np.arange(width) < length[:, None]
+    return tokens.view(f"S{width}").ravel()
+
+
+# The columnar reader's grammar for each converter, and the range its values must lie in.
+_GRAMMARS = {
+    float: (_number, None),
+    finite: (_number, None),
+    positive: (_number, lambda x: x > 0),
+    non_negative: (_number, lambda x: x >= 0),
+    non_negative_or_nan: (_nan_or_number, lambda x: ~(x < 0)),
+    int: (lambda *field: _number(*field, point=False), None),
+    non_negative_int: (lambda *field: _number(*field, point=False), lambda x: x >= 0),
+    _mac_value: (_mac, None),
+    str: (_token, None),
+}
+
+
+def _fields(data: bytes | str) -> tuple[np.ndarray, ...] | None:
+    """The zero-padded byte buffer of ASCII text without control bytes, each field's
+    end and length in it, and the first field and field count of each data line
+    (``#`` and blank lines skipped, runs of whitespace splitting fields); None for
+    other text.  The separators are indexed in one pass (structural indexing, after
+    Langdale and Lemire's simdjson)."""
+    if not data.isascii() or b"\x7f" in data:
+        return None
+    buf = np.zeros(len(data) + 2 * _PAD, dtype=np.uint8)
+    buf[_PAD : _PAD + len(data)] = np.frombuffer(data, dtype=np.uint8)
+    buf[_PAD + len(data)] = ord("\n")
+    index = np.int32 if buf.size < 2**31 else np.int64
+    stop = buf.size - _PAD + 1
+    sep = np.concatenate([np.flatnonzero(buf[i : min(i + _SCAN, stop)] <= 32).astype(index) + i
+                          for i in range(_PAD, stop, _SCAN)])
     kind = buf[sep]
-    length = np.diff(sep, prepend=_AP_BYTES - 1) - 1  # of the field before each separator
-    ends = np.flatnonzero(kind == 10)
-    fields = np.diff(ends, prepend=-1)
-    if np.any((kind != 10) & (kind != 32)) or 0 in length or np.any((fields < 3) | (fields > 4)):
+    newline = kind == ord("\n")
+    if not np.all(newline | (kind == ord(" "))) and not _SPACE[kind].all():
         return None
-    line = ends - fields + 1  # the index of each line's first field
-    level = line[fields == 4] + 3
-    # at most 15 digits: the integer and its power of ten are exact, so t rounds once
-    stamps = _decimals(buf, sep[line], length[line], 15, ".")
-    levels = _decimals(buf, sep[level], length[level], 5, "-")
-    mac = _rows(buf, sep[line] + 1, 18)
-    octets = _OCTETS[np.ndarray(buffer=mac, dtype="<u2", shape=(line.size, 6), strides=(18, 3))]
-    width = int(length[line + 2].max())
-    if (stamps is None or levels is None or np.any(length[line + 1] != 17)
-            or np.any(mac[:, 2:17:3] != ord(":")) or octets.max(initial=0) > 255
-            or np.any((levels[1] >= 0) & (levels[1] != length[level] - 1)) or width > _AP_BYTES):
+    length = np.diff(sep, prepend=index(_PAD - 1))
+    length -= 1  # of the field before each separator
+    newline = np.flatnonzero(newline)
+    empty = np.flatnonzero(length == 0)  # separators with no field before them
+    ends = newline + 1 - np.searchsorted(empty, newline, side="right")  # fields up to each line end
+    count = np.diff(ends, prepend=0).astype(index)
+    first, count = (ends - count)[count > 0].astype(index), count[count > 0]
+    if empty.size:
+        sep, length = sep[length > 0], length[length > 0]
+    if b"#" in data:
+        data_row = buf[sep[first] - length[first]] != ord("#")
+        first, count = first[data_row], count[data_row]
+    return buf, sep, length, first, count
+
+
+def read_columns(data: bytes | str, *layouts: Sequence[Callable[[str], Any]]
+                 ) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """Each data row's field count, and the columns of the longest layout present with
+    the values ``read_rows`` converts (a ``str`` column as bytes, and 0 where a row has no
+    field); None when the reader does not vouch for every byte and field.
+
+    Each column is decoded as blocks of ``_CHUNK`` rows from ``_fields``' index.  It
+    vouches for the text ``_fields`` takes when the layouts of the field counts
+    present are prefixes of one another and every field passes its converter's
+    grammar and range (``_GRAMMARS``).
+    """
+    indexed = _fields(data.encode() if isinstance(data, str) and data.isascii() else data)
+    if indexed is None:
         return None
-    t = stamps[0] / 10.0 ** np.maximum(stamps[1], 0)
-    if not np.all(t < MAX_TIMESTAMP) or np.any(levels[0] >= 2**15):
+    buf, end, length, first, count = indexed
+    by_count = {len(layout): tuple(layout) for layout in layouts}
+    present = np.flatnonzero(np.bincount(count)).tolist()
+    if not present or any(n not in by_count for n in present):
         return None
-    rssi = np.full(line.size, RSSI_NONE, dtype=np.int16)
-    rssi[fields == 4] = np.where(levels[1] >= 0, -levels[0], levels[0])
-    macs = np.pad(octets.astype(np.uint8), ((0, 0), (2, 0))).view(">u8")
-    names = _rows(buf, sep[line + 1] + 1, width)
-    names[np.arange(width) >= length[line + 2, None]] = 0
-    return _sorted_events(t, macs.ravel(), names.view(f"S{width}").ravel(), rssi)
+    layout = by_count[present[-1]]
+    if any(by_count[n] != layout[:n] for n in present):
+        return None
+    columns = []
+    for j, convert in enumerate(layout):
+        grammar, check = _GRAMMARS.get(convert, (None, None))
+        rows = count > j if j >= present[0] else slice(None)
+        at = first[rows] + j
+        parts = []
+        for i in range(0, at.size, _CHUNK):
+            part = grammar and grammar(buf, end[at[i : i + _CHUNK]], length[at[i : i + _CHUNK]])
+            if part is None or check is not None and not np.all(check(part)):
+                return None
+            parts.append(part)
+        column = np.concatenate(parts)
+        if j >= present[0]:
+            column, present_values = np.zeros(count.size, dtype=column.dtype), column
+            column[rows] = present_values
+        columns.append(column)
+    return count, columns
+
+
+def read_records(data: bytes | str, dtype: np.dtype,
+                 layout: Sequence[Callable[[str], Any]]) -> np.recarray:
+    """The rows of a column file as ``dtype`` records, a field per column of ``layout``:
+    decoded by ``read_columns`` when it vouches for the file, else by ``read_rows``."""
+    decoded = read_columns(data, layout)
+    if decoded is None:
+        return np.array(read_rows(data, lambda *row: row, layout), dtype=dtype).view(np.recarray)
+    return np.rec.fromarrays(decoded[1], dtype=dtype)
 
 
 def _sorted_events(t: np.ndarray, mac: np.ndarray, names: np.ndarray,
@@ -559,24 +788,39 @@ def _sorted_events(t: np.ndarray, mac: np.ndarray, names: np.ndarray,
                   [name.decode() for name in aps[rank]])
 
 
-def parse_events(text: str) -> Events:
+_EVENT_LAYOUT = (float, _mac_value, str)
+
+
+def parse_events(data: bytes | str) -> Events:
     """Parse the line-delimited event format.
 
     Each non-comment line is ``<timestamp> <mac> <ap_id> [rssi]``.  Events are
     returned sorted by timestamp; input order is preserved for ties.
     """
-    events = _uniform_events(text)
-    if events is not None:
-        return events
-    rows = read_rows(text, _event_row, (float, _mac_value, str), (float, _mac_value, str, int))
+    decoded = read_columns(data, _EVENT_LAYOUT, (*_EVENT_LAYOUT, int))
+    if decoded is not None:
+        count, (t, mac, names, *level) = decoded
+        rssi = np.where(count == 4, level[0] if level else 0, RSSI_NONE)
+        if (np.all((t >= 0) & (t < MAX_TIMESTAMP))
+                and np.all((count == 3) | (rssi > RSSI_NONE) & (rssi < 2**15))):
+            return _sorted_events(t, mac, names, rssi.astype(np.int16))
+    rows = read_rows(data, _event_row, _EVENT_LAYOUT, (*_EVENT_LAYOUT, int))
     return _sorted_events(*(np.array([row[k] for row in rows]) for k in range(4)))
+
+
+def _mac_texts(mac: np.ndarray) -> np.ndarray:
+    """The lowercase colon-hex text of each MAC, as bytes."""
+    text = np.zeros((mac.size, 6, 3), dtype=np.uint8)
+    text[:, :, :2] = _HEX_PAIRS[mac.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 2:]]
+    text[:, :5, 2] = ord(":")
+    return text.reshape(-1, 18).view("S18").ravel()
 
 
 def format_events(events: Events) -> str:
     """Serialize events to the line-delimited text format."""
-    columns = (events.t.tolist(), events.mac.tolist(), events.ap.tolist(), events.rssi.tolist())
-    return "".join(
-        f"{t:.6f} {_mac_text(mac)} {events.aps[ap]}"
-        f"{'' if rssi == RSSI_NONE else f' {rssi}'}\n"
-        for t, mac, ap, rssi in zip(*columns)
-    )
+    aps = "".join(events.aps)
+    names = np.array(events.aps, dtype=bytes if aps.isascii() and "\0" not in aps else object)
+    levels, level = np.unique(events.rssi, return_inverse=True)
+    levels = np.array([b"" if r == RSSI_NONE else b" %d" % r for r in levels.tolist()])
+    return format_rows("%.6f %s %s%s\n", [events.t, _mac_texts(events.mac), names[events.ap],
+                                          levels[level.ravel()]])

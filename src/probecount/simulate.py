@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .ingest import (
-    RSSI_NONE, Events, finite, format_events, format_rows, read_file, read_keys, read_rows, round6,
+    RSSI_NONE, Events, finite, format_events, format_rows, read_columns, read_file, read_keys,
+    read_rows, round6,
 )
 from .intervals import parse_model
 
@@ -445,8 +446,18 @@ def _entity_row(entity_id: str, kind: str, owner: str, enter: float, leave: floa
     return entity_id, kind, owner, enter, leave
 
 
-def parse_trace(text: str) -> GroundTruthTrace:
-    return _trace(read_rows(text, _entity_row, (str, str, str, finite, finite)))
+_TRACE_LAYOUT = (str, str, str, finite, finite)
+
+
+def parse_trace(data: bytes | str) -> GroundTruthTrace:
+    decoded = read_columns(data, _TRACE_LAYOUT)
+    if decoded is not None:
+        ids, kind, owner, enter, leave = decoded[1]
+        if np.all(((kind == b"device") | (kind == b"person")) & (enter < leave)):
+            return GroundTruthTrace(np.rec.fromarrays(
+                [ids.astype(str), kind.astype(str), owner.astype(str), enter, leave],
+                dtype=TRACE_DTYPE))
+    return _trace(read_rows(data, _entity_row, _TRACE_LAYOUT))
 
 
 # --------------------------------------------------------------------------

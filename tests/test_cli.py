@@ -927,3 +927,32 @@ def test_a_lone_carriage_return_does_not_end_a_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["count", f["cr"], "--baseline", "mac"]) == 1
     assert capsys.readouterr().err == f"error: {f['cr']}: line 1: expected 3 or 4 fields, got 6\n"
+
+
+SERIES_ROW = "0.000000 180.000000 3 0.016667 1.000000 0.333333 0.577350\n"
+
+
+@pytest.mark.parametrize(
+    "command,valid",
+    [
+        (["count", "{bad}", "--baseline", "mac"], EVENTS_TEXT),
+        (["truth", "--truth", "{bad}"], "d0 device p0 0.0 360.0\np0 person - 0.0 360.0\n"),
+        (["people", "{bad}", "--ratio", "{ok}"], SERIES_ROW),
+        (["eval", "{ok}", "{bad}"], "0.000000 1.000000\n"),
+        (["calibrate", "{bad}", "{ok}"], SERIES_ROW),
+    ],
+)
+def test_a_file_that_is_not_utf8_keeps_the_decoders_message(tmp_path, capsys, command, valid):
+    # the readers take the file's bytes; one that is not UTF-8 still fails as decoding does
+    data = valid.encode()[:-3] + b"\xff" + valid.encode()[-3:]
+    bad, ok = tmp_path / "bad.txt", tmp_path / "ok.txt"
+    bad.write_bytes(data)
+    ok.write_text("alpha 2.0\nnrmse_people_ref 0.08\nnrmse_device_cal 0.1\n"
+                  "source_window_span 180.0\n" if command[0] == "people" else "0.000000 1.000000\n")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        expected = f"error: {bad}: {exc}"
+    argv = [a.format(bad=bad, ok=ok) for a in command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == expected

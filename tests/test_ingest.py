@@ -173,8 +173,9 @@ def test_text_round_trip_is_byte_identical():
 
 # ---------------------------------------------------------------- columnar reader
 #
-# parse_events decodes a uniform file as columns and any other through
-# read_rows; both paths must give the same events or the same error.
+# parse_events decodes a file as columns when read_columns vouches for it and
+# any other through read_rows; both paths must give the same events or the
+# same error.
 
 
 def _outcome(text):
@@ -188,8 +189,18 @@ def _outcome(text):
 
 
 def _row_outcome(text):
-    with mock.patch.object(ingest, "_uniform_events", lambda text: None):
+    with mock.patch.object(ingest, "read_columns", lambda *args: None):
         return _outcome(text)
+
+
+def _columnar(text):
+    """Whether parse_events reads ``text`` without read_rows."""
+    with mock.patch.object(ingest, "read_rows", side_effect=AssertionError("row reader")):
+        try:
+            parse_events(text)
+        except AssertionError:
+            return False
+    return True
 
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
@@ -217,11 +228,13 @@ def _text(lines, trailing):
 @given(st.lists(_lines, max_size=12), st.booleans())
 def test_uniform_text_takes_the_columnar_path_with_the_row_reader_result(lines, trailing):
     text = _text(lines, trailing)
-    assert (ingest._uniform_events(text) is None) == (text == "")
+    assert _columnar(text) == (text != "")
     assert _outcome(text) == _row_outcome(text)
 
 
-# Each fallback trigger, as a line that differs from a uniform line only by it.
+# Each line that once sent a whole event file to the row reader, as a line that
+# differs from a uniform line only by it.  The columnar reader now masks, splits
+# or decodes those in COLUMNAR_LINES; the others still make it decline.
 FALLBACK_LINES = {
     "comment": "# 1.0 aa:bb:cc:dd:ee:01 ap1",
     "hash in an ap id": "1.0 aa:bb:cc:dd:ee:01 ap#1",
@@ -266,6 +279,8 @@ FALLBACK_LINES = {
     "five fields": "1.0 aa:bb:cc:dd:ee:01 ap1 -60 x",
     "long ap id": "1.0 aa:bb:cc:dd:ee:01 " + "a" * 65,
 }
+COLUMNAR_LINES = {"comment", "hash in an ap id", "blank line", "tab", "two spaces",
+                  "leading space", "trailing space", "crlf", "form feed", "six-digit rssi"}
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -274,7 +289,7 @@ def test_fallback_triggers_take_the_row_reader(trigger, where):
     lines = ["0.5 02:00:00:00:00:01 ap2 -60", "2.0 aa:BB:cc:DD:ee:02 ap1"]
     lines.insert({"first": 0, "middle": 1, "last": 2}[where], FALLBACK_LINES[trigger])
     text = "\n".join(lines) + "\n"
-    assert ingest._uniform_events(text) is None
+    assert _columnar(text) == (trigger in COLUMNAR_LINES)
     assert _outcome(text) == _row_outcome(text)
 
 
@@ -287,16 +302,18 @@ def test_fallback_within_generated_text_matches_the_row_reader(lines, trigger, d
     # a blank last line is a line only with a newline after it
     last_blank = (trigger, at) == ("blank line", len(lines) - 1)
     text = _text(lines, data.draw(st.booleans()) or last_blank)
-    assert ingest._uniform_events(text) is None
+    assert _columnar(text) == (trigger in COLUMNAR_LINES)
     assert _outcome(text) == _row_outcome(text)
 
 
 def test_columnar_path_decodes_15_digits_and_numbers_aps_by_appearance():
     stamp = "4294967295.99999"  # 15 digits: decoded, and below 2**32
-    assert ingest._uniform_events(f"{stamp} aa:bb:cc:dd:ee:01 ap1\n").t[0] == float(stamp)
+    assert _columnar(f"{stamp} aa:bb:cc:dd:ee:01 ap1\n")
+    assert parse_events(f"{stamp} aa:bb:cc:dd:ee:01 ap1\n").t[0] == float(stamp)
     # ap ids are numbered by first appearance in time order, not by name
     text = "3.0 aa:bb:cc:dd:ee:01 a\n1.0 aa:bb:cc:dd:ee:01 c\n2.0 aa:bb:cc:dd:ee:01 b\n"
-    assert ingest._uniform_events(text).aps == ("c", "b", "a")
+    assert _columnar(text)
+    assert parse_events(text).aps == ("c", "b", "a")
     assert _outcome(text) == _row_outcome(text)
 
 
