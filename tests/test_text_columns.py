@@ -10,6 +10,7 @@ from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,6 +164,17 @@ def test_a_headed_event_and_series_file_skip_the_row_reader():
         assert parsed.rssi.tolist() == [-60, RSSI_NONE] and parsed.aps == ("ap1", "ap2")
         assert counting.format_series(counting.parse_series(series)) == series
         assert cli._parse_value_series(series.encode()).value.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("nrmse", ["nan", "-nan", "NaN", "1nan", "xnan", "nan.", "0.5"])
+def test_an_nrmse_field_near_nan_matches_the_row_reader(nrmse):
+    text = f"# start w m_hat nrmse\n0.0 180.0 1.5 0.25\n180.0 180.0 0.0 {nrmse}\n"
+    for parse in (cli._parse_value_series, counting.parse_series):
+        series = text if parse is cli._parse_value_series else text.replace(
+            "180.0 1.5", "180.0 2 0.01 1.5 0.3").replace("180.0 0.0", "180.0 0 0.0 0.0 0.0")
+        with _rows_only():
+            expected = _outcome(parse, series)
+        assert _outcome(parse, series) == expected
 
 
 def test_a_file_the_reader_declines_keeps_the_row_readers_message():
