@@ -506,21 +506,29 @@ def parse_capture(data: bytes, ap_id: str = "cap0") -> Events:
 
 
 def _record_offsets(data: bytes, bo: str, unit: str, per_second: int) -> np.ndarray:
-    """Byte offset of every packet record, checking each record header."""
-    fraction_and_length = struct.Struct(bo + "4xII").unpack_from
+    """Byte offset of every packet record, checking each record header.
+
+    The walk only follows the lengths; the checks run afterwards and name the
+    first fault in record order, as a record-by-record check would.
+    """
+    incl_len = struct.Struct(bo + "8xI").unpack_from
     offsets = []
+    append = offsets.append
     offset, end = 24, len(data)
     while offset + 16 <= end:
-        fraction, incl_len = fraction_and_length(data, offset)
-        if fraction >= per_second:
-            raise ParseError(f"{unit} field {fraction} out of range at byte offset {offset}")
-        if offset + 16 + incl_len > end:
-            raise ParseError(f"truncated packet record at byte offset {offset}")
-        offsets.append(offset)
-        offset += 16 + incl_len
+        append(offset)
+        offset += 16 + incl_len(data, offset)[0]
+    record = np.array(offsets, dtype=np.int64)
+    fraction = _uint(np.frombuffer(data, dtype=np.uint8), record + 4, 4, bo == "<")
+    if (bad := np.flatnonzero(fraction >= per_second)).size:
+        first = bad[0]
+        raise ParseError(f"{unit} field {fraction[first]} out of range "
+                         f"at byte offset {record[first]}")
+    if offset > end:
+        raise ParseError(f"truncated packet record at byte offset {record[-1]}")
     if offset < end:
         raise ParseError(f"truncated packet record header at byte offset {offset}")
-    return np.array(offsets, dtype=np.int64)
+    return record
 
 
 def _microseconds(buf: np.ndarray, record: np.ndarray, little: bool, per_second: int) -> np.ndarray:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
 
 from .bursts import Bursts
 from .ingest import finite, non_negative_int, read_keys
@@ -142,6 +141,9 @@ def ljung_box(samples: Sequence[float], num_lags: int) -> tuple[float, float]:
         rho = float(centered[:-k] @ centered[k:]) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2)
+    # Imported on first call: scipy.stats takes about 1.1 s and 70 MiB to import.
+    from scipy import stats  # noqa: PLC0415
+
     p_value = float(stats.chi2.sf(q, num_lags))
     return q, p_value
 
@@ -161,6 +163,9 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     cdf_b = np.searchsorted(xb, pooled, side="right") / xb.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = xa.size * xb.size / (xa.size + xb.size)
+    # Imported on first call: scipy.special takes about 0.35 s and 25 MiB to import.
+    from scipy import special  # noqa: PLC0415
+
     p_value = float(special.kolmogorov(math.sqrt(n_eff) * d))
     return d, min(max(p_value, 0.0), 1.0)
 

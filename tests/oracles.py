@@ -1,10 +1,10 @@
 """Plain-Python reference implementations of the columnar core.
 
-Each works one object at a time: a per-record capture decoder, a per-event
-burst grouper, a per-burst interval extractor, the window-grid loop, the
-per-window count, people and ground-truth series with their text writers, a
-per-event text writer and a per-frame simulator.  The differential tests
-compare the package's numpy code against them.
+Each works one object at a time: a per-record capture decoder and record
+walk, a per-event burst grouper, a per-burst interval extractor, the
+window-grid loop, the per-window count, people and ground-truth series with
+their text writers, a per-event text writer and a per-frame simulator.  The
+differential tests compare the package's numpy code against them.
 """
 
 import math
@@ -63,6 +63,24 @@ def parse_capture(data, ap_id="cap0"):
         events.append(PrfEvent(timestamp, mac, ap_id, rssi))
     events.sort(key=lambda e: e.timestamp)
     return events
+
+
+def record_offsets(data, bo, unit, per_second):
+    """Byte offset of every packet record, each header checked as it is reached."""
+    fraction_and_length = struct.Struct(bo + "4xII").unpack_from
+    offsets = []
+    offset, end = 24, len(data)
+    while offset + 16 <= end:
+        fraction, incl_len = fraction_and_length(data, offset)
+        if fraction >= per_second:
+            raise ParseError(f"{unit} field {fraction} out of range at byte offset {offset}")
+        if offset + 16 + incl_len > end:
+            raise ParseError(f"truncated packet record at byte offset {offset}")
+        offsets.append(offset)
+        offset += 16 + incl_len
+    if offset < end:
+        raise ParseError(f"truncated packet record header at byte offset {offset}")
+    return offsets
 
 
 def _probe_request(frame, linktype):

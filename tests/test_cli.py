@@ -1,7 +1,10 @@
 import hashlib
 import math
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -956,3 +959,46 @@ def test_a_file_that_is_not_utf8_keeps_the_decoders_message(tmp_path, capsys, co
     argv = [a.format(bad=bad, ok=ok) for a in command]
     assert main(argv) == 1
     assert capsys.readouterr().err.strip() == expected
+
+
+# Runs every command on tiny files in one fresh interpreter, then reports the
+# scipy modules loaded before and after one Ljung-Box test.
+_IMPORT_GUARD = """
+import contextlib, io, sys
+src, d = sys.argv[1:]
+sys.path.insert(0, src)
+import probecount
+from probecount import cli, intervals
+with open(f"{d}/sim.cfg", "w") as f:
+    f.write("arrival_rate 0.0\\nfixed_persons 10\\ninterval_dist exp:mean=60\\n"
+            "rotation_prob 0.3\\nduration 1800\\nseed 7\\n")
+commands = [
+    f"simulate --config {d}/sim.cfg --events {d}/ev --truth {d}/tr",
+    f"truth --truth {d}/tr --kind device --out {d}/dev_ref",
+    f"truth --truth {d}/tr --kind person --out {d}/person_ref",
+    f"fit {d}/ev --out {d}/model",
+    f"count {d}/ev --model {d}/model --out {d}/counts",
+    f"count {d}/ev --baseline mac --out {d}/macs",
+    f"calibrate {d}/counts {d}/person_ref --out {d}/ratio",
+    f"people {d}/counts --ratio {d}/ratio --out {d}/people",
+    f"eval {d}/counts {d}/dev_ref",
+]
+for command in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(command.split()) == 0, command
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(scipy_modules())
+intervals.ljung_box([1.0, 3.0, 2.0, 5.0, 4.0], 2)
+print("scipy.stats" in scipy_modules())
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy.stats takes about a second to import; only the IID diagnostics need it
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(src), str(tmp_path)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "True"]
+    assert parse_model((tmp_path / "model").read_text()).sample_count > 0  # fit had intervals

@@ -584,6 +584,46 @@ def test_parse_capture_rejects_nanoseconds_rounding_past_32_bits():
         parse_capture(pcap_records([(last, 999_999_500, frame)], nanosecond=True))
 
 
+def _corrupt_capture(fault, swapped, nanosecond):
+    """A five-record capture with the faults that ``fault`` names."""
+    per_second = 10**9 if nanosecond else 10**6
+    frames = [probe_request(f"aa:bb:cc:dd:ee:0{i}", b"\x00" * i) for i in range(5)]
+    records = [(i + 1, i, frame) for i, frame in enumerate(frames)]
+    bad = {"fraction_at_0": [0], "fraction_at_2": [2], "fraction_at_last": [4],
+           "fractions_at_3_and_1": [3, 1], "fraction_in_truncated_last": [4],
+           "fraction_then_truncated_last": [1], "fraction_then_truncated_header": [3]}
+    for i in bad.get(fault, []):
+        records[i] = (records[i][0], per_second + i, records[i][2])
+    data = pcap_records(records, swapped=swapped, nanosecond=nanosecond)
+    if "truncated_last" in fault:
+        data = data[:-3]
+    if fault.endswith("truncated_header"):
+        data += b"\x00" * 7
+    return data
+
+
+@pytest.mark.parametrize("nanosecond", [False, True])
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("fault", [
+    "none", "fraction_at_0", "fraction_at_2", "fraction_at_last", "fractions_at_3_and_1",
+    "truncated_last", "truncated_header", "fraction_in_truncated_last",
+    "fraction_then_truncated_last", "fraction_then_truncated_header",
+])
+def test_record_walk_matches_record_by_record_checks(fault, swapped, nanosecond):
+    data = _corrupt_capture(fault, swapped, nanosecond)
+    bo, unit, per_second = ingest._PCAP_FORMATS[struct.unpack_from("<I", data)[0]]
+
+    def walk(record_offsets):
+        try:
+            return list(record_offsets(data, bo, unit, per_second))
+        except ParseError as exc:
+            return str(exc)
+
+    expected = walk(oracles.record_offsets)
+    assert walk(ingest._record_offsets) == expected
+    assert (fault == "none") == isinstance(expected, list)
+
+
 def test_parse_capture_names_pcapng():
     block = struct.pack("<III", 0x0A0D0D0A, 28, 0x1A2B3C4D) + bytes(16)
     with pytest.raises(ParseError, match="pcapng.*classic pcap"):

@@ -275,11 +275,14 @@ def test_ljung_box_chi_squared_anchor():
     # statistic exactly there must give p close to 0.05.
     rng = np.random.default_rng(0)
     x = rng.exponential(60.0, 5000)
-    q, _ = ljung_box(x.tolist(), 10)
+    q, p = ljung_box(x.tolist(), 10)
     from scipy import stats
 
     assert stats.chi2.sf(18.307, 10) == pytest.approx(0.05, abs=5e-4)
     assert q >= 0.0
+    # the chi-squared tail for an even 2m dof in closed form: exp(-q/2) sum_{i<m} (q/2)^i / i!
+    tail = math.exp(-q / 2) * sum((q / 2) ** i / math.factorial(i) for i in range(5))
+    assert p == pytest.approx(tail, rel=1e-12)
 
 
 def test_ljung_box_iid_accepts():
@@ -346,3 +349,12 @@ def test_ks_statistic_matches_hand_computation():
     # CDFs: F_a steps at 1,2; F_b steps at 2,3 -> max gap 0.5 at x in [1,2)
     d, _ = ks_two_sample([1.0, 2.0], [2.0, 3.0])
     assert d == pytest.approx(0.5)
+
+
+def test_ks_p_value_is_the_kolmogorov_tail_at_the_scaled_statistic():
+    # the samples are 15 apart in 100 steps: D = 0.15, x = sqrt(100 * 100 / 200) * D
+    d, p = ks_two_sample(np.arange(100.0), np.arange(100.0) + 15)
+    x = math.sqrt(50) * d
+    assert 1 < x < 1.5
+    tail = 2 * sum((-1) ** (k - 1) * math.exp(-2 * k * k * x * x) for k in range(1, 101))
+    assert p == pytest.approx(tail, rel=1e-12)
