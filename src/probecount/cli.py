@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import struct
 import sys
 from dataclasses import replace
@@ -32,7 +33,10 @@ EXIT_INPUT_ERROR = 1
 EXIT_INSUFFICIENT_DATA = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (argparse formats help at each
+    ``add_argument``); parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="probecount",
         description="Learning-free Wi-Fi device and people counting from probe requests.",

@@ -227,7 +227,13 @@ def _decimal(x: np.ndarray, spec: str) -> np.ndarray | None:
 
 def _text(column: np.ndarray) -> np.ndarray | None:
     """``%s`` of each value as zero-padded UTF-8 rows (bytes columns are taken as ASCII
-    text); None when a value holds a NUL."""
+    text, and ASCII numpy ``str`` without a NUL is narrowed code by code); None when a
+    value holds a NUL."""
+    if column.dtype.kind == "U":
+        codes = np.ascontiguousarray(column).view(np.uint32)
+        codes = codes.reshape(column.size, column.itemsize // 4)
+        if codes.max(initial=0) < 128 and not np.any((codes[:, :-1] == 0) & (codes[:, 1:] != 0)):
+            return codes.astype(np.uint8)
     if column.dtype.kind != "S":
         encoded = [str(v).encode() for v in column.tolist()]
         if b"\0" in b"".join(encoded):
@@ -235,6 +241,13 @@ def _text(column: np.ndarray) -> np.ndarray | None:
         column = np.array(encoded, dtype=bytes)
     column = np.ascontiguousarray(column)
     return column.view(np.uint8).reshape(column.size, column.itemsize)
+
+
+def ascii_str(column: np.ndarray) -> np.ndarray:
+    """A bytes column of ASCII text as numpy ``str``, each byte widened to its code."""
+    width = column.itemsize
+    codes = np.ascontiguousarray(column).view(np.uint8).reshape(-1, width)
+    return codes.astype(np.uint32).view(f"U{width}").ravel()
 
 
 def _format_chunk(parts: list[str], columns: list[np.ndarray]) -> str | None:

@@ -26,7 +26,7 @@ from probecount.simulate import (
     LogNormal,
     PoissonCount,
     SimConfig,
-    TRACE_DTYPE,
+    TRACE_FIELDS,
     ground_truth_series,
     probing_instants,
     simulate,
@@ -115,14 +115,11 @@ def fixed_population():
 def test_criterion_1_window_average_anchor():
     started = time.perf_counter()
     trace = GroundTruthTrace(
-        np.array(
-            [
-                ("dA", "device", "p0", 0.0, 600.0),
-                ("dB", "device", "p0", 0.0, 600.0),
-                ("dC", "device", "p0", 300.0, 600.0),
-            ],
-            dtype=TRACE_DTYPE,
-        ).view(np.recarray)
+        np.rec.fromarrays(
+            [["dA", "dB", "dC"], ["device"] * 3, ["p0"] * 3, [0.0, 0.0, 300.0],
+             [600.0, 600.0, 600.0]],
+            names=TRACE_FIELDS,
+        )
     )
     [(n_bar, _)] = ground_truth_series(trace, np.array([0.0]), 600.0)
     elapsed = time.perf_counter() - started

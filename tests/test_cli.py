@@ -48,6 +48,30 @@ def test_parser_rejects_unknown_baseline():
         build_parser().parse_args(["count", "in.txt", "--baseline", "magic"])
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()  # built anew, as each call did before
+    assert build_parser().format_help() == fresh.format_help()
+    truth = tmp_path / "t.truth"
+    truth.write_text("p0 person - 0.0 600.0\nd0 device p0 0.0 600.0\n")
+    grid = ["--window", "600", "--step", "600", "--end", "600"]
+    assert main(["truth", "--truth", str(truth), "--kind", "person", *grid]) == 0
+    assert main(["count", str(truth), "--baseline", "mac"]) == 1  # not event text
+    capsys.readouterr()
+    bad = ["truth", "--truth", str(truth), "--kind", "robot"]
+    errors = []
+    for parse in (fresh.parse_args, build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as exit_:
+            parse(bad)
+        assert exit_.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2]
+    assert "invalid choice: 'robot'" in errors[0]
+    # the failed call left no choice behind: the default kind again
+    assert main(["truth", "--truth", str(truth), *grid]) == 0
+    assert capsys.readouterr().out == "0.000000 1.000000\n"
+
+
 def test_fit_golden_capture(tmp_path, capsys):
     # instants 0, 100, 200 -> two 100 s intervals -> tau_mean 100, tau_std 0
     cap = tmp_path / "golden.pcap"

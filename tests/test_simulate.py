@@ -2,11 +2,14 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,7 +30,7 @@ from probecount.simulate import (
     _renewals,
     equilibrium_residual,
     MAX_EXPECTED_RECORDS,
-    TRACE_DTYPE,
+    TRACE_FIELDS,
     format_trace,
     ground_truth_series,
     parse_config,
@@ -196,7 +199,10 @@ def rows_of(*spans):
 
 
 def trace_from_rows(rows):
-    return GroundTruthTrace(np.array(rows, dtype=TRACE_DTYPE).view(np.recarray))
+    columns = list(zip(*rows)) or [()] * 5
+    return GroundTruthTrace(np.rec.fromarrays(
+        [np.array(c, dtype=t) for c, t in zip(columns, (str, str, str, float, float))],
+        names=TRACE_FIELDS))
 
 
 def trace_of(*spans):
@@ -263,21 +269,106 @@ def test_ground_truth_window_partition():
     assert whole_avg == pytest.approx(sum(part_avgs) / 4.0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.tuples(st.sampled_from(["device", "person"]), st.floats(0, 2000),
-                       st.floats(0.001, 1500)), max_size=30),
-    st.floats(-500, 2500),
-    st.integers(0, 40),
-    st.sampled_from([0.3, 10.0, 180.0, 900.0]),
-    st.sampled_from([0.7, 60.0, 180.0]),
-)
-def test_ground_truth_series_matches_per_window_oracle(spans, start, n, w, step):
-    rows = rows_of(*((kind, enter, enter + dwell) for kind, enter, dwell in spans))
-    starts = start + np.arange(n) * step
-    windows = [oracles.Window(s, w) for s in starts.tolist()]
+def assert_matches_oracle(rows, starts, w):
+    """ground_truth_series against the per-window overlap oracle, to the oracle's own
+    rounding: a few units in the last place of the largest time, per entity."""
     truth = ground_truth_series(trace_from_rows(rows), starts, w)
-    assert truth.tolist() == oracles.ground_truth_series(rows, windows)
+    expected = oracles.ground_truth_series(rows, [oracles.Window(s, w) for s in starts.tolist()])
+    times = [abs(x) for row in rows for x in row[3:]] + [abs(s) + w for s in starts]
+    tolerance = 4 * (len(rows) + 1) * np.finfo(float).eps * max(times + [w]) / w
+    assert len(truth) == len(expected)
+    for ours, theirs in zip(truth.tolist(), expected):
+        assert ours == pytest.approx(theirs, rel=0, abs=tolerance)
+
+
+# times on and off the microsecond grid (1.0000001 is off it, as a hand-written
+# sidecar may hold), and window edges
+_TIMES = st.one_of(
+    st.integers(-(10**10), 10**10).map(lambda k: k / 1e6),
+    st.floats(-1e4, 1e4),
+    st.sampled_from([1.0000001, 0.0, 1.0, 180.0, -180.0, 1.7e9]),
+)
+
+
+@st.composite
+def _spans(draw):
+    """Traces of up to 25 entities, and window grids from before the first to after the
+    last, some starting or ending at an entity's times."""
+    spans = []
+    for _ in range(draw(st.integers(1, 25))):
+        enter = draw(_TIMES)
+        leave = draw(st.one_of(_TIMES, st.floats(1e-6, 2e3).map(lambda d: enter + d)))
+        if enter < leave:
+            spans.append((draw(st.sampled_from(["device", "person"])), enter, leave))
+    edges = [t for _, enter, leave in spans for t in (enter, leave)] or [0.0]
+    w = draw(st.sampled_from([0.3, 1.0, 10.0, 180.0, 900.0]))
+    start = draw(st.one_of(_TIMES, st.sampled_from(edges),
+                           st.sampled_from(edges).map(lambda t: t - w)))
+    step = draw(st.sampled_from([0.7, 1.0, w, 60.0, 180.0]))
+    return spans, start + np.arange(draw(st.integers(0, 40))) * step, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spans())
+def test_ground_truth_series_matches_per_window_oracle(case):
+    spans, starts, w = case
+    assert_matches_oracle(rows_of(*spans), starts, w)
+
+
+def test_ground_truth_of_one_entity_around_its_edges():
+    rows = rows_of(("device", 100.0, 200.0))
+    # before, touching the enter, straddling it, inside, straddling and touching the leave, after
+    starts = np.array([-500.0, 50.0, 75.0, 100.0, 150.0, 190.0, 200.0, 1e4])
+    assert ground_truth_series(trace_from_rows(rows), starts, 50.0).n_bar.tolist() == [
+        0.0, 0.0, 0.5, 1.0, 1.0, 0.2, 0.0, 0.0]
+    assert_matches_oracle(rows, starts, 50.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["device", "person"]), st.integers(-(10**12), 10**12),
+                       st.integers(1, 10**10)), min_size=1, max_size=20),
+    st.lists(st.integers(-(10**12), 10**12), max_size=10),
+    st.integers(1, 10**10),
+)
+def test_ground_truth_on_the_microsecond_grid_is_the_rounded_exact_ratio(spans, starts, w):
+    # times in whole microseconds: each average is the exact ratio, rounded once
+    rows = rows_of(*((kind, enter / 1e6, (enter + dwell) / 1e6) for kind, enter, dwell in spans))
+    truth = ground_truth_series(trace_from_rows(rows), np.array(starts) / 1e6, w / 1e6)
+    for s, averages in zip(starts, truth.tolist()):
+        for kind, value in zip(("device", "person"), averages):
+            total = sum(max(0, min(enter + dwell, s + w) - max(enter, s))
+                        for k, enter, dwell in spans if k == kind)
+            assert value == float(Fraction(total, w))
+
+
+def test_ground_truth_prefix_sums_do_not_overflow():
+    # 4000 entities over 1.8e16 microseconds: sums and window totals past 2**63 in int64;
+    # times past 2**53 / 1e6 seconds have no exact microseconds
+    rng = np.random.default_rng(5)
+    enter = rng.uniform(-9e9, 9e9, 4000)
+    rows = rows_of(*(("device", a, a + d) for a, d in zip(enter, rng.uniform(1e9, 9e9, 4000))))
+    assert_matches_oracle(rows, np.linspace(-9e9, 9e9, 50), 8e9)
+    rows = rows_of(("device", 1e15, 2e15), ("person", -1e300, -1e299), ("person", -5.0, 1e12))
+    starts = np.array([-1e300, -10.0, 1e15 - 1e5, 1e15])
+    # -1e300 + 1e6 rounds to -1e300, but the window still lies in the person's span
+    assert ground_truth_series(trace_from_rows(rows), starts, 1e6).tolist() == [
+        (0.0, 1.0), (0.0, 0.999995), (0.9, 0.0), (1.0, 0.0)]
+
+
+def test_ground_truth_of_a_million_windows():
+    _, trace = simulate(SimConfig(duration=1800.0, seed=3))
+    starts = -5.0 + np.arange(1_000_000) * 0.002  # 1.0 s windows from before the first entity
+    tracemalloc.start()
+    truth = ground_truth_series(trace, starts, 1.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the output's 16 bytes a window, and temporaries for a block of windows at a time
+    assert peak < 1_000_000 * 16 + 20_000_000
+    rows = trace.entities.tolist()
+    sample = np.arange(0, starts.size, 9973)
+    assert_matches_oracle(rows, starts[sample], 1.0)
+    assert truth[sample].tolist() == ground_truth_series(trace, starts[sample], 1.0).tolist()
 
 
 # ---------------------------------------------------------------- simulate()
@@ -622,7 +713,10 @@ def test_renewal_loop_keeps_the_draws(dist, start, span, scale, phase_mode, seed
     assert ours.tolist() == theirs.tolist()
     rate = 1.0 / (1.0 + scale)
     mean, rng = 1.0 / rate, np.random.default_rng(seed)
-    ours = _renewals(0.0, span, mean, lambda n: rng.exponential(mean, n), 16)
+    pieces = [()]
+    count = _renewals(0.0, span, mean, lambda r, n: r.exponential(mean, n), rng, 16, pieces)
+    ours = np.concatenate(pieces)
+    assert count == ours.size
     theirs = oracles._poisson_arrivals(np.random.default_rng(seed), rate, span)
     assert ours.tolist() == theirs.tolist()
 
@@ -692,13 +786,8 @@ def _simulated_digest(config):
     return hashlib.sha256((format_events(events) + format_trace(trace)).encode()).hexdigest()
 
 
-# the golden configs whose rotation probability is 0 or 1
-REPLAYED = [(config, digest) for config, _, digest in GOLDEN_SIMULATIONS
-            if parse_config(config).rotation_prob in (0.0, 1.0)]
-
-
-@pytest.mark.parametrize("config,digest", REPLAYED)
-def test_rotation_zero_or_one_replays_the_draws(monkeypatch, config, digest):
+@pytest.mark.parametrize("config,count,digest", GOLDEN_SIMULATIONS)
+def test_every_rotation_probability_replays_the_draws(monkeypatch, config, count, digest):
     assert simulate_module._replay_agrees()  # on this numpy, cached from here on
     monkeypatch.setattr(simulate_module, "_draw_mac", None)  # the per-burst loop's MAC draw
     assert _simulated_digest(config) == digest
@@ -713,25 +802,81 @@ def test_a_failed_self_check_draws_burst_by_burst(monkeypatch, config, count, di
 
 def test_a_frame_count_redraw_is_not_replayed(monkeypatch):
     replay = _Replay(SimConfig(frames_per_burst=(1, 3), rotation_prob=0.0))
-    replay.instants.append(np.array([5.0]))
     # one device: three words for its MAC's six 32-bit draws (each the low half,
     # then the high half of a word), then one whose low half is the burst's
     # frame-count draw x
     replay.words.append(np.array([0x0102030405060708, 0, 0, 0], dtype=np.uint64))
     # span 3: x = 0 leaves (x * 3) mod 2**32 = 0 below 2**32 mod 3 = 1, where
     # numpy draws again
-    assert replay.bursts() is None
+    assert replay.bursts([1]) is None
     replay.words[-1][3] = 0xFFFFFFFF00000000  # the high half is not x
-    assert replay.bursts() is None
+    assert replay.bursts([1]) is None
     for x, frames in [(1, 1), (0x55555555, 1), (0x55555556, 2), (2**32 - 1, 3)]:
         replay.words[-1][3] = x
-        instants, decoded, macs = replay.bursts()
-        assert (instants.tolist(), decoded.tolist(), macs.tolist()) == (
-            [5.0], [frames], [0x040100000000])
+        decoded, macs = replay.bursts([1])
+        assert (decoded.tolist(), macs.tolist()) == ([frames], [0x040100000000])
     # simulate then runs the per-burst loop, with the same output
-    monkeypatch.setattr(simulate_module._Replay, "bursts", lambda self: None)
-    [(config, digest)] = [(c, d) for c, d in REPLAYED if "2..7" in c]
+    monkeypatch.setattr(simulate_module._Replay, "bursts", lambda self, counts: None)
+    [(config, digest)] = [(c, d) for c, _, d in GOLDEN_SIMULATIONS if "2..7" in c]
     assert _simulated_digest(config) == digest
+
+
+def _draws_and_state(config, replay):
+    """``_draw``'s result, and its generator's state afterwards."""
+    made = []
+
+    def default_rng(seed):
+        made.append(np.random.Generator(np.random.PCG64(seed)))
+        return made[-1]
+
+    with mock.patch.object(simulate_module.np.random, "default_rng", default_rng):
+        drawn = simulate_module._draw(config, replay)
+    return drawn, made[0].bit_generator.state
+
+
+_HIST = HistogramInterval(4.0, (0, 3, 9, 5, 1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rotation_prob=st.one_of(st.sampled_from([0.0, 5e-324, 1e-9, 1 - 2**-53, 1.0]),
+                            st.floats(0.0, 1.0)),
+    frames=st.tuples(st.integers(1, 4), st.sampled_from([0, 0, 1, 2, 5, 2**31, 2**32 - 3])),
+    phase_mode=st.sampled_from(["equilibrium", "ordinary"]),
+    interval_scale_sigma=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+    interval_dist=st.sampled_from([Exponential(20.0), LogNormal(2.5, 0.8), Constant(7.5),
+                                   UniformInterval(2.0, 30.0), _HIST]),
+    devices=st.sampled_from([ConstantCount(1), ConstantCount(3), PoissonCount(1.5)]),
+    population=st.tuples(st.integers(0, 4), st.sampled_from([0.0, 0.02])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_replay_draws_as_the_per_burst_loop(
+    rotation_prob, frames, phase_mode, interval_scale_sigma, interval_dist, devices, population,
+    seed,
+):
+    config = SimConfig(
+        arrival_rate=population[1], fixed_persons=population[0], interval_dist=interval_dist,
+        rotation_prob=rotation_prob, phase_mode=phase_mode, duration=300.0, seed=seed,
+        interval_scale_sigma=interval_scale_sigma, devices_per_person_dist=devices,
+    )
+    # spans near 2**31 make Lemire's method draw again for about half the frame counts;
+    # such counts are never expanded into frames here, so the records limit is passed by
+    object.__setattr__(config, "frames_per_burst", (frames[0], frames[0] + frames[1]))
+    replayed, state = _draws_and_state(config, replay=True)
+    drawn, drawn_state = _draws_and_state(config, replay=False)
+    event("redrawn" if replayed is None else "replayed")
+    if replayed is None:  # a frame count was drawn again, which the replay does not follow
+        assert frames[1] >= 2**31
+        return
+    assert state["has_uint32"] == 0
+    assert state["state"] == drawn_state["state"]  # the replay rewound to the loop's word
+    for ours, theirs in zip(replayed, drawn):  # the persons, then the bursts
+        assert [column.tolist() for column in ours] == [column.tolist() for column in theirs]
+    if frames[1] < 2**31:
+        events, trace = simulate_module._simulate(config, replay=True)
+        expected = simulate_module._simulate(config, replay=False)
+        assert format_events(events) + format_trace(trace) == (
+            format_events(expected[0]) + format_trace(expected[1]))
 
 
 def _near_half_microseconds(k, ulps):

@@ -218,7 +218,7 @@ def test_the_formats_are_the_packages():
         calibration.format_reference_series(
             np.zeros(1, calibration.REFERENCE_DTYPE).view(np.recarray))
         simulate.format_trace(simulate.GroundTruthTrace(np.rec.fromarrays(
-            [["d0"], ["device"], ["p0"], [0.0], [1.0]], dtype=simulate.TRACE_DTYPE)))
+            [["d0"], ["device"], ["p0"], [0.0], [1.0]], names=simulate.TRACE_FIELDS)))
         ingest.format_events(Events([0.0], [1], [0], [RSSI_NONE], ["ap"]))
     assert seen == set(FORMATS)
 
@@ -242,13 +242,14 @@ _FLOATS = st.one_of(
                      float("nan"), float("-nan"), float("inf"), float("-inf")]),
 )
 _INTS = st.integers(-(2**63), 2**63 - 1) | st.integers(-1000, 1000)
-_TEXTS = st.text(max_size=6) | st.sampled_from(["", "ap1", "a\x00", "\x00", "é", "-60", " -60"])
+_TEXTS = st.text(max_size=6) | st.sampled_from(["", "ap1", "a\x00", "\x00", "a\x00b", "é", "-60",
+                                                " -60"])
 
 
 @st.composite
 def _columns(draw, kinds):
-    """Columns of one to twelve rows for ``kinds``: a text column is str objects, or
-    bytes when all its values are ASCII without NUL and a coin says so."""
+    """Columns of one to twelve rows for ``kinds``: a text column is str objects, numpy
+    str, or bytes when all its values are ASCII without NUL and a coin says so."""
     n = draw(st.integers(1, 12))
     columns = []
     for kind in kinds:
@@ -259,9 +260,9 @@ def _columns(draw, kinds):
         else:
             texts = draw(st.lists(_TEXTS, min_size=n, max_size=n))
             ascii_text = all(t.isascii() and "\x00" not in t for t in texts)
-            as_bytes = ascii_text and draw(st.booleans())
-            columns.append(np.array([t.encode() for t in texts], dtype="S") if as_bytes
-                           else np.array(texts, dtype=object))
+            kind = draw(st.sampled_from(["S", "U", object] if ascii_text else ["U", object]))
+            columns.append(np.array([t.encode() for t in texts] if kind == "S" else texts,
+                                    dtype=kind))
     return columns
 
 
