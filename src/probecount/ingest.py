@@ -372,7 +372,7 @@ def _check_event(timestamp: float, rssi: int | None) -> None:
         raise ValueError(f"rssi {rssi!r} outside [{RSSI_NONE + 1}, {2**15 - 1}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrfEvent:
     """One received probe request frame."""
 
@@ -425,11 +425,20 @@ class Events:
         return len(self.t)
 
     def __iter__(self) -> Iterator[PrfEvent]:
-        """``PrfEvent`` views, one per event; outside tests only ``bench/inputs.py`` iterates."""
-        aps = self.aps
+        """``PrfEvent`` views, one per event (outside tests only ``bench/inputs.py`` iterates),
+        set slot by slot: the columns passed every check the views' ``__init__`` makes."""
+        new, aps, set_value = object.__new__, self.aps, MacAddress.value.__set__
+        set_t, set_mac, set_ap, set_rssi = (getattr(PrfEvent, slot).__set__
+                                            for slot in PrfEvent.__slots__)
         columns = (self.t.tolist(), self.mac.tolist(), self.ap.tolist(), self.rssi.tolist())
-        for t, mac, ap, rssi in zip(*columns):
-            yield PrfEvent(t, MacAddress(mac), aps[ap], None if rssi == RSSI_NONE else rssi)
+        for t, value, ap, rssi in zip(*columns):
+            mac, event = new(MacAddress), new(PrfEvent)
+            set_value(mac, value)
+            set_t(event, t)
+            set_mac(event, mac)
+            set_ap(event, aps[ap])
+            set_rssi(event, None if rssi == RSSI_NONE else rssi)
+            yield event
 
 
 def is_randomized(mac: int | np.ndarray) -> bool | np.ndarray:
@@ -634,11 +643,14 @@ _POW10F = 10.0 ** np.arange(16)
 def _number(buf: np.ndarray, end: np.ndarray, length: np.ndarray,
             point: bool = True) -> np.ndarray | None:
     """Each field [end - length, end) read as ``-?digits[.digits]`` (float64), or without
-    ``point`` as ``-?digits`` (int64), of at most 15 digits; None unless all are.
+    ``point`` as ``-?digits`` (int64), of at most 16 digits whose integer lies below
+    2**53, so that a float is exact; None unless all are.
 
     The 16-byte window that ends each field is two little-endian words of digit
     lanes; the lanes before the point move up over it, and each word is read as
-    eight digits at once (Lemire's SWAR digit parsing).
+    eight digits at once (Lemire's SWAR digit parsing).  A field of 16 digits and
+    a point starts a byte before the window: its first digit fills the lane the
+    move frees.
     """
     negative = buf[end - length] == ord("-")
     length = length - negative
@@ -650,7 +662,7 @@ def _number(buf: np.ndarray, end: np.ndarray, length: np.ndarray,
     marks = mark * 0x0101010101010101 >> 56
     marks = marks[:, 0] + marks[:, 1]
     if (window.max(initial=0) > 9 or marks.max(initial=0) > point
-            or np.any((length - marks < 1) | (length - marks > 15))):
+            or np.any((length - marks < 1) | (length - marks > 16))):
         return None
     if point:
         lane = (mark * 0x0102030405060708 >> 56).astype(np.int64)  # 1 + the point's lane, or 0
@@ -659,10 +671,17 @@ def _number(buf: np.ndarray, end: np.ndarray, length: np.ndarray,
         shifted[:, 1] |= word[:, 0] >> 56
         keep = _AFTER.take(column + 1).view("<u8").reshape(-1, 2)
         word = word & keep | shifted & ~keep
+        if (long := np.flatnonzero(length > 16)).size:
+            first = buf[end[long] - 17] - np.uint8(48)
+            if first.max() > 9:
+                return None
+            word[long, 0] |= first
     word = (word * 10 + (word >> 8)) & 0x00FF00FF00FF00FF
     word = (word * 100 + (word >> 16)) & 0x0000FFFF0000FFFF
     word = (word * 10000 + (word >> 32)) & 0xFFFFFFFF
     value = word[:, 1].astype(np.int64) + word[:, 0].astype(np.int64) * 10**8
+    if value.max(initial=0) >= 2**53:
+        return None
     if point:
         value = value / _POW10F.take(np.where(column < 0, 0, 15 - column))
     return np.where(negative, -value, value)

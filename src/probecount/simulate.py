@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -136,40 +137,42 @@ class HistogramInterval:
 
     bin_width: float
     counts: tuple[int, ...]
+    # the bin probabilities, the bins' midpoints, and the cumulative probabilities that
+    # sample and sample_length_biased search: computed once, in __post_init__
+    _probs: np.ndarray = field(init=False, repr=False, compare=False)
+    _mids: np.ndarray = field(init=False, repr=False, compare=False)
+    _cumulative: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_positive("histogram mean", self.mean())
-
-    def _probs(self) -> np.ndarray:
         counts = np.asarray(self.counts, dtype=float)
         total = counts.sum()
         if total <= 0:
             raise ValueError("histogram has no mass")
-        return counts / total
-
-    def _mids(self) -> np.ndarray:
-        return (np.arange(len(self.counts)) + 0.5) * self.bin_width
+        probs, mids = counts / total, (np.arange(len(self.counts)) + 0.5) * self.bin_width
+        object.__setattr__(self, "_probs", probs)
+        object.__setattr__(self, "_mids", mids)
+        _check_positive("histogram mean", self.mean())
+        weights = probs * mids
+        cum, biased = np.cumsum(probs), np.cumsum(weights / weights.sum())
+        cum[-1] = biased[-1] = 1.0
+        object.__setattr__(self, "_cumulative", (cum, biased))
 
     def mean(self) -> float:
-        return float(self._probs() @ self._mids())
+        return float(self._probs @ self._mids)
 
     def std(self) -> float:
-        p, mids = self._probs(), self._mids()
-        second = float(p @ (mids**2 + self.bin_width**2 / 12.0))
+        second = float(self._probs @ (self._mids**2 + self.bin_width**2 / 12.0))
         return math.sqrt(max(second - self.mean() ** 2, 0.0))
 
-    def _sample_bins(self, rng: np.random.Generator, size: int, probs: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
+    def _sample_bins(self, rng: np.random.Generator, size: int, cum: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(cum, rng.random(size), side="right")
         return (idx + rng.random(size)) * self.bin_width
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._sample_bins(rng, size, self._probs())
+        return self._sample_bins(rng, size, self._cumulative[0])
 
     def sample_length_biased(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        weights = self._probs() * self._mids()
-        return self._sample_bins(rng, size, weights / weights.sum())
+        return self._sample_bins(rng, size, self._cumulative[1])
 
 
 Distribution = Exponential | LogNormal | Constant | UniformInterval | HistogramInterval
@@ -392,14 +395,25 @@ _CONFIG_KEYS = {
 # The ground-truth trace file's columns: an entity, its kind ("device" or
 # "person"), its owner (a device's person, "-" for a person), enter and leave.
 TRACE_FIELDS = ("entity_id", "kind", "owner", "enter", "leave")
+_Entity = namedtuple("_Entity", TRACE_FIELDS)
+
+
+class _Entities(np.recarray):
+    """A record array that iterates as ``_Entity`` tuples of its columns' ``tolist()``."""
+
+    def __iter__(self):
+        return map(_Entity, *(self[name].tolist() for name in TRACE_FIELDS))
 
 
 @dataclass(frozen=True, eq=False)
 class GroundTruthTrace:
-    """The simulated entities, as records of ``TRACE_FIELDS``: text fields numpy
-    ``str`` (``U``), times float64."""
+    """The simulated entities, as records of ``TRACE_FIELDS`` (iterated as named tuples of
+    ``str`` and ``float``): text fields numpy ``str`` (``U``), times float64."""
 
     entities: np.recarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entities", self.entities.view(_Entities))
 
 
 def _trace(*columns: np.ndarray) -> GroundTruthTrace:

@@ -263,6 +263,9 @@ FALLBACK_LINES = {
     "point alone": ". aa:bb:cc:dd:ee:01 ap1",
     "16 digits": "4294967295.123456 aa:bb:cc:dd:ee:01 ap1",
     "16 digits below 2**53": "12345.67890123456 aa:bb:cc:dd:ee:01 ap1",
+    "16 digits at 2**53": "9.007199254740992 aa:bb:cc:dd:ee:01 ap1",
+    "sign before 15 digits and a point": "+700000000.991770 aa:bb:cc:dd:ee:01 ap1",
+    "letter before 15 digits and a point": "J700000000.991770 aa:bb:cc:dd:ee:01 ap1",
     "17 digits at 2**32": "4294967295.9999999 aa:bb:cc:dd:ee:01 ap1",
     "17 digits rounding below 2**32": "4294967295.9999990 aa:bb:cc:dd:ee:01 ap1",
     "timestamp at 2**32": "4294967296 aa:bb:cc:dd:ee:01 ap1",
@@ -280,7 +283,8 @@ FALLBACK_LINES = {
     "long ap id": "1.0 aa:bb:cc:dd:ee:01 " + "a" * 65,
 }
 COLUMNAR_LINES = {"comment", "hash in an ap id", "blank line", "tab", "two spaces",
-                  "leading space", "trailing space", "crlf", "form feed", "six-digit rssi"}
+                  "leading space", "trailing space", "crlf", "form feed", "six-digit rssi",
+                  "16 digits", "16 digits below 2**53"}
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -303,6 +307,19 @@ def test_fallback_within_generated_text_matches_the_row_reader(lines, trigger, d
     last_blank = (trigger, at) == ("blank line", len(lines) - 1)
     text = _text(lines, data.draw(st.booleans()) or last_blank)
     assert _columnar(text) == (trigger in COLUMNAR_LINES)
+    assert _outcome(text) == _row_outcome(text)
+
+
+def test_columnar_path_decodes_unix_epoch_timestamps():
+    # 16 digits, the first one a byte before the 16-byte window, below 2**53
+    text = ("1700000000.991770 aa:bb:cc:dd:ee:01 ap1 -60\n"
+            "-1700000003.609513 02:00:00:00:00:02 ap1\n")
+    assert not _columnar(text)  # a negative time is out of range: the row reader says so
+    assert _outcome(text) == _row_outcome(text) == (
+        "line 2: event timestamp -1700000003.609513 outside [0, 2**32) s")
+    text = text.replace("-17", "17")
+    assert _columnar(text)
+    assert parse_events(text).t.tolist() == [1700000000.99177, 1700000003.609513]
     assert _outcome(text) == _row_outcome(text)
 
 
@@ -463,6 +480,56 @@ def test_events_columns_and_views():
     assert events.aps == ("ap0", "ap1")
     assert events.rssi.tolist() == [-60, RSSI_NONE, -32767]
     assert list(events) == listed
+
+
+# Time-sorted event rows up to the last float below 2**32 (2**32 - 2**-21) and the MAC
+# 2**48 - 1, with every int16 rssi, RSSI_NONE (no rssi) among them.
+_EVENT_ROWS = st.lists(st.tuples(
+    st.floats(0, 2**32, exclude_max=True) | st.sampled_from([0.0, 2**32 - 1e-6, 2**32 - 2**-21]),
+    MAC_VALUES | st.sampled_from([0, 2**48 - 1]),
+    st.integers(0, 2),
+    st.integers(-(2**15), 2**15 - 1) | st.sampled_from([RSSI_NONE, RSSI_NONE + 1, 2**15 - 1]),
+), max_size=30).map(sorted)
+
+
+@given(_EVENT_ROWS)
+def test_event_views_equal_the_constructors_views(rows):
+    aps = ("ap0", "lobby", "é")
+    events = Events(*([list(column) for column in zip(*rows)] or [[]] * 4), aps)
+    built = [PrfEvent(t, MacAddress(m), aps[a], None if r == RSSI_NONE else r)
+             for t, m, a, r in rows]
+    views = list(events)
+    assert views == built
+    assert [hash(v) for v in views] == [hash(b) for b in built]
+    assert [hash(v.mac) for v in views] == [hash(b.mac) for b in built]
+    assert list(map(repr, views)) == list(map(repr, built))
+    assert sorted(v.mac for v in views) == sorted(b.mac for b in built)
+    for view in views:
+        assert type(view) is PrfEvent and type(view.mac) is MacAddress
+        assert type(view.timestamp) is float and type(view.mac.value) is int
+        assert view.rssi is None or type(view.rssi) is int
+        with pytest.raises(AttributeError):
+            view.timestamp = 0.0
+        with pytest.raises(AttributeError):
+            view.mac.value = 0
+
+
+@pytest.mark.parametrize("args,message", [
+    ((-1.0,), "event timestamp -1.0 outside [0, 2**32) s"),
+    ((2.0**32,), "event timestamp 4294967296.0 outside [0, 2**32) s"),
+    ((float("nan"),), "event timestamp nan outside [0, 2**32) s"),
+    ((1.0, RSSI_NONE), "rssi -32768 outside [-32767, 32767]"),
+    ((1.0, 2**15), "rssi 32768 outside [-32767, 32767]"),
+])
+def test_building_an_event_directly_still_checks_it(args, message):
+    timestamp, *rssi = args
+    with pytest.raises(ValueError) as raised:
+        PrfEvent(timestamp, MacAddress(1), "ap", *rssi)
+    assert str(raised.value) == message
+    for value in (-1, 2**48):
+        with pytest.raises(ValueError) as raised:
+            MacAddress(value)
+        assert str(raised.value) == f"MAC value out of range: {value!r}"
 
 
 def test_events_columns_are_read_only():

@@ -66,6 +66,17 @@ def test_hist_spec_reads_a_fitted_model(tmp_path):
     )
 
 
+def test_a_histogram_is_its_width_and_counts():
+    # the probabilities it computes once are no part of its value
+    hist = HistogramInterval(10.0, (0, 5, 20))
+    assert repr(hist) == "HistogramInterval(bin_width=10.0, counts=(0, 5, 20))"
+    assert hist == HistogramInterval(10.0, (0, 5, 20)) != HistogramInterval(10.0, (0, 5, 21))
+    assert hash(hist) == hash(HistogramInterval(10.0, (0, 5, 20)))
+    with mock.patch.object(np, "cumsum", side_effect=AssertionError("recomputed")):
+        rng = np.random.default_rng(1)
+        assert hist.sample(rng, 3).shape == hist.sample_length_biased(rng, 3).shape == (3,)
+
+
 def test_hist_spec_errors_name_the_model_file(tmp_path):
     path = tmp_path / "bad.model"
     path.write_text("area_id a\ntau_mean 60.0\n")
@@ -631,6 +642,30 @@ def test_trace_round_trip():
     assert parse_trace(format_trace(trace)).entities.tolist() == trace.entities.tolist()
 
 
+@pytest.mark.parametrize("source", ["simulate", "parse_trace", "a record array"])
+def test_iterating_entities_gives_their_rows_as_python_values(source):
+    _, trace = simulate(SimConfig(arrival_rate=0.02, devices_per_person_dist=PoissonCount(1.5),
+                                  duration=1500.0, seed=31))
+    if source == "parse_trace":
+        trace = parse_trace(format_trace(trace))
+    elif source == "a record array":
+        trace = trace_from_rows(trace.entities.tolist())
+    entities = trace.entities
+    rows = list(entities)
+    assert rows == entities.tolist() and len(rows) == len(entities) > 2
+    assert {e.kind for e in rows} == {"device", "person"}
+    for row in rows:
+        assert [type(v) for v in row] == [str, str, str, float, float]
+        assert tuple(getattr(row, name) for name in TRACE_FIELDS) == row
+    devices = entities[entities.kind == "device"]
+    assert [e for e in rows if e.kind == "device"] == list(devices) == devices.tolist()
+    for column in (entities.kind, devices.enter, devices["leave"], entities[1:].owner):
+        assert type(column) is np.ndarray
+    assert devices.enter.tolist() == [e.enter for e in rows if e.kind == "device"]
+    assert isinstance(entities[0], np.record) and entities[0].kind == rows[0].kind
+    assert list(trace_from_rows([]).entities) == []
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -759,9 +794,27 @@ GOLDEN_SIMULATIONS = [
         1930,
         "85eb8baa2a45f0b22e4652b79f7e32b01a37d9691d7ffe2ac095b72ce1b9ca8e",
     ),
+    (
+        # fitted histograms (GOLDEN_MODEL) for intervals, length-biased first waits and dwells
+        "arrival_rate 0.1\nfixed_persons 2\ndwell_dist hist:golden.model\n"
+        "interval_dist hist:golden.model\nframes_per_burst 1..3\nrotation_prob 0.3\n"
+        "duration 3600\nseed 6\n",
+        989,
+        "2c24211a381c357d228e174d392b12063b235865fe4859a74a50cedb3711d1a0",
+    ),
 ]
+GOLDEN_MODEL = ("area_id golden\ntau_mean 48.0\ntau_std 30.0\nsample_count 60\nbin_width 10.0\n"
+                "histogram 0 4 9 12 10 8 6 4 3 2 1 1\n")
 
 
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    """A working directory holding the model file the golden configs name."""
+    (tmp_path / "golden.model").write_text(GOLDEN_MODEL)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.usefixtures("golden_dir")
 @pytest.mark.parametrize("config,count,digest", GOLDEN_SIMULATIONS)
 def test_simulated_files_keep_their_bytes(config, count, digest):
     events, trace = simulate(parse_config(config))
@@ -786,6 +839,7 @@ def _simulated_digest(config):
     return hashlib.sha256((format_events(events) + format_trace(trace)).encode()).hexdigest()
 
 
+@pytest.mark.usefixtures("golden_dir")
 @pytest.mark.parametrize("config,count,digest", GOLDEN_SIMULATIONS)
 def test_every_rotation_probability_replays_the_draws(monkeypatch, config, count, digest):
     assert simulate_module._replay_agrees()  # on this numpy, cached from here on
@@ -793,6 +847,7 @@ def test_every_rotation_probability_replays_the_draws(monkeypatch, config, count
     assert _simulated_digest(config) == digest
 
 
+@pytest.mark.usefixtures("golden_dir")
 @pytest.mark.parametrize("config,count,digest", GOLDEN_SIMULATIONS)
 def test_a_failed_self_check_draws_burst_by_burst(monkeypatch, config, count, digest):
     monkeypatch.setattr(simulate_module, "_replay_agrees", lambda: False)

@@ -57,11 +57,25 @@ def _outcome(parse, data):
 
 
 def _decimal(lo, hi):
-    """Decimal text of at most 15 digits, all of which the columnar reader takes."""
-    return st.builds("{:.{}f}".format, st.floats(lo, hi), st.integers(0, 5))
+    """Decimal text of at most 16 digits, all of which the columnar reader takes when
+    |hi| and |lo| lie below 2**32 (so the digits' integer lies below 2**53)."""
+    return st.builds("{:.{}f}".format, st.floats(lo, hi), st.integers(0, 6))
 
 
+def _pointed(sign, digits, at):
+    return sign + (digits if at is None else f"{digits[:at]}.{digits[at:]}")
+
+
+# Numbers of 15 to 17 digits, and numbers from 2**53 - 3 on, with a sign or none and a
+# point anywhere among the digits or none: the reader takes those of 16 digits whose
+# integer lies below 2**53 (and the shorter ones it took before), and the row reader
+# the rest.
+_LONG = st.one_of(*(
+    st.builds(_pointed, st.sampled_from(["", "-", "+"]), digits, st.none() | st.integers(0, 16))
+    for digits in (st.text("0123456789", min_size=15, max_size=17),
+                   st.builds(str, st.integers(2**53 - 3, 10**16 - 1)))))
 _JUNK = st.one_of(
+    _LONG,
     st.from_regex(r"\A-?[0-9]{0,9}\.?[0-9]{0,9}\Z"),
     st.builds(str, st.integers(-(2**63) - 2, 2**63 + 2)),
     st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "1e3", "+1.5", "-0", "-0.0", "5.",
@@ -77,7 +91,7 @@ _VALID = {
     positive: _decimal(1, 1e9),
     non_negative: _decimal(0, 1e9),
     non_negative_or_nan: _decimal(0, 1e9) | st.just("nan"),
-    non_negative_int: st.builds(str, st.integers(0, 10**12)),
+    non_negative_int: st.builds(str, st.integers(0, 10**12) | st.integers(0, 2**53 - 1)),
 }
 _EVENT = [_decimal(0, 2**32 - 1), _MACS, _TOKENS, st.builds(str, st.integers(-32767, 32767))]
 _TRACE = [_TOKENS, st.sampled_from(["device", "person"]), _TOKENS, _decimal(0, 1e4),
