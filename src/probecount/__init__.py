@@ -19,7 +19,7 @@ from .intervals import (
     ks_two_sample,
     ljung_box,
 )
-from .metrics import SeriesPair, mape, nrmse, rmse
+from .metrics import mape, nrmse, rmse
 from .simulate import GroundTruthTrace, SimConfig, ground_truth_series
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "IntervalModel",
     "MacAddress",
     "ParseError",
-    "SeriesPair",
     "SimConfig",
     "aggregate",
     "estimate_ratio",

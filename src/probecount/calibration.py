@@ -14,12 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import (
-    ParseError, finite, format_rows, non_negative, non_negative_or_nan, positive, read_keys,
+    finite, format_rows, left_sum, non_negative, non_negative_or_nan, positive, read_keys,
     read_records,
-)
-
-_RATIO_KEYS = dict.fromkeys(
-    ("alpha", "nrmse_people_ref", "nrmse_device_cal", "source_window_span"), finite
 )
 
 REFERENCE_DTYPE = np.dtype([("start", np.float64), ("value", np.float64)])
@@ -36,7 +32,8 @@ PEOPLE_COLUMNS = (finite, positive, non_negative, non_negative_or_nan)
 
 @dataclass(frozen=True)
 class CalibrationRatio:
-    """Devices carried per person, with the error terms it inherits."""
+    """Devices carried per person, with the error terms it inherits; its fields are the
+    ratio file's keys."""
 
     alpha: float
     nrmse_people_ref: float
@@ -48,21 +45,19 @@ class CalibrationRatio:
             raise ValueError("alpha must be positive and finite")
         if not self.nrmse_people_ref >= 0 or not self.nrmse_device_cal >= 0:
             raise ValueError("NRMSE components must be non-negative")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def estimate_ratio(
-    device_series: np.recarray,
-    people_series: np.recarray,
-    *,
-    nrmse_people_ref: float = PEOPLE_NRMSE,
-) -> CalibrationRatio:
+def estimate_ratio(device_series: np.recarray, people_series: np.recarray, *,
+                   nrmse_people_ref: float = PEOPLE_NRMSE) -> CalibrationRatio:
     """Device-to-person ratio from a calibration region.
 
     ``people_series`` holds the reference people counts (``REFERENCE_DTYPE``)
     on the same windows as ``device_series``.  The ratio is the ratio of sums,
     i.e. dwell-time weighted; the reference NRMSE is caller-supplied and the
-    device-side NRMSE is the mean of the per-window estimates.  Series that
-    give no ratio raise ParseError.
+    device-side NRMSE is the mean of the per-window estimates.
     """
     if len(device_series) != len(people_series) or not len(device_series):
         raise ValueError("device and people series must align on identical windows")
@@ -74,28 +69,24 @@ def estimate_ratio(
         raise ValueError(f"misaligned windows: device window at {start[i].item()}, "
                          f"people at {people_start[i].item()}")
     if np.any(people_series.value < 0):
-        raise ParseError("people counts must be non-negative")
-    # Python's left-to-right sums, on which the written ratio's last digits depend
-    people_total = sum(people_series.value.tolist())
+        raise ValueError("people counts must be non-negative")
+    # left-to-right sums, on which the written ratio's last digits depend
+    people_total = left_sum(people_series.value)
     if people_total <= 0:
-        raise ParseError("people series sums to zero")
-    device_total = sum(device_series.n_hat.tolist())
+        raise ValueError("people series sums to zero")
+    device_total = left_sum(device_series.n_hat)
     if device_total <= 0:
-        raise ParseError("device series sums to zero; cannot calibrate")
+        raise ValueError("device series sums to zero; cannot calibrate")
     alpha = device_total / people_total
     if not 0 < alpha < math.inf:
-        raise ParseError(
-            f"the ratio of the device total {device_total!r} to the people total "
-            f"{people_total!r} is not a positive finite number"
-        )
-    nrmse = device_series.nrmse
-    per_window = nrmse[~np.isnan(nrmse)].tolist()
-    nrmse_device_cal = sum(per_window) / len(per_window) if per_window else 0.0
+        raise ValueError(f"the ratio of the device total {device_total!r} to the people "
+                         f"total {people_total!r} is not a positive finite number")
+    per_window = device_series.nrmse[~np.isnan(device_series.nrmse)]
     return CalibrationRatio(
         alpha=alpha,
         nrmse_people_ref=nrmse_people_ref,
-        nrmse_device_cal=nrmse_device_cal,
-        source_window_span=float(start[-1] + device_series.w[-1] - start[0]),
+        nrmse_device_cal=left_sum(per_window) / per_window.size if per_window.size else 0.0,
+        source_window_span=start[-1].item() + device_series.w[-1].item() - start[0].item(),
     )
 
 
@@ -103,35 +94,32 @@ def people_count(series: np.recarray, ratio: CalibrationRatio) -> np.recarray:
     """People counts of a device series: n_hat / alpha, with propagated NRMSE.
 
     An empty window (B = 0) has m_hat 0 and NaN NRMSE; elsewhere a window's
-    NaN NRMSE counts as 0 in the root-sum-square.
+    NaN NRMSE counts as 0 in the root-sum-square.  A quotient or a root-sum-square
+    that overflows is refused.
     """
     seen = series.burst_count > 0
+    device = np.where(np.isnan(series.nrmse), 0.0, series.nrmse)
     with np.errstate(over="ignore"):
         m_hat = np.where(seen, series.n_hat / ratio.alpha, 0.0)
+        # numpy's scalar ** is libm's pow, as Python's is, but an overflow gives inf; device
+        # * device can differ from Python's device**2 in the last bit, far below the six
+        # decimals the people series is written with
+        fixed = np.float64(ratio.nrmse_people_ref) ** 2 + np.float64(ratio.nrmse_device_cal) ** 2
+        nrmse = np.where(seen, np.sqrt(fixed + device * device), np.nan)
     if np.isinf(m_hat).any():
         raise ValueError(f"n_hat / alpha overflows: alpha {ratio.alpha!r} is too small")
-    device = np.where(np.isnan(series.nrmse), 0.0, series.nrmse)
-    fixed = ratio.nrmse_people_ref**2 + ratio.nrmse_device_cal**2
-    # device * device can differ from Python's device**2 in the last bit, far
-    # below the six decimals the people series is written with
-    return np.rec.fromarrays(
-        [series.start, series.w, m_hat,
-         np.where(seen, np.sqrt(fixed + device * device), np.nan)],
-        dtype=PEOPLE_DTYPE,
-    )
+    if np.isinf(nrmse).any():
+        raise ValueError("the root-sum-square of the NRMSE terms overflows")
+    return np.rec.fromarrays([series.start, series.w, m_hat, nrmse], dtype=PEOPLE_DTYPE)
 
 
 def format_ratio(ratio: CalibrationRatio) -> str:
-    return (
-        f"alpha {ratio.alpha!r}\n"
-        f"nrmse_people_ref {ratio.nrmse_people_ref!r}\n"
-        f"nrmse_device_cal {ratio.nrmse_device_cal!r}\n"
-        f"source_window_span {ratio.source_window_span!r}\n"
-    )
+    return "".join(f"{key} {value!r}\n" for key, value in vars(ratio).items())
 
 
 def parse_ratio(text: str) -> CalibrationRatio:
-    return CalibrationRatio(**read_keys(text, "ratio", _RATIO_KEYS))
+    keys = dict.fromkeys(CalibrationRatio.__dataclass_fields__, finite)
+    return CalibrationRatio(**read_keys(text, "ratio", keys))
 
 
 def format_people_series(series: np.recarray) -> str:

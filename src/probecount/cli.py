@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -17,9 +18,9 @@ from .bursts import DEFAULT_BURST_GAP, aggregate
 from .ingest import (
     CAPTURE_MAGICS,
     Events,
-    ParseError,
     data_lines,
     format_events,
+    naming,
     parse_capture,
     parse_events,
     read_columns,
@@ -121,11 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except intervals.InsufficientSamplesError as exc:
+    except (ValueError, OSError) as exc:  # ParseError and InsufficientSamplesError included
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT_DATA
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, intervals.InsufficientSamplesError):
+            return EXIT_INSUFFICIENT_DATA
         return EXIT_INPUT_ERROR
 
 
@@ -171,7 +171,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         _write_output(counting.format_mac_series(series, args.window), args.out)
         return EXIT_OK
     if not args.model:
-        raise ParseError("--model is required unless --baseline is given")
+        raise ValueError("--model is required unless --baseline is given")
     model = read_file(args.model, intervals.parse_model)
     bursts = aggregate(events, gap=args.gap)
     estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
@@ -193,16 +193,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    device_series, people_series = _read_joined(
-        (args.device_series, counting.parse_series),
-        (args.people_series, calibration.parse_reference_series),
-    )
-    try:
-        ratio = calibration.estimate_ratio(
-            device_series, people_series, nrmse_people_ref=args.people_nrmse
-        )
-    except ParseError as exc:
-        raise ParseError(f"{args.device_series}, {args.people_series}: {exc}") from None
+    with _joined((args.device_series, counting.parse_series),
+                 (args.people_series, calibration.parse_reference_series)) as joined:
+        ratio = calibration.estimate_ratio(*joined, nrmse_people_ref=0.0)
+    # the flag's own refusal (CalibrationRatio's) is about no file
+    ratio = replace(ratio, nrmse_people_ref=args.people_nrmse)
     _write_output(calibration.format_ratio(ratio), args.out)
     return EXIT_OK
 
@@ -210,10 +205,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_people(args: argparse.Namespace) -> int:
     device_series = read_file(args.device_series, counting.parse_series)
     ratio = read_file(args.ratio, calibration.parse_ratio)
-    try:
+    with naming(args.ratio):
         people = calibration.people_count(device_series, ratio)
-    except ValueError as exc:
-        raise ValueError(f"{args.ratio}: {exc}") from None
     _write_output(calibration.format_people_series(people), args.out)
     return EXIT_OK
 
@@ -236,38 +229,39 @@ def _parse_value_series(data: bytes | str) -> np.recarray:
         columns = decoded[1]
         return np.rec.fromarrays([columns[0], columns[_SERIES_FORMATS[len(columns)][1]]],
                                  dtype=calibration.REFERENCE_DTYPE)
-    text = data if isinstance(data, str) else data.decode("utf-8")
-    width = len(next(data_lines(text), (0, ""))[1].split())
+    width = len(next(data_lines(data), (0, ""))[1].split())
     widths = [width] if width in _SERIES_FORMATS else list(_SERIES_FORMATS)
-    rows = read_rows(text, lambda *row: (row[0], row[_SERIES_FORMATS[len(row)][1]]),
+    rows = read_rows(data, lambda *row: (row[0], row[_SERIES_FORMATS[len(row)][1]]),
                      *(_SERIES_FORMATS[n][0] for n in widths))
     return np.array(rows, dtype=calibration.REFERENCE_DTYPE).view(np.recarray)
 
 
-def _read_joined(*files: tuple[str, Callable]) -> tuple[np.recarray, np.recarray]:
-    """The two series of ``files`` (path, parser) cut to the windows whose starts
-    they share to the microsecond, in the first series' row order.  A start that
-    repeats in a series is an error naming the first repeat in row order."""
+@contextlib.contextmanager
+def _joined(*files: tuple[str, Callable]) -> Iterator[tuple[np.recarray, np.recarray]]:
+    """The two series of ``files`` (path, parser) cut to the windows whose starts they
+    share to the microsecond, in the first one's row order; a refusal raised while they are
+    used names both files, and a repeated start its file and first repeat in row order."""
     series = [read_file(path, parse) for path, parse in files]
     keys = [round6(rows.start) for rows in series]
     for key, (path, _) in zip(keys, files):
         order = np.argsort(key, kind="stable")
         repeats = order[1:][key[order[1:]] == key[order[:-1]]]
         if repeats.size:
-            raise ParseError(f"{path}: window start {key[repeats.min()]:.6f} repeats")
-    _, i, j = np.intersect1d(*keys, assume_unique=True, return_indices=True)
-    if not i.size:
-        raise ValueError("no overlapping window starts between the two series")
-    order = np.argsort(i)
-    return series[0][i[order]], series[1][j[order]]
+            raise ValueError(f"{path}: window start {key[repeats.min()]:.6f} repeats")
+    with naming(*(path for path, _ in files)):
+        _, i, j = np.intersect1d(*keys, assume_unique=True, return_indices=True)
+        if not i.size:
+            raise ValueError("no overlapping window starts between the two series")
+        order = np.argsort(i)
+        yield series[0][i[order]], series[1][j[order]]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    estimates, reference = _read_joined((args.estimates, _parse_value_series),
-                                        (args.reference, _parse_value_series))
-    pair = metrics.SeriesPair.of(estimates.value.tolist(), reference.value.tolist())
-    print(f"rmse {metrics.rmse(pair):.6f}\nmape {metrics.mape(pair):.6f}\n"
-          f"nrmse {metrics.nrmse(pair):.6f}")
+    with _joined((args.estimates, _parse_value_series),
+                 (args.reference, _parse_value_series)) as (estimates, reference):
+        y, r = estimates.value, reference.value
+        print(f"rmse {metrics.rmse(y, r):.6f}\nmape {metrics.mape(y, r):.6f}\n"
+              f"nrmse {metrics.nrmse(y, r):.6f}")
     return EXIT_OK
 
 

@@ -11,13 +11,14 @@ vouch for (non-ASCII text, a control byte, a field outside its grammar or
 range) goes through ``read_rows``, so the values and every error message are
 the row reader's either way.  ``read_keys`` reads ``key value`` files;
 ``format_rows`` writes ``%.6f``, ``%d`` and ``%s`` rows as one digit matrix,
-with the text ``%`` writes; ``read_file`` hands a file's bytes to its parser
-and names the file in its content's errors; and ``round6`` is the package's
-one rounding to the microsecond.
+with the text ``%`` writes; ``read_file`` hands a file's bytes to its parser.
+``naming`` is the one edge that names a file or line in an input error,
+``_whole_us`` the one rounding to the microsecond and ``left_sum`` the one float sum.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import struct
@@ -117,14 +118,30 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def round6(x: np.ndarray) -> np.ndarray:
-    """``round(v, 6)`` of each element, exact for every finite float: np.rint of its
-    microseconds, or Python's round within their rounding error of a half or on overflow."""
+def left_sum(column: np.ndarray | Sequence[float]) -> float:
+    """A float column added left to right from 0.0, bit for bit Python's ``sum`` before 3.12
+    (whose ``sum`` compensates); an overflow gives inf without a warning, as ``sum`` does."""
     with np.errstate(over="ignore", invalid="ignore"):
-        us = x * 1e6
-        near = ~(np.abs(us - np.floor(us) - 0.5) > np.abs(np.spacing(us)))
-    out = np.rint(us) / 1e6
-    out[near] = [round(v, 6) for v in x[near].tolist()]
+        return 0.0 + np.cumsum(column, dtype=np.float64)[-1].item() if len(column) else 0.0
+
+
+def _whole_us(x: np.ndarray) -> np.ndarray:
+    """Each float's whole microseconds, rounded half to even from its exact value as
+    ``round(v, 6)`` and ``%.6f`` round, for |x| < 2**53/1e6: np.rint of x·1e6, or the ``%.6f``
+    digits within |x·1e6|·2**-52 (a bound on the product's rounding error) of a half."""
+    us = x * 1e6
+    near = np.flatnonzero(~(np.abs(us - np.floor(us) - 0.5) > np.abs(us) * 2.0**-52))
+    np.rint(us, out=us)
+    us[near] = [float(("%.6f" % v).replace(".", "")) for v in x[near].tolist()]
+    return us
+
+
+def round6(x: np.ndarray) -> np.ndarray:
+    """``round(v, 6)`` of each element, exact for every finite float (Python's own where
+    |v| >= 2**53/1e6)."""
+    big = ~(np.abs(x) < 2**53 / 1e6)
+    out = _whole_us(np.where(big, 0.0, x)) / 1e6
+    out[big] = [round(v, 6) for v in x[big].tolist()]
     return out
 
 
@@ -191,8 +208,7 @@ def _upper(v: np.ndarray, lanes: np.ndarray) -> None:
 
 def _decimal(x: np.ndarray, spec: str) -> np.ndarray | None:
     """``%.6f`` of each float64 (``%d`` of each integer) as zero-padded ASCII rows; None for
-    another dtype, an infinity or |x| >= 2**53/1e6.  The microseconds are np.rint's, or
-    Python's within their rounding error of a half."""
+    another dtype, an infinity or |x| >= 2**53/1e6."""
     point = spec == "%.6f"
     if x.dtype != np.float64 if point else x.dtype.kind not in "iu":
         return None
@@ -202,11 +218,7 @@ def _decimal(x: np.ndarray, spec: str) -> np.ndarray | None:
         us[nan] = 0.0
         if not np.all(us < 2**53 / 1e6):
             return None
-        us *= 1e6
-        # us * 2**-52 bounds the product's rounding error, as np.spacing(us) does
-        near = np.flatnonzero(~(np.abs(us - np.floor(us) - 0.5) > us * 2.0**-52))
-        us[near] = [int(("%.6f" % abs(v)).replace(".", "")) for v in x[near].tolist()]
-        magnitude = np.rint(us).astype(np.int64).view(np.uint64)
+        magnitude = _whole_us(us).astype(np.int64).view(np.uint64)
     else:
         magnitude = x.astype(np.uint64)  # two's complement, so negation gives |x|
         np.negative(magnitude, out=magnitude, where=x < 0)
@@ -290,6 +302,15 @@ def format_rows(fmt: str, columns: Sequence[np.ndarray]) -> str:
     return "".join(out)
 
 
+@contextlib.contextmanager
+def naming(*places: str) -> Iterator[None]:
+    """An error raised inside names ``places``, the files (or the line) it is about."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ParseError(f"{', '.join(places)}: {exc}") from None
+
+
 def read_keys(
     text: str | bytes, what: str, keys: Mapping[str, Callable[[str], Any]], *, required: bool = True
 ) -> dict[str, Any]:
@@ -307,10 +328,8 @@ def read_keys(
             raise ParseError(f"line {lineno}: unknown {what} key {key!r}")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate {what} key {key!r}")
-        try:
+        with naming(f"line {lineno}: {key}"):
             values[key] = keys[key](rest[0])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {key}: {exc}") from None
     missing = [k for k in keys if k not in values]
     if required and missing:
         raise ParseError(f"{what} file missing keys: {', '.join(missing)}")
@@ -321,10 +340,8 @@ def read_file(path: str, parse: Callable[[bytes], _T]) -> _T:
     """``parse`` of the bytes of file ``path``; an error in the content (UTF-8
     decoding included) names the file."""
     data = Path(path).read_bytes()
-    try:
+    with naming(path):
         return parse(data)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
 
 
 def _mac_value(text: str) -> int:

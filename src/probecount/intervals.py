@@ -43,6 +43,8 @@ class IntervalModel:
     histogram: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.area_id.split() != [self.area_id]:
+            raise ValueError(f"area_id must be one token without whitespace, got {self.area_id!r}")
         if not self.bin_width > 0:
             raise ValueError("interval model bin_width must be positive")
         if (total := sum(self.histogram)) != self.sample_count:

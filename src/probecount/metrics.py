@@ -1,47 +1,46 @@
-"""Error metrics comparing estimate series against reference series."""
+"""Error metrics of an estimate column against a reference column, each taking the
+two joined series as float columns (or sequences) and adding with ``left_sum``."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
+
+from .ingest import left_sum
 
 
-@dataclass(frozen=True)
-class SeriesPair:
-    estimates: tuple[float, ...]
-    references: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.estimates) != len(self.references) or not self.estimates:
-            raise ValueError("series must be non-empty and of equal length")
-        if not all(math.isfinite(r) for r in self.references):
-            raise ValueError("references must be finite")
-        if any(r < 0 for r in self.references):
-            raise ValueError("references are counts and must be non-negative")
-
-    @classmethod
-    def of(cls, estimates: Sequence[float], references: Sequence[float]) -> "SeriesPair":
-        return cls(tuple(float(v) for v in estimates), tuple(float(v) for v in references))
+def _columns(estimates: np.ndarray, references: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two series as float64 columns, checked for every metric."""
+    y, r = np.asarray(estimates, dtype=np.float64), np.asarray(references, dtype=np.float64)
+    if y.shape != r.shape or not r.size:
+        raise ValueError("series must be non-empty and of equal length")
+    if not np.isfinite(r).all():
+        raise ValueError("references must be finite")
+    if (r < 0).any():
+        raise ValueError("references are counts and must be non-negative")
+    return y, r
 
 
-def rmse(pair: SeriesPair) -> float:
-    sq = sum((y - r) ** 2 for y, r in zip(pair.estimates, pair.references))
-    return math.sqrt(sq / len(pair.estimates))
+def rmse(estimates: np.ndarray, references: np.ndarray) -> float:
+    y, r = _columns(estimates, references)
+    with np.errstate(over="ignore"):  # an overflow gives inf, as Python floats do
+        return math.sqrt(left_sum((y - r) ** 2) / r.size)
 
 
-def mape(pair: SeriesPair) -> float:
+def mape(estimates: np.ndarray, references: np.ndarray) -> float:
     """Mean absolute percentage error; zero-reference windows are filtered."""
-    terms = [
-        abs(y - r) / r for y, r in zip(pair.estimates, pair.references) if r != 0.0
-    ]
-    if not terms:
+    y, r = _columns(estimates, references)
+    nonzero = r != 0.0
+    if not nonzero.any():
         raise ValueError("all reference values are zero")
-    return sum(terms) / len(terms)
+    with np.errstate(over="ignore"):
+        terms = np.abs(y[nonzero] - r[nonzero]) / r[nonzero]
+    return left_sum(terms) / terms.size
 
 
-def nrmse(pair: SeriesPair) -> float:
-    mean_ref = sum(pair.references) / len(pair.references)
+def nrmse(estimates: np.ndarray, references: np.ndarray) -> float:
+    mean_ref = left_sum(_columns(estimates, references)[1]) / len(references)
     if mean_ref <= 0:
         raise ValueError("reference mean must be positive")
-    return rmse(pair) / mean_ref
+    return rmse(estimates, references) / mean_ref

@@ -230,13 +230,22 @@ def format_series(estimates):
     return "".join(lines)
 
 
+def left_sum(values):
+    """Floats added one at a time from 0.0, as Python's ``sum`` added them before 3.12
+    (whose ``sum`` compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def estimate_ratio(device_series, people_series, nrmse_people_ref=0.08):
     """(alpha, nrmse_people_ref, nrmse_device_cal, source_window_span) of
     ``WindowEstimate``s and (start, people) pairs on the same windows."""
-    people_total = sum(v for _, v in people_series)
-    device_total = sum(e.n_hat for e in device_series)
+    people_total = left_sum(v for _, v in people_series)
+    device_total = left_sum(e.n_hat for e in device_series)
     per_window = [e.nrmse_estimate for e in device_series if e.nrmse_estimate is not None]
-    nrmse_device_cal = sum(per_window) / len(per_window) if per_window else 0.0
+    nrmse_device_cal = left_sum(per_window) / len(per_window) if per_window else 0.0
     first, last = device_series[0].window, device_series[-1].window
     return (device_total / people_total, nrmse_people_ref, nrmse_device_cal,
             last.end - first.start)

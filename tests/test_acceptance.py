@@ -18,7 +18,7 @@ from probecount.calibration import estimate_ratio, people_count
 from probecount.counting import mac_count_series, sliding_windows
 from probecount.ingest import format_events, parse_capture, parse_events
 from probecount.intervals import IntervalModel, ks_two_sample, ljung_box
-from probecount.metrics import SeriesPair, nrmse
+from probecount.metrics import nrmse
 from probecount.simulate import (
     ConstantCount,
     Exponential,
@@ -206,8 +206,7 @@ def test_criterion_4_nrmse_trend(fixed_population):
             pop["bursts"], w, w, model, start=WARMUP, end=pop["duration"]
         )
         truths = ground_truth_series(pop["trace"], estimates.start, w)
-        pair = SeriesPair.of(estimates.n_hat, truths.n_bar)
-        empirical.append(nrmse(pair))
+        empirical.append(nrmse(estimates.n_hat, truths.n_bar))
         mean_b = float(np.mean(estimates.burst_count))
         predicted.append(TAU / (TAU * math.sqrt(mean_b)))
     monotone = all(a > b for a, b in zip(empirical, empirical[1:]))
@@ -289,8 +288,7 @@ def test_criterion_6_calibration():
 
     people_estimates = people_count(test, ratio)
     test_truths = ground_truth_series(trace, test.start, w)
-    pair = SeriesPair.of(people_estimates.m_hat, test_truths.m_bar)
-    empirical = nrmse(pair)
+    empirical = nrmse(people_estimates.m_hat, test_truths.m_bar)
     propagated = float(np.mean(people_estimates.nrmse[~np.isnan(people_estimates.nrmse)]))
     elapsed = time.perf_counter() - started
     alpha_ok = 1.14 * 0.95 <= ratio.alpha <= 1.14 * 1.05

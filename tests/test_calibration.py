@@ -251,11 +251,13 @@ def _check_against_oracle(rows, w, nrmse_people_ref):
                       for start, (b, n_hat, nrmse, _) in zip(starts, rows)])
     people = refs(*[(start, row[3]) for start, row in zip(starts, rows)])
     expected = _oracle_estimates(series)
-    if sum(people.value.tolist()) <= 0 or sum(series.n_hat.tolist()) <= 0:
+    people_total = oracles.left_sum(people.value.tolist())
+    device_total = oracles.left_sum(series.n_hat.tolist())
+    if people_total <= 0 or device_total <= 0:
         with pytest.raises(ValueError, match="zero"):
             estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
         return
-    if not 0 < sum(series.n_hat.tolist()) / sum(people.value.tolist()) < math.inf:
+    if not 0 < device_total / people_total < math.inf:
         # a subnormal total: the ratio underflows or overflows, and is refused
         with pytest.raises(ValueError, match="is not a positive finite number"):
             estimate_ratio(series, people, nrmse_people_ref=nrmse_people_ref)
@@ -288,6 +290,22 @@ def test_ratio_must_be_positive_and_finite():
     for alpha in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             CalibrationRatio(alpha, 0.08, 0.1, 180.0)
+
+
+@pytest.mark.parametrize("field", ["nrmse_people_ref", "nrmse_device_cal", "source_window_span"])
+def test_ratio_fields_must_be_finite(field):
+    values = dict(alpha=1.14, nrmse_people_ref=0.08, nrmse_device_cal=0.1,
+                  source_window_span=180.0)
+    with pytest.raises(ValueError, match=f"{field} must be finite, got inf"):
+        CalibrationRatio(**{**values, field: math.inf})
+
+
+def test_people_count_refuses_nrmse_terms_that_overflow():
+    cases = [(device(estimate(0.0, 10.0)), CalibrationRatio(1.0, 1e200, 0.0, 180.0)),
+             (device(estimate(0.0, 10.0, nrmse=1e200)), CalibrationRatio(1.0, 0.08, 0.1, 180.0))]
+    for series, ratio in cases:
+        with pytest.raises(ValueError, match="root-sum-square of the NRMSE terms overflows"):
+            people_count(series, ratio)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1026,3 +1026,82 @@ def test_no_command_imports_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "True"]
     assert parse_model((tmp_path / "model").read_text()).sample_count > 0  # fit had intervals
+
+
+def test_calibrate_sums_left_to_right(tmp_path, capsys):
+    # the compensated sum of Python 3.12 would make the device total 1e16 + 2, and alpha
+    # 3333333333333334.0
+    f = _files(tmp_path, est=_count_rows([0.0, 180.0, 360.0], [1e16, 1.0, 1.0]),
+               ref="0.0 1.0\n180.0 1.0\n360.0 1.0\n")
+    assert main(["calibrate", f["est"], f["ref"]]) == 0
+    assert capsys.readouterr().out == (
+        "alpha 3333333333333333.5\nnrmse_people_ref 0.08\nnrmse_device_cal 0.10000000000000002\n"
+        "source_window_span 540.0\n")
+
+
+@pytest.mark.parametrize(
+    "command,ref,message",
+    [
+        ("eval", "0.0 -2.0\n", "references are counts and must be non-negative"),
+        ("eval", "0.0 0.0\n", "all reference values are zero"),
+        ("eval", "180.0 3.0\n", "no overlapping window starts between the two series"),
+        ("calibrate", "180.0 3.0\n", "no overlapping window starts between the two series"),
+    ],
+)
+def test_refusals_after_reading_name_both_files(tmp_path, capsys, command, ref, message):
+    f = _files(tmp_path, est=COUNT_ROW, ref=ref)
+    assert main([command, f["est"], f["ref"]]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {f['est']}, {f['ref']}: {message}\n")
+
+
+@pytest.mark.parametrize("value,message", [
+    ("inf", "nrmse_people_ref must be finite, got inf"),
+    ("-0.1", "NRMSE components must be non-negative"),
+])
+def test_calibrate_refuses_a_people_nrmse_that_people_would_reject(tmp_path, capsys, value,
+                                                                   message):
+    # a flag: the refusal names no file, and no ratio file is written
+    f = _files(tmp_path, series=COUNT_ROW, ref="0.0 3.0\n")
+    ratio = tmp_path / "ratio.txt"
+    assert main(["calibrate", f["series"], f["ref"], "--people-nrmse", value,
+                 "--out", str(ratio)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not ratio.exists()
+
+
+@pytest.mark.parametrize("starts,nrmse,message", [
+    (("-1e308", "1e308"), "0.1", "source_window_span must be finite, got inf"),
+    (("0.0", "180.0"), "1e308", "nrmse_device_cal must be finite, got inf"),
+])
+def test_calibrate_refuses_a_ratio_field_that_overflows(tmp_path, capsys, starts, nrmse,
+                                                        message):
+    f = _files(tmp_path, series="".join(f"{s} 180.0 30 0.166667 1.0 1.0 {nrmse}\n"
+                                        for s in starts),
+               ref="".join(f"{s} 3.0\n" for s in starts))
+    assert main(["calibrate", f["series"], f["ref"]]) == 1
+    assert capsys.readouterr().err == f"error: {f['series']}, {f['ref']}: {message}\n"
+
+
+@pytest.mark.parametrize("line,big", [("nrmse_people_ref 0.08", "nrmse_people_ref 1e200"),
+                                      ("nrmse_device_cal 0.1", "nrmse_device_cal 1e155")])
+def test_people_refuses_nrmse_terms_that_overflow_naming_the_ratio_file(tmp_path, capsys, line,
+                                                                         big):
+    f = _files(tmp_path, series=COUNT_ROW, ratio=RATIO_TEXT.replace(line, big))
+    out = tmp_path / "people.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning
+        assert main(["people", f["series"], "--ratio", f["ratio"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {f['ratio']}: the root-sum-square of the NRMSE terms overflows\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("area_id", ["", "two words", "line\nbreak", " padded"])
+def test_fit_refuses_an_area_id_that_is_not_one_token(tmp_path, capsys, area_id):
+    f = _files(tmp_path, events=EVENTS_TEXT)
+    model = tmp_path / "fitted.model"
+    assert main(["fit", f["events"], "--area-id", area_id, "--out", str(model)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: area_id must be one token without whitespace, got {area_id!r}\n")
+    assert not model.exists()

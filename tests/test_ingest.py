@@ -794,3 +794,31 @@ def test_parse_capture_random_frames_raise_only_parse_error(magic, linktype, rec
         return
     assert len(events) <= len(records)
     assert np.all(np.diff(events.t) >= 0)
+
+
+# ---------------------------------------------------------------- left_sum
+
+
+def test_left_sum_adds_left_to_right():
+    # Python 3.12's sum compensates and gives 1.0000000000000002e16 here
+    assert ingest.left_sum([1e16, 1.0, 1.0]) == 1e16
+    assert ingest.left_sum(np.array([1.0, 1.0, 1e16])) == 1.0000000000000002e16
+    assert ingest.left_sum([]) == 0.0
+    # a sum from 0.0 is never -0.0, and an overflow is an infinity without a warning
+    assert repr(ingest.left_sum(np.array([-0.0, -0.0]))) == "0.0"
+    with np.errstate(all="raise"):
+        assert ingest.left_sum([1e308, 1e308, -1.0]) == np.inf
+
+
+# magnitudes from subnormal to near overflow, of either sign, and values whose order shows
+_MIXED = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e3, 1e3),
+                   st.sampled_from([1e16, -1e16, 1.0, 2.0**-1074, 0.1, -0.0]))
+
+
+@given(st.lists(_MIXED, max_size=40))
+def test_left_sum_is_a_for_loop_bit_for_bit(values):
+    total = 0.0
+    for value in values:
+        total += value
+    got = ingest.left_sum(np.array(values, dtype=np.float64))
+    assert struct.pack("<d", got) == struct.pack("<d", total)

@@ -247,6 +247,7 @@ def test_model_text_helper_parses():
         ({"histogram": "1 0 1"}, "histogram holds 2 samples, sample_count is 3"),
         ({"sample_count": "-5", "histogram": "-5"}, "line 4: sample_count: count -5 outside"),
         ({"histogram": "20 -10 -7"}, "line 6: histogram: count -10 outside"),
+        ({"area_id": "a b"}, "area_id must be one token without whitespace, got 'a b'"),
     ],
 )
 def test_parse_model_rejects_bad_values(changes, fragment):

@@ -4,51 +4,52 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probecount.metrics import SeriesPair, mape, nrmse, rmse
+from probecount.metrics import mape, nrmse, rmse
 
 
 def test_rmse_examples():
-    assert rmse(SeriesPair.of([1.0, 2.0], [1.0, 2.0])) == 0.0
-    assert rmse(SeriesPair.of([3.0], [0.0])) == 3.0
-    assert rmse(SeriesPair.of([1.0, 3.0], [0.0, 0.0])) == pytest.approx(math.sqrt(5))
+    assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert rmse([3.0], [0.0]) == 3.0
+    assert rmse([1.0, 3.0], [0.0, 0.0]) == pytest.approx(math.sqrt(5))
 
 
 def test_mape_examples():
-    assert mape(SeriesPair.of([10.0], [10.0])) == 0.0
-    assert mape(SeriesPair.of([11.0], [10.0])) == pytest.approx(0.1)
-    assert mape(SeriesPair.of([11.0, 9.0], [10.0, 10.0])) == pytest.approx(0.1)
+    assert mape([10.0], [10.0]) == 0.0
+    assert mape([11.0], [10.0]) == pytest.approx(0.1)
+    assert mape([11.0, 9.0], [10.0, 10.0]) == pytest.approx(0.1)
 
 
 def test_nrmse_examples():
-    assert nrmse(SeriesPair.of([10.0, 10.0], [10.0, 10.0])) == 0.0
-    assert nrmse(SeriesPair.of([11.0, 9.0], [10.0, 10.0])) == pytest.approx(0.1)
-    assert nrmse(SeriesPair.of([12.0, 10.0], [10.0, 10.0])) == pytest.approx(
+    assert nrmse([10.0, 10.0], [10.0, 10.0]) == 0.0
+    assert nrmse([11.0, 9.0], [10.0, 10.0]) == pytest.approx(0.1)
+    assert nrmse([12.0, 10.0], [10.0, 10.0]) == pytest.approx(
         math.sqrt(2) * 0.1
     )
 
 
 def test_mape_filters_zero_references():
     # the zero-reference window is dropped, not divided by
-    assert mape(SeriesPair.of([11.0, 5.0], [10.0, 0.0])) == pytest.approx(0.1)
+    assert mape([11.0, 5.0], [10.0, 0.0]) == pytest.approx(0.1)
 
 
 def test_mape_all_zero_references_raises():
     with pytest.raises(ValueError, match="zero"):
-        mape(SeriesPair.of([1.0, 2.0], [0.0, 0.0]))
+        mape([1.0, 2.0], [0.0, 0.0])
 
 
 def test_nrmse_zero_mean_raises():
     with pytest.raises(ValueError, match="mean"):
-        nrmse(SeriesPair.of([1.0], [0.0]))
+        nrmse([1.0], [0.0])
 
 
 def test_series_pair_validation():
-    with pytest.raises(ValueError):
-        SeriesPair.of([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        SeriesPair.of([], [])
-    with pytest.raises(ValueError):
-        SeriesPair.of([1.0], [float("inf")])
+    for metric in (rmse, mape, nrmse):
+        with pytest.raises(ValueError, match="non-empty and of equal length"):
+            metric([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="non-empty and of equal length"):
+            metric([], [])
+        with pytest.raises(ValueError, match="references must be finite"):
+            metric([1.0], [float("inf")])
 
 
 series = st.lists(st.floats(0.1, 1e4), min_size=1, max_size=30)
@@ -57,8 +58,7 @@ series = st.lists(st.floats(0.1, 1e4), min_size=1, max_size=30)
 @given(series, series)
 def test_rmse_non_negative_zero_iff_identical(a, b):
     n = min(len(a), len(b))
-    pair = SeriesPair.of(a[:n], b[:n])
-    value = rmse(pair)
+    value = rmse(a[:n], b[:n])
     assert value >= 0.0
     if a[:n] == b[:n]:
         assert value == 0.0
@@ -69,6 +69,6 @@ def test_rmse_non_negative_zero_iff_identical(a, b):
 @given(series, st.floats(0.01, 100.0))
 def test_nrmse_scale_invariant(values, c):
     refs = [v + 1.0 for v in values]
-    base = nrmse(SeriesPair.of(values, refs))
-    scaled = nrmse(SeriesPair.of([c * v for v in values], [c * r for r in refs]))
+    base = nrmse(values, refs)
+    scaled = nrmse([c * v for v in values], [c * r for r in refs])
     assert scaled == pytest.approx(base, rel=1e-9)
