@@ -15,7 +15,7 @@ import numpy as np
 
 from .ingest import (
     finite, format_rows, left_sum, non_negative, non_negative_or_nan, positive, read_keys,
-    read_records,
+    read_records, round6,
 )
 
 REFERENCE_DTYPE = np.dtype([("start", np.float64), ("value", np.float64)])
@@ -62,8 +62,8 @@ def estimate_ratio(device_series: np.recarray, people_series: np.recarray, *,
     if len(device_series) != len(people_series) or not len(device_series):
         raise ValueError("device and people series must align on identical windows")
     start, people_start = device_series.start, people_series.start
-    with np.errstate(invalid="ignore"):
-        misaligned = np.flatnonzero(np.abs(start - people_start) > 1e-6)
+    # one window to the microsecond, as the CLI joins series
+    misaligned = np.flatnonzero(round6(start) != round6(people_start))
     if misaligned.size:
         i = misaligned[0]
         raise ValueError(f"misaligned windows: device window at {start[i].item()}, "

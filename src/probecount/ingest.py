@@ -544,20 +544,51 @@ def parse_capture(data: bytes, ap_id: str = "cap0") -> Events:
     )
 
 
+_SPAN = 1 << 14  # bytes walked one by one before a check: finds runs soon, costs little itself
+_WINDOW = 1 << 8  # records a run's first check reads: a few hundred cost about as much as one
+_RUN = 1 << 16  # most records one check reads, so that its temporaries stay small
+_PAYS = 32  # fewest records a run must yield for its checks to cost less than walking them
+
+
 def _record_offsets(data: bytes, bo: str, unit: str, per_second: int) -> np.ndarray:
     """Byte offset of every packet record, checking each record header.
 
-    The walk only follows the lengths; the checks run afterwards and name the
-    first fault in record order, as a record-by-record check would.
+    The walk follows the lengths a span at a time.  After a span ending in three records of one
+    length it reads the ``incl_len`` of the records that would follow at that stride through one
+    strided view and keeps the prefix whose ``incl_len`` is the stride less 16 (each ends where
+    the next begins: the records the walk would reach); the window doubles while whole windows
+    hold, and a run too short to pay makes the next check wait twice as long.  The checks run
+    afterwards and name the first fault in record order, as a record-by-record check would.
     """
     incl_len = struct.Struct(bo + "8xI").unpack_from
-    offsets = []
+    parts, offsets = [], []
     append = offsets.append
-    offset, end = 24, len(data)
-    while offset + 16 <= end:
-        append(offset)
-        offset += 16 + incl_len(data, offset)[0]
-    record = np.array(offsets, dtype=np.int64)
+    offset, end, last = 24, len(data), len(data) - 16
+    stride = window = taken = wait = backoff = 0
+    while offset <= last:
+        if stride:
+            n = min(window, (last - offset) // stride + 1)
+            same = np.ndarray((n,), bo + "u4", data, offset + 8, (stride,)) == stride - 16
+            m = n if same.all() else int(same.argmin())
+            parts += np.array(offsets, dtype=np.int64), np.arange(
+                offset, offset + m * stride, stride, dtype=np.int64)
+            offsets.clear()
+            offset, taken = offset + m * stride, taken + m
+            if m == n:
+                window = min(2 * window, _RUN)
+                continue
+            backoff = 0 if taken >= _PAYS else 2 * backoff + 1
+            stride, wait = 0, backoff
+        stop = min(offset + _SPAN, last)
+        while offset <= stop:
+            append(offset)
+            offset += 16 + incl_len(data, offset)[0]
+        if wait:
+            wait -= 1
+        elif len(offsets) > 2 and (offset - offsets[-1] == offsets[-1] - offsets[-2]
+                                   == offsets[-2] - offsets[-3]):
+            stride, window, taken = offset - offsets[-1], _WINDOW, 0
+    record = np.concatenate([*parts, np.array(offsets, dtype=np.int64)])
     fraction = _uint(np.frombuffer(data, dtype=np.uint8), record + 4, 4, bo == "<")
     if (bad := np.flatnonzero(fraction >= per_second)).size:
         first = bad[0]

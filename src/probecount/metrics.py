@@ -15,17 +15,25 @@ def _columns(estimates: np.ndarray, references: np.ndarray) -> tuple[np.ndarray,
     y, r = np.asarray(estimates, dtype=np.float64), np.asarray(references, dtype=np.float64)
     if y.shape != r.shape or not r.size:
         raise ValueError("series must be non-empty and of equal length")
-    if not np.isfinite(r).all():
-        raise ValueError("references must be finite")
+    for name, column in (("references", r), ("estimates", y)):
+        if not np.isfinite(column).all():
+            raise ValueError(f"{name} must be finite")
     if (r < 0).any():
         raise ValueError("references are counts and must be non-negative")
     return y, r
 
 
+def _bounded(value: float, what: str) -> float:
+    """``value``, refused if it overflowed to inf (the columns are finite)."""
+    if math.isinf(value):
+        raise ValueError(f"{what} overflows")
+    return value
+
+
 def rmse(estimates: np.ndarray, references: np.ndarray) -> float:
     y, r = _columns(estimates, references)
-    with np.errstate(over="ignore"):  # an overflow gives inf, as Python floats do
-        return math.sqrt(left_sum((y - r) ** 2) / r.size)
+    with np.errstate(over="ignore"):
+        return math.sqrt(_bounded(left_sum((y - r) ** 2), "the sum of squared errors") / r.size)
 
 
 def mape(estimates: np.ndarray, references: np.ndarray) -> float:
@@ -36,11 +44,12 @@ def mape(estimates: np.ndarray, references: np.ndarray) -> float:
         raise ValueError("all reference values are zero")
     with np.errstate(over="ignore"):
         terms = np.abs(y[nonzero] - r[nonzero]) / r[nonzero]
-    return left_sum(terms) / terms.size
+    return _bounded(left_sum(terms), "the sum of percentage errors") / terms.size
 
 
 def nrmse(estimates: np.ndarray, references: np.ndarray) -> float:
-    mean_ref = left_sum(_columns(estimates, references)[1]) / len(references)
+    total = _bounded(left_sum(_columns(estimates, references)[1]), "the sum of references")
+    mean_ref = total / len(references)
     if mean_ref <= 0:
         raise ValueError("reference mean must be positive")
-    return rmse(estimates, references) / mean_ref
+    return _bounded(rmse(estimates, references) / mean_ref, "nrmse")

@@ -81,6 +81,16 @@ def test_misaligned_windows_raise():
         estimate_ratio(device(estimate(0.0, 10.0)), refs((0.0, 10.0), (180.0, 10.0)))
 
 
+def test_windows_align_by_their_microsecond():
+    # the rule the CLI joins series by: round6 of each start, not starts within 1e-6
+    with pytest.raises(ValueError,
+                       match="^misaligned windows: device window at 4e-07, people at 6e-07$"):
+        estimate_ratio(device(estimate(4e-7, 10.0)), refs((6e-7, 5.0)))
+    ratio = estimate_ratio(device(estimate(0.0, 10.0), estimate(180.0, 10.0)),
+                           refs((0.0000003, 5.0), (180.0000003, 5.0)))
+    assert ratio.alpha == 2.0
+
+
 def test_zero_people_raises():
     with pytest.raises(ValueError, match="zero"):
         estimate_ratio(device(estimate(0.0, 10.0)), refs((0.0, 0.0)))

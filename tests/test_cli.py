@@ -683,6 +683,25 @@ def test_eval_reads_every_column_with_its_format_converters(tmp_path, capsys, ro
     assert f"error: {f['est']}: line 1: " in capsys.readouterr().err
 
 
+def test_eval_refuses_squared_errors_that_overflow_naming_both_files(tmp_path, capsys):
+    f = _files(tmp_path, est=COUNT_ROW.replace("11.400000", "1e200"), ref="0.0 3.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning
+        assert main(["eval", f["est"], f["ref"]]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {f['est']}, {f['ref']}: the sum of squared errors overflows\n")
+
+
+def test_eval_refuses_percentage_errors_that_overflow_naming_both_files(tmp_path, capsys):
+    # rmse (1e150) is finite; mape and nrmse divide it by a reference of 1e-160
+    f = _files(tmp_path, est=COUNT_ROW.replace("11.400000", "1e150"), ref="0.0 1e-160\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", f["est"], f["ref"]]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {f['est']}, {f['ref']}: the sum of percentage errors overflows\n")
+
+
 def test_eval_reads_the_baseline_and_people_formats(tmp_path, capsys):
     f = _files(tmp_path, macs="# start w unique_macs\n0.0 180.0 4\n180.0 180.0 0\n",
                people="# start w m_hat nrmse\n0.0 180.0 2.0 0.1\n180.0 180.0 0.0 nan\n",

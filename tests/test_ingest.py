@@ -651,6 +651,29 @@ def test_parse_capture_rejects_nanoseconds_rounding_past_32_bits():
         parse_capture(pcap_records([(last, 999_999_500, frame)], nanosecond=True))
 
 
+# The run check's constants, and small ones under which a capture of a few
+# hundred records crosses many spans, window edges and back-offs.
+WALK_CONSTANTS = {
+    "module": {name: getattr(ingest, name) for name in ("_SPAN", "_WINDOW", "_RUN", "_PAYS")},
+    "small": {"_SPAN": 256, "_WINDOW": 2, "_RUN": 16, "_PAYS": 4},
+}
+
+
+def walk_outcome(walk, data):
+    bo, unit, per_second = ingest._PCAP_FORMATS[struct.unpack_from("<I", data)[0]]
+    try:
+        return list(walk(data, bo, unit, per_second))
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_walks_agree(data, constants=WALK_CONSTANTS["module"]):
+    expected = walk_outcome(oracles.record_offsets, data)
+    with mock.patch.multiple(ingest, **constants):
+        assert walk_outcome(ingest._record_offsets, data) == expected
+    return expected
+
+
 def _corrupt_capture(fault, swapped, nanosecond):
     """A five-record capture with the faults that ``fault`` names."""
     per_second = 10**9 if nanosecond else 10**6
@@ -677,17 +700,7 @@ def _corrupt_capture(fault, swapped, nanosecond):
     "fraction_then_truncated_last", "fraction_then_truncated_header",
 ])
 def test_record_walk_matches_record_by_record_checks(fault, swapped, nanosecond):
-    data = _corrupt_capture(fault, swapped, nanosecond)
-    bo, unit, per_second = ingest._PCAP_FORMATS[struct.unpack_from("<I", data)[0]]
-
-    def walk(record_offsets):
-        try:
-            return list(record_offsets(data, bo, unit, per_second))
-        except ParseError as exc:
-            return str(exc)
-
-    expected = walk(oracles.record_offsets)
-    assert walk(ingest._record_offsets) == expected
+    expected = assert_walks_agree(_corrupt_capture(fault, swapped, nanosecond))
     assert (fault == "none") == isinstance(expected, list)
 
 
@@ -794,6 +807,132 @@ def test_parse_capture_random_frames_raise_only_parse_error(magic, linktype, rec
         return
     assert len(events) <= len(records)
     assert np.all(np.diff(events.t) >= 0)
+
+
+# ---------------------------------------------------------------- record walk over runs
+
+
+def run_capture(runs, swapped=False, nanosecond=False):
+    """A capture of ``(length, count[, orig_len])`` runs of records of zero bytes, each
+    with its own timestamp; ``orig_len`` is above ``incl_len``, as a snap length leaves
+    it, unless given."""
+    per_second = 10**9 if nanosecond else 10**6
+    header = struct.Struct(">IIII" if swapped else "<IIII").pack
+    records = [(length, (orig or [length + 100])[0]) for length, count, *orig in runs
+               for _ in range(count)]
+    return pcap_records([], swapped=swapped, nanosecond=nanosecond) + b"".join(
+        header(i, i * 7919 % per_second, length, orig) + bytes(length)
+        for i, (length, orig) in enumerate(records))
+
+
+def first_check(length):
+    """Records walked one by one before the first run check, in a capture of one length."""
+    return ingest._SPAN // (16 + length) + 1
+
+
+@st.composite
+def run_captures(draw):
+    """Hundreds to thousands of records in runs of a few lengths, in either byte order,
+    with a fraction out of range, the last record cut short or a partial header now and then."""
+    nanosecond, swapped = draw(st.booleans()), draw(st.booleans())
+    lengths = draw(st.lists(st.integers(0, 400), min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(lengths), st.integers(1, 800)),
+                         min_size=1, max_size=8).filter(lambda r: sum(c for _, c in r) >= 200))
+    data = run_capture(runs, swapped, nanosecond)
+    fault = draw(st.sampled_from(["none", "fraction", "truncated_last", "truncated_header"]))
+    if fault == "fraction":
+        # the header of a record the walk reaches, run check or not
+        offset = draw(st.sampled_from(oracles.record_offsets(data, *ingest._PCAP_FORMATS[
+            struct.unpack_from("<I", data)[0]])))
+        per_second = 10**9 if nanosecond else 10**6
+        bad = draw(st.integers(per_second, 2**32 - 1))
+        data = (data[: offset + 4] + struct.pack(">I" if swapped else "<I", bad)
+                + data[offset + 8 :])
+    elif fault == "truncated_last":
+        data = data[: -draw(st.integers(1, 16))]
+    elif fault == "truncated_header":
+        data += bytes(draw(st.integers(1, 15)))
+    return data
+
+
+@pytest.mark.parametrize("constants", WALK_CONSTANTS)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(run_captures())
+def test_record_walk_over_runs_matches_record_by_record_checks(constants, data):
+    assert_walks_agree(data, WALK_CONSTANTS[constants])
+
+
+@pytest.mark.parametrize("nanosecond", [False, True])
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("fault", ["fraction", "truncated_last", "truncated_header"])
+def test_a_fault_inside_a_checked_run_is_named_as_record_by_record(fault, swapped, nanosecond):
+    length = 60
+    count = first_check(length) + 3 * ingest._WINDOW
+    data = run_capture([(length, count)], swapped, nanosecond)
+    # a record the run check reads in its second window, and the last one, which it
+    # reads in its second window too
+    offset = 24 + (first_check(length) + ingest._WINDOW + 5) * (16 + length)
+    last = 24 + (count - 1) * (16 + length)
+    if fault == "fraction":
+        per_second = 10**9 if nanosecond else 10**6
+        data = data[: offset + 4] + struct.pack(">I" if swapped else "<I", per_second) + data[
+            offset + 8 :]
+        message = f"field {per_second} out of range at byte offset {offset}"
+    elif fault == "truncated_last":
+        data = data[:-1]
+        message = f"truncated packet record at byte offset {last}"
+    else:
+        data = data[: last + 7]
+        message = f"truncated packet record header at byte offset {last}"
+    assert message in assert_walks_agree(data)
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1, 2])
+@pytest.mark.parametrize("windows", [1, 3])
+def test_a_run_that_breaks_at_a_window_edge(edge, windows):
+    # the first check reads _WINDOW records, the next ones twice as many as the last
+    length = 60
+    first = first_check(length)
+    run = first + ingest._WINDOW * (2**windows - 1) + edge
+    offsets = assert_walks_agree(run_capture([(length, run), (length + 1, 5), (length, 700)]))
+    assert len(offsets) == run + 705
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_a_run_check_reads_incl_len_in_the_capture_byte_order(swapped):
+    # the first record the check reads is 65536 bytes long: its orig_len, and its
+    # incl_len read in the other byte order, are the run's 256
+    first = first_check(256)
+    data = run_capture([(256, first, 256), (65536, 1, 256), (256, 5, 256)], swapped)
+    assert len(assert_walks_agree(data)) == first + 6
+
+
+@pytest.mark.parametrize("tail", [b"", b"\x00" * 7])
+@pytest.mark.parametrize("extra", [-1, 0, 1, ingest._WINDOW, 3 * ingest._WINDOW])
+def test_a_run_to_the_end_of_the_file(extra, tail):
+    length = 40
+    count = first_check(length) + ingest._WINDOW + extra
+    expected = assert_walks_agree(run_capture([(length, count)]) + tail)
+    if tail:
+        assert expected == f"truncated packet record header at byte offset {24 + count * 56}"
+    else:
+        assert len(expected) == count
+
+
+def test_parse_capture_matches_record_by_record_decoder_over_mixed_runs():
+    rng = np.random.default_rng(5)
+    frames = [probe_request("aa:bb:cc:dd:ee:01"), beacon("00:11:22:33:44:55"),
+              data_frame("aa:bb:cc:dd:ee:02"), probe_request("02:00:00:00:00:03", bytes(9))]
+    layouts = [radiotap(f, rssi=-40 - i) for i, f in enumerate(frames)]
+    layouts += [radiotap(frames[0], tsft=7, rssi=-70), radiotap(frames[3], extended=True)]
+    records, t = [], 1.0
+    while len(records) < 5000:
+        frame = layouts[rng.integers(len(layouts))]
+        for _ in range(int(rng.geometric(1 / 150))):
+            records.append((t, frame))
+            t += float(rng.integers(1, 10**6)) / 1e6
+    data = pcap(records[:5000], linktype=127)
+    assert outcome(parse_capture, data) == outcome(oracles.parse_capture, data)
 
 
 # ---------------------------------------------------------------- left_sum

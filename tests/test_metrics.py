@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given
@@ -50,6 +51,34 @@ def test_series_pair_validation():
             metric([], [])
         with pytest.raises(ValueError, match="references must be finite"):
             metric([1.0], [float("inf")])
+
+
+def test_rmse_and_nrmse_refuse_squared_errors_that_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning
+        for metric in (rmse, nrmse):
+            with pytest.raises(ValueError, match="^the sum of squared errors overflows$"):
+                metric([1e200, 1.0], [1.0, 1.0])
+        assert rmse([1e154, 0.0], [0.0, 0.0]) == pytest.approx(1e154 / math.sqrt(2))
+
+
+def test_metrics_refuse_results_that_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rmse([1e150], [1e-160]) == 1e150
+        with pytest.raises(ValueError, match="^the sum of percentage errors overflows$"):
+            mape([1e150], [1e-160])
+        with pytest.raises(ValueError, match="^nrmse overflows$"):
+            nrmse([1e150], [1e-160])
+        with pytest.raises(ValueError, match="^the sum of references overflows$"):
+            nrmse([1e308, 1e308], [1e308, 1e308])
+
+
+def test_metrics_refuse_estimates_that_are_not_finite():
+    for metric in (rmse, mape, nrmse):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="^estimates must be finite$"):
+                metric([1.0, value], [1.0, 1.0])
 
 
 series = st.lists(st.floats(0.1, 1e4), min_size=1, max_size=30)
