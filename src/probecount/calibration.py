@@ -15,7 +15,7 @@ import numpy as np
 
 from .ingest import (
     finite, format_rows, left_sum, non_negative, non_negative_or_nan, positive, read_keys,
-    read_records, round6,
+    read_table, round6,
 )
 
 REFERENCE_DTYPE = np.dtype([("start", np.float64), ("value", np.float64)])
@@ -134,4 +134,4 @@ def format_reference_series(series: np.recarray) -> str:
 
 def parse_reference_series(data: bytes | str) -> np.recarray:
     """Parse `start value` reference lines (e.g. camera people counts)."""
-    return read_records(data, REFERENCE_DTYPE, REFERENCE_COLUMNS)
+    return np.rec.fromarrays(read_table(data, REFERENCE_COLUMNS)[1], dtype=REFERENCE_DTYPE)

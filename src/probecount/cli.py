@@ -225,15 +225,13 @@ _SERIES_FORMATS = {
 def _parse_value_series(data: bytes | str) -> np.recarray:
     """(window start, value) records of a series file, in the format of its first row."""
     decoded = read_columns(data, *(layout for layout, _ in _SERIES_FORMATS.values()))
-    if decoded is not None and np.all(decoded[0] == decoded[0][0]):
-        columns = decoded[1]
-        return np.rec.fromarrays([columns[0], columns[_SERIES_FORMATS[len(columns)][1]]],
-                                 dtype=calibration.REFERENCE_DTYPE)
-    width = len(next(data_lines(data), (0, ""))[1].split())
-    widths = [width] if width in _SERIES_FORMATS else list(_SERIES_FORMATS)
-    rows = read_rows(data, lambda *row: (row[0], row[_SERIES_FORMATS[len(row)][1]]),
-                     *(_SERIES_FORMATS[n][0] for n in widths))
-    return np.array(rows, dtype=calibration.REFERENCE_DTYPE).view(np.recarray)
+    if decoded is None or np.any(decoded[0] != decoded[0][0]):
+        width = len(next(data_lines(data), (0, ""))[1].split())
+        widths = [width] if width in _SERIES_FORMATS else list(_SERIES_FORMATS)
+        decoded = read_rows(data, *(_SERIES_FORMATS[n][0] for n in widths))
+    columns = decoded[1]
+    return np.rec.fromarrays([columns[0], columns[_SERIES_FORMATS[len(columns)][1]]],
+                             dtype=calibration.REFERENCE_DTYPE)
 
 
 @contextlib.contextmanager

@@ -14,7 +14,7 @@ import numpy as np
 from .bursts import Bursts
 from .ingest import (
     Events, finite, format_rows, non_negative, non_negative_int, non_negative_or_nan, positive,
-    read_records,
+    read_table,
 )
 from .intervals import IntervalModel
 
@@ -198,4 +198,4 @@ def format_mac_series(series: np.recarray, w: float) -> str:
 
 def parse_series(data: bytes | str) -> np.recarray:
     """The count series of ``format_series`` text, as ``SERIES_DTYPE`` records."""
-    return read_records(data, SERIES_DTYPE, SERIES_COLUMNS)
+    return np.rec.fromarrays(read_table(data, SERIES_COLUMNS)[1], dtype=SERIES_DTYPE)

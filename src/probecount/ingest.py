@@ -3,13 +3,14 @@
 Events are held as columns (``Events``); ``PrfEvent`` is the one-event view
 that iterating them yields.  Also holds the text layer behind every
 line-oriented file, where only ``\\n`` ends a line.  Every column file (event
-text, window series, reference series, ground-truth sidecar) is first offered
-to ``read_columns``, which indexes the separators of its bytes in one pass and
-decodes each column as a block by its converter's grammar, with ``#`` and
-blank lines, runs of whitespace and CRLF endings masked.  A file it does not
-vouch for (non-ASCII text, a control byte, a field outside its grammar or
-range) goes through ``read_rows``, so the values and every error message are
-the row reader's either way.  ``read_keys`` reads ``key value`` files;
+text, window series, reference series, ground-truth sidecar) is read by
+``read_table``, which offers it to ``read_columns``: that indexes the separators
+of its bytes in one pass and decodes each column as a block by its converter's
+grammar, with ``#`` and blank lines, runs of whitespace and CRLF endings masked.
+A file it does not vouch for (non-ASCII text, a control byte, a field outside its
+grammar or range, a file rule that fails) goes through ``read_rows``, so the
+values and every error message are the row reader's either way.  ``read_keys``
+reads ``key value`` files;
 ``format_rows`` writes ``%.6f``, ``%d`` and ``%s`` rows as one digit matrix,
 with the text ``%`` writes; ``read_file`` hands a file's bytes to its parser.
 ``naming`` is the one edge that names a file or line in an input error,
@@ -19,6 +20,7 @@ with the text ``%`` writes; ``read_file`` hands a file's bytes to its parser.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import re
 import struct
@@ -29,7 +31,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
-_Row = TypeVar("_Row")
 _T = TypeVar("_T")
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -63,8 +64,8 @@ RSSI_NONE = -(2**15)
 _PROBE_REQUEST_FC = 0x40
 
 # Radiotap fields that can precede the antenna-signal field, in present-bit
-# order: bit -> (alignment, size).  Alignment is relative to the start of the
-# radiotap header.
+# order: bit -> (alignment, size).  Alignment is a power of two, relative to the
+# start of the radiotap header.
 _RADIOTAP_LAYOUT = {
     0: (8, 8),  # TSFT
     1: (1, 1),  # flags
@@ -156,28 +157,42 @@ def data_lines(text: str | bytes) -> Iterable[tuple[int, str]]:
             yield lineno, line
 
 
-def read_rows(
-    text: str | bytes, build: Callable[..., _Row], *layouts: Sequence[Callable[[str], Any]]
-) -> list[_Row]:
-    """Rows of a whitespace-separated column file, skipping blank and ``#`` lines.
-
-    Each layout is one converter per column; a row's field count picks its
-    layout, and ``build`` receives the converted fields.  Every error names
-    the line.
-    """
-    by_count = {len(layout): layout for layout in layouts}
-    rows = []
+def read_rows(text: str | bytes, *layouts: Sequence[Callable[[str], Any]],
+              checks: Sequence[tuple] = ()) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``read_table``'s result read row by row (blank and ``#`` lines skipped), a row's
+    field count picking its layout.  The checks run on the columns of the rows before
+    the first line a converter refuses: the error names the first faulty line, and
+    within a line a converter's fault before a check's."""
+    widest = max(layouts, key=len)
+    by_count = {len(layout): ([str.encode if c is str else c for c in layout],
+                              tuple(b"" if c is str else 0 for c in widest[len(layout):]))
+                for layout in layouts}
+    rows, fault = [], None
     for lineno, line in data_lines(text):
         fields = line.split()
-        layout = by_count.get(len(fields))
-        if layout is None:
-            expected = " or ".join(str(n) for n in sorted(by_count))
-            raise ParseError(f"line {lineno}: expected {expected} fields, got {len(fields)}")
         try:
-            rows.append(build(*[convert(f) for convert, f in zip(layout, fields)]))
+            if len(fields) not in by_count:
+                expected = " or ".join(str(n) for n in sorted(by_count))
+                raise ValueError(f"expected {expected} fields, got {len(fields)}")
+            layout, pad = by_count[len(fields)]
+            rows.append((len(fields), *[convert(f) for convert, f in zip(layout, fields)], *pad))
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return rows
+            fault = f"line {lineno}: {exc}"
+            break
+    count = np.array([row[0] for row in rows], dtype=np.int64)
+    # text as bytes objects while the checks run, so that they see a trailing NUL
+    columns = [np.array([row[j] for row in rows], dtype=object if c is str else None)
+               for j, c in enumerate(widest, 1)]
+    failed = [(bad[0], k) for k, (holds, _) in enumerate(checks)
+              if (bad := np.flatnonzero(np.logical_not(holds(*columns)))).size]
+    if failed:
+        i, k = min(failed)
+        lineno = next(itertools.islice(data_lines(text), i, None))[0]
+        fault = f"line {lineno}: {checks[k][1](*rows[i][1:])}"
+    if fault:
+        raise ParseError(fault)
+    return count, [column.astype(bytes) if c is str else column for c, column in
+                   zip(widest, columns[: count.max(initial=0) or len(widest)])]
 
 
 # Rows handled at once by the columnar reader and by format_rows, and bytes
@@ -255,11 +270,13 @@ def _text(column: np.ndarray) -> np.ndarray | None:
     return column.view(np.uint8).reshape(column.size, column.itemsize)
 
 
-def ascii_str(column: np.ndarray) -> np.ndarray:
-    """A bytes column of ASCII text as numpy ``str``, each byte widened to its code."""
+def utf8_str(column: np.ndarray) -> np.ndarray:
+    """A bytes column of UTF-8 text as numpy ``str`` (ASCII widened byte by byte)."""
     width = column.itemsize
     codes = np.ascontiguousarray(column).view(np.uint8).reshape(-1, width)
-    return codes.astype(np.uint32).view(f"U{width}").ravel()
+    if codes.max(initial=0) < 128:
+        return codes.astype(np.uint32).view(f"U{width}").ravel()
+    return np.char.decode(column, "utf-8")
 
 
 def _format_chunk(parts: list[str], columns: list[np.ndarray]) -> str | None:
@@ -382,11 +399,13 @@ class MacAddress:
         return _mac_text(self.value)
 
 
-def _check_event(timestamp: float, rssi: int | None) -> None:
-    if not 0 <= timestamp < MAX_TIMESTAMP:
-        raise ValueError(f"event timestamp {timestamp!r} outside [0, 2**32) s")
-    if rssi is not None and not RSSI_NONE < rssi < 2**15:
-        raise ValueError(f"rssi {rssi!r} outside [{RSSI_NONE + 1}, {2**15 - 1}]")
+# The rules of event text and of each PrfEvent, as read_table checks (rssi 0 for none).
+_EVENT_CHECKS = (
+    (lambda t, *_: (t >= 0) & (t < MAX_TIMESTAMP),
+     lambda t, *_: f"event timestamp {t!r} outside [0, 2**32) s"),
+    (lambda t, mac, ap, rssi: (rssi > RSSI_NONE) & (rssi < 2**15),
+     lambda t, mac, ap, rssi: f"rssi {rssi!r} outside [{RSSI_NONE + 1}, {2**15 - 1}]"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,7 +418,10 @@ class PrfEvent:
     rssi: int | None = None
 
     def __post_init__(self) -> None:
-        _check_event(self.timestamp, self.rssi)
+        event = (self.timestamp, self.mac, self.ap_id, 0 if self.rssi is None else self.rssi)
+        for holds, say in _EVENT_CHECKS:
+            if not holds(*event):
+                raise ValueError(say(*event))
 
 
 @dataclass(frozen=True, eq=False)
@@ -625,47 +647,25 @@ def _radiotap_antsignal(buf: np.ndarray, frame: np.ndarray, rt_len: np.ndarray) 
     """The int8 antenna signal of each radiotap header, or ``RSSI_NONE``.
 
     The present words are read for every header, word by word while the
-    extension bit is set; the field offset is computed once per layout.
+    extension bit is set; then every header's fields are laid out a present bit at a time.
     """
-    first_word = np.zeros_like(frame)
+    present = word = _uint(buf, frame + 4, 4)  # the first word: every header has 8 bytes
     words = np.zeros_like(frame)  # present words of a complete bitmap, else 0
-    reading = np.arange(frame.size)
-    pos = 4
+    reading, pos = np.arange(frame.size), 4
     while reading.size:
-        reading = reading[pos + 4 <= rt_len[reading]]
-        word = _uint(buf, frame[reading] + pos, 4)
-        if pos == 4:
-            first_word[reading] = word
         last = (word & _RADIOTAP_EXT_BIT) == 0
         words[reading[last]] = pos // 4
-        reading = reading[~last]
-        pos += 4
-    layout = (first_word & 0x3F) | (words << 6)
-    layouts, which = np.unique(layout, return_inverse=True)
-    field = np.array(
-        [_antsignal_offset(int(key) & 0x3F, 4 + 4 * (int(key) >> 6)) for key in layouts],
-        dtype=np.int64,
-    )[which.reshape(-1)]
-    ok = (words > 0) & (field >= 0) & (field < rt_len)
+        reading, pos = reading[~last], pos + 4
+        reading = reading[pos + 4 <= rt_len[reading]]
+        word = _uint(buf, frame[reading] + pos, 4)
+    field = 4 + 4 * words  # where the present words end
+    for bit, (align, size) in _RADIOTAP_LAYOUT.items():
+        if (has := present >> bit & 1).any():
+            field = np.where(has, (field + align - 1 & -align) + size, field)
+    ok = (words > 0) & (present >> _RADIOTAP_ANTSIGNAL_BIT & 1 == 1) & (field < rt_len)
     rssi = np.full(frame.shape, RSSI_NONE, dtype=np.int16)
     rssi[ok] = buf[frame[ok] + field[ok]].view(np.int8)
     return rssi
-
-
-def _antsignal_offset(present: int, offset: int) -> int:
-    """Offset of the antenna-signal field after the present words end at ``offset``,
-    or -1 when the field is absent."""
-    if not present & 1 << _RADIOTAP_ANTSIGNAL_BIT:
-        return -1
-    for bit, (align, size) in _RADIOTAP_LAYOUT.items():
-        if present & 1 << bit:
-            offset = (offset + align - 1) // align * align + size
-    return offset
-
-
-def _event_row(timestamp: float, mac: int, ap_id: str, rssi: int | None = None) -> tuple:
-    _check_event(timestamp, rssi)
-    return timestamp, mac, ap_id.encode(), RSSI_NONE if rssi is None else rssi
 
 
 # Zero bytes around the columnar reader's buffer: room for a number's window
@@ -855,14 +855,21 @@ def read_columns(data: bytes | str, *layouts: Sequence[Callable[[str], Any]]
     return count, columns
 
 
-def read_records(data: bytes | str, dtype: np.dtype,
-                 layout: Sequence[Callable[[str], Any]]) -> np.recarray:
-    """The rows of a column file as ``dtype`` records, a field per column of ``layout``:
-    decoded by ``read_columns`` when it vouches for the file, else by ``read_rows``."""
-    decoded = read_columns(data, layout)
-    if decoded is None:
-        return np.array(read_rows(data, lambda *row: row, layout), dtype=dtype).view(np.recarray)
-    return np.rec.fromarrays(decoded[1], dtype=dtype)
+def read_table(data: bytes | str, *layouts: Sequence[Callable[[str], Any]],
+               checks: Sequence[tuple] = ()) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each data row's field count and the columns of the longest layout present (of the
+    longest given when there is no row; text as UTF-8 bytes, 0 where a row has no field):
+    ``read_columns``' when it vouches for the file and every check holds on the whole
+    columns, else ``read_rows``'.  A layout is one converter per column; a check is a
+    file rule, a pair (holds, say): ``holds``, one numpy expression of the columns of
+    the longest layout (0 for one no row has), and ``say``, the refusal worded from one
+    row's values (text as UTF-8 bytes)."""
+    decoded = read_columns(data, *layouts)
+    if decoded is not None:
+        absent = [0] * (max(map(len, layouts)) - len(decoded[1]))
+        if all(np.all(holds(*decoded[1], *absent)) for holds, _ in checks):
+            return decoded
+    return read_rows(data, *layouts, checks=checks)
 
 
 def _sorted_events(t: np.ndarray, mac: np.ndarray, names: np.ndarray,
@@ -885,15 +892,10 @@ def parse_events(data: bytes | str) -> Events:
     Each non-comment line is ``<timestamp> <mac> <ap_id> [rssi]``.  Events are
     returned sorted by timestamp; input order is preserved for ties.
     """
-    decoded = read_columns(data, _EVENT_LAYOUT, (*_EVENT_LAYOUT, int))
-    if decoded is not None:
-        count, (t, mac, names, *level) = decoded
-        rssi = np.where(count == 4, level[0] if level else 0, RSSI_NONE)
-        if (np.all((t >= 0) & (t < MAX_TIMESTAMP))
-                and np.all((count == 3) | (rssi > RSSI_NONE) & (rssi < 2**15))):
-            return _sorted_events(t, mac, names, rssi.astype(np.int16))
-    rows = read_rows(data, _event_row, _EVENT_LAYOUT, (*_EVENT_LAYOUT, int))
-    return _sorted_events(*(np.array([row[k] for row in rows]) for k in range(4)))
+    count, (t, mac, names, *level) = read_table(data, _EVENT_LAYOUT, (*_EVENT_LAYOUT, int),
+                                                checks=_EVENT_CHECKS)
+    rssi = np.where(count == 4, level[0] if level else 0, RSSI_NONE)
+    return _sorted_events(t, mac, names, rssi.astype(np.int16))
 
 
 def _mac_texts(mac: np.ndarray) -> np.ndarray:

@@ -18,8 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .ingest import (
-    RSSI_NONE, Events, ascii_str, finite, format_rows, read_columns, read_file, read_keys,
-    read_rows, round6,
+    RSSI_NONE, Events, finite, format_rows, read_file, read_keys, read_table, round6, utf8_str,
 )
 from .intervals import parse_model
 
@@ -487,26 +486,17 @@ def format_trace(trace: GroundTruthTrace) -> str:
     return format_rows("%s %s %s %.6f %.6f\n", [trace.entities[name] for name in TRACE_FIELDS])
 
 
-def _entity_row(entity_id: str, kind: str, owner: str, enter: float, leave: float) -> tuple:
-    if kind not in ("device", "person"):
-        raise ValueError(f"unknown entity kind {kind!r}")
-    if not enter < leave:
-        raise ValueError("entity must leave strictly after entering")
-    return entity_id, kind, owner, enter, leave
-
-
 _TRACE_LAYOUT = (str, str, str, finite, finite)
+_TRACE_CHECKS = (
+    (lambda _, kind, *__: (kind == b"device") | (kind == b"person"),
+     lambda _, kind, *__: f"unknown entity kind {kind.decode()!r}"),
+    (lambda *entity: entity[3] < entity[4], lambda *_: "entity must leave strictly after entering"),
+)
 
 
 def parse_trace(data: bytes | str) -> GroundTruthTrace:
-    decoded = read_columns(data, _TRACE_LAYOUT)
-    if decoded is not None:
-        ids, kind, owner, enter, leave = decoded[1]
-        if np.all(((kind == b"device") | (kind == b"person")) & (enter < leave)):
-            return _trace(ascii_str(ids), ascii_str(kind), ascii_str(owner), enter, leave)
-    rows = read_rows(data, _entity_row, _TRACE_LAYOUT)
-    return _trace(*(np.array(column, dtype=dtype) for column, dtype in
-                    zip(list(zip(*rows)) or [()] * 5, (str, str, str, float, float))))
+    ids, kind, owner, enter, leave = read_table(data, _TRACE_LAYOUT, checks=_TRACE_CHECKS)[1]
+    return _trace(utf8_str(ids), utf8_str(kind), utf8_str(owner), enter, leave)
 
 
 # --------------------------------------------------------------------------

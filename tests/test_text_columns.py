@@ -23,7 +23,7 @@ from probecount.ingest import (
 def _rows_only():
     """Patches that make every reader decline the columnar path."""
     stack = ExitStack()
-    for module in (ingest, cli, simulate):
+    for module in (ingest, cli):
         stack.enter_context(mock.patch.object(module, "read_columns", lambda *args: None))
     return stack
 
@@ -31,7 +31,7 @@ def _rows_only():
 def _no_row_reader():
     """Patches that make read_rows fail wherever it is called."""
     stack = ExitStack()
-    for module in (ingest, cli, simulate):
+    for module in (ingest, cli):
         stack.enter_context(mock.patch.object(module, "read_rows",
                                               side_effect=AssertionError("row reader")))
     return stack
@@ -199,6 +199,41 @@ def test_a_file_the_reader_declines_keeps_the_row_readers_message():
         expected = _outcome(calibration.parse_reference_series, text)
     assert expected == ("ParseError", "line 3: non-finite number '-inf'")
     assert _outcome(calibration.parse_reference_series, text) == expected
+
+
+_MAC = "aa:bb:cc:dd:ee:01"
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    (ingest.parse_events, "-1 zz ap\n", 1, "malformed MAC address 'zz'"),
+    (ingest.parse_events, f"-1 {_MAC} ap 40000\n", 1,
+     "event timestamp -1.0 outside [0, 2**32) s"),
+    (ingest.parse_events, f"-1 {_MAC} ap\nx {_MAC} ap\n", 1,
+     "event timestamp -1.0 outside [0, 2**32) s"),
+    (simulate.parse_trace, "d0 robot p0 x 1\n", 1, "could not convert string to float: 'x'"),
+    (simulate.parse_trace, "d0 device p0 5 1\nd1 robot p0 0 1\n", 1,
+     "entity must leave strictly after entering"),
+    (simulate.parse_trace, "d0 device p0 0 1\nd1 device p0 inf 1\n", 2,
+     "non-finite number 'inf'"),
+    (simulate.parse_trace, "d0 device\0 p0 0 1\n", 1, "unknown entity kind 'device\\x00'"),
+])
+def test_the_first_fault_in_line_order_is_named(parse, text, line, message):
+    """The first faulty line is named, and within a line a converter's fault before a
+    rule's, whether the file is ASCII or not."""
+    for data, at in ((text, line), (text.encode(), line), ("# caf\u00e9\n" + text, line + 1)):
+        assert _outcome(parse, data) == ("ParseError", f"line {at}: {message}")
+
+
+def test_non_ascii_text_reads_as_str_through_the_row_reader():
+    text = "\u00e9 device \u00fc 0.000000 1.000000\n"
+    with _no_row_reader(), pytest.raises(AssertionError, match="row reader"):
+        simulate.parse_trace(text)
+    trace = simulate.parse_trace(text)
+    assert [tuple(entity) for entity in trace.entities] == [
+        ("\u00e9", "device", "\u00fc", 0.0, 1.0)]
+    assert simulate.format_trace(trace) == text
+    events = ingest.parse_events(f"1.5 {_MAC} caf\u00e9 -60\n2.0 {_MAC} ap\n".encode())
+    assert events.aps == ("caf\u00e9", "ap") and events.ap.tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------- writer
