@@ -37,12 +37,47 @@ def aggregate(events: Events, gap: float = DEFAULT_BURST_GAP) -> Bursts:
     """
     if not gap > 0:
         raise ValueError("gap must be positive")
-    order = np.lexsort((events.t, events.mac))
+    order, starts = by_key(events.mac)  # the events are in time order
     t, mac = events.t[order], events.mac[order]
-    starts = np.ones(t.shape, dtype=bool)
-    starts[1:] = (mac[1:] != mac[:-1]) | ~(np.diff(t) <= gap)
+    starts[1:] |= ~(np.diff(t) <= gap)
     first = np.flatnonzero(starts)
     count = np.diff(first, append=t.size)
-    by_instant = np.lexsort((mac[first], t[first]))
+    burst = np.full(t.size, -1)
+    burst[order[first]] = np.arange(first.size)  # each at its first event's place in time
+    by_instant = by_time(t[first], mac[first], burst[burst >= 0])
     first, count = first[by_instant], count[by_instant]
     return Bursts(t[first], t[first + count - 1], mac[first], count)
+
+
+def by_key(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(key, kind="stable")``, and where each run of equal keys starts in it.
+
+    numpy's unstable argsort (a SIMD quicksort where the CPU has one) groups the keys;
+    one sort of the words ``group << 32 | index`` then puts each group's indices in
+    order.  From 2**32 keys on a word cannot hold the index: the stable argsort runs.
+    """
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts = np.ones(key.size, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts[1:])
+    if key.size >= 2**32:
+        return np.argsort(key, kind="stable"), starts
+    words = np.cumsum(starts, dtype=np.uint64) << np.uint64(32)
+    words |= order.view(np.uint64)
+    words.sort()
+    words &= np.uint64(2**32 - 1)
+    return words.view(np.intp), starts
+
+
+def by_time(t: np.ndarray, mac: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``np.lexsort((mac, t))`` from an ``order`` that sorts ``t``: only the rows in
+    runs of equal times are sorted again, by (MAC, index)."""
+    sorted_t = t[order]
+    same = sorted_t[1:] == sorted_t[:-1]
+    tied = np.zeros(t.size, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    rows = order[tied]
+    order = order.copy()
+    order[tied] = rows[np.lexsort((rows, mac[rows], sorted_t[tied]))]
+    return order

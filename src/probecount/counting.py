@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .bursts import Bursts
+from .bursts import Bursts, by_key
 from .ingest import (
     Events, finite, format_rows, non_negative, non_negative_int, non_negative_or_nan, positive,
     read_table,
@@ -169,8 +169,8 @@ def _distinct_counts(mac: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     prev[i] being the MAC's previous event; those windows form one run of w.
     """
     index = np.arange(mac.size)
-    by_mac = np.argsort(mac, kind="stable")
-    repeat = mac[by_mac[1:]] == mac[by_mac[:-1]]
+    by_mac, starts = by_key(mac)
+    repeat = ~starts[1:]
     prev = np.full(mac.size, -1)
     prev[by_mac[1:][repeat]] = by_mac[:-1][repeat]
     begin = np.maximum(np.searchsorted(lo, prev, side="right"),

@@ -780,13 +780,13 @@ _GRAMMARS = {
 }
 
 
-def _fields(data: bytes | str) -> tuple[np.ndarray, ...] | None:
-    """The zero-padded byte buffer of ASCII text without control bytes, each field's
-    end and length in it, and the first field and field count of each data line
-    (``#`` and blank lines skipped, runs of whitespace splitting fields); None for
-    other text.  The separators are indexed in one pass (structural indexing, after
-    Langdale and Lemire's simdjson)."""
-    if not data.isascii() or b"\x7f" in data:
+def _fields(data: bytes) -> tuple[np.ndarray, ...] | None:
+    """The zero-padded byte buffer of text without control bytes, ASCII but on ``#``
+    lines of UTF-8 text, each field's end and length in it, and the first field and
+    field count of each data line (``#`` and blank lines skipped, runs of whitespace
+    splitting fields); None for other text.  The separators are indexed in one pass
+    (structural indexing, after Langdale and Lemire's simdjson)."""
+    if b"\x7f" in data or not data.isascii() and b"#" not in data:
         return None
     buf = np.zeros(len(data) + 2 * _PAD, dtype=np.uint8)
     buf[_PAD : _PAD + len(data)] = np.frombuffer(data, dtype=np.uint8)
@@ -810,6 +810,15 @@ def _fields(data: bytes | str) -> tuple[np.ndarray, ...] | None:
         sep, length = sep[length > 0], length[length > 0]
     if b"#" in data:
         data_row = buf[sep[first] - length[first]] != ord("#")
+        if not data.isascii():  # each byte above 127 lies in a field of a '#' line
+            high = np.flatnonzero(buf >= 128)
+            line = np.searchsorted(first, np.searchsorted(sep, high), side="right") - 1
+            if data_row[line].any():
+                return None
+            try:
+                data[high[0] - _PAD : high[-1] - _PAD + 1].decode()
+            except UnicodeDecodeError:
+                return None
         first, count = first[data_row], count[data_row]
     return buf, sep, length, first, count
 
@@ -825,7 +834,7 @@ def read_columns(data: bytes | str, *layouts: Sequence[Callable[[str], Any]]
     present are prefixes of one another and every field passes its converter's
     grammar and range (``_GRAMMARS``).
     """
-    indexed = _fields(data.encode() if isinstance(data, str) and data.isascii() else data)
+    indexed = _fields(data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data)
     if indexed is None:
         return None
     buf, end, length, first, count = indexed

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bursts import Bursts
+from .bursts import Bursts, by_key
 from .ingest import finite, non_negative_int, read_keys
 
 DEFAULT_INTERVAL_CUTOFF = 600.0
@@ -84,12 +84,11 @@ def extract_intervals(bursts: Bursts, cutoff: float = DEFAULT_INTERVAL_CUTOFF) -
     instant, mac = bursts.instant, bursts.mac
     if np.any(instant[1:] < instant[:-1]):
         raise ValueError("bursts not sorted by probing instant")
-    # bursts grouped by MAC, each group in burst order (hence by instant)
-    by_mac = np.argsort(mac, kind="stable")
-    earlier, later = by_mac[:-1], by_mac[1:]
-    tau = instant[later] - instant[earlier]
-    keep = (mac[later] == mac[earlier]) & (tau > 0) & (tau <= cutoff)
-    return tau[keep][np.argsort(later[keep])]
+    # grouped by MAC in burst order (hence by instant); each group's first gets 0
+    by_mac, starts = by_key(mac)
+    tau = np.empty(instant.shape)
+    tau[by_mac] = np.where(starts, 0.0, np.diff(instant[by_mac], prepend=0.0))
+    return tau[(tau > 0) & (tau <= cutoff)]
 
 
 def fit(
@@ -105,6 +104,8 @@ def fit(
         raise InsufficientSamplesError("insufficient interval samples (need at least 2)")
     if not bin_width > 0 or not cutoff > 0:
         raise ValueError("cutoff and bin_width must be positive")
+    if math.isinf(cutoff) or math.isinf(bin_width):
+        raise ValueError("cutoff and bin_width must be finite")
     if np.any(taus <= 0) or np.any(taus > cutoff):
         raise ValueError("interval samples must lie in (0, cutoff]")
     bins = cutoff / bin_width

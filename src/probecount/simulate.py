@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bursts import by_time
 from .ingest import (
     RSSI_NONE, Events, finite, format_rows, read_file, read_keys, read_table, round6, utf8_str,
 )
@@ -701,7 +702,7 @@ def _simulate(config: SimConfig, replay: bool) -> tuple[Events, GroundTruthTrace
     offset = np.where((k == n - 1) & (n > 1), d, k * (d / np.maximum(n - 1, 1)))
     t = round6(np.repeat(instant, count) + offset)
     mac = np.repeat(burst_mac, count)
-    order = np.lexsort((mac, t))
+    order = by_time(t, mac, np.argsort(t))
     events = Events(t[order], mac[order], np.zeros(t.size, dtype=np.int32),
                     np.full(t.size, config.rssi, dtype=np.int16), (config.ap_id,))
     return events, _entities(*people)

@@ -4,7 +4,9 @@ Each works one object at a time: a per-record capture decoder and record
 walk, a per-event burst grouper, a per-burst interval extractor, the
 window-grid loop, the per-window count, people and ground-truth series with
 their text writers, a per-event text writer and a per-frame simulator.  The
-differential tests compare the package's numpy code against them.
+differential tests compare the package's numpy code against them.  Last come
+the numpy formulations that grouped by MAC with ``np.lexsort`` and stable
+argsorts, oracles for the package's grouping at scale.
 """
 
 import math
@@ -401,3 +403,47 @@ def simulate(config):
             events.extend(_device_events(config, rng, enter, leave))
     events.sort(key=lambda e: (e.timestamp, e.mac))
     return events, entities
+
+
+# ---------------------------------------------------------------- lexsort grouping
+
+
+def aggregate_lexsort(events, gap):
+    """Burst columns (instant, end, mac, frame_count) of ``Events``, grouped by one
+    lexsort by (mac, time) and put in (instant, mac) order by another."""
+    order = np.lexsort((events.t, events.mac))
+    t, mac = events.t[order], events.mac[order]
+    starts = np.ones(t.shape, dtype=bool)
+    starts[1:] = (mac[1:] != mac[:-1]) | ~(np.diff(t) <= gap)
+    first = np.flatnonzero(starts)
+    count = np.diff(first, append=t.size)
+    by_instant = np.lexsort((mac[first], t[first]))
+    first, count = first[by_instant], count[by_instant]
+    return t[first], t[first + count - 1], mac[first], count
+
+
+def extract_intervals_stable(instant, mac, cutoff):
+    """Kept intervals of bursts in instant order, grouped by a stable argsort of the
+    MACs and put back in burst order by an argsort of the later bursts."""
+    by_mac = np.argsort(mac, kind="stable")
+    earlier, later = by_mac[:-1], by_mac[1:]
+    tau = instant[later] - instant[earlier]
+    keep = (mac[later] == mac[earlier]) & (tau > 0) & (tau <= cutoff)
+    return tau[keep][np.argsort(later[keep])]
+
+
+def distinct_counts_stable(mac, lo, hi):
+    """Distinct values of ``mac[lo[w]:hi[w]]`` for each w, each event's previous
+    event of its MAC found by a stable argsort."""
+    index = np.arange(mac.size)
+    by_mac = np.argsort(mac, kind="stable")
+    repeat = mac[by_mac[1:]] == mac[by_mac[:-1]]
+    prev = np.full(mac.size, -1)
+    prev[by_mac[1:][repeat]] = by_mac[:-1][repeat]
+    begin = np.maximum(np.searchsorted(lo, prev, side="right"),
+                       np.searchsorted(hi, index, side="right"))
+    stop = np.searchsorted(lo, index, side="right")
+    run = begin < stop
+    edges = np.bincount(begin[run], minlength=lo.size + 1)
+    edges -= np.bincount(stop[run], minlength=lo.size + 1)
+    return np.cumsum(edges)[: lo.size]

@@ -931,6 +931,13 @@ def test_fit_rejects_a_histogram_above_the_bin_limit(tmp_path, capsys, bin_width
     )
 
 
+@pytest.mark.parametrize("flag", ["--bin-width", "--cutoff"])
+def test_fit_refuses_an_infinite_cutoff_or_bin_width(tmp_path, capsys, flag):
+    f = _files(tmp_path, events=EVENTS_TEXT)
+    assert main(["fit", f["events"], flag, "inf"]) == 1
+    assert capsys.readouterr().err == "error: cutoff and bin_width must be finite\n"
+
+
 def test_simulate_from_a_fitted_histogram(tmp_path, capsys):
     model = str(tmp_path / "fitted.model")
     f = _files(tmp_path, rotating="duration 900\nseed 1\nrotation_prob 0.3\n",

@@ -250,6 +250,11 @@ FALLBACK_LINES = {
     "delete": "1.0 aa:bb:cc:dd:ee:01 ap\x7f",
     "non-ascii ap id": "1.0 aa:bb:cc:dd:ee:01 café",
     "non-ascii space": "1.0\u00a0aa:bb:cc:dd:ee:01 ap1",
+    "non-ascii comment": "# caf\u00e9 \u20ac\U0001f4e1",
+    "non-ascii comment after spaces": " \t# caf\u00e9",
+    "non-ascii space before a comment": "\u00a0# caf\u00e9",
+    "non-ascii after a hash in an ap id": "1.0 aa:bb:cc:dd:ee:01 ap#caf\u00e9",
+    "lone surrogate in a comment": "# caf\ud800",
     "plus sign rssi": "1.0 aa:bb:cc:dd:ee:01 ap1 +5",
     "underscore rssi": "1.0 aa:bb:cc:dd:ee:01 ap1 -6_0",
     "underscore timestamp": "1_0.5 aa:bb:cc:dd:ee:01 ap1",
@@ -284,7 +289,8 @@ FALLBACK_LINES = {
 }
 COLUMNAR_LINES = {"comment", "hash in an ap id", "blank line", "tab", "two spaces",
                   "leading space", "trailing space", "crlf", "form feed", "six-digit rssi",
-                  "16 digits", "16 digits below 2**53"}
+                  "16 digits", "16 digits below 2**53", "non-ascii comment",
+                  "non-ascii comment after spaces"}
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -295,6 +301,40 @@ def test_fallback_triggers_take_the_row_reader(trigger, where):
     text = "\n".join(lines) + "\n"
     assert _columnar(text) == (trigger in COLUMNAR_LINES)
     assert _outcome(text) == _row_outcome(text)
+
+
+_EVENT_LINES = "0.5 02:00:00:00:00:01 ap2 -60\n2.0 aa:BB:cc:DD:ee:02 ap1\n"
+
+
+@pytest.mark.parametrize("comment", ["# caf\u00e9", " \t# \u20ac\u00a0\U0001f4e1\r"])
+def test_utf8_comment_bytes_take_the_columnar_reader(comment):
+    data = f"{comment}\n{_EVENT_LINES}{comment}".encode()
+    assert _columnar(data)
+    assert _outcome(data) == _outcome(_EVENT_LINES) == _row_outcome(data)
+
+
+@pytest.mark.parametrize("data", [
+    b"1.0 aa:bb:cc:dd:ee:01 caf\xc3\xa9\n# caf\xc3\xa9\n",
+    b"# caf\xc3\xa9\n\xc2\xa0# caf\xc3\xa9\n",
+    b"1.0 aa:bb:cc:dd:ee:01 ap#caf\xc3\xa9\n",
+    b"# caf\xc3\xa9\n1.0 \xc3\xa9a:bb:cc:dd:ee:01 ap\n",
+])
+def test_other_non_ascii_bytes_take_the_row_reader(data):
+    assert not _columnar(data + _EVENT_LINES.encode())
+    assert _outcome(data + _EVENT_LINES.encode()) == _row_outcome(data + _EVENT_LINES.encode())
+
+
+@pytest.mark.parametrize("comment", [b"# caf\xe9", b"# caf\xc3", b"# \x80 caf\xc3\xa9",
+                                     b"# \xed\xa0\x80", b"# \xc0\xaf"])
+def test_a_comment_that_is_not_utf8_keeps_the_decoders_message(tmp_path, comment):
+    data = _EVENT_LINES.encode() + comment + b"\n"
+    path = tmp_path / "bad.events"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        data.decode("utf-8")
+    with pytest.raises(ParseError) as parsing:
+        ingest.read_file(str(path), parse_events)
+    assert str(parsing.value) == f"{path}: {decoding.value}"
 
 
 @settings(max_examples=200, deadline=None)

@@ -166,6 +166,15 @@ def test_cutoff_and_bin_width_must_be_positive(value):
         fit([30.0, 90.0], cutoff=value)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_fit_refuses_infinite_cutoff_and_bin_width(value):
+    message = "cutoff and bin_width must be " + ("finite" if value > 0 else "positive")
+    with pytest.raises(ValueError, match=message):
+        fit([30.0, 90.0], bin_width=value)
+    with pytest.raises(ValueError, match=message):
+        fit([30.0, 90.0], cutoff=value)
+
+
 def test_fit_histogram_mass_conservation():
     rng = np.random.default_rng(3)
     taus = rng.uniform(1.0, 599.0, 1000)
