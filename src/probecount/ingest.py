@@ -151,10 +151,15 @@ def data_lines(text: str | bytes) -> Iterable[tuple[int, str]]:
     UTF-8 bytes); only ``\\n`` ends a line."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    lineno, start = 0, 0
+    while start <= len(text):  # split a block of lines at a time, so few are held at once
+        stop = text.find("\n", start + _SCAN)
+        stop = len(text) if stop < 0 else stop
+        for lineno, line in enumerate(text[start:stop].split("\n"), start=lineno + 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+        start = stop + 1
 
 
 def read_rows(text: str | bytes, *layouts: Sequence[Callable[[str], Any]],
@@ -167,28 +172,32 @@ def read_rows(text: str | bytes, *layouts: Sequence[Callable[[str], Any]],
     by_count = {len(layout): ([str.encode if c is str else c for c in layout],
                               tuple(b"" if c is str else 0 for c in widest[len(layout):]))
                 for layout in layouts}
-    rows, fault = [], None
-    for lineno, line in data_lines(text):
-        fields = line.split()
-        try:
-            if len(fields) not in by_count:
-                expected = " or ".join(str(n) for n in sorted(by_count))
-                raise ValueError(f"expected {expected} fields, got {len(fields)}")
-            layout, pad = by_count[len(fields)]
-            rows.append((len(fields), *[convert(f) for convert, f in zip(layout, fields)], *pad))
-        except ValueError as exc:
-            fault = f"line {lineno}: {exc}"
-            break
-    count = np.array([row[0] for row in rows], dtype=np.int64)
+    # the field counts, then each column's values, from a block of lines' rows at a time
+    values, lines, fault = [[] for _ in range(len(widest) + 1)], data_lines(text), None
+    while fault is None and (block := list(itertools.islice(lines, _ROWS))):
+        rows = []
+        for lineno, line in block:
+            fields = line.split()
+            try:
+                if len(fields) not in by_count:
+                    expected = " or ".join(str(n) for n in sorted(by_count))
+                    raise ValueError(f"expected {expected} fields, got {len(fields)}")
+                layout, pad = by_count[len(fields)]
+                rows.append((len(fields), *[c(f) for c, f in zip(layout, fields)], *pad))
+            except ValueError as exc:
+                fault = f"line {lineno}: {exc}"
+                break
+        for column, part in zip(values, zip(*rows)):
+            column.extend(part)
     # text as bytes objects while the checks run, so that they see a trailing NUL
-    columns = [np.array([row[j] for row in rows], dtype=object if c is str else None)
-               for j, c in enumerate(widest, 1)]
+    count = np.array(values.pop(0), dtype=np.int64)
+    columns = [np.array(values.pop(0), dtype=object if c is str else None) for c in widest]
     failed = [(bad[0], k) for k, (holds, _) in enumerate(checks)
               if (bad := np.flatnonzero(np.logical_not(holds(*columns)))).size]
     if failed:
         i, k = min(failed)
         lineno = next(itertools.islice(data_lines(text), i, None))[0]
-        fault = f"line {lineno}: {checks[k][1](*rows[i][1:])}"
+        fault = f"line {lineno}: {checks[k][1](*[column[i : i + 1].item() for column in columns])}"
     if fault:
         raise ParseError(fault)
     return count, [column.astype(bytes) if c is str else column for c, column in
@@ -199,6 +208,7 @@ def read_rows(text: str | bytes, *layouts: Sequence[Callable[[str], Any]],
 # scanned at once by the reader: so that their temporaries stay small.
 _CHUNK = 1 << 16
 _SCAN = 1 << 22
+_ROWS = 1 << 12  # rows the row reader holds as tuples at once
 # The conversions format_rows writes as a digit matrix.
 _SPECS = re.compile(r"(%\.6f|%d|%s)")
 # Digits as little-endian uint16 lanes of two ASCII bytes: _PAIRS[p] is 0..99
@@ -209,7 +219,9 @@ _PAIRS = np.frombuffer((b"%2d" * 100 % tuple(range(100))).replace(b" ", b"\0")
 _PAIRS[0] = 0
 _UNITS = np.frombuffer(b"".join(b"\0%d" % d for d in range(10)), dtype="<u2")
 _POINTS = np.frombuffer(b"".join(b"%d." % d for d in range(10)), dtype="<u2")
-_HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode(), dtype=np.uint8).reshape(256, 2)
+# A MAC octet's text: its hex digits (two ASCII bytes as one uint16 lane) and a colon.
+_HEX_PAIRS = np.frombuffer(bytes(range(256)).hex().encode(), dtype="<u2")
+_OCTET_TEXT = np.dtype({"names": ["hex", "colon"], "formats": ["<u2", "u1"], "itemsize": 3})
 
 
 def _upper(v: np.ndarray, lanes: np.ndarray) -> None:
@@ -884,12 +896,14 @@ def read_table(data: bytes | str, *layouts: Sequence[Callable[[str], Any]],
 def _sorted_events(t: np.ndarray, mac: np.ndarray, names: np.ndarray,
                    rssi: np.ndarray) -> Events:
     """The events of the columns, stably sorted by time, with ap ids numbered by
-    their UTF-8 ``names``' first appearance in that order."""
+    their UTF-8 ``names``' first appearance in that order (a run of equal names' head)."""
     order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else slice(None)
-    aps, first, ap = np.unique(names[order], return_index=True, return_inverse=True)
+    names = names[order]
+    heads = np.flatnonzero(np.concatenate(([True], names[1:] != names[:-1]))[: names.size])
+    aps, first, ap = np.unique(names[heads], return_index=True, return_inverse=True)
     rank = np.argsort(first)  # names by first appearance
-    return Events(t[order], mac[order], np.argsort(rank)[ap.ravel()], rssi[order],
-                  [name.decode() for name in aps[rank]])
+    ap = np.repeat(np.argsort(rank)[ap.ravel()], np.diff(heads, append=names.size))
+    return Events(t[order], mac[order], ap, rssi[order], [name.decode() for name in aps[rank]])
 
 
 _EVENT_LAYOUT = (float, _mac_value, str)
@@ -909,10 +923,10 @@ def parse_events(data: bytes | str) -> Events:
 
 def _mac_texts(mac: np.ndarray) -> np.ndarray:
     """The lowercase colon-hex text of each MAC, as bytes."""
-    text = np.zeros((mac.size, 6, 3), dtype=np.uint8)
-    text[:, :, :2] = _HEX_PAIRS[mac.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 2:]]
-    text[:, :5, 2] = ord(":")
-    return text.reshape(-1, 18).view("S18").ravel()
+    text = np.empty((mac.size, 6), dtype=_OCTET_TEXT)
+    text["hex"] = _HEX_PAIRS.take(mac.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 2:])
+    text["colon"] = np.frombuffer(b":::::\0", dtype=np.uint8)  # no colon after the last
+    return text.view("S18").ravel()
 
 
 def format_events(events: Events) -> str:

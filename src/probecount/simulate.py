@@ -165,8 +165,8 @@ class HistogramInterval:
         return math.sqrt(max(second - self.mean() ** 2, 0.0))
 
     def _sample_bins(self, rng: np.random.Generator, size: int, cum: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(cum, rng.random(size), side="right")
-        return (idx + rng.random(size)) * self.bin_width
+        u = rng.random(2 * size)  # the bins' draws, then the offsets' in them: one call
+        return (np.searchsorted(cum, u[:size], side="right") + u[size:]) * self.bin_width
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._sample_bins(rng, size, self._cumulative[0])
@@ -504,56 +504,54 @@ def parse_trace(data: bytes | str) -> GroundTruthTrace:
 # generation
 
 
-def probing_instants(
-    dist: Distribution,
-    start: float,
-    end: float,
-    rng: np.random.Generator,
-    phase_mode: str = "equilibrium",
-    scale: float = 1.0,
-) -> np.ndarray:
+def probing_instants(dist: Distribution, start: float, end: float, rng: np.random.Generator,
+                     phase_mode: str = "equilibrium", scale: float = 1.0) -> np.ndarray:
     """Renewal probing instants within [start, end).
 
     Equilibrium mode starts with a residual wait (phase-independent entry);
     ordinary mode starts with a full interval draw.
     """
     pieces: list = [()]
-    _instants(dist, dist.mean(), start, end, rng, phase_mode, scale, pieces)
+    _instants(dist, phase_mode, rng)(start, end, scale, pieces)
     return np.concatenate(pieces)
 
 
-def _instants(dist: Distribution, mean: float, start: float, end: float,
-              rng: np.random.Generator, phase_mode: str, scale: float, pieces: list) -> int:
-    """Append ``probing_instants`` to ``pieces``, with ``dist``'s ``mean``, and return
-    their number."""
-    if end <= start:
-        return 0
-    if phase_mode == "equilibrium":
-        wait = float(equilibrium_residual(dist, rng, 1)[0]) * scale
-    elif phase_mode == "ordinary":
-        wait = float(dist.sample(rng, 1)[0]) * scale
-    else:
+def _instants(dist: Distribution, phase_mode: str, rng: np.random.Generator
+              ) -> Callable[[float, float, float, list], int]:
+    """A device's draw of ``probing_instants`` with ``dist``, ``phase_mode`` and ``rng``
+    bound: ``draw(start, end, scale, pieces)`` appends them to ``pieces`` and returns
+    their number.  An exponential's first wait is one scalar draw in either mode."""
+    if phase_mode not in ("equilibrium", "ordinary"):
         raise ValueError(f"unknown phase_mode {phase_mode!r}")
-    first = start + wait
-    if first >= end:
-        return 0
-    pieces.append((first,))
-    return 1 + _renewals(first, end, mean * scale, dist.sample, rng, 8, pieces, scale)
+    mean = dist.mean()
+    if isinstance(dist, Exponential):  # its residual is itself
+        steps = first_wait = functools.partial(rng.exponential, mean)
+    else:
+        steps = functools.partial(dist.sample, rng)
+        first_wait = ((lambda: float(equilibrium_residual(dist, rng, 1)[0]))
+                      if phase_mode == "equilibrium" else lambda: float(steps(1)[0]))
+
+    def draw(start: float, end: float, scale: float, pieces: list) -> int:
+        if end <= start or (first := start + first_wait() * scale) >= end:
+            return 0
+        pieces.append((first,))
+        return 1 + _renewals(first, end, mean * scale, steps, 8, pieces, scale)
+
+    return draw
 
 
-def _renewals(t: float, horizon: float, mean: float,
-              sample: Callable[[np.random.Generator, int], np.ndarray],
-              rng: np.random.Generator, pad: int, pieces: list, scale: float = 1.0) -> int:
+def _renewals(t: float, horizon: float, mean: float, steps: Callable[[int], np.ndarray],
+              pad: int, pieces: list, scale: float = 1.0) -> int:
     """Append to ``pieces`` the renewals after ``t`` and before ``horizon``, with
-    intervals ``sample(rng, n) * scale`` drawn in chunks of 1.25 times the expected
-    count plus ``pad``, and return their number."""
+    intervals ``steps(n) * scale`` drawn in chunks of 1.25 times the expected count
+    plus ``pad``, and return their number."""
     count = 0
     while True:
-        need = max(pad, int((horizon - t) / mean * 1.25) + pad)
-        steps = sample(rng, need)
+        need = int((horizon - t) / mean * 1.25) + pad  # at least pad, as t < horizon
+        ts = steps(need)
         if scale != 1.0:
-            steps *= scale
-        ts = steps.cumsum()
+            ts *= scale
+        ts = np.add.accumulate(ts)  # cumsum's own sum, called directly
         ts += t
         inside = int(ts.searchsorted(horizon))
         pieces.append(ts[:inside])
@@ -571,15 +569,36 @@ def _draw_mac(rng: np.random.Generator, randomized: bool) -> int:
     return int.from_bytes(bytes(octets), "big")
 
 
+class _PerBurst:
+    """The per-burst loop: the draws ``_Replay`` replays, one by one (a device's MAC, then
+    per burst a frame count, at p > 0 a coin and on rotation a MAC)."""
+
+    def __init__(self, config: SimConfig) -> None:
+        (self.lo, self.hi), self.p = config.frames_per_burst, config.rotation_prob
+        self.frames, self.macs = [], []
+
+    def device(self, rng: np.random.Generator) -> None:
+        self.persistent = _draw_mac(rng, randomized=False)
+
+    def take_bursts(self, rng: np.random.Generator, n: int) -> None:
+        for _ in range(n):
+            self.frames.append(int(rng.integers(self.lo, self.hi + 1)))
+            rotate = self.p > 0 and rng.random() < self.p
+            self.macs.append(_draw_mac(rng, True) if rotate else self.persistent)
+
+    def bursts(self, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.frames, dtype=np.int64), np.array(self.macs, dtype=np.uint64)
+
+
 class _Replay:
-    """The raw PCG64 words behind the per-burst loop's draws (``_simulate`` without a
-    replay).  A device draws its MAC (six 32-bit draws), its instants, then per burst
-    a frame count (``integers(lo, hi + 1)``: Lemire's method on a 32-bit draw, none
-    when lo == hi), at p > 0 a coin (``random() < p``: a word w, and
-    ``(w >> 11) < p * 2**53``) and on rotation a MAC.  A 32-bit draw takes a word's
-    low half and holds the high half for the next, and no other draw touches that
-    half; so the run's 32-bit draws are the halves of the words that no coin took, and
-    a device's coin b sits at word a_b + 3 R_b of its burst words, R_b counting its
+    """The raw PCG64 words behind the per-burst loop's draws (``_PerBurst``, which
+    ``_simulate`` runs without a replay).  A device draws its MAC (six 32-bit draws),
+    its instants, then per burst a frame count (``integers(lo, hi + 1)``: Lemire's
+    method on a 32-bit draw, none when lo == hi), at p > 0 a coin (``random() < p``: a
+    word w, and ``(w >> 11) < p * 2**53``) and on rotation a MAC.  A 32-bit draw takes a
+    word's low half and holds the high half for the next, and no other draw touches that
+    half; so the run's 32-bit draws are the halves of the words that no coin took, and a
+    device's coin b sits at word a_b + 3 R_b of its burst words, R_b counting its
     earlier rotations.  At 0 < p < 1 a device draws words as if every burst rotated,
     finds its coins and rewinds the generator past the words it did not use."""
 
@@ -592,6 +611,10 @@ class _Replay:
         held = self.u32_drawn % 2  # the high half an odd count leaves
         self.words.append(rng.bit_generator.random_raw(u64 + (u32 + 1 - held) // 2))
         self.u32_drawn += u32
+
+    def device(self, rng: np.random.Generator) -> None:
+        """The words of a device's MAC: six 32-bit draws take three, whichever half is held."""
+        self.words.append(rng.bit_generator.random_raw(3))
 
     def take_bursts(self, rng: np.random.Generator, n: int) -> None:
         """The words of a device's ``n`` bursts."""
@@ -630,7 +653,7 @@ class _Replay:
         burst_rank = 6 * (device + 1) + f * burst + 6 * earlier[:-1]
         words = np.concatenate(self.words)
         if self.p > 0:  # before a coin: a word per earlier coin and per pair of 32-bit draws
-            words = np.delete(words, burst + (burst_rank + f + 1) // 2)
+            words = words[np.bincount(burst + (burst_rank + f + 1) // 2, minlength=words.size) == 0]
         u32 = words.astype("<u8").view("<u4")  # each word's low half first
         frames = np.full(burst.size, self.lo, dtype=np.int64)
         if f:
@@ -638,12 +661,12 @@ class _Replay:
             if np.any(m & 0xFFFFFFFF < 2**32 % span):
                 return None
             frames += (m >> 32).astype(np.int64)
-        # the MACs as _draw_mac makes them, of six 32-bit draws from each rank in first
+        # the MACs as _draw_mac makes them: the octets (high bytes) of six 32-bit draws from
+        # each rank in first, read as the low six bytes of one big-endian word
         first = np.where(rotated, burst_rank + f, mac_rank[device])
-        octets = (u32[first[:, None] + np.arange(6)] >> 24).astype(np.uint64)
-        octets[:, 0] = octets[:, 0] & 0xFC | rotated.astype(np.uint64) << np.uint64(1)
-        return frames, np.bitwise_or.reduce(octets << np.arange(40, -1, -8, dtype=np.uint64),
-                                            axis=1)
+        octets = np.pad(u32.view(np.uint8)[3::4], (2, 6))
+        macs = np.ndarray((u32.size + 1,), ">u8", octets, 0, (1,))[first].astype(np.uint64)
+        return frames, macs & 0xFCFF_FFFF_FFFF | rotated.astype(np.uint64) << 41
 
 
 def simulate(config: SimConfig) -> tuple[Events, GroundTruthTrace]:
@@ -726,12 +749,12 @@ def _entities(person: np.ndarray, enter: np.ndarray, leave: np.ndarray,
 def _draw(config: SimConfig, replay: bool) -> tuple[tuple, tuple] | None:
     """The persons present (their numbers, spans and device counts), and each burst's
     instant, frame count and MAC in device order."""
-    rng, draws = np.random.default_rng(config.seed), _Replay(config) if replay else None
+    rng, draws = np.random.default_rng(config.seed), (_Replay if replay else _PerBurst)(config)
     enter, leave = np.zeros(config.fixed_persons), np.full(config.fixed_persons,
                                                            round(config.duration, 6))
     if config.arrival_rate > 0 and config.duration > 0:
         mean, arrivals = 1.0 / config.arrival_rate, [np.empty(0)]
-        _renewals(0.0, config.duration, mean, lambda r, n: r.exponential(mean, n), rng, 16,
+        _renewals(0.0, config.duration, mean, functools.partial(rng.exponential, mean), 16,
                   arrivals)
         arrivals = np.concatenate(arrivals)
         dwells = config.dwell_dist.sample(rng, arrivals.size)
@@ -739,37 +762,24 @@ def _draw(config: SimConfig, replay: bool) -> tuple[tuple, tuple] | None:
         leave = np.concatenate((leave, round6(arrivals + dwells)))
     person = np.flatnonzero(leave > enter)
 
-    dist, phase_mode, sigma = config.interval_dist, config.phase_mode, config.interval_scale_sigma
-    mean, per_person = dist.mean(), config.devices_per_person_dist
-    lo, hi = config.frames_per_burst
-    pieces: list = [()]
-    devices, counts, frames, macs = [], [], [], []
+    # the draws of a person's device count and a device's scale (unit mean), MAC, instants
+    # and bursts, each bound once to the config's choices
+    per_person, sigma = config.devices_per_person_dist, config.interval_scale_sigma
+    devices_of = (functools.partial(rng.poisson, per_person.mean_value)
+                  if isinstance(per_person, PoissonCount) else lambda: per_person.value)
+    scale_of = (functools.partial(rng.lognormal, -0.5 * sigma * sigma, sigma) if sigma
+                else lambda: 1.0)
+    device, bursts = functools.partial(draws.device, rng), functools.partial(draws.take_bursts, rng)
+    instants = _instants(config.interval_dist, config.phase_mode, rng)
+    pieces, devices, counts = [()], [], []
     for start, end in zip(enter[person].tolist(), leave[person].tolist()):
-        n_devices = (per_person.value if isinstance(per_person, ConstantCount)
-                     else int(per_person.sample(rng, 1)[0]))
-        devices.append(n_devices)
+        devices.append(n_devices := devices_of())
         for _ in range(n_devices):
-            # unit mean across devices
-            scale = 1.0 if sigma == 0 else float(rng.lognormal(-0.5 * sigma * sigma, sigma))
-            if draws is None:
-                persistent = _draw_mac(rng, randomized=False)
-            else:
-                draws.take(rng, 6)
-            n = _instants(dist, mean, start, end, rng, phase_mode, scale, pieces)
-            counts.append(n)
-            if draws is not None:
-                draws.take_bursts(rng, n)
-                continue
-            for _ in range(n):
-                frames.append(int(rng.integers(lo, hi + 1)))
-                rotate = config.rotation_prob > 0 and rng.random() < config.rotation_prob
-                macs.append(_draw_mac(rng, True) if rotate else persistent)
-
-    if draws is None:
-        count, burst_mac = np.array(frames, dtype=np.int64), np.array(macs, dtype=np.uint64)
-    elif (replayed := draws.bursts(counts)) is None:
+            scale = scale_of()
+            device()
+            counts.append(n := instants(start, end, scale, pieces))
+            bursts(n)
+    if (drawn := draws.bursts(counts)) is None:
         return None
-    else:
-        count, burst_mac = replayed
     return ((person, enter[person], leave[person], np.array(devices, dtype=np.int64)),
-            (np.concatenate(pieces), count, burst_mac))
+            (np.concatenate(pieces), *drawn))

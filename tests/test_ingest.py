@@ -374,6 +374,22 @@ def test_columnar_path_decodes_15_digits_and_numbers_aps_by_appearance():
     assert _outcome(text) == _row_outcome(text)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["a", "b", "c", "caf\u00e9"]),
+                          st.integers(1, 3)), max_size=10))
+def test_aps_interleaved_in_runs_are_numbered_by_first_appearance(runs):
+    """Runs of equal ap ids, interleaved and out of time order: each id is numbered by its
+    first appearance in stable time order, on both reading paths."""
+    rows = [(t, name) for t, name, length in runs for _ in range(length)]
+    text = "".join(f"{t}.5 aa:bb:cc:dd:ee:01 {name}\n" for t, name in rows)
+    ordered = [name for _, name in sorted(rows, key=lambda row: row[0])]
+    aps = tuple(dict.fromkeys(ordered))
+    events = parse_events(text)
+    assert events.aps == aps
+    assert events.ap.tolist() == [aps.index(name) for name in ordered]
+    assert _outcome(text) == _row_outcome(text)
+
+
 # ---------------------------------------------------------------- capture format
 
 

@@ -734,7 +734,8 @@ def test_simulate_matches_frame_by_frame_simulator(
 
 @settings(max_examples=50, deadline=None)
 @given(
-    dist=st.sampled_from([Exponential(5.0), LogNormal(1.0, 1.2), UniformInterval(0.0, 3.0)]),
+    dist=st.sampled_from([Exponential(5.0), LogNormal(1.0, 1.2), UniformInterval(0.0, 3.0),
+                          Constant(4.0), HistogramInterval(2.0, (0, 3, 9, 5, 1, 2))]),
     start=st.floats(0.0, 100.0),
     span=st.floats(0.0, 2000.0),
     scale=st.floats(0.1, 3.0),
@@ -749,14 +750,14 @@ def test_renewal_loop_keeps_the_draws(dist, start, span, scale, phase_mode, seed
     rate = 1.0 / (1.0 + scale)
     mean, rng = 1.0 / rate, np.random.default_rng(seed)
     pieces = [()]
-    count = _renewals(0.0, span, mean, lambda r, n: r.exponential(mean, n), rng, 16, pieces)
+    count = _renewals(0.0, span, mean, lambda n: rng.exponential(mean, n), 16, pieces)
     ours = np.concatenate(pieces)
     assert count == ours.size
     theirs = oracles._poisson_arrivals(np.random.default_rng(seed), rate, span)
     assert ours.tolist() == theirs.tolist()
 
 
-# Event and truth files of three configs: (config, event count, sha256 of the
+# Event and truth files of each config: (config, event count, sha256 of the
 # event text followed by the truth text), as the frame-by-frame simulator in
 # oracles.py wrote them.
 GOLDEN_SIMULATIONS = [
@@ -801,6 +802,15 @@ GOLDEN_SIMULATIONS = [
         "duration 3600\nseed 6\n",
         989,
         "2c24211a381c357d228e174d392b12063b235865fe4859a74a50cedb3711d1a0",
+    ),
+    (
+        # the benchmark's simulate_validate config, shorter: a Poisson device count per
+        # person and an exponential first wait at equilibrium, every burst rotating
+        "arrival_rate 0.2\ndwell_dist uniform:low=150,high=450\ninterval_dist exp:mean=60\n"
+        "devices_per_person_dist poisson:mean=1.14\nrotation_prob 1.0\nframes_per_burst 1..3\n"
+        "duration 1200\nseed 8\n",
+        3328,
+        "7dbb1b0580899b4a3ca8f609b107b9e1c5233e44073aec27e301590c1e4b27f1",
     ),
 ]
 GOLDEN_MODEL = ("area_id golden\ntau_mean 48.0\ntau_std 30.0\nsample_count 60\nbin_width 10.0\n"

@@ -236,6 +236,26 @@ def test_non_ascii_text_reads_as_str_through_the_row_reader():
     assert events.aps == ("caf\u00e9", "ap") and events.ap.tolist() == [0, 1]
 
 
+_ROW_LINES = [f"1.5 {_MAC} ap", f"2 {_MAC} ap -60", f"3 {_MAC} caf\u00e9", "", "  ", "\r",
+              "# 1.0 x", f"x {_MAC} ap", f"-1 {_MAC} ap", f"1 {_MAC} ap 99999999999999999999"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_ROW_LINES), max_size=20), st.integers(1, 12),
+       st.integers(1, 3))
+def test_the_row_reader_holds_a_block_at_a_time(lines, scan, rows):
+    """Text split into lines a block at a time, and rows kept a block at a time, give the
+    lines of one split of the whole text and the same events or message."""
+    text = "\n".join(lines)
+    with _rows_only():
+        expected = _outcome(ingest.parse_events, text)
+        with mock.patch.object(ingest, "_SCAN", scan), mock.patch.object(ingest, "_ROWS", rows):
+            assert list(ingest.data_lines(text)) == [
+                (n, line.strip()) for n, line in enumerate(text.split("\n"), start=1)
+                if line.strip() and not line.strip().startswith("#")]
+            assert _outcome(ingest.parse_events, text) == expected
+
+
 # ---------------------------------------------------------------- writer
 
 # Every format format_rows is given in the package, with the column kinds it takes
