@@ -173,6 +173,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if not args.model:
         raise ValueError("--model is required unless --baseline is given")
     model = read_file(args.model, intervals.parse_model)
+    with naming(args.model):
+        counting._check_model(model)
     bursts = aggregate(events, gap=args.gap)
     estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
     _write_output(counting.format_series(estimates), args.out)

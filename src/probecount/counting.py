@@ -114,8 +114,6 @@ def _series_grid(
 def _check_model(model: IntervalModel) -> None:
     if model.sample_count == 0:
         raise ValueError("unfitted interval model")
-    if not model.tau_mean > 0:
-        raise ValueError("interval model has non-positive tau_mean")
 
 
 def sliding_windows(

@@ -128,27 +128,25 @@ def ljung_box(samples: Sequence[float], num_lags: int) -> tuple[float, float]:
     """Ljung-Box independence test.
 
     Q = n(n+2) * sum_k rho_k^2 / (n-k) for k = 1..num_lags, with rho_k the
-    lag-k sample autocorrelation; the p-value comes from the chi-squared
-    distribution with num_lags degrees of freedom.
+    lag-k sample autocorrelation; the p-value is the chi-squared tail with
+    num_lags degrees of freedom.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
     if not 1 <= num_lags < n:
         raise ValueError("need sample_count > num_lags >= 1")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
     centered = x - x.mean()
     denom = float(centered @ centered)
-    if denom == 0.0:
-        raise ValueError("degenerate samples: zero variance")
+    if not 0.0 < denom < math.inf:
+        raise ValueError("degenerate samples: zero or overflowing variance")
     q = 0.0
     for k in range(1, num_lags + 1):
         rho = float(centered[:-k] @ centered[k:]) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2)
-    # Imported on first call: scipy.stats takes about 1.1 s and 70 MiB to import.
-    from scipy import stats  # noqa: PLC0415
-
-    p_value = float(stats.chi2.sf(q, num_lags))
-    return q, p_value
+    return q, _chi2_sf(q, num_lags)
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
@@ -159,18 +157,34 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     """
     xa = np.sort(np.asarray(a, dtype=float))
     xb = np.sort(np.asarray(b, dtype=float))
-    if xa.size == 0 or xb.size == 0:
-        raise ValueError("both samples must be non-empty")
     pooled = np.concatenate([xa, xb])
+    if xa.size == 0 or xb.size == 0 or not np.all(np.isfinite(pooled)):
+        raise ValueError("both samples must be non-empty and finite")
     cdf_a = np.searchsorted(xa, pooled, side="right") / xa.size
     cdf_b = np.searchsorted(xb, pooled, side="right") / xb.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = xa.size * xb.size / (xa.size + xb.size)
-    # Imported on first call: scipy.special takes about 0.35 s and 25 MiB to import.
-    from scipy import special  # noqa: PLC0415
+    return d, _kolmogorov_sf(math.sqrt(n_eff) * d)
 
-    p_value = float(special.kolmogorov(math.sqrt(n_eff) * d))
-    return d, min(max(p_value, 0.0), 1.0)
+
+def _chi2_sf(q: float, k: int) -> float:
+    """The chi-squared tail Q(k/2, h = q/2) for integer k, from erfc(sqrt(h)) or e^-h by
+    Q(a+1, h) = Q(a, h) + e^(a log(h) - h - lgamma(a+1)), no term underflowing alone."""
+    h = q / 2
+    if h <= 0:
+        return 1.0
+    a, p = (0.5, math.erfc(math.sqrt(h))) if k % 2 else (1.0, math.exp(-h))
+    return min(p + sum(math.exp((a + i) * math.log(h) - h - math.lgamma(a + i + 1))
+                       for i in range((k - 1) // 2)), 1.0)
+
+
+def _kolmogorov_sf(y: float) -> float:
+    """Kolmogorov's tail, five terms of 2 sum (-1)^(k-1) e^(-2k^2y^2) for y >= 1, else of its
+    dual 1 - sqrt(2pi)/y sum e^(-(2k-1)^2 pi^2/(8y^2)) (Marsaglia et al., J. Stat. Softw. 2003)."""
+    if y >= 1:
+        return 2 * sum((-1) ** (k - 1) * math.exp(-2 * k * k * y * y) for k in range(1, 6))
+    terms = (math.exp(-((2 * k - 1) * math.pi / y) ** 2 / 8) for k in range(1, 6))
+    return 1 - math.sqrt(2 * math.pi) / y * sum(terms) if y > 0 else 1.0
 
 
 def format_model(model: IntervalModel) -> str:

@@ -13,6 +13,8 @@ from probecount.intervals import (
     MAX_BINS,
     InsufficientSamplesError,
     IntervalModel,
+    _chi2_sf,
+    _kolmogorov_sf,
     extract_intervals,
     fit,
     format_model,
@@ -312,9 +314,11 @@ def test_ljung_box_rejects_autocorrelated_series():
     assert p < 0.01
 
 
-def test_ljung_box_degenerate_raises():
-    with pytest.raises(ValueError, match="variance"):
-        ljung_box([60.0] * 100, 10)
+@pytest.mark.parametrize("samples", [[60.0] * 100, [1e200, -1e200] * 50])
+def test_ljung_box_degenerate_raises(samples):
+    # no variance, or one that overflows: Q would be NaN
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="variance"):
+        ljung_box(samples, 10)
 
 
 def test_ljung_box_lag_bounds():
@@ -322,6 +326,40 @@ def test_ljung_box_lag_bounds():
         ljung_box([1.0, 2.0, 3.0], 3)
     with pytest.raises(ValueError):
         ljung_box([1.0, 2.0, 3.0], 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ljung_box_refuses_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="samples must be finite"):
+        ljung_box([1.0, bad, 2.0, 3.0, 4.0], 2)
+
+
+def _worst_relative_error(ours, reference):
+    """The largest relative error of ``ours`` where ``reference`` is at least 1e-300."""
+    ours, reference = np.asarray(ours), np.asarray(reference)
+    kept = reference >= 1e-300
+    return float(np.max(np.abs(ours[kept] - reference[kept]) / reference[kept]))
+
+
+Q_GRID = np.concatenate([[0.0], np.geomspace(1e-8, 1000.0, 400)])
+
+
+@pytest.mark.parametrize("k", range(1, 61))
+def test_chi2_tail_matches_scipy_for_small_k(k):
+    # odd k start from erfc, even k from exp; the grid reaches tails near 1e-219
+    from scipy import stats
+
+    ours = [_chi2_sf(q, k) for q in Q_GRID]
+    assert _worst_relative_error(ours, stats.chi2.sf(Q_GRID, k)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [100, 500, 1000, 4999])
+def test_chi2_tail_matches_scipy_for_large_k(k):
+    # e^-q/2 alone underflows above q = 1490, so each term is taken whole in logs
+    from scipy import stats
+
+    q = np.concatenate([Q_GRID, k + 12 * math.sqrt(2 * k) * np.linspace(-1.0, 1.0, 101)])
+    assert _worst_relative_error([_chi2_sf(x, k) for x in q], stats.chi2.sf(q, k)) <= 1e-10
 
 
 # ---------------------------------------------------------------- KS
@@ -353,6 +391,22 @@ def test_ks_same_distribution_accepts():
 def test_ks_requires_non_empty():
     with pytest.raises(ValueError):
         ks_two_sample([], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_refuses_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ks_two_sample([bad] * 3, [bad] * 3)
+    with pytest.raises(ValueError, match="finite"):
+        ks_two_sample([1.0, 2.0], [3.0, bad])
+
+
+def test_kolmogorov_tail_matches_scipy():
+    # y = 0, the theta-function dual below y = 1 and the alternating sum from 1
+    from scipy import special
+
+    y = np.linspace(0.0, 10.0, 100_001)
+    assert _worst_relative_error([_kolmogorov_sf(x) for x in y], special.kolmogorov(y)) <= 1e-13
 
 
 def test_ks_statistic_matches_hand_computation():
