@@ -13,16 +13,11 @@ DEFAULT_BURST_GAP = 4.0
 
 @dataclass(frozen=True, eq=False)
 class Bursts:
-    """Bursts as columns, sorted by (probing instant, MAC).
-
-    ``instant``, ``end`` and ``frame_count`` are each burst's first and last
-    frame time and its number of frames, ``mac`` its MAC (uint64).
-    """
+    """Bursts as columns, sorted by (probing instant, MAC): ``instant`` is each
+    burst's first frame time, ``mac`` its MAC (uint64)."""
 
     instant: np.ndarray
-    end: np.ndarray
     mac: np.ndarray
-    frame_count: np.ndarray
 
     def __len__(self) -> int:
         return len(self.instant)
@@ -41,12 +36,10 @@ def aggregate(events: Events, gap: float = DEFAULT_BURST_GAP) -> Bursts:
     t, mac = events.t[order], events.mac[order]
     starts[1:] |= ~(np.diff(t) <= gap)
     first = np.flatnonzero(starts)
-    count = np.diff(first, append=t.size)
     burst = np.full(t.size, -1)
     burst[order[first]] = np.arange(first.size)  # each at its first event's place in time
-    by_instant = by_time(t[first], mac[first], burst[burst >= 0])
-    first, count = first[by_instant], count[by_instant]
-    return Bursts(t[first], t[first + count - 1], mac[first], count)
+    first = first[by_time(t[first], mac[first], burst[burst >= 0])]
+    return Bursts(t[first], mac[first])
 
 
 def by_key(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

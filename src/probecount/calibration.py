@@ -48,6 +48,13 @@ class CalibrationRatio:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if np.isinf(self._fixed_square()):
+            raise ValueError("the root-sum-square of the NRMSE terms overflows")
+
+    def _fixed_square(self) -> np.float64:
+        """The squares every window's people NRMSE shares (libm's pow, as Python's **)."""
+        with np.errstate(over="ignore"):
+            return np.float64(self.nrmse_people_ref) ** 2 + np.float64(self.nrmse_device_cal) ** 2
 
 
 def estimate_ratio(device_series: np.recarray, people_series: np.recarray, *,
@@ -101,11 +108,9 @@ def people_count(series: np.recarray, ratio: CalibrationRatio) -> np.recarray:
     device = np.where(np.isnan(series.nrmse), 0.0, series.nrmse)
     with np.errstate(over="ignore"):
         m_hat = np.where(seen, series.n_hat / ratio.alpha, 0.0)
-        # numpy's scalar ** is libm's pow, as Python's is, but an overflow gives inf; device
-        # * device can differ from Python's device**2 in the last bit, far below the six
-        # decimals the people series is written with
-        fixed = np.float64(ratio.nrmse_people_ref) ** 2 + np.float64(ratio.nrmse_device_cal) ** 2
-        nrmse = np.where(seen, np.sqrt(fixed + device * device), np.nan)
+        # device * device can differ from Python's device**2 in the last bit, far below
+        # the six decimals the people series is written with
+        nrmse = np.where(seen, np.sqrt(ratio._fixed_square() + device * device), np.nan)
     if np.isinf(m_hat).any():
         raise ValueError(f"n_hat / alpha overflows: alpha {ratio.alpha!r} is too small")
     if np.isinf(nrmse).any():

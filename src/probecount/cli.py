@@ -118,6 +118,14 @@ def _add_window_flags(cmd: argparse.ArgumentParser) -> None:
                           "(default: the last observation, plus one window for count)")
 
 
+def _check_window_flags(args: argparse.Namespace) -> None:
+    """Series files write times to the microsecond: a shorter window would be written
+    as 0, and a shorter step could write one start twice."""
+    for flag, value in (("--window", args.window), ("--step", args.step)):
+        if not 1e-6 <= value < np.inf:
+            raise ValueError(f"{flag} must be finite and at least 1e-06 s, got {value!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -164,6 +172,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    _check_window_flags(args)
     events = _read_input(args)
     grid = dict(start=args.start, end=args.end)
     if args.baseline == "mac":
@@ -173,8 +182,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if not args.model:
         raise ValueError("--model is required unless --baseline is given")
     model = read_file(args.model, intervals.parse_model)
-    with naming(args.model):
-        counting._check_model(model)
     bursts = aggregate(events, gap=args.gap)
     estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
     _write_output(counting.format_series(estimates), args.out)
@@ -266,6 +273,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_truth(args: argparse.Namespace) -> int:
+    _check_window_flags(args)
     trace = read_file(args.truth_file, simulate.parse_trace)
     entities = trace.entities[trace.entities.kind == args.kind]
     if not entities.size:
@@ -277,7 +285,7 @@ def _cmd_truth(args: argparse.Namespace) -> int:
     starts = counting.window_grid(start, end, args.window, args.step)
     if not starts.size:
         raise ValueError("no complete window fits before --end")
-    truth = simulate.ground_truth_series(trace, starts, args.window)
+    truth = simulate.ground_truth_series(replace(trace, entities=entities), starts, args.window)
     values = truth.n_bar if args.kind == "device" else truth.m_bar
     series = np.rec.fromarrays([starts, values], dtype=calibration.REFERENCE_DTYPE)
     _write_output(calibration.format_reference_series(series), args.out)

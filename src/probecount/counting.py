@@ -111,11 +111,6 @@ def _series_grid(
     return starts, lo, hi
 
 
-def _check_model(model: IntervalModel) -> None:
-    if model.sample_count == 0:
-        raise ValueError("unfitted interval model")
-
-
 def sliding_windows(
     bursts: Bursts,
     size: float,
@@ -131,7 +126,6 @@ def sliding_windows(
     [start, start+size).  ``start`` defaults to the multiple of ``step`` at or
     before the first instant, and ``end`` to the last instant plus ``size``.
     """
-    _check_model(model)
     starts, lo, hi = _series_grid(bursts.instant, "bursts", size, step, start, end)
     b = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -50,7 +50,9 @@ class IntervalModel:
         if (total := sum(self.histogram)) != self.sample_count:
             raise ValueError(f"interval model histogram holds {total} samples, "
                              f"sample_count is {self.sample_count}")
-        if self.sample_count > 0 and not self.tau_mean > 0:
+        if self.sample_count == 0:
+            raise ValueError("unfitted interval model")
+        if not self.tau_mean > 0:
             raise ValueError("tau_mean must be positive for a fitted model")
         if self.tau_std < 0:
             raise ValueError("tau_std must be non-negative")

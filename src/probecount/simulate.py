@@ -207,9 +207,6 @@ class PoissonCount:
     def mean(self) -> float:
         return self.mean_value
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.poisson(self.mean_value, size)
-
 
 @dataclass(frozen=True)
 class ConstantCount:
@@ -222,9 +219,6 @@ class ConstantCount:
 
     def mean(self) -> float:
         return float(self.value)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value, dtype=int)
 
 
 CountDistribution = PoissonCount | ConstantCount
@@ -322,6 +316,8 @@ class SimConfig:
             raise ValueError("rotation_prob must lie in [0, 1]")
         if self.phase_mode not in ("equilibrium", "ordinary"):
             raise ValueError(f"unknown phase_mode {self.phase_mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.fixed_persons < 0:
             raise ValueError("fixed_persons must be non-negative")
         if self.interval_scale_sigma < 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from probecount.counting import grid_start
 from probecount.ingest import MacAddress, ParseError, PrfEvent
-from probecount.simulate import equilibrium_residual
+from probecount.simulate import PoissonCount, equilibrium_residual
 
 _FORMATS = {
     0xA1B2C3D4: ("<", "microsecond", 10**6),
@@ -128,21 +128,20 @@ def _radiotap_antsignal(header):
 
 def aggregate(events, gap):
     """Bursts of time-sorted events, grouped event by event, as
-    (mac value, probing instant, end time, frame count) in (instant, mac) order."""
-    open_bursts = {}  # mac -> [start, last_timestamp, frame_count]
+    (mac value, probing instant) in (instant, mac) order."""
+    open_bursts = {}  # mac -> [start, last_timestamp]
     out = []
     for event in events:
         mac = event.mac.value
         cur = open_bursts.get(mac)
         if cur is not None and event.timestamp - cur[1] <= gap:
             cur[1] = event.timestamp
-            cur[2] += 1
         else:
             if cur is not None:
-                out.append((mac, *cur))
-            open_bursts[mac] = [event.timestamp, event.timestamp, 1]
+                out.append((mac, cur[0]))
+            open_bursts[mac] = [event.timestamp, event.timestamp]
     for mac, cur in open_bursts.items():
-        out.append((mac, *cur))
+        out.append((mac, cur[0]))
     out.sort(key=lambda b: (b[1], b[0]))
     return out
 
@@ -396,7 +395,9 @@ def simulate(config):
             continue
         person_id = f"p{person_index}"
         entities.append((person_id, "person", "-", enter, leave))
-        n_devices = int(config.devices_per_person_dist.sample(rng, 1)[0])
+        per_person = config.devices_per_person_dist
+        n_devices = (int(rng.poisson(per_person.mean_value, 1)[0])
+                     if isinstance(per_person, PoissonCount) else per_person.value)
         for _ in range(n_devices):
             entities.append((f"d{device_index}", "device", person_id, enter, leave))
             device_index += 1
@@ -409,17 +410,15 @@ def simulate(config):
 
 
 def aggregate_lexsort(events, gap):
-    """Burst columns (instant, end, mac, frame_count) of ``Events``, grouped by one
-    lexsort by (mac, time) and put in (instant, mac) order by another."""
+    """Burst columns (instant, mac) of ``Events``, grouped by one lexsort by
+    (mac, time) and put in (instant, mac) order by another."""
     order = np.lexsort((events.t, events.mac))
     t, mac = events.t[order], events.mac[order]
     starts = np.ones(t.shape, dtype=bool)
     starts[1:] = (mac[1:] != mac[:-1]) | ~(np.diff(t) <= gap)
     first = np.flatnonzero(starts)
-    count = np.diff(first, append=t.size)
-    by_instant = np.lexsort((mac[first], t[first]))
-    first, count = first[by_instant], count[by_instant]
-    return t[first], t[first + count - 1], mac[first], count
+    first = first[np.lexsort((mac[first], t[first]))]
+    return t[first], mac[first]
 
 
 def extract_intervals_stable(instant, mac, cutoff):

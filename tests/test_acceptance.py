@@ -219,8 +219,7 @@ def test_criterion_4_nrmse_trend(fixed_population):
 def _bursts(times):
     """One-frame bursts of MAC 02:00:00:00:00:01 at sorted ``times``."""
     t = np.array(times, dtype=np.float64)
-    return Bursts(t, t, np.full(t.size, 0x020000000001, dtype=np.uint64),
-                  np.ones(t.size, dtype=np.int64))
+    return Bursts(t, np.full(t.size, 0x020000000001, dtype=np.uint64))
 
 
 def test_criterion_5_baseline_overcounting(fixed_population):

@@ -21,14 +21,11 @@ def test_single_burst_within_gap():
     bursts = aggregate(events_of([ev(0.0), ev(1.0), ev(2.0)]), gap=4.0)
     assert len(bursts) == 1
     assert bursts.instant.tolist() == [0.0]
-    assert bursts.end.tolist() == [2.0]
-    assert bursts.frame_count.tolist() == [3]
 
 
 def test_gap_exceeded_starts_new_burst():
     bursts = aggregate(events_of([ev(0.0), ev(10.0)]), gap=4.0)
     assert bursts.instant.tolist() == [0.0, 10.0]
-    assert bursts.frame_count.tolist() == [1, 1]
 
 
 def test_gap_boundary_is_inclusive():
@@ -44,14 +41,12 @@ def test_macs_grouped_independently():
     bursts = aggregate(events_of(events), gap=4.0)
     assert len(bursts) == 2
     assert {str(MacAddress(m)) for m in bursts.mac.tolist()} == {str(MACS[0]), str(MACS[1])}
-    assert bursts.frame_count.tolist() == [2, 2]
 
 
 def test_frames_from_several_aps_join_one_burst():
     events = events_of([ev(0.0, ap="ap0"), ev(0.0, ap="ap1"), ev(1.0, ap="ap0")])
     bursts = aggregate(events, gap=4.0)
     assert len(bursts) == 1
-    assert bursts.frame_count.tolist() == [3]  # duplicates are kept
 
 
 def test_unsorted_input_raises():
@@ -101,20 +96,9 @@ def test_matches_brute_force_grouper(events, gap):
     bursts = aggregate(events_of(events), gap=gap)
     expected = brute_force_partition(events, gap)
 
-    # reconstruct the aggregate's partition as index groups
-    produced = []
-    for mac, instant, end in zip(bursts.mac.tolist(), bursts.instant.tolist(),
-                                 bursts.end.tolist()):
-        members = [
-            i
-            for i, e in enumerate(events)
-            if e.mac.value == mac and instant <= e.timestamp <= end
-        ]
-        produced.append(members)
-    assert sorted(produced) == expected
-
-    # partition property: every event lands in exactly one burst
-    assert sum(bursts.frame_count.tolist()) == len(events)
+    # each group's first event is a burst: its MAC and probing instant
+    firsts = [(events[group[0]].mac.value, events[group[0]].timestamp) for group in expected]
+    assert sorted(zip(bursts.mac.tolist(), bursts.instant.tolist())) == sorted(firsts)
 
 
 @given(event_lists, st.floats(0.1, 50.0))
@@ -123,7 +107,6 @@ def test_output_sorted_and_deterministic(events, gap):
     assert _columns(bursts) == _columns(aggregate(events_of(events), gap=gap))
     instants = bursts.instant.tolist()
     assert instants == sorted(instants)
-    assert all(bursts.end - bursts.instant <= gap * bursts.frame_count)
 
 
 def test_reaggregating_spaced_instants_is_identity():
@@ -137,9 +120,8 @@ def test_reaggregating_spaced_instants_is_identity():
 
 
 def _columns(bursts):
-    """Each burst as (mac, instant, end, frame count), in the bursts' order."""
-    return list(zip(bursts.mac.tolist(), bursts.instant.tolist(), bursts.end.tolist(),
-                    bursts.frame_count.tolist()))
+    """Each burst as (mac, instant), in the bursts' order."""
+    return list(zip(bursts.mac.tolist(), bursts.instant.tolist()))
 
 
 def test_bursts_columns():
@@ -147,8 +129,6 @@ def test_bursts_columns():
     bursts = aggregate(events_of(events), gap=4.0)
     assert isinstance(bursts, Bursts) and len(bursts) == 3
     assert bursts.instant.tolist() == [0.0, 0.5, 9.0]
-    assert bursts.end.tolist() == [1.0, 0.5, 9.0]
-    assert bursts.frame_count.tolist() == [2, 1, 1]
     assert bursts.mac.tolist() == [MACS[1].value, MACS[0].value, MACS[1].value]
 
 
@@ -190,7 +170,7 @@ def test_grouping_at_scale_matches_the_lexsort_oracles(seed, gap):
     assert len(np.unique(events.mac)) >= 5_000
     bursts = aggregate(events, gap=gap)
     want = oracles.aggregate_lexsort(events, gap)
-    for got, expected in zip((bursts.instant, bursts.end, bursts.mac, bursts.frame_count), want):
+    for got, expected in zip((bursts.instant, bursts.mac), want):
         _same(got, expected)
     assert np.any(bursts.instant[1:] == bursts.instant[:-1])  # ties across MACs
     for cutoff in (1.0, 600.0, np.inf):
@@ -206,7 +186,7 @@ def test_intervals_of_repeated_instant_mac_pairs_match_the_oracle():
     rng = np.random.default_rng(4)
     instant = np.sort(rng.integers(0, 3_000, 80_000) * 0.5)
     mac = rng.integers(0, 6_000, 80_000).astype(np.uint64)
-    bursts = Bursts(instant, instant, mac, np.ones(instant.size, dtype=np.int64))
+    bursts = Bursts(instant, mac)
     _same(extract_intervals(bursts, 60.0), oracles.extract_intervals_stable(instant, mac, 60.0))
 
 

@@ -311,11 +311,19 @@ def test_ratio_fields_must_be_finite(field):
 
 
 def test_people_count_refuses_nrmse_terms_that_overflow():
-    cases = [(device(estimate(0.0, 10.0)), CalibrationRatio(1.0, 1e200, 0.0, 180.0)),
-             (device(estimate(0.0, 10.0, nrmse=1e200)), CalibrationRatio(1.0, 0.08, 0.1, 180.0))]
-    for series, ratio in cases:
-        with pytest.raises(ValueError, match="root-sum-square of the NRMSE terms overflows"):
-            people_count(series, ratio)
+    series = device(estimate(0.0, 10.0, nrmse=1e200))
+    with pytest.raises(ValueError, match="root-sum-square of the NRMSE terms overflows"):
+        people_count(series, CalibrationRatio(1.0, 0.08, 0.1, 180.0))
+
+
+@pytest.mark.parametrize("fits,overflows", [((1e154, 0.0), (1e200, 0.0)),
+                                             ((0.0, 1e154), (0.0, 1e155)),
+                                             ((1e154, 5e153), (1e154, 1e154))])
+def test_a_ratio_refuses_nrmse_terms_whose_squares_overflow(fits, overflows):
+    # people_count could use no such ratio
+    CalibrationRatio(1.0, *fits, 180.0)
+    with pytest.raises(ValueError, match="root-sum-square of the NRMSE terms overflows"):
+        CalibrationRatio(1.0, *overflows, 180.0)
 
 
 @pytest.mark.parametrize("seed", range(20))

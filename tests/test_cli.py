@@ -852,10 +852,12 @@ def test_people_rejects_negative_series_values(tmp_path, capsys, column):
         (["fit", "{bad}"], "1.0 aa:bb:cc:dd:ee:01\n"),
         (["count", "{bad}", "--baseline", "mac"], "1.0 aa:bb:cc:dd:ee:01 ap0 loud\n"),
         (["count", "{events}", "--model", "{bad}"], "tau_mean 60.0\n"),
-        (["count", "{events}", "--model", "{bad}"],  # unfitted: refused by the count itself
+        (["count", "{events}", "--model", "{bad}"],  # unfitted: refused by IntervalModel
          "area_id a\ntau_mean 0.0\ntau_std 0.0\nsample_count 0\nbin_width 600.0\nhistogram 0\n"),
         (["simulate", "--config", "{bad}", "--events", "{out}", "--truth", "{out}"],
          "duration -1\n"),
+        (["simulate", "--config", "{bad}", "--events", "{out}", "--truth", "{out}"],
+         "seed -1\n"),
         (["calibrate", "{bad}", "{ref}"], "0.0 180.0\n"),
         (["calibrate", "{series}", "{bad}"], "0.0 x\n"),
         (["people", "{bad}", "--ratio", "{ratio}"], "0.0 180.0 3\n"),
@@ -1084,6 +1086,7 @@ def test_refusals_after_reading_name_both_files(tmp_path, capsys, command, ref, 
 @pytest.mark.parametrize("value,message", [
     ("inf", "nrmse_people_ref must be finite, got inf"),
     ("-0.1", "NRMSE components must be non-negative"),
+    ("1e200", "the root-sum-square of the NRMSE terms overflows"),
 ])
 def test_calibrate_refuses_a_people_nrmse_that_people_would_reject(tmp_path, capsys, value,
                                                                    message):
@@ -1131,3 +1134,79 @@ def test_fit_refuses_an_area_id_that_is_not_one_token(tmp_path, capsys, area_id)
     assert capsys.readouterr().err == (
         f"error: area_id must be one token without whitespace, got {area_id!r}\n")
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "{events}", "--model", "{model}"],
+    ["count", "{events}", "--baseline", "mac"],
+    ["truth", "--truth", "{truth}"],
+])
+@pytest.mark.parametrize("flags,message", [
+    # w would be written as 0.000000
+    (["--window", "1e-7"], "--window must be finite and at least 1e-06 s, got 1e-07"),
+    # the start 0.000000 would be written twice
+    (["--window", "10", "--step", "4e-7", "--start", "0", "--end", "10.000001"],
+     "--step must be finite and at least 1e-06 s, got 4e-07"),
+    # size**2 would underflow: a warning and a nan variance bound
+    (["--window", "1e-300", "--step", "1"],
+     "--window must be finite and at least 1e-06 s, got 1e-300"),
+    (["--step", "inf"], "--step must be finite and at least 1e-06 s, got inf"),
+    (["--window", "nan"], "--window must be finite and at least 1e-06 s, got nan"),
+])
+def test_a_window_or_step_no_series_file_can_hold_exits_1_naming_the_flag(
+        tmp_path, capsys, command, flags, message):
+    f = _files(tmp_path, events=EVENTS_TEXT, model=KNOWN_MODEL, truth=TRUTH_TEXT)
+    out = tmp_path / "series.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([arg.format(**f) for arg in command] + flags + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_microsecond_window_and_step_series_is_read_back(tmp_path, capsys):
+    f = _files(tmp_path, events=EVENTS_TEXT, model=KNOWN_MODEL, ratio=RATIO_TEXT,
+               truth=TRUTH_TEXT)
+    grid = ["--window", "1e-6", "--step", "1e-6", "--start", "99.99999", "--end", "100.00001"]
+    counts, device = tmp_path / "counts.txt", tmp_path / "device.txt"
+    assert main(["count", f["events"], "--model", f["model"], *grid, "--out", str(counts)]) == 0
+    assert main(["truth", "--truth", f["truth"], *grid, "--out", str(device)]) == 0
+    starts = _starts(counts)
+    assert len(set(starts)) == len(starts) == 20 and starts == _starts(device)
+    assert {line.split()[1] for line in counts.read_text().splitlines()[1:]} == {"0.000001"}
+    assert main(["people", str(counts), "--ratio", f["ratio"]]) == 0
+    people = capsys.readouterr().out.splitlines()[1:]
+    assert len(people) == 20 and "100.000000 0.000001 60000000.000000 1.008167" in people
+    assert main(["eval", str(counts), str(device)]) == 0
+    # one window of n_hat = 60 / 1e-6 against 20 windows of one device
+    assert capsys.readouterr().out == (
+        "rmse 13416407.641392\nmape 3000000.900000\nnrmse 13416407.641392\n")
+
+
+def test_simulate_refuses_a_negative_seed_flag(tmp_path, capsys):
+    f = _files(tmp_path, config="duration 10\n")
+    events = tmp_path / "sim.events"
+    assert main(["simulate", "--config", f["config"], "--seed", "-1", "--events", str(events),
+                 "--truth", str(tmp_path / "sim.truth")]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not events.exists()
+
+
+@pytest.mark.parametrize("kind", ["device", "person"])
+def test_truth_integrates_only_the_kind_it_writes(tmp_path, capsys, monkeypatch, kind):
+    from probecount import simulate
+
+    seen = []
+    integrate = simulate.ground_truth_series
+
+    def recording(trace, starts, w):
+        seen.extend(trace.entities.kind.tolist())
+        return integrate(trace, starts, w)
+
+    monkeypatch.setattr(simulate, "ground_truth_series", recording)
+    f = _files(tmp_path, truth=TRUTH_TEXT + "d1 device p0 0.0 300.0\n")
+    assert main(["truth", "--truth", f["truth"], "--kind", kind, "--window", "600",
+                 "--step", "600", "--end", "600"]) == 0
+    assert set(seen) == {kind}
+    assert capsys.readouterr().out == {"device": "0.000000 1.500000\n",
+                                       "person": "0.000000 1.000000\n"}[kind]

@@ -29,8 +29,7 @@ MAC = mac("02:00:00:00:00:01")
 def at(*times):
     """One-frame bursts of MAC at sorted ``times``."""
     t = np.array(times, dtype=np.float64)
-    return Bursts(t, t, np.full(t.size, MAC.value, dtype=np.uint64),
-                  np.ones(t.size, dtype=np.int64))
+    return Bursts(t, np.full(t.size, MAC.value, dtype=np.uint64))
 
 
 def model(tau_mean=60.0, tau_std=60.0):
@@ -88,12 +87,6 @@ def test_format_mac_series_writes_start_w_and_count():
     assert format_mac_series(series, 180.0) == (
         "# start w unique_macs\n0.000000 180.000000 3\n60.000000 180.000000 0\n"
     )
-
-
-def test_count_window_unfitted_model():
-    empty = IntervalModel("x", 60.0, 60.0, 0, bin_width=600.0, histogram=(0,))
-    with pytest.raises(ValueError, match="unfitted interval model"):
-        one_window(at(), (0.0, 600.0), empty)
 
 
 def test_sliding_windows_partition():

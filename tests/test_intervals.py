@@ -31,7 +31,7 @@ def bursts_of(rows):
     """One-frame bursts at the (time, MAC) ``rows``, in their order."""
     t = np.array([time for time, _ in rows], dtype=np.float64)
     mac = np.array([mac.value for _, mac in rows], dtype=np.uint64)
-    return Bursts(t, t, mac, np.ones(t.size, dtype=np.int64))
+    return Bursts(t, mac)
 
 
 def at(*times, mac=MAC_A):
@@ -223,6 +223,13 @@ def test_model_round_trip():
     assert again == model
 
 
+def test_an_interval_model_holds_at_least_one_sample():
+    with pytest.raises(ValueError, match="unfitted interval model"):
+        IntervalModel("x", 60.0, 60.0, 0, bin_width=600.0, histogram=(0,))
+    with pytest.raises(ValueError, match="unfitted interval model"):
+        IntervalModel.from_moments("x", 60.0, 60.0, sample_count=0)
+
+
 def test_parse_model_missing_key():
     with pytest.raises(ValueError, match="tau_std"):
         parse_model("area_id x\ntau_mean 60.0\n")
@@ -259,6 +266,7 @@ def test_model_text_helper_parses():
         ({"sample_count": "-5", "histogram": "-5"}, "line 4: sample_count: count -5 outside"),
         ({"histogram": "20 -10 -7"}, "line 6: histogram: count -10 outside"),
         ({"area_id": "a b"}, "area_id must be one token without whitespace, got 'a b'"),
+        ({"sample_count": "0", "histogram": "0"}, "unfitted interval model"),
     ],
 )
 def test_parse_model_rejects_bad_values(changes, fragment):

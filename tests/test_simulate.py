@@ -556,6 +556,7 @@ def test_parse_config_defaults_and_unknown_key():
         ("# header\nduration soon\n", "line 2: duration"),
         ("arrival_rate nan\n", "line 1: arrival_rate: non-finite"),
         ("seed\n", "line 1: expected 'key value'"),
+        ("seed -1\n", "seed must be non-negative, got -1"),
     ],
 )
 def test_parse_config_rejects_bad_lines(text, fragment):

@@ -168,6 +168,15 @@ def test_headed_files_take_the_columnar_path(data):
             assert _outcome(parse, text) == expected, name
 
 
+@pytest.mark.parametrize("layout", [
+    ingest._EVENT_LAYOUT, simulate._TRACE_LAYOUT, counting.SERIES_COLUMNS,
+    counting.MAC_SERIES_COLUMNS, calibration.REFERENCE_COLUMNS, calibration.PEOPLE_COLUMNS,
+], ids=["events", "trace", "series", "mac series", "reference", "people"])
+def test_every_column_converter_has_a_columnar_grammar(layout):
+    # without one, every file of the layout would take the row reader
+    assert [convert for convert in layout if convert not in ingest._GRAMMARS] == []
+
+
 def test_a_headed_event_and_series_file_skip_the_row_reader():
     events = ("# timestamp mac ap_id rssi\n1.5 aa:bb:cc:dd:ee:01 ap1 -60\n\n"
               "\t2.0  AA:BB:CC:DD:EE:02 ap2\r\n")
