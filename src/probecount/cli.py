@@ -120,10 +120,13 @@ def _add_window_flags(cmd: argparse.ArgumentParser) -> None:
 
 def _check_window_flags(args: argparse.Namespace) -> None:
     """Series files write times to the microsecond: a shorter window would be written
-    as 0, and a shorter step could write one start twice."""
+    as 0, and a shorter step or a start between two microseconds could write one start
+    twice."""
     for flag, value in (("--window", args.window), ("--step", args.step)):
         if not 1e-6 <= value < np.inf:
             raise ValueError(f"{flag} must be finite and at least 1e-06 s, got {value!r}")
+    if args.start is not None and round(args.start, 6) != args.start:
+        raise ValueError(f"--start must be a whole number of microseconds, got {args.start!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

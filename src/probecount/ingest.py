@@ -693,11 +693,25 @@ _HEX[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [*range(16), *r
 _OCTETS = ((_HEX << 4) + _HEX[:, None]).ravel()
 
 
-# A number's 16-byte window as byte masks, one 16-byte item a row: its last n
-# bytes (_TAIL[n]), and the bytes after column c (_AFTER[c + 1]; _AFTER[0] keeps all).
-_TAIL = ((np.arange(16) >= 16 - np.arange(17)[:, None]) * np.uint8(255)).view("V16").ravel()
-_AFTER = ((np.arange(16) > np.arange(-1, 16)[:, None]) * np.uint8(255)).view("V16").ravel()
-_POW10F = 10.0 ** np.arange(16)
+def _window(width: int) -> tuple[np.ndarray, ...]:
+    """A number's ``width``-byte window as byte masks, one window-sized item a row: its
+    last n bytes (row n), and the bytes after column c (row c + 1; row 0 keeps all); and
+    the power of ten that a point in column c divides by (item c + 1; item 0 is 1)."""
+    lanes = np.arange(width)
+    tail = (lanes >= width - np.arange(width + 1)[:, None]) * np.uint8(255)
+    after = (lanes > np.arange(-1, width)[:, None]) * np.uint8(255)
+    return (tail.view(f"V{width}").ravel(), after.view(f"V{width}").ravel(),
+            10.0 ** np.append(0, width - 1 - lanes))
+
+
+# The tables of a window of one and of two 8-byte words, by word count.
+_WINDOWS = {words: _window(8 * words) for words in (1, 2)}
+# Multipliers that move a word's lanes' point count (_POINTS_IN) or 8 * word + 1 + the
+# point's lane in the word (_COLUMN_OF; 0 without a point) to its top byte.
+_POINTS_IN = np.uint64(0x0101010101010101)
+_COLUMN_OF = 0x0102030405060708 + 0x0808080808080808 * np.arange(2, dtype=np.uint64)
+# Lemire's SWAR steps: each adds lane pairs of a word, as (multiplier, shift, mask).
+_SWAR = ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF), (10000, 32, 0xFFFFFFFF))
 
 
 def _number(buf: np.ndarray, end: np.ndarray, length: np.ndarray,
@@ -706,45 +720,57 @@ def _number(buf: np.ndarray, end: np.ndarray, length: np.ndarray,
     ``point`` as ``-?digits`` (int64), of at most 16 digits whose integer lies below
     2**53, so that a float is exact; None unless all are.
 
-    The 16-byte window that ends each field is two little-endian words of digit
-    lanes; the lanes before the point move up over it, and each word is read as
-    eight digits at once (Lemire's SWAR digit parsing).  A field of 16 digits and
-    a point starts a byte before the window: its first digit fills the lane the
-    move frees.
+    The window that ends each field is little-endian words of digit lanes: one word when
+    no field has more than 8 bytes after its sign, else two.  The lanes before the point
+    move up over it, and each word is read as eight digits at once (Lemire's SWAR digit
+    parsing), in place.  A field of 16 digits and a point starts a byte before the
+    window: its first digit fills the lane the move frees.
     """
-    negative = buf[end - length] == ord("-")
+    negative = buf.take(end - length) == ord("-")
     length = length - negative
-    window = _rows(buf, end - 16, 16) - np.uint8(48)
+    words = 1 if length.max(initial=0) <= 8 else 2
+    width = 8 * words
+    tail, after, scale = _WINDOWS[words]
+    window = _rows(buf, end - width, width)
+    window -= np.uint8(48)
     word = window.view("<u8")
-    word &= _TAIL.take(np.minimum(length, 16)).view("<u8").reshape(-1, 2)  # 0 before the field
+    word &= tail.take(np.minimum(length, width)).view("<u8").reshape(-1, words)  # 0 before it
     mark = (window == np.uint8(ord(".") - 48 & 0xFF)).view("<u8")  # 1 in the point's lane
-    word &= ~(mark * 0xFF)
-    marks = mark * 0x0101010101010101 >> 56
-    marks = marks[:, 0] + marks[:, 1]
+    scratch = np.multiply(mark, 0xFF, dtype=np.uint64)
+    word &= np.invert(scratch, out=scratch)
+    top = scratch.view(np.int64)  # each scratch word, once its top byte is shifted down
+    np.right_shift(np.multiply(mark, _POINTS_IN, out=scratch), 56, out=scratch)
+    marks = sum(top[:, k] for k in range(words))
     if (window.max(initial=0) > 9 or marks.max(initial=0) > point
-            or np.any((length - marks < 1) | (length - marks > 16))):
+            or np.any((length - marks < 1) | (length - marks > width))):
         return None
     if point:
-        lane = (mark * 0x0102030405060708 >> 56).astype(np.int64)  # 1 + the point's lane, or 0
-        column = np.where(lane[:, 1], lane[:, 1] + 7, lane[:, 0] - 1)  # -1 without a point
-        shifted = word << 8
-        shifted[:, 1] |= word[:, 0] >> 56
-        keep = _AFTER.take(column + 1).view("<u8").reshape(-1, 2)
-        word = word & keep | shifted & ~keep
-        if (long := np.flatnonzero(length > 16)).size:
-            first = buf[end[long] - 17] - np.uint8(48)
+        np.right_shift(np.multiply(mark, _COLUMN_OF[:words], out=scratch), 56, out=scratch)
+        column = sum(top[:, k] for k in range(words))  # a copy: 1 + the point's column, or 0
+        shifted = np.left_shift(word, 8, out=scratch)
+        shifted[:, 1:] |= word[:, :-1] >> 56
+        word ^= shifted  # the lanes after the point, the shifted ones up to it
+        word &= after.take(column).view("<u8").reshape(-1, words)
+        word ^= shifted
+        if (long := np.flatnonzero(length > width)).size:
+            first = buf[end[long] - width - 1] - np.uint8(48)
             if first.max() > 9:
                 return None
             word[long, 0] |= first
-    word = (word * 10 + (word >> 8)) & 0x00FF00FF00FF00FF
-    word = (word * 100 + (word >> 16)) & 0x0000FFFF0000FFFF
-    word = (word * 10000 + (word >> 32)) & 0xFFFFFFFF
-    value = word[:, 1].astype(np.int64) + word[:, 0].astype(np.int64) * 10**8
+    for multiplier, shift, keep in _SWAR:
+        np.right_shift(word, shift, out=scratch)
+        word *= multiplier
+        word += scratch
+        word &= keep
+    lanes = word.view(np.int64)  # each below 10**8
+    value = lanes[:, 0]
+    for k in range(1, words):
+        value = value * 10**8 + lanes[:, k]
     if value.max(initial=0) >= 2**53:
         return None
     if point:
-        value = value / _POW10F.take(np.where(column < 0, 0, 15 - column))
-    return np.where(negative, -value, value)
+        value = value / scale.take(column)
+    return np.negative(value, out=value, where=negative)
 
 
 def _nan_or_number(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -760,7 +786,7 @@ def _nan_or_number(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.n
 def _mac(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray | None:
     """Each field read as a colon-hex MAC in either case, as uint64; None unless all are."""
     mac = _rows(buf, end - 17, 17)
-    octets = _OCTETS[np.ndarray(buffer=mac, dtype="<u2", shape=(end.size, 6), strides=(17, 3))]
+    octets = _OCTETS.take(np.ndarray(buffer=mac, dtype="<u2", shape=(end.size, 6), strides=(17, 3)))
     if np.any(length != 17) or np.any(mac[:, 2::3] != ord(":")) or octets.max(initial=0) > 255:
         return None
     word = np.zeros((end.size, 8), dtype=np.uint8)
@@ -804,10 +830,10 @@ def _fields(data: bytes) -> tuple[np.ndarray, ...] | None:
     buf[_PAD : _PAD + len(data)] = np.frombuffer(data, dtype=np.uint8)
     buf[_PAD + len(data)] = ord("\n")
     index = np.int32 if buf.size < 2**31 else np.int64
-    stop = buf.size - _PAD + 1
+    stop = _PAD + len(data) + (not data.endswith(b"\n"))  # the last line's end, once
     sep = np.concatenate([np.flatnonzero(buf[i : min(i + _SCAN, stop)] <= 32).astype(index) + i
                           for i in range(_PAD, stop, _SCAN)])
-    kind = buf[sep]
+    kind = buf.take(sep)
     newline = kind == ord("\n")
     if not np.all(newline | (kind == ord(" "))) and not _SPACE[kind].all():
         return None
@@ -841,10 +867,11 @@ def read_columns(data: bytes | str, *layouts: Sequence[Callable[[str], Any]]
     the values ``read_rows`` converts (a ``str`` column as bytes, and 0 where a row has no
     field); None when the reader does not vouch for every byte and field.
 
-    Each column is decoded as blocks of ``_CHUNK`` rows from ``_fields``' index.  It
-    vouches for the text ``_fields`` takes when the layouts of the field counts
-    present are prefixes of one another and every field passes its converter's
-    grammar and range (``_GRAMMARS``).
+    Each column is decoded as blocks of ``_CHUNK`` rows from ``_fields``' index: through
+    strided views of it when every field it holds lies on a data row and every row has one
+    field count, else through gathers from it.  It vouches for the text ``_fields`` takes
+    when the layouts of the field counts present are prefixes of one another and every
+    field passes its converter's grammar and range (``_GRAMMARS``).
     """
     indexed = _fields(data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data)
     if indexed is None:
@@ -857,14 +884,22 @@ def read_columns(data: bytes | str, *layouts: Sequence[Callable[[str], Any]]
     layout = by_count[present[-1]]
     if any(by_count[n] != layout[:n] for n in present):
         return None
+    # rows of one field count and no other field indexed: the fields are a row-major matrix
+    uniform = end.size == count.size * present[0]
+    if uniform:
+        end, length = end.reshape(count.size, -1), length.reshape(count.size, -1)
     columns = []
     for j, convert in enumerate(layout):
         grammar, check = _GRAMMARS.get(convert, (None, None))
         rows = count > j if j >= present[0] else slice(None)
-        at = first[rows] + j
+        if uniform:
+            ends, lengths = end[:, j], length[:, j]
+        else:
+            at = first[rows] + j
+            ends, lengths = end[at], length[at]
         parts = []
-        for i in range(0, at.size, _CHUNK):
-            part = grammar and grammar(buf, end[at[i : i + _CHUNK]], length[at[i : i + _CHUNK]])
+        for i in range(0, ends.size, _CHUNK):
+            part = grammar and grammar(buf, ends[i : i + _CHUNK], lengths[i : i + _CHUNK])
             if part is None or check is not None and not np.all(check(part)):
                 return None
             parts.append(part)

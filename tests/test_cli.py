@@ -1152,6 +1152,9 @@ def test_fit_refuses_an_area_id_that_is_not_one_token(tmp_path, capsys, area_id)
      "--window must be finite and at least 1e-06 s, got 1e-300"),
     (["--step", "inf"], "--step must be finite and at least 1e-06 s, got inf"),
     (["--window", "nan"], "--window must be finite and at least 1e-06 s, got nan"),
+    # starts 100.0000005 + i*1e-6 would be written 100.000006 twice, and more
+    (["--window", "1e-6", "--step", "1e-6", "--start", "100.0000005", "--end", "100.02"],
+     "--start must be a whole number of microseconds, got 100.0000005"),
 ])
 def test_a_window_or_step_no_series_file_can_hold_exits_1_naming_the_flag(
         tmp_path, capsys, command, flags, message):

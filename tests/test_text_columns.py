@@ -265,6 +265,74 @@ def test_the_row_reader_holds_a_block_at_a_time(lines, scan, rows):
             assert _outcome(ingest.parse_events, text) == expected
 
 
+def _columnar_and_row_outcomes_agree(parse, text):
+    """The columnar reader vouches for ``text``, with the row reader's values."""
+    with _rows_only():
+        expected = _outcome(parse, text)
+    assert expected[0] != "ParseError", expected
+    with _no_row_reader():
+        assert _outcome(parse, text) == expected
+    return expected
+
+
+# Numbers at the edges of the one-word window (at most 8 bytes after the sign) and of the
+# two-word one: 8 and 9 bytes, with and without a sign, the point in a window's first or
+# last lane, -0, and 16-digit epoch times (with the point, a byte longer than the window).
+_EDGE_NUMBERS = [
+    "12345678", "-12345678", ".1234567", "-.1234567", "1234567.", "-1234567.", "-0", "-0.0",
+    "123456789", "-123456789", ".12345678", "-.12345678", "12345678.", "-12345678.",
+    "1.2345678", "-1234567.8", "1700000000.991770", "-1700000000.991770", "1700000000991770",
+]
+
+
+@pytest.mark.parametrize("field", _EDGE_NUMBERS)
+def test_a_number_at_a_window_edge_reads_as_the_row_reader_reads_it(field):
+    # the field sets its column's window alone, and beside a field of either width it does not
+    for other in ("", "1\n", "1700000000.991770\n"):
+        text = f"0.5 {field}\n" + (f"1.5 {other}" if other else "")
+        _columnar_and_row_outcomes_agree(calibration.parse_reference_series, text)
+        _columnar_and_row_outcomes_agree(calibration.parse_reference_series,
+                                         text.replace("0.5 ", f"{field} ", 1))
+
+
+@pytest.mark.parametrize("count", ["0", "-0", "12345678", "00000000", "123456789",
+                                   "000000000", "9007199254740991"])
+@pytest.mark.parametrize("nrmse", ["nan", "0.123456", "0.1234567", "12.345678"])
+def test_a_count_and_an_nrmse_at_a_window_edge_read_as_the_row_reader_reads_them(count, nrmse):
+    text = (f"0.000000 180.000000 {count} 0.000000 1.000000 0.500000 {nrmse}\n"
+            "180.000000 180.000000 3 0.016667 1.000000 0.500000 nan\n")
+    _columnar_and_row_outcomes_agree(counting.parse_series, text)
+
+
+@pytest.mark.parametrize("rssi", ["-60", "-0", "-00000060", "-000000060", "-0000000060",
+                                  "00000032767", "-32767"])
+def test_an_rssi_at_a_window_edge_reads_as_the_row_reader_reads_it(rssi):
+    _columnar_and_row_outcomes_agree(
+        ingest.parse_events, f"1.5 {_MAC} ap {rssi}\n1700000000.991770 {_MAC} ap -1\n")
+
+
+_UNIFORM = (f"1.5 {_MAC} ap1 -60\n2.000001 AA:BB:CC:DD:EE:02 ap2 -00000000071\n"
+            f"1700000000.991770 {_MAC} ap1 7\n")
+
+
+@pytest.mark.parametrize("text, rssi", [
+    (_UNIFORM, [-60, -71, 7]),
+    ("\n" + _UNIFORM.replace("\n", "\n\n"), [-60, -71, 7]),  # blank lines
+    (_UNIFORM.replace("\n", "\r\n"), [-60, -71, 7]),  # CRLF
+    ("\t " + _UNIFORM.replace("\n", "\n  "), [-60, -71, 7]),  # leading whitespace
+    ("# timestamp mac ap_id rssi\n" + _UNIFORM, [-60, -71, 7]),  # fields of no data row
+    (_UNIFORM.replace(" -60\n", "\n"), [RSSI_NONE, -71, 7]),  # rows of 3 and 4 fields
+    (_UNIFORM.replace(" 7\n", "\n"), [-60, -71, RSSI_NONE]),
+], ids=["uniform", "blank lines", "crlf", "leading whitespace", "comment", "mixed", "mixed last"])
+def test_uniform_and_other_rows_read_as_the_row_reader_reads_them(text, rssi):
+    """A file whose every line is a data row of one field count is read through views of
+    the index, and any other through gathers: the same events either way."""
+    events = _columnar_and_row_outcomes_agree(ingest.parse_events, text)
+    uniform = _outcome(ingest.parse_events, _UNIFORM)
+    assert events[0][:3] == uniform[0][:3] and events[1] == uniform[1]
+    assert events[0][3] == rssi
+
+
 # ---------------------------------------------------------------- writer
 
 # Every format format_rows is given in the package, with the column kinds it takes
