@@ -43,6 +43,7 @@ def parse_capture(data, ap_id="cap0"):
 
     record = struct.Struct(bo + "IIII")
     events = []
+    late = None  # the first probe request whose nanosecond time rounds to 2**32 s
     offset = 24
     while offset < len(data):
         if offset + 16 > len(data):
@@ -53,7 +54,7 @@ def parse_capture(data, ap_id="cap0"):
         if offset + 16 + incl_len > len(data):
             raise ParseError(f"truncated packet record at byte offset {offset}")
         frame = data[offset + 16 : offset + 16 + incl_len]
-        offset += 16 + incl_len
+        start, offset = offset, offset + 16 + incl_len
         parsed = _probe_request(frame, linktype)
         if parsed is None:
             continue
@@ -62,7 +63,13 @@ def parse_capture(data, ap_id="cap0"):
             timestamp = round(ts_sec + fraction / 1e6, 6)
         else:
             timestamp = (ts_sec * 10**6 + round(fraction / 1000)) / 10**6
-        events.append(PrfEvent(timestamp, mac, ap_id, rssi))
+        if timestamp >= 2**32:
+            late = start if late is None else late
+        else:
+            events.append(PrfEvent(timestamp, mac, ap_id, rssi))
+    # named only once every record header has been checked
+    if late is not None:
+        raise ParseError(f"timestamp rounds to 2**32 s at byte offset {late}")
     events.sort(key=lambda e: e.timestamp)
     return events
 

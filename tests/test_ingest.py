@@ -716,11 +716,18 @@ WALK_CONSTANTS = {
 
 
 def walk_outcome(walk, data):
+    """The record offsets a walk gives, or its error; the headers that
+    ``ingest._record_offsets`` returns beside its offsets must be those at the offsets."""
     bo, unit, per_second = ingest._PCAP_FORMATS[struct.unpack_from("<I", data)[0]]
     try:
-        return list(walk(data, bo, unit, per_second))
+        offsets = walk(data, bo, unit, per_second)
     except ParseError as exc:
         return str(exc)
+    if walk is ingest._record_offsets:
+        offsets, head = offsets
+        assert head.tolist() == [list(struct.unpack_from(bo + "4I", data, offset))
+                                 for offset in offsets]
+    return list(offsets)
 
 
 def assert_walks_agree(data, constants=WALK_CONSTANTS["module"]):
@@ -774,6 +781,28 @@ def test_parse_capture_radiotap_every_field_before_antsignal():
 
 
 
+@pytest.mark.parametrize("ext_words", [0, 1])
+def test_parse_capture_antenna_signal_after_every_field_subset(ext_words):
+    # every subset of present bits 0-4 before the signal (bit 5), with present words ending
+    # on and off an 8-byte boundary; rt_len ends at the signal byte, just past it, or one
+    # byte later, and each header is padded or cut to rt_len so that the frame follows it
+    records, headers = [], []
+    for bits in range(32):
+        fields = {bit: bytes([0x10 * bit + i + 1 for i in range(RADIOTAP_FIELDS[bit][1])])
+                  for bit in range(5) if bits >> bit & 1}
+        fields[5] = struct.pack("<b", -1 - bits - 32 * ext_words)
+        full = radiotap_fields(b"", fields, ext_words)
+        for rt_len in (len(full) - 1, len(full), len(full) + 1):
+            header = radiotap_fields(b"", fields, ext_words, rt_len)[:rt_len].ljust(rt_len, b"\0")
+            records.append((len(records) + 1.0, header + probe_request("aa:bb:cc:dd:ee:01")))
+            headers.append(header)
+    events = parse_capture(pcap(records, linktype=127))
+    expected = [oracles._radiotap_antsignal(header) for header in headers]
+    assert [e.rssi for e in events] == expected
+    assert expected[0::3] == [None] * 32
+    assert expected[1::3] == expected[2::3] == [-1 - bits - 32 * ext_words for bits in range(32)]
+
+
 def test_parse_capture_radiotap_antsignal_past_header_is_not_read():
     # rt_len 8 ends the header where the antenna signal would start: the byte
     # there is the frame's first (0x40), not a signal strength
@@ -813,8 +842,7 @@ def captures(draw):
     linktype = draw(st.sampled_from([105, 127]))
     nanosecond = draw(st.booleans())
     per_second = 10**9 if nanosecond else 10**6
-    # nanosecond times can round up to 2**32 s only in the last second
-    seconds = st.integers(0, 2**32 - (2 if nanosecond else 1))
+    seconds = st.integers(0, 2**32 - 1)
     frames = radiotap_frames() if linktype == 127 else FRAMES
     records = draw(st.lists(
         st.tuples(st.one_of(st.integers(0, 3), seconds),
@@ -837,10 +865,16 @@ def outcome(parse, data):
         return str(exc)
 
 
+# The decoder's block size, and small ones that put block edges inside small captures.
+BLOCKS = [ingest._BLOCK, 1, 3, 64]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(captures())
-def test_parse_capture_matches_record_by_record_decoder(data):
-    assert outcome(parse_capture, data) == outcome(oracles.parse_capture, data)
+def test_parse_capture_matches_record_by_record_decoder(block, data):
+    with mock.patch.object(ingest, "_BLOCK", block):
+        assert outcome(parse_capture, data) == outcome(oracles.parse_capture, data)
 
 
 @settings(max_examples=300)
@@ -975,7 +1009,8 @@ def test_a_run_to_the_end_of_the_file(extra, tail):
         assert len(expected) == count
 
 
-def test_parse_capture_matches_record_by_record_decoder_over_mixed_runs():
+@pytest.mark.parametrize("block", BLOCKS)
+def test_parse_capture_matches_record_by_record_decoder_over_mixed_runs(block):
     rng = np.random.default_rng(5)
     frames = [probe_request("aa:bb:cc:dd:ee:01"), beacon("00:11:22:33:44:55"),
               data_frame("aa:bb:cc:dd:ee:02"), probe_request("02:00:00:00:00:03", bytes(9))]
@@ -988,7 +1023,49 @@ def test_parse_capture_matches_record_by_record_decoder_over_mixed_runs():
             records.append((t, frame))
             t += float(rng.integers(1, 10**6)) / 1e6
     data = pcap(records[:5000], linktype=127)
-    assert outcome(parse_capture, data) == outcome(oracles.parse_capture, data)
+    with mock.patch.object(ingest, "_BLOCK", block):
+        assert outcome(parse_capture, data) == outcome(oracles.parse_capture, data)
+
+
+def three_block_capture(swapped, nanosecond, fault):
+    """About three decoder blocks of records in random time order, mixing frame kinds,
+    radiotap layouts (extension words, a bad or cut rt_len, frames too short to read)
+    and frame lengths.  ``fault`` "late" rounds two nanosecond timestamps past 2**32 s,
+    a beacon's in the first block and a probe request's in the second; "fraction" puts
+    a fraction out of range in the third block."""
+    rng = np.random.default_rng(11)
+    per_second = 10**9 if nanosecond else 10**6
+    frames = [probe_request("aa:bb:cc:dd:ee:01"), probe_request("02:00:00:00:00:03", bytes(9)),
+              beacon("00:11:22:33:44:55"), data_frame("aa:bb:cc:dd:ee:02"), bytes(5)]
+    layouts = [radiotap(f, rssi=-40 - i) for i, f in enumerate(frames)]
+    layouts += [radiotap(frames[0], tsft=7, rssi=-70), radiotap(frames[1], extended=True),
+                radiotap(frames[0], tsft=9, extended=True),
+                radiotap_fields(frames[0], {1: b"\x10", 3: bytes(4), 5: b"\xc4"}, 2),
+                radiotap_fields(frames[0], {5: b"\xc4"}, 0, 4), radiotap(frames[0])[:12],
+                b"\x00\x00\x10"]
+    n = 3 * ingest._BLOCK + 123
+    kinds = rng.integers(len(layouts), size=n)
+    seconds = rng.integers(0, 10**6, size=n)
+    fractions = rng.integers(0, per_second, size=n)
+    records = [[int(s), int(f), layouts[k]] for s, f, k in zip(seconds, fractions, kinds)]
+    if fault == "late":
+        records[ingest._BLOCK // 2] = [2**32 - 1, 999_999_700, layouts[2]]
+        records[ingest._BLOCK + 500] = [2**32 - 1, 999_999_600, layouts[0]]
+    elif fault == "fraction":
+        records[2 * ingest._BLOCK + 7][1] = per_second
+    return pcap_records(records, 127, swapped, nanosecond)
+
+
+@pytest.mark.parametrize("swapped, nanosecond, fault", [
+    (False, False, "none"), (False, False, "fraction"),
+    (True, True, "none"), (True, True, "late"), (True, True, "fraction"),
+])
+def test_parse_capture_matches_record_by_record_decoder_over_three_blocks(
+        swapped, nanosecond, fault):
+    data = three_block_capture(swapped, nanosecond, fault)
+    expected = outcome(oracles.parse_capture, data)
+    assert outcome(parse_capture, data) == expected
+    assert isinstance(expected, str) == (fault != "none")
 
 
 # ---------------------------------------------------------------- left_sum
