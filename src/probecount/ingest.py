@@ -12,7 +12,8 @@ grammar or range, a file rule that fails) goes through ``read_rows``, so the
 values and every error message are the row reader's either way.  ``read_keys``
 reads ``key value`` files;
 ``format_rows`` writes ``%.6f``, ``%d`` and ``%s`` rows as one digit matrix,
-with the text ``%`` writes; ``read_file`` hands a file's bytes to its parser.
+with the text ``%`` writes; ``read_file`` hands a file's bytes to its parser, a
+regular file's as a read-only mapping.
 ``naming`` is the one edge that names a file or line in an input error,
 ``_whole_us`` the one rounding to the microsecond and ``left_sum`` the one float sum.
 """
@@ -22,7 +23,10 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import mmap
+import os
 import re
+import stat
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -148,9 +152,9 @@ def round6(x: np.ndarray) -> np.ndarray:
 
 def data_lines(text: str | bytes) -> Iterable[tuple[int, str]]:
     """(number, stripped text) of each line but blank and ``#`` lines of the text (or
-    UTF-8 bytes); only ``\\n`` ends a line."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    UTF-8 bytes, or a buffer of them); only ``\\n`` ends a line."""
+    if not isinstance(text, str):
+        text = str(text, "utf-8")
     lineno, start = 0, 0
     while start <= len(text):  # split a block of lines at a time, so few are held at once
         stop = text.find("\n", start + _SCAN)
@@ -367,8 +371,25 @@ def read_keys(
 
 def read_file(path: str, parse: Callable[[bytes], _T]) -> _T:
     """``parse`` of the bytes of file ``path``; an error in the content (UTF-8
-    decoding included) names the file."""
-    data = Path(path).read_bytes()
+    decoding included) names the file.
+
+    A regular file that is not empty is read in place, as a read-only ``mmap`` of the
+    page cache; any other (an empty file, a pipe, a device, a file the system will not
+    map, such as a sysfs attribute) is read into ``bytes``.  Parsers read either only
+    through what a mapping does in C: ``len``, slices, ``find``, ``struct.unpack_from``,
+    ``np.frombuffer`` and ``str(data, "utf-8")`` (``in`` would walk a mapping byte by
+    byte in Python).  The mapping is unmapped once ``parse`` returns, as its values hold
+    no view of it.  A file that another process truncates while it is parsed ends this
+    one with SIGBUS.
+    """
+    with Path(path).open("rb") as fh:
+        data = None
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            with contextlib.suppress(OSError):
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        if data is None:
+            data = fh.read()
     with naming(path):
         return parse(data)
 
@@ -845,14 +866,21 @@ def _fields(data: bytes) -> tuple[np.ndarray, ...] | None:
     lines of UTF-8 text, each field's end and length in it, and the first field and
     field count of each data line (``#`` and blank lines skipped, runs of whitespace
     splitting fields); None for other text.  The separators are indexed in one pass
-    (structural indexing, after Langdale and Lemire's simdjson)."""
-    if b"\x7f" in data or not data.isascii() and b"#" not in data:
+    (structural indexing, after Langdale and Lemire's simdjson).  ``data`` is read through
+    ``len``, ``find`` and one copy alone, which a mapped file does in C; the checks for
+    non-ASCII bytes and the final newline run on the copy."""
+    if data.find(b"\x7f") >= 0:
         return None
-    buf = np.zeros(len(data) + 2 * _PAD, dtype=np.uint8)
-    buf[_PAD : _PAD + len(data)] = np.frombuffer(data, dtype=np.uint8)
-    buf[_PAD + len(data)] = ord("\n")
+    size, hashed = len(data), data.find(b"#") >= 0
+    buf = np.zeros(size + 2 * _PAD, dtype=np.uint8)
+    buf[_PAD : _PAD + size] = np.frombuffer(data, dtype=np.uint8)
+    non_ascii = buf.max() > 127
+    if non_ascii and not hashed:
+        return None
+    # the last line's end, once: after the text, unless the text ends with one
+    stop = _PAD + size + int(buf[_PAD + size - 1] != ord("\n"))
+    buf[_PAD + size] = ord("\n")
     index = np.int32 if buf.size < 2**31 else np.int64
-    stop = _PAD + len(data) + (not data.endswith(b"\n"))  # the last line's end, once
     sep = np.concatenate([np.flatnonzero(buf[i : min(i + _SCAN, stop)] <= 32).astype(index) + i
                           for i in range(_PAD, stop, _SCAN)])
     kind = buf.take(sep)
@@ -868,15 +896,15 @@ def _fields(data: bytes) -> tuple[np.ndarray, ...] | None:
     first, count = (ends - count)[count > 0].astype(index), count[count > 0]
     if empty.size:
         sep, length = sep[length > 0], length[length > 0]
-    if b"#" in data:
+    if hashed:
         data_row = buf[sep[first] - length[first]] != ord("#")
-        if not data.isascii():  # each byte above 127 lies in a field of a '#' line
+        if non_ascii:  # each byte above 127 lies in a field of a '#' line
             high = np.flatnonzero(buf >= 128)
             line = np.searchsorted(first, np.searchsorted(sep, high), side="right") - 1
             if data_row[line].any():
                 return None
             try:
-                data[high[0] - _PAD : high[-1] - _PAD + 1].decode()
+                str(buf[high[0] : high[-1] + 1], "utf-8")
             except UnicodeDecodeError:
                 return None
         first, count = first[data_row], count[data_row]

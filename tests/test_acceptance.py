@@ -393,14 +393,13 @@ def test_criterion_10_statistical_test_calibration():
     )
 
 
-def test_criterion_11_cli_pipeline_without_rotation(tmp_path, capsys):
-    # simulate -> fit -> count -> truth -> eval through the command line: the fitted
-    # model's counts are unbiased when every device keeps its MAC.  Predicted NRMSE
-    # sqrt(sigma^2 / (N w tau)) = 0.037; seeds 1-5 gave 0.031-0.039.
+def _cli_pipeline(tmp_path, capsys, rotation):
+    """simulate -> fit -> count -> truth -> eval through the command line, 50 fixed devices
+    probing at exp:mean=60 for 4 h: (mean n_hat / mean n_bar, eval nrmse, windows)."""
     config = tmp_path / "sim.cfg"
     config.write_text("arrival_rate 0\nfixed_persons 50\ninterval_dist exp:mean=60\n"
-                      "devices_per_person_dist const:value=1\nrotation_prob 0\nduration 14400\n"
-                      "seed 3\n")
+                      f"devices_per_person_dist const:value=1\nrotation_prob {rotation}\n"
+                      "duration 14400\nseed 3\n")
     events, truth, model, counts, device = (
         str(tmp_path / name) for name in ("sim.events", "sim.truth", "fitted.model",
                                           "counts.txt", "device.txt"))
@@ -414,7 +413,26 @@ def test_criterion_11_cli_pipeline_without_rotation(tmp_path, capsys):
     assert cli.main(["eval", counts, device]) == 0
     eval_nrmse = float(capsys.readouterr().out.split()[-1])
     n_hat, n_bar = np.loadtxt(counts, usecols=4), np.loadtxt(device, usecols=1)
-    ratio = float(n_hat.mean() / n_bar.mean())
-    ok = len(n_hat) == 16 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
+    return float(n_hat.mean() / n_bar.mean()), eval_nrmse, len(n_hat)
+
+
+def test_criterion_11_cli_pipeline_without_rotation(tmp_path, capsys):
+    # the fitted model's counts are unbiased when every device keeps its MAC.  Predicted
+    # NRMSE sqrt(sigma^2 / (N w tau)) = 0.037; seeds 1-5 gave 0.031-0.039.
+    ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, 0)
+    ok = windows == 16 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
     report(11, ok, f"fitted model, rotation 0: mean n_hat / mean n_bar = {ratio:.4f}, "
-                   f"eval nrmse {eval_nrmse:.4f} over {len(n_hat)} windows")
+                   f"eval nrmse {eval_nrmse:.4f} over {windows} windows")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the fit is biased under per-burst MAC rotation: each persistent MAC's stream is "
+    "thinned, so its intervals are sums of true ones, and fit gives tau_mean 91.5 s "
+    "against a true 60 s (ratio 1.448 today)"))
+def test_criterion_11_cli_pipeline_under_rotation(tmp_path, capsys):
+    # criterion 11's bounds at rotation_prob 0.3: the counts of what the CLI emits must
+    # stay unbiased when devices rotate their MAC per burst
+    ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, 0.3)
+    ok = windows == 16 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
+    report(11, ok, f"fitted model, rotation 0.3: mean n_hat / mean n_bar = {ratio:.4f}, "
+                   f"eval nrmse {eval_nrmse:.4f} over {windows} windows")

@@ -1,8 +1,11 @@
+import errno
 import hashlib
 import math
+import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -118,6 +121,56 @@ def test_fit_malformed_line_exits_1(tmp_path, capsys):
     rc = main(["fit", str(bad)])
     assert rc == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def _oserror(code, path):
+    return f"error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
+
+
+# Inputs that are read rather than mapped, or not at all: each keeps the output and exit
+# code it had when every input was read into bytes.
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["fit", "{empty}"], 2, "", "error: insufficient interval samples (need at least 2)\n"),
+    (["count", "{empty}", "--baseline", "mac"], 0, "# start w unique_macs\n", ""),
+    (["count", "{empty}", "--model", "{empty}"], 1, "",
+     "error: {empty}: interval model file missing keys: area_id, tau_mean, tau_std, "
+     "sample_count, bin_width, histogram\n"),
+    (["count", "{dir}", "--baseline", "mac"], 1, "", _oserror(errno.EISDIR, "{dir}")),
+    (["fit", "{missing}"], 1, "", _oserror(errno.ENOENT, "{missing}")),
+    (["count", "{events}", "--model", "{dir}"], 1, "", _oserror(errno.EISDIR, "{dir}")),
+])
+def test_inputs_that_are_not_mapped_keep_their_outputs(tmp_path, capsys, argv, code, out, err):
+    paths = {"empty": tmp_path / "empty.events", "dir": tmp_path / "dir",
+             "missing": tmp_path / "missing.events", "events": tmp_path / "some.events"}
+    paths["empty"].write_bytes(b"")
+    paths["dir"].mkdir()
+    paths["events"].write_text(EVENTS_TEXT)
+    assert main([a.format(**paths) for a in argv]) == code
+    assert capsys.readouterr() == (out.format(**paths), err.format(**paths))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("argv,data", [
+    (["count", "{input}", "--baseline", "mac"], EVENTS_TEXT.encode()),
+    (["fit", "{input}"], EVENTS_TEXT.encode()),
+    (["fit", "{input}"], pcap(GOLDEN_RECORDS)),
+    (["count", "{events}", "--model", "{input}"],
+     b"area_id a\ntau_mean 60.0\ntau_std 60.0\nsample_count 2\nbin_width 600.0\nhistogram 2\n"),
+])
+def test_a_pipe_gives_the_output_of_a_regular_file(tmp_path, capsys, argv, data):
+    # a named pipe stands for a process substitution such as <(cat tiny.events)
+    regular, fifo, events = tmp_path / "regular", tmp_path / "input.fifo", tmp_path / "a.events"
+    regular.write_bytes(data)
+    events.write_text(EVENTS_TEXT)
+    assert main([a.format(input=regular, events=events) for a in argv]) == 0
+    expected = capsys.readouterr()
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    assert main([a.format(input=fifo, events=events) for a in argv]) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr() == expected
 
 
 def test_count_single_burst_window_of_tau(tmp_path, capsys):

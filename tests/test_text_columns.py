@@ -115,7 +115,7 @@ LAYOUTS = {
 
 
 @st.composite
-def _files(draw, fields, shorter):
+def column_files(draw, fields, shorter):
     """The text of a column file of ``fields`` rows (some cut to a ``shorter`` count), a
     field in ten swapped for junk, split by whitespace runs and mixed with ``#`` and
     blank lines."""
@@ -141,7 +141,7 @@ def _files(draw, fields, shorter):
 @given(st.data())
 def test_every_reader_matches_the_row_reader(data):
     for name, (parse, fields, shorter) in LAYOUTS.items():
-        text = data.draw(_files(fields, shorter), label=name)
+        text = data.draw(column_files(fields, shorter), label=name)
         with _rows_only():
             expected = _outcome(parse, text)
         assert _outcome(parse, text) == expected, name
