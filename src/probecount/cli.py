@@ -18,14 +18,12 @@ from .bursts import DEFAULT_BURST_GAP, aggregate
 from .ingest import (
     CAPTURE_MAGICS,
     Events,
-    data_lines,
     format_events,
     naming,
     parse_capture,
     parse_events,
-    read_columns,
     read_file,
-    read_rows,
+    read_table,
     round6,
 )
 
@@ -129,6 +127,12 @@ def _check_window_flags(args: argparse.Namespace) -> None:
         raise ValueError(f"--start must be a whole number of microseconds, got {args.start!r}")
 
 
+def _check_gap(args: argparse.Namespace) -> None:
+    """An infinite gap would make each MAC one burst, and a gap of no length is no burst."""
+    if not 0 < args.gap < np.inf:
+        raise ValueError(f"--gap must be finite and positive, got {args.gap!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -159,6 +163,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    _check_gap(args)
     events = _read_input(args)
     bursts = aggregate(events, gap=args.gap)
     samples = intervals.extract_intervals(bursts, cutoff=args.cutoff)
@@ -176,6 +181,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     _check_window_flags(args)
+    _check_gap(args)
     events = _read_input(args)
     grid = dict(start=args.start, end=args.end)
     if args.baseline == "mac":
@@ -236,12 +242,8 @@ _SERIES_FORMATS = {
 
 def _parse_value_series(data: bytes | str) -> np.recarray:
     """(window start, value) records of a series file, in the format of its first row."""
-    decoded = read_columns(data, *(layout for layout, _ in _SERIES_FORMATS.values()))
-    if decoded is None or np.any(decoded[0] != decoded[0][0]):
-        width = len(next(data_lines(data), (0, ""))[1].split())
-        widths = [width] if width in _SERIES_FORMATS else list(_SERIES_FORMATS)
-        decoded = read_rows(data, *(_SERIES_FORMATS[n][0] for n in widths))
-    columns = decoded[1]
+    # not every format is a prefix of the longest, so the first row's field count picks one
+    columns = read_table(data, *(layout for layout, _ in _SERIES_FORMATS.values()))[1]
     return np.rec.fromarrays([columns[0], columns[_SERIES_FORMATS[len(columns)][1]]],
                              dtype=calibration.REFERENCE_DTYPE)
 

@@ -4,12 +4,11 @@ Events are held as columns (``Events``); ``PrfEvent`` is the one-event view
 that iterating them yields.  Also holds the text layer behind every
 line-oriented file, where only ``\\n`` ends a line.  Every column file (event
 text, window series, reference series, ground-truth sidecar) is read by
-``read_table``, which offers it to ``read_columns``: that indexes the separators
-of its bytes in one pass and decodes each column as a block by its converter's
-grammar, with ``#`` and blank lines, runs of whitespace and CRLF endings masked.
-A file it does not vouch for (non-ASCII text, a control byte, a field outside its
-grammar or range, a file rule that fails) goes through ``read_rows``, so the
-values and every error message are the row reader's either way.  ``read_keys``
+``read_table``: it indexes the separators of its bytes in one pass, with ``#`` and
+blank lines, runs of whitespace and CRLF endings masked, and decodes a block of a
+column at a time by its converter's grammar, or, for a block that holds a field
+outside the grammar or its range, by the converter itself, so that every value and
+every error message are those of a reader of one line at a time.  ``read_keys``
 reads ``key value`` files;
 ``format_rows`` writes ``%.6f``, ``%d`` and ``%s`` rows as one digit matrix,
 with the text ``%`` writes; ``read_file`` hands a file's bytes to its parser, a
@@ -155,64 +154,16 @@ def data_lines(text: str | bytes) -> Iterable[tuple[int, str]]:
     UTF-8 bytes, or a buffer of them); only ``\\n`` ends a line."""
     if not isinstance(text, str):
         text = str(text, "utf-8")
-    lineno, start = 0, 0
-    while start <= len(text):  # split a block of lines at a time, so few are held at once
-        stop = text.find("\n", start + _SCAN)
-        stop = len(text) if stop < 0 else stop
-        for lineno, line in enumerate(text[start:stop].split("\n"), start=lineno + 1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
-        start = stop + 1
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
-def read_rows(text: str | bytes, *layouts: Sequence[Callable[[str], Any]],
-              checks: Sequence[tuple] = ()) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``read_table``'s result read row by row (blank and ``#`` lines skipped), a row's
-    field count picking its layout.  The checks run on the columns of the rows before
-    the first line a converter refuses: the error names the first faulty line, and
-    within a line a converter's fault before a check's."""
-    widest = max(layouts, key=len)
-    by_count = {len(layout): ([str.encode if c is str else c for c in layout],
-                              tuple(b"" if c is str else 0 for c in widest[len(layout):]))
-                for layout in layouts}
-    # the field counts, then each column's values, from a block of lines' rows at a time
-    values, lines, fault = [[] for _ in range(len(widest) + 1)], data_lines(text), None
-    while fault is None and (block := list(itertools.islice(lines, _ROWS))):
-        rows = []
-        for lineno, line in block:
-            fields = line.split()
-            try:
-                if len(fields) not in by_count:
-                    expected = " or ".join(str(n) for n in sorted(by_count))
-                    raise ValueError(f"expected {expected} fields, got {len(fields)}")
-                layout, pad = by_count[len(fields)]
-                rows.append((len(fields), *[c(f) for c, f in zip(layout, fields)], *pad))
-            except ValueError as exc:
-                fault = f"line {lineno}: {exc}"
-                break
-        for column, part in zip(values, zip(*rows)):
-            column.extend(part)
-    # text as bytes objects while the checks run, so that they see a trailing NUL
-    count = np.array(values.pop(0), dtype=np.int64)
-    columns = [np.array(values.pop(0), dtype=object if c is str else None) for c in widest]
-    failed = [(bad[0], k) for k, (holds, _) in enumerate(checks)
-              if (bad := np.flatnonzero(np.logical_not(holds(*columns)))).size]
-    if failed:
-        i, k = min(failed)
-        lineno = next(itertools.islice(data_lines(text), i, None))[0]
-        fault = f"line {lineno}: {checks[k][1](*[column[i : i + 1].item() for column in columns])}"
-    if fault:
-        raise ParseError(fault)
-    return count, [column.astype(bytes) if c is str else column for c, column in
-                   zip(widest, columns[: count.max(initial=0) or len(widest)])]
-
-
-# Rows handled at once by the columnar reader and by format_rows, and bytes
-# scanned at once by the reader: so that their temporaries stay small.
+# Rows handled at once by the reader and by format_rows, and bytes scanned at once
+# by the reader: so that their temporaries stay small.
 _CHUNK = 1 << 16
 _SCAN = 1 << 22
-_ROWS = 1 << 12  # rows the row reader holds as tuples at once
 # The conversions format_rows writes as a digit matrix.
 _SPECS = re.compile(r"(%\.6f|%d|%s)")
 # Digits as little-endian uint16 lanes of two ASCII bytes: _PAIRS[p] is 0..99
@@ -723,12 +674,16 @@ def _radiotap_antsignal(buf: np.ndarray, frame: np.ndarray, rt_len: np.ndarray,
     return np.where(ok, signal, np.int16(RSSI_NONE))
 
 
-# Zero bytes around the columnar reader's buffer: room for a number's window
-# before the first field, and the longest token it takes.
+# Zero bytes around the reader's buffer: room for a number's window before the
+# first field, and the longest token its grammar takes.
 _PAD = 64
-# The bytes that str.split() and str.strip() take as whitespace.
+# The bytes that str.split() and str.strip() take as whitespace; and the characters
+# beyond ASCII they take as whitespace, as the big-endian integers of their UTF-8 bytes.
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_WIDE_SPACES = [int.from_bytes(c.encode(), "big") for c in
+                "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009"
+                "\u200a\u2028\u2029\u202f\u205f\u3000"]
 # The value of each hex digit byte, 256 for any other byte; and the octet of two
 # bytes read as one little-endian uint16, above 255 unless both are hex digits.
 _HEX = np.full(256, 256, dtype=np.uint16)
@@ -827,14 +782,14 @@ def _nan_or_number(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.n
 
 
 def _mac(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray | None:
-    """Each field read as a colon-hex MAC in either case, as uint64; None unless all are."""
+    """Each field read as a colon-hex MAC in either case, as int64; None unless all are."""
     mac = _rows(buf, end - 17, 17)
     octets = _OCTETS.take(np.ndarray(buffer=mac, dtype="<u2", shape=(end.size, 6), strides=(17, 3)))
     if np.any(length != 17) or np.any(mac[:, 2::3] != ord(":")) or octets.max(initial=0) > 255:
         return None
     word = np.zeros((end.size, 8), dtype=np.uint8)
     word[:, 2:] = octets
-    return word.view(">u8").ravel()
+    return word.view(">i8").ravel()
 
 
 def _token(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -847,7 +802,7 @@ def _token(buf: np.ndarray, end: np.ndarray, length: np.ndarray) -> np.ndarray |
     return tokens.view(f"S{width}").ravel()
 
 
-# The columnar reader's grammar for each converter, and the range its values must lie in.
+# The reader's grammar for each converter, and the range its values must lie in.
 _GRAMMARS = {
     float: (_number, None),
     finite: (_number, None),
@@ -861,22 +816,36 @@ _GRAMMARS = {
 }
 
 
-def _fields(data: bytes) -> tuple[np.ndarray, ...] | None:
-    """The zero-padded byte buffer of text without control bytes, ASCII but on ``#``
-    lines of UTF-8 text, each field's end and length in it, and the first field and
-    field count of each data line (``#`` and blank lines skipped, runs of whitespace
-    splitting fields); None for other text.  The separators are indexed in one pass
-    (structural indexing, after Langdale and Lemire's simdjson).  ``data`` is read through
-    ``len``, ``find`` and one copy alone, which a mapped file does in C; the checks for
-    non-ASCII bytes and the final newline run on the copy."""
-    if data.find(b"\x7f") >= 0:
-        return None
+def _fields(data: bytes | str) -> tuple[Any, ...]:
+    """The zero-padded UTF-8 bytes of the text, each field's end and length in them, the
+    first field and field count of each data line (``#`` and blank lines skipped, runs of
+    whitespace splitting fields), and whether the text holds a NUL (which numpy's bytes
+    drop from a field's end) or a lone surrogate: only ``str.encode`` converts those text
+    fields.  The separators are indexed in one pass (structural indexing, after Langdale
+    and Lemire's simdjson).  Whitespace is what ``str.split`` splits on: Python's whitespace
+    beyond ASCII is overwritten with spaces in the copy, and other bytes are token bytes.
+    Bytes that are not UTF-8 raise the decoder's error for the whole text.  ``data`` is read
+    through ``len``, ``find`` and one copy, which a mapped file does in C."""
+    odd, checked = False, isinstance(data, str)
+    if checked:
+        try:
+            data = data.encode()
+        except UnicodeEncodeError:
+            data, odd = data.encode("utf-8", "surrogatepass"), True
     size, hashed = len(data), data.find(b"#") >= 0
     buf = np.zeros(size + 2 * _PAD, dtype=np.uint8)
     buf[_PAD : _PAD + size] = np.frombuffer(data, dtype=np.uint8)
-    non_ascii = buf.max() > 127
-    if non_ascii and not hashed:
-        return None
+    if buf.max() > 127:
+        high = np.flatnonzero(buf > 127)
+        if not checked:  # each run of non-ASCII bytes, which ASCII bytes bound, at once
+            try:
+                str(np.insert(buf[high], np.flatnonzero(np.diff(high) > 1) + 1, 32), "utf-8")
+            except UnicodeDecodeError:
+                str(data, "utf-8")  # raises, at the whole text's positions
+        lead = _gather(buf, high, ">u4") >> 8  # each non-ASCII byte and the two after it
+        wide = np.where(np.isin(lead, _WIDE_SPACES), 3, 2 * np.isin(lead >> 8, _WIDE_SPACES))
+        for k in range(3):
+            buf[high[wide > k] + k] = ord(" ")
     # the last line's end, once: after the text, unless the text ends with one
     stop = _PAD + size + int(buf[_PAD + size - 1] != ord("\n"))
     buf[_PAD + size] = ord("\n")
@@ -885,8 +854,9 @@ def _fields(data: bytes) -> tuple[np.ndarray, ...] | None:
                           for i in range(_PAD, stop, _SCAN)])
     kind = buf.take(sep)
     newline = kind == ord("\n")
-    if not np.all(newline | (kind == ord(" "))) and not _SPACE[kind].all():
-        return None
+    if not np.all(newline | (kind == ord(" "))) and not (space := _SPACE[kind]).all():
+        odd |= bool(np.any(kind == 0))
+        sep, newline = sep[space], newline[space]
     length = np.diff(sep, prepend=index(_PAD - 1))
     length -= 1  # of the field before each separator
     newline = np.flatnonzero(newline)
@@ -898,84 +868,110 @@ def _fields(data: bytes) -> tuple[np.ndarray, ...] | None:
         sep, length = sep[length > 0], length[length > 0]
     if hashed:
         data_row = buf[sep[first] - length[first]] != ord("#")
-        if non_ascii:  # each byte above 127 lies in a field of a '#' line
-            high = np.flatnonzero(buf >= 128)
-            line = np.searchsorted(first, np.searchsorted(sep, high), side="right") - 1
-            if data_row[line].any():
-                return None
-            try:
-                str(buf[high[0] : high[-1] + 1], "utf-8")
-            except UnicodeDecodeError:
-                return None
         first, count = first[data_row], count[data_row]
-    return buf, sep, length, first, count
+    return buf, sep, length, first, count, odd
 
 
-def read_columns(data: bytes | str, *layouts: Sequence[Callable[[str], Any]]
-                 ) -> tuple[np.ndarray, list[np.ndarray]] | None:
-    """Each data row's field count, and the columns of the longest layout present with
-    the values ``read_rows`` converts (a ``str`` column as bytes, and 0 where a row has no
-    field); None when the reader does not vouch for every byte and field.
-
-    Each column is decoded as blocks of ``_CHUNK`` rows from ``_fields``' index: through
-    strided views of it when every field it holds lies on a data row and every row has one
-    field count, else through gathers from it.  It vouches for the text ``_fields`` takes
-    when the layouts of the field counts present are prefixes of one another and every
-    field passes its converter's grammar and range (``_GRAMMARS``).
-    """
-    indexed = _fields(data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data)
-    if indexed is None:
-        return None
-    buf, end, length, first, count = indexed
-    by_count = {len(layout): tuple(layout) for layout in layouts}
-    present = np.flatnonzero(np.bincount(count)).tolist()
-    if not present or any(n not in by_count for n in present):
-        return None
-    layout = by_count[present[-1]]
-    if any(by_count[n] != layout[:n] for n in present):
-        return None
-    # rows of one field count and no other field indexed: the fields are a row-major matrix
-    uniform = end.size == count.size * present[0]
-    if uniform:
-        end, length = end.reshape(count.size, -1), length.reshape(count.size, -1)
-    columns = []
-    for j, convert in enumerate(layout):
-        grammar, check = _GRAMMARS.get(convert, (None, None))
-        rows = count > j if j >= present[0] else slice(None)
-        if uniform:
-            ends, lengths = end[:, j], length[:, j]
-        else:
-            at = first[rows] + j
-            ends, lengths = end[at], length[at]
-        parts = []
-        for i in range(0, ends.size, _CHUNK):
-            part = grammar and grammar(buf, ends[i : i + _CHUNK], lengths[i : i + _CHUNK])
-            if part is None or check is not None and not np.all(check(part)):
-                return None
-            parts.append(part)
-        column = np.concatenate(parts)
-        if j >= present[0]:
-            column, present_values = np.zeros(count.size, dtype=column.dtype), column
-            column[rows] = present_values
-        columns.append(column)
-    return count, columns
+def _converted(convert: Callable[[str], Any], buf: np.ndarray, end: np.ndarray,
+               length: np.ndarray) -> tuple[np.ndarray, str | None]:
+    """``convert`` of each field's text (``str.encode`` for ``str``), up to the first field
+    it refuses, and that refusal or None.  Floats and ints come as float64 and int64, which
+    any run of them keeps; text and ints outside int64 as objects."""
+    start = end - length
+    raw = buf[start.min() : end.max()].tobytes()
+    spans = zip((start - start.min()).tolist(), (end - start.min()).tolist())
+    text = raw.decode() if raw.isascii() else None  # byte offsets are then character offsets
+    fields = (raw[a:b].decode("utf-8", "surrogatepass") if text is None else text[a:b]
+              for a, b in spans)
+    convert, values, refusal = str.encode if convert is str else convert, [], None
+    try:
+        for field in fields:
+            values.append(convert(field))
+    except ValueError as exc:
+        refusal = str(exc)
+    with contextlib.suppress(OverflowError):
+        return np.array(values, dtype=type(values[0]) if values and convert is not str.encode
+                        else object), refusal
+    return np.array(values, dtype=object), refusal
 
 
 def read_table(data: bytes | str, *layouts: Sequence[Callable[[str], Any]],
                checks: Sequence[tuple] = ()) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Each data row's field count and the columns of the longest layout present (of the
-    longest given when there is no row; text as UTF-8 bytes, 0 where a row has no field):
-    ``read_columns``' when it vouches for the file and every check holds on the whole
-    columns, else ``read_rows``'.  A layout is one converter per column; a check is a
-    file rule, a pair (holds, say): ``holds``, one numpy expression of the columns of
-    the longest layout (0 for one no row has), and ``say``, the refusal worded from one
-    row's values (text as UTF-8 bytes)."""
-    decoded = read_columns(data, *layouts)
-    if decoded is not None:
-        absent = [0] * (max(map(len, layouts)) - len(decoded[1]))
-        if all(np.all(holds(*decoded[1], *absent)) for holds, _ in checks):
-            return decoded
-    return read_rows(data, *layouts, checks=checks)
+    """Each data row's field count and the columns of the longest layout its rows have (of
+    the longest given when there is no row; text as UTF-8 bytes, 0 or b"" where a row has no
+    field).  A layout is one converter per column: a row's field count picks its layout, or,
+    when the layouts are not prefixes of the longest, the first data row's picks one for
+    every row.  A check is a file rule, a pair (holds, say): ``holds``, one numpy expression
+    of the columns of the longest layout, and ``say``, the refusal worded from one row's values.
+
+    A column is decoded a block of ``_CHUNK`` rows at a time from ``_fields``' index by its
+    converter's grammar and range (``_GRAMMARS``), through strided views of the index when
+    every line is a data row of one field count, else through gathers from it; a block they
+    decline goes through the converter field by field.  The error names the first faulty
+    line, as a reader of one line at a time does: within a line the field count comes first,
+    then the converters from left to right; and the checks hold on the rows before it, or
+    name the earliest row where one fails, by its lowest check.
+    """
+    buf, end, length, first, count, odd = _fields(data)
+    by_count = {len(layout): tuple(layout) for layout in layouts}
+    widest = max(by_count.values(), key=len)
+    if count.size and any(widest[:n] != layout for n, layout in by_count.items()):
+        by_count = {n: by_count[n]} if (n := int(count[0])) in by_count else by_count
+        widest = max(by_count.values(), key=len)
+    present = np.flatnonzero(np.bincount(count))
+    # rows of one field count and no other field indexed: the fields are a row-major matrix
+    matrix = (end.reshape(count.size, -1), length.reshape(count.size, -1)) if (
+        present.size and end.size == count.size * present[0]) else None
+    limit, fault = count.size, None
+    if not set(present.tolist()) <= by_count.keys():
+        limit = int(np.argmin(np.isin(count, list(by_count))))
+        fault = f"expected {' or '.join(map(str, sorted(by_count)))} fields, got {count[limit]}"
+        present = np.flatnonzero(np.bincount(count[:limit]))
+    layout, shortest = (by_count[present[-1]], present[0]) if present.size else (widest, 0)
+    decoded = []
+    for j, convert in enumerate(layout):
+        grammar, check = _GRAMMARS.get(convert, (None, None))
+        grammar = None if odd and convert is str else grammar
+        rows = np.flatnonzero(count[:limit] > j) if j >= shortest else None  # None: all
+        if matrix and present.size:
+            ends, lengths = matrix[0][:limit, j], matrix[1][:limit, j]
+        else:
+            at = (first[:limit] if rows is None else first[rows]) + j
+            ends, lengths = end[at], length[at]
+        parts = []
+        for i in range(0, ends.size, _CHUNK):
+            block, refusal = (ends[i : i + _CHUNK], lengths[i : i + _CHUNK]), None
+            part = grammar and grammar(buf, *block)
+            if part is None or check is not None and not np.all(check(part)):
+                part, refusal = _converted(convert, buf, *block)
+            parts.append(part)
+            if refusal is not None:
+                limit, fault = i + part.size if rows is None else int(rows[i + part.size]), refusal
+                break
+        decoded.append((np.concatenate(parts) if parts else
+                        np.array([], dtype=object if convert is str else None), rows))
+    columns = []
+    for (column, rows), convert in zip(decoded, layout):
+        n = limit if rows is None else int(np.searchsorted(rows, limit))
+        column = column[:n]
+        if rows is not None:
+            column, held = np.full(limit, b"" if convert is str else 0, column.dtype), column
+            column[rows[:n]] = held
+        if column.dtype == object and convert is not str:  # ints, some outside int64
+            column = np.array(column.tolist())  # typed as numpy types a list of them
+        columns.append(column)
+    absent = [b"" if convert is str else 0 for convert in widest[len(columns):]]
+    failed = [(int(np.flatnonzero(np.logical_not(held))[0]), k)
+              for k, (holds, _) in enumerate(checks)
+              if not np.all(held := holds(*columns, *absent))]
+    if failed:
+        limit, k = min(failed)
+        fault = checks[k][1](*[column[limit : limit + 1].item() for column in columns], *absent)
+    if fault is not None:
+        at = end[first[limit]] - length[first[limit]]  # where the faulty line's first field is
+        raise ParseError(f"line {np.count_nonzero(buf[_PAD:at] == 10) + 1}: {fault}")
+    return count, [column.astype(bytes) if convert is str and column.dtype == object else column
+                   for column, convert in zip(columns, layout)]
 
 
 def _sorted_events(t: np.ndarray, mac: np.ndarray, names: np.ndarray,

@@ -1,10 +1,11 @@
 """Plain-Python reference implementations of the columnar core.
 
-Each works one object at a time: a per-record capture decoder and record
-walk, a per-event burst grouper, a per-burst interval extractor, the
-window-grid loop, the per-window count, people and ground-truth series with
-their text writers, a per-event text writer and a per-frame simulator.  The
-differential tests compare the package's numpy code against them.  Last come
+Each works one object at a time: a per-line column-file reader, a
+per-record capture decoder and record walk, a per-event burst grouper, a
+per-burst interval extractor, the window-grid loop, the per-window count,
+people and ground-truth series with their text writers, a per-event text
+writer and a per-frame simulator.  The differential tests compare the
+package's numpy code against them.  Last come
 the numpy formulations that grouped by MAC with ``np.lexsort`` and stable
 argsorts, oracles for the package's grouping at scale.
 """
@@ -17,8 +18,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from probecount.counting import grid_start
-from probecount.ingest import MacAddress, ParseError, PrfEvent
+from probecount.ingest import MacAddress, ParseError, PrfEvent, data_lines
 from probecount.simulate import PoissonCount, equilibrium_residual
+
+
+def read_rows(text, *layouts, checks=()):
+    """``ingest.read_table``'s result read one line at a time (blank and ``#`` lines
+    skipped), a row's field count picking its layout.  The checks run on the columns of
+    the rows before the first line a converter refuses: the error names the first faulty
+    line, and within a line a converter's fault before a check's."""
+    widest = max(layouts, key=len)
+    by_count = {len(layout): ([str.encode if c is str else c for c in layout],
+                              tuple(b"" if c is str else 0 for c in widest[len(layout):]))
+                for layout in layouts}
+    values, fault = [[] for _ in range(len(widest) + 1)], None  # field counts, then columns
+    for lineno, line in data_lines(text):
+        fields = line.split()
+        try:
+            if len(fields) not in by_count:
+                expected = " or ".join(str(n) for n in sorted(by_count))
+                raise ValueError(f"expected {expected} fields, got {len(fields)}")
+            layout, pad = by_count[len(fields)]
+            row = (len(fields), *[c(f) for c, f in zip(layout, fields)], *pad)
+        except ValueError as exc:
+            fault = f"line {lineno}: {exc}"
+            break
+        for column, value in zip(values, row):
+            column.append(value)
+    # text as bytes objects while the checks run, so that they see a trailing NUL
+    count = np.array(values.pop(0), dtype=np.int64)
+    columns = [np.array(values.pop(0), dtype=object if c is str else None) for c in widest]
+    failed = [(bad[0], k) for k, (holds, _) in enumerate(checks)
+              if (bad := np.flatnonzero(np.logical_not(holds(*columns)))).size]
+    if failed:
+        i, k = min(failed)
+        lineno = list(data_lines(text))[i][0]
+        fault = f"line {lineno}: {checks[k][1](*[column[i : i + 1].item() for column in columns])}"
+    if fault:
+        raise ParseError(fault)
+    return count, [column.astype(bytes) if c is str else column for c, column in
+                   zip(widest, columns[: count.max(initial=0) or len(widest)])]
+
+
+def read_first_row_format(text, *layouts):
+    """``read_rows`` of a file of one of several formats (layouts), the first data row's
+    field count picking the one every row has, as ``eval`` reads a series."""
+    width = len(next(data_lines(text), (0, ""))[1].split())
+    return read_rows(text, *([layout for layout in layouts if len(layout) == width]
+                             or layouts))
+
 
 _FORMATS = {
     0xA1B2C3D4: ("<", "microsecond", 10**6),

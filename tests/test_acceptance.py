@@ -393,17 +393,24 @@ def test_criterion_10_statistical_test_calibration():
     )
 
 
-def _cli_pipeline(tmp_path, capsys, rotation):
-    """simulate -> fit -> count -> truth -> eval through the command line, 50 fixed devices
-    probing at exp:mean=60 for 4 h: (mean n_hat / mean n_bar, eval nrmse, windows)."""
+# Criterion 11's populations: 50 devices present for the whole run, and arrivals (a
+# device every 50 s on average) that stay 1500-4500 s, long against tau, from 4500 s on.
+_FIXED = "arrival_rate 0\nfixed_persons 50\n"
+_ARRIVING = "arrival_rate 0.02\ndwell_dist uniform:low=1500,high=4500\n"
+
+
+def _cli_pipeline(tmp_path, capsys, population, rotation, start=0):
+    """simulate -> fit -> count -> truth -> eval through the command line, devices
+    probing at exp:mean=60 for 4 h, W windows from ``start``: (mean n_hat / mean n_bar,
+    eval nrmse, windows)."""
     config = tmp_path / "sim.cfg"
-    config.write_text("arrival_rate 0\nfixed_persons 50\ninterval_dist exp:mean=60\n"
+    config.write_text(f"{population}interval_dist exp:mean=60\n"
                       f"devices_per_person_dist const:value=1\nrotation_prob {rotation}\n"
                       "duration 14400\nseed 3\n")
     events, truth, model, counts, device = (
         str(tmp_path / name) for name in ("sim.events", "sim.truth", "fitted.model",
                                           "counts.txt", "device.txt"))
-    grid = ["--window", str(W), "--step", str(W), "--start", "0", "--end", "14400"]
+    grid = ["--window", str(W), "--step", str(W), "--start", str(start), "--end", "14400"]
     for argv in (["simulate", "--config", str(config), "--events", events, "--truth", truth],
                  ["fit", events, "--out", model],
                  ["count", events, "--model", model, "--out", counts, *grid],
@@ -419,10 +426,19 @@ def _cli_pipeline(tmp_path, capsys, rotation):
 def test_criterion_11_cli_pipeline_without_rotation(tmp_path, capsys):
     # the fitted model's counts are unbiased when every device keeps its MAC.  Predicted
     # NRMSE sqrt(sigma^2 / (N w tau)) = 0.037; seeds 1-5 gave 0.031-0.039.
-    ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, 0)
+    ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, _FIXED, 0)
     ok = windows == 16 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
     report(11, ok, f"fitted model, rotation 0: mean n_hat / mean n_bar = {ratio:.4f}, "
                    f"eval nrmse {eval_nrmse:.4f} over {windows} windows")
+
+
+def test_criterion_11_cli_pipeline_with_arrivals(tmp_path, capsys):
+    # the same bounds when devices come and go, each staying long enough that few of its
+    # intervals are cut off by its leaving
+    ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, _ARRIVING, 0, start=4500)
+    ok = windows == 11 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
+    report(11, ok, f"fitted model, arrivals, rotation 0: mean n_hat / mean n_bar = "
+                   f"{ratio:.4f}, eval nrmse {eval_nrmse:.4f} over {windows} windows")
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -432,7 +448,17 @@ def test_criterion_11_cli_pipeline_without_rotation(tmp_path, capsys):
 def test_criterion_11_cli_pipeline_under_rotation(tmp_path, capsys):
     # criterion 11's bounds at rotation_prob 0.3: the counts of what the CLI emits must
     # stay unbiased when devices rotate their MAC per burst
-    ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, 0.3)
+    ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, _FIXED, 0.3)
     ok = windows == 16 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
     report(11, ok, f"fitted model, rotation 0.3: mean n_hat / mean n_bar = {ratio:.4f}, "
                    f"eval nrmse {eval_nrmse:.4f} over {windows} windows")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the fit is biased under per-burst MAC rotation, with arrivals as with a fixed "
+    "population: the ratio is 1.401 today, and 1.40-1.42 at seeds 1-3"))
+def test_criterion_11_cli_pipeline_with_arrivals_under_rotation(tmp_path, capsys):
+    ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, _ARRIVING, 0.3, start=4500)
+    ok = windows == 11 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
+    report(11, ok, f"fitted model, arrivals, rotation 0.3: mean n_hat / mean n_bar = "
+                   f"{ratio:.4f}, eval nrmse {eval_nrmse:.4f} over {windows} windows")

@@ -859,7 +859,8 @@ def test_a_negative_start_grid_joins_in_eval_and_calibrate(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args,fragment",
     [
-        (["count", "{events}", "--model", "{model}", "--gap", "nan"], "gap must be positive"),
+        (["count", "{events}", "--model", "{model}", "--gap", "nan"],
+         "--gap must be finite and positive, got nan"),
         (["fit", "{events}", "--bin-width", "nan"], "cutoff and bin_width must be positive"),
         (["fit", "{events}", "--cutoff", "nan"], "cutoff must be positive"),
         (["calibrate", "{series}", "{ref}", "--people-nrmse", "nan"],
@@ -872,6 +873,20 @@ def test_nan_parameters_exit_1(tmp_path, capsys, args, fragment):
                      "bin_width 600.0\nhistogram 1\n")
     assert main([arg.format(**f) for arg in args]) == 1
     assert f"error: {fragment}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gap", ["inf", "-inf", "0", "-1", "nan"])
+@pytest.mark.parametrize("command", [["fit"], ["count", "--model", "{model}"],
+                                     ["count", "--baseline", "mac"]])
+def test_a_gap_that_is_not_finite_and_positive_exits_1(tmp_path, capsys, command, gap):
+    # an infinite gap made each MAC one burst: count exited 0 and fit 2
+    f = _files(tmp_path, events=EVENTS_TEXT,
+               model="area_id a\ntau_mean 60.0\ntau_std 60.0\nsample_count 1\n"
+                     "bin_width 600.0\nhistogram 1\n")
+    argv = [command[0], f["events"], *(arg.format(**f) for arg in command[1:]), f"--gap={gap}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: --gap must be finite and positive, got {float(gap)!r}\n")
 
 
 @pytest.mark.parametrize(

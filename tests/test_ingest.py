@@ -171,11 +171,11 @@ def test_text_round_trip_is_byte_identical():
     assert format_events(parse_events(once)) == once
 
 
-# ---------------------------------------------------------------- columnar reader
+# ---------------------------------------------------------------- column reader
 #
-# parse_events decodes a file as columns when read_columns vouches for it and
-# any other through read_rows; both paths must give the same events or the
-# same error.
+# parse_events decodes a file as columns, a block of a column by its grammar or,
+# where that declines, by the column's converter; it must give the events or
+# the error of the row-at-a-time oracles.read_rows.
 
 
 def _outcome(text):
@@ -189,18 +189,8 @@ def _outcome(text):
 
 
 def _row_outcome(text):
-    with mock.patch.object(ingest, "read_columns", lambda *args: None):
+    with mock.patch.object(ingest, "read_table", oracles.read_rows):
         return _outcome(text)
-
-
-def _columnar(text):
-    """Whether parse_events reads ``text`` without read_rows."""
-    with mock.patch.object(ingest, "read_rows", side_effect=AssertionError("row reader")):
-        try:
-            parse_events(text)
-        except AssertionError:
-            return False
-    return True
 
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
@@ -226,15 +216,14 @@ def _text(lines, trailing):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_lines, max_size=12), st.booleans())
-def test_uniform_text_takes_the_columnar_path_with_the_row_reader_result(lines, trailing):
+def test_uniform_text_reads_as_the_row_reader_reads_it(lines, trailing):
     text = _text(lines, trailing)
-    assert _columnar(text) == (text != "")
     assert _outcome(text) == _row_outcome(text)
 
 
 # Each line that once sent a whole event file to the row reader, as a line that
-# differs from a uniform line only by it.  The columnar reader now masks, splits
-# or decodes those in COLUMNAR_LINES; the others still make it decline.
+# differs from a uniform line only by it: the reader masks, splits or decodes it,
+# or sends the block of a column that holds it through the column's converter.
 FALLBACK_LINES = {
     "comment": "# 1.0 aa:bb:cc:dd:ee:01 ap1",
     "hash in an ap id": "1.0 aa:bb:cc:dd:ee:01 ap#1",
@@ -287,19 +276,14 @@ FALLBACK_LINES = {
     "five fields": "1.0 aa:bb:cc:dd:ee:01 ap1 -60 x",
     "long ap id": "1.0 aa:bb:cc:dd:ee:01 " + "a" * 65,
 }
-COLUMNAR_LINES = {"comment", "hash in an ap id", "blank line", "tab", "two spaces",
-                  "leading space", "trailing space", "crlf", "form feed", "six-digit rssi",
-                  "16 digits", "16 digits below 2**53", "non-ascii comment",
-                  "non-ascii comment after spaces"}
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("trigger", sorted(FALLBACK_LINES))
-def test_fallback_triggers_take_the_row_reader(trigger, where):
+def test_fallback_triggers_read_as_the_row_reader_reads_them(trigger, where):
     lines = ["0.5 02:00:00:00:00:01 ap2 -60", "2.0 aa:BB:cc:DD:ee:02 ap1"]
     lines.insert({"first": 0, "middle": 1, "last": 2}[where], FALLBACK_LINES[trigger])
     text = "\n".join(lines) + "\n"
-    assert _columnar(text) == (trigger in COLUMNAR_LINES)
     assert _outcome(text) == _row_outcome(text)
 
 
@@ -307,9 +291,8 @@ _EVENT_LINES = "0.5 02:00:00:00:00:01 ap2 -60\n2.0 aa:BB:cc:DD:ee:02 ap1\n"
 
 
 @pytest.mark.parametrize("comment", ["# caf\u00e9", " \t# \u20ac\u00a0\U0001f4e1\r"])
-def test_utf8_comment_bytes_take_the_columnar_reader(comment):
+def test_utf8_comment_bytes_are_skipped(comment):
     data = f"{comment}\n{_EVENT_LINES}{comment}".encode()
-    assert _columnar(data)
     assert _outcome(data) == _outcome(_EVENT_LINES) == _row_outcome(data)
 
 
@@ -319,8 +302,7 @@ def test_utf8_comment_bytes_take_the_columnar_reader(comment):
     b"1.0 aa:bb:cc:dd:ee:01 ap#caf\xc3\xa9\n",
     b"# caf\xc3\xa9\n1.0 \xc3\xa9a:bb:cc:dd:ee:01 ap\n",
 ])
-def test_other_non_ascii_bytes_take_the_row_reader(data):
-    assert not _columnar(data + _EVENT_LINES.encode())
+def test_other_non_ascii_bytes_read_as_the_row_reader_reads_them(data):
     assert _outcome(data + _EVENT_LINES.encode()) == _row_outcome(data + _EVENT_LINES.encode())
 
 
@@ -346,7 +328,6 @@ def test_fallback_within_generated_text_matches_the_row_reader(lines, trigger, d
     # a blank last line is a line only with a newline after it
     last_blank = (trigger, at) == ("blank line", len(lines) - 1)
     text = _text(lines, data.draw(st.booleans()) or last_blank)
-    assert _columnar(text) == (trigger in COLUMNAR_LINES)
     assert _outcome(text) == _row_outcome(text)
 
 
@@ -354,22 +335,19 @@ def test_columnar_path_decodes_unix_epoch_timestamps():
     # 16 digits, the first one a byte before the 16-byte window, below 2**53
     text = ("1700000000.991770 aa:bb:cc:dd:ee:01 ap1 -60\n"
             "-1700000003.609513 02:00:00:00:00:02 ap1\n")
-    assert not _columnar(text)  # a negative time is out of range: the row reader says so
+    # a negative time is out of range
     assert _outcome(text) == _row_outcome(text) == (
         "line 2: event timestamp -1700000003.609513 outside [0, 2**32) s")
     text = text.replace("-17", "17")
-    assert _columnar(text)
     assert parse_events(text).t.tolist() == [1700000000.99177, 1700000003.609513]
     assert _outcome(text) == _row_outcome(text)
 
 
 def test_columnar_path_decodes_15_digits_and_numbers_aps_by_appearance():
     stamp = "4294967295.99999"  # 15 digits: decoded, and below 2**32
-    assert _columnar(f"{stamp} aa:bb:cc:dd:ee:01 ap1\n")
     assert parse_events(f"{stamp} aa:bb:cc:dd:ee:01 ap1\n").t[0] == float(stamp)
     # ap ids are numbered by first appearance in time order, not by name
     text = "3.0 aa:bb:cc:dd:ee:01 a\n1.0 aa:bb:cc:dd:ee:01 c\n2.0 aa:bb:cc:dd:ee:01 b\n"
-    assert _columnar(text)
     assert parse_events(text).aps == ("c", "b", "a")
     assert _outcome(text) == _row_outcome(text)
 

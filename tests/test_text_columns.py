@@ -1,11 +1,13 @@
-"""The columnar text layer: read_columns and the digit-matrix format_rows.
+"""The columnar text layer: read_table and the digit-matrix format_rows.
 
-Every line file is read by read_columns when it vouches for the text, and by
-read_rows otherwise; format_rows writes a chunk as a digit matrix or with
-``%``.  Each must give exactly what the row-at-a-time path gives: the same
-records or the same error message, and the same bytes.
+Every column file is read by read_table, which decodes a block of a column by
+its grammar or, where that declines, by the column's converter; format_rows
+writes a chunk as a digit matrix or with ``%``.  Each must give exactly what the
+row-at-a-time path gives (oracles.read_rows): the same records or the same
+error message, and the same bytes.
 """
 
+import sys
 from contextlib import ExitStack
 from unittest import mock
 
@@ -14,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzz_read_table
+import oracles
 from probecount import calibration, cli, counting, ingest, simulate
 from probecount.ingest import (
     RSSI_NONE, Events, finite, non_negative, non_negative_int, non_negative_or_nan, positive,
@@ -21,19 +25,12 @@ from probecount.ingest import (
 
 
 def _rows_only():
-    """Patches that make every reader decline the columnar path."""
+    """Patches that make every parser read its file with the row-at-a-time oracle, and
+    eval pick a series' format by its first row as that reader's caller did."""
     stack = ExitStack()
-    for module in (ingest, cli):
-        stack.enter_context(mock.patch.object(module, "read_columns", lambda *args: None))
-    return stack
-
-
-def _no_row_reader():
-    """Patches that make read_rows fail wherever it is called."""
-    stack = ExitStack()
-    for module in (ingest, cli):
-        stack.enter_context(mock.patch.object(module, "read_rows",
-                                              side_effect=AssertionError("row reader")))
+    for module in (ingest, calibration, counting, simulate):
+        stack.enter_context(mock.patch.object(module, "read_table", oracles.read_rows))
+    stack.enter_context(mock.patch.object(cli, "read_table", oracles.read_first_row_format))
     return stack
 
 
@@ -67,8 +64,8 @@ def _pointed(sign, digits, at):
 
 
 # Numbers of 15 to 17 digits, and numbers from 2**53 - 3 on, with a sign or none and a
-# point anywhere among the digits or none: the reader takes those of 16 digits whose
-# integer lies below 2**53 (and the shorter ones it took before), and the row reader
+# point anywhere among the digits or none: the grammar takes those of 16 digits whose
+# integer lies below 2**53 (and the shorter ones it took before), and the converter
 # the rest.
 _LONG = st.one_of(*(
     st.builds(_pointed, st.sampled_from(["", "-", "+"]), digits, st.none() | st.integers(0, 16))
@@ -155,7 +152,7 @@ def _valid_file(fields, rows=5):
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_headed_files_take_the_columnar_path(data):
+def test_headed_files_read_as_the_row_reader_reads_them(data):
     for name, (parse, fields, _) in LAYOUTS.items():
         if name == "trace":  # enter before leave, so that every row is valid, and an id
             # that starts with '#' would make its row a comment line
@@ -164,8 +161,8 @@ def test_headed_files_take_the_columnar_path(data):
         text = data.draw(_valid_file(fields), label=name)
         with _rows_only():
             expected = _outcome(parse, text)
-        with _no_row_reader():
-            assert _outcome(parse, text) == expected, name
+        assert expected[0] != "ParseError", expected
+        assert _outcome(parse, text) == expected, name
 
 
 @pytest.mark.parametrize("layout", [
@@ -173,22 +170,26 @@ def test_headed_files_take_the_columnar_path(data):
     counting.MAC_SERIES_COLUMNS, calibration.REFERENCE_COLUMNS, calibration.PEOPLE_COLUMNS,
 ], ids=["events", "trace", "series", "mac series", "reference", "people"])
 def test_every_column_converter_has_a_columnar_grammar(layout):
-    # without one, every file of the layout would take the row reader
+    # without one, every field of the layout would go through its converter
     assert [convert for convert in layout if convert not in ingest._GRAMMARS] == []
 
 
-def test_a_headed_event_and_series_file_skip_the_row_reader():
+def test_a_headed_event_and_series_file_read_as_the_row_reader_reads_them():
     events = ("# timestamp mac ap_id rssi\n1.5 aa:bb:cc:dd:ee:01 ap1 -60\n\n"
               "\t2.0  AA:BB:CC:DD:EE:02 ap2\r\n")
     series = counting.format_series(np.rec.fromarrays(
         [[0.0, 180.0], [180.0, 180.0], [0, 3], [0.0, 3 / 180], [0.0, 1.0], [0.0, 0.5],
          [np.nan, 0.57735]], dtype=counting.SERIES_DTYPE))
     assert series.startswith("# start")
-    with _no_row_reader():
-        parsed = ingest.parse_events(events)
-        assert parsed.rssi.tolist() == [-60, RSSI_NONE] and parsed.aps == ("ap1", "ap2")
-        assert counting.format_series(counting.parse_series(series)) == series
-        assert cli._parse_value_series(series.encode()).value.tolist() == [0.0, 1.0]
+    parsed = ingest.parse_events(events)
+    assert parsed.rssi.tolist() == [-60, RSSI_NONE] and parsed.aps == ("ap1", "ap2")
+    assert counting.format_series(counting.parse_series(series)) == series
+    assert cli._parse_value_series(series.encode()).value.tolist() == [0.0, 1.0]
+    for parse, text in ((ingest.parse_events, events), (counting.parse_series, series),
+                        (cli._parse_value_series, series.encode())):
+        with _rows_only():
+            expected = _outcome(parse, text)
+        assert _outcome(parse, text) == expected
 
 
 @pytest.mark.parametrize("nrmse", ["nan", "-nan", "NaN", "1nan", "xnan", "nan.", "0.5"])
@@ -233,10 +234,11 @@ def test_the_first_fault_in_line_order_is_named(parse, text, line, message):
         assert _outcome(parse, data) == ("ParseError", f"line {at}: {message}")
 
 
-def test_non_ascii_text_reads_as_str_through_the_row_reader():
+def test_non_ascii_text_reads_as_str():
     text = "\u00e9 device \u00fc 0.000000 1.000000\n"
-    with _no_row_reader(), pytest.raises(AssertionError, match="row reader"):
-        simulate.parse_trace(text)
+    with _rows_only():
+        expected = _outcome(simulate.parse_trace, text)
+    assert _outcome(simulate.parse_trace, text) == expected
     trace = simulate.parse_trace(text)
     assert [tuple(entity) for entity in trace.entities] == [
         ("\u00e9", "device", "\u00fc", 0.0, 1.0)]
@@ -252,26 +254,56 @@ _ROW_LINES = [f"1.5 {_MAC} ap", f"2 {_MAC} ap -60", f"3 {_MAC} caf\u00e9", "", "
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(_ROW_LINES), max_size=20), st.integers(1, 12),
        st.integers(1, 3))
-def test_the_row_reader_holds_a_block_at_a_time(lines, scan, rows):
-    """Text split into lines a block at a time, and rows kept a block at a time, give the
-    lines of one split of the whole text and the same events or message."""
+def test_the_reader_scans_and_decodes_a_block_at_a_time(lines, scan, chunk):
+    """Bytes indexed a block at a time, and rows decoded a block at a time, give the
+    events or message of the row reader, which reads the lines of one split of the text."""
     text = "\n".join(lines)
+    assert list(ingest.data_lines(text)) == [
+        (n, line.strip()) for n, line in enumerate(text.split("\n"), start=1)
+        if line.strip() and not line.strip().startswith("#")]
     with _rows_only():
         expected = _outcome(ingest.parse_events, text)
-        with mock.patch.object(ingest, "_SCAN", scan), mock.patch.object(ingest, "_ROWS", rows):
-            assert list(ingest.data_lines(text)) == [
-                (n, line.strip()) for n, line in enumerate(text.split("\n"), start=1)
-                if line.strip() and not line.strip().startswith("#")]
-            assert _outcome(ingest.parse_events, text) == expected
+    with mock.patch.object(ingest, "_SCAN", scan), mock.patch.object(ingest, "_CHUNK", chunk):
+        assert _outcome(ingest.parse_events, text) == expected
+
+
+def test_the_wide_spaces_are_pythons_whitespace_beyond_ascii():
+    # what str.split() splits on, and so what the reader must take as a separator
+    wide = [c for c in map(chr, range(128, sys.maxunicode + 1)) if c.isspace()]
+    assert ingest._WIDE_SPACES == [int.from_bytes(c.encode(), "big") for c in wide]
+
+
+def test_fuzzed_files_read_as_the_row_reader_reads_them():
+    mismatch, refused = fuzz_read_table.run(700, seed=27)
+    assert mismatch is None
+    assert 0 < refused < 2 * 700
+
+
+def test_one_exponent_sends_at_most_one_block_through_its_converter():
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return finite(text)
+
+    n = ingest._CHUNK + 1000
+    lines = [f"{i}.5 {i % 977}.25" for i in range(n)]
+    lines[n // 2] = f"{n // 2}.5 2.5e-1"
+    text = "\n".join(lines) + "\n"
+    with mock.patch.dict(ingest._GRAMMARS, {counted: ingest._GRAMMARS[finite]}):
+        count, columns = ingest.read_table(text, (finite, counted))
+    assert 0 < len(calls) <= ingest._CHUNK and "2.5e-1" in calls
+    expected = oracles.read_rows(text, calibration.REFERENCE_COLUMNS)
+    assert count.tolist() == expected[0].tolist()
+    assert [c.tolist() for c in columns] == [c.tolist() for c in expected[1]]
 
 
 def _columnar_and_row_outcomes_agree(parse, text):
-    """The columnar reader vouches for ``text``, with the row reader's values."""
+    """``text`` is read, with the row reader's values."""
     with _rows_only():
         expected = _outcome(parse, text)
     assert expected[0] != "ParseError", expected
-    with _no_row_reader():
-        assert _outcome(parse, text) == expected
+    assert _outcome(parse, text) == expected
     return expected
 
 
@@ -309,6 +341,16 @@ def test_a_count_and_an_nrmse_at_a_window_edge_read_as_the_row_reader_reads_them
 def test_an_rssi_at_a_window_edge_reads_as_the_row_reader_reads_it(rssi):
     _columnar_and_row_outcomes_agree(
         ingest.parse_events, f"1.5 {_MAC} ap {rssi}\n1700000000.991770 {_MAC} ap -1\n")
+
+
+@pytest.mark.parametrize("rssi", [2**63, 2**64, -(2**63) - 1])
+def test_an_rssi_outside_int64_is_named_as_the_row_reader_names_it(rssi):
+    # numpy types a list of ints by all of them, the 0 of a row without an rssi included
+    text = f"1.5 {_MAC} ap\n2.5 {_MAC} ap {rssi}\n"
+    with _rows_only():
+        expected = _outcome(ingest.parse_events, text)
+    assert expected[0] == "ParseError"
+    assert _outcome(ingest.parse_events, text) == expected
 
 
 _UNIFORM = (f"1.5 {_MAC} ap1 -60\n2.000001 AA:BB:CC:DD:EE:02 ap2 -00000000071\n"
