@@ -557,140 +557,28 @@ def _renewals(t: float, horizon: float, mean: float, steps: Callable[[int], np.n
         t = float(ts[-1])
 
 
-def _draw_mac(rng: np.random.Generator, randomized: bool) -> int:
-    """A unicast MAC from six random octets: locally administered when randomized,
-    globally administered otherwise."""
-    octets = rng.integers(0, 256, 6).tolist()
-    octets[0] = (octets[0] & 0xFC) | (0x02 if randomized else 0x00)
-    return int.from_bytes(bytes(octets), "big")
-
-
-class _PerBurst:
-    """The per-burst loop: the draws ``_Replay`` replays, one by one (a device's MAC, then
-    per burst a frame count, at p > 0 a coin and on rotation a MAC)."""
-
-    def __init__(self, config: SimConfig) -> None:
-        (self.lo, self.hi), self.p = config.frames_per_burst, config.rotation_prob
-        self.frames, self.macs = [], []
-
-    def device(self, rng: np.random.Generator) -> None:
-        self.persistent = _draw_mac(rng, randomized=False)
-
-    def take_bursts(self, rng: np.random.Generator, n: int) -> None:
-        for _ in range(n):
-            self.frames.append(int(rng.integers(self.lo, self.hi + 1)))
-            rotate = self.p > 0 and rng.random() < self.p
-            self.macs.append(_draw_mac(rng, True) if rotate else self.persistent)
-
-    def bursts(self, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.frames, dtype=np.int64), np.array(self.macs, dtype=np.uint64)
-
-
-class _Replay:
-    """The raw PCG64 words behind the per-burst loop's draws (``_PerBurst``, which
-    ``_simulate`` runs without a replay).  A device draws its MAC (six 32-bit draws),
-    its instants, then per burst a frame count (``integers(lo, hi + 1)``: Lemire's
-    method on a 32-bit draw, none when lo == hi), at p > 0 a coin (``random() < p``: a
-    word w, and ``(w >> 11) < p * 2**53``) and on rotation a MAC.  A 32-bit draw takes a
-    word's low half and holds the high half for the next, and no other draw touches that
-    half; so the run's 32-bit draws are the halves of the words that no coin took, and a
-    device's coin b sits at word a_b + 3 R_b of its burst words, R_b counting its
-    earlier rotations.  At 0 < p < 1 a device draws words as if every burst rotated,
-    finds its coins and rewinds the generator past the words it did not use."""
-
-    def __init__(self, config: SimConfig) -> None:
-        (self.lo, self.hi), self.p = config.frames_per_burst, config.rotation_prob
-        self.framed = int(self.lo < self.hi)
-        self.u32_drawn, self.words, self.rotated = 0, [np.empty(0, np.uint64)], []
-
-    def take(self, rng: np.random.Generator, u32: int, u64: int = 0) -> None:
-        held = self.u32_drawn % 2  # the high half an odd count leaves
-        self.words.append(rng.bit_generator.random_raw(u64 + (u32 + 1 - held) // 2))
-        self.u32_drawn += u32
-
-    def device(self, rng: np.random.Generator) -> None:
-        """The words of a device's MAC: six 32-bit draws take three, whichever half is held."""
-        self.words.append(rng.bit_generator.random_raw(3))
-
-    def take_bursts(self, rng: np.random.Generator, n: int) -> None:
-        """The words of a device's ``n`` bursts."""
-        f, p = self.framed, self.p
-        if p in (0.0, 1.0):
-            self.take(rng, n * (f + 6 * (p == 1.0)), n * (p > 0))
-            return
-        if not n:
-            return
-        held = self.u32_drawn % 2
-        words = rng.bit_generator.random_raw(n + (f * n + 1 - held) // 2 + 3 * n)
-        coin = (words >> np.uint64(11) < p * 2.0**53).tolist()
-        rotations = 0
-        for b in range(n):
-            rotate = coin[b + (f * (b + 1) + 1 - held) // 2 + 3 * rotations]
-            self.rotated.append(rotate)
-            rotations += rotate
-        used = n + (f * n + 1 - held) // 2 + 3 * rotations
-        rng.bit_generator.advance(used - words.size)
-        self.words.append(words[:used])
-        self.u32_drawn += f * n + 6 * rotations
-
-    def bursts(self, counts: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
-        """The frame count and MAC of each burst of devices with ``counts`` bursts; None
-        when a frame count needed Lemire's redraw (below span / 2**32 a burst), which is
-        not replayed."""
-        counts = np.array(counts, dtype=np.int64)
-        f, span = self.framed, self.hi - self.lo + 1
-        burst, device = np.arange(counts.sum()), np.repeat(np.arange(counts.size), counts)
-        rotated = (np.full(burst.size, self.p == 1.0) if self.p in (0.0, 1.0)
-                   else np.array(self.rotated, dtype=bool))
-        earlier = np.concatenate(([0], np.cumsum(rotated)))  # rotations before each burst
-        first_burst = np.cumsum(counts) - counts
-        # ranks among the 32-bit draws: each device's MAC, then each burst's first
-        mac_rank = 6 * np.arange(counts.size) + f * first_burst + 6 * earlier[first_burst]
-        burst_rank = 6 * (device + 1) + f * burst + 6 * earlier[:-1]
-        words = np.concatenate(self.words)
-        if self.p > 0:  # before a coin: a word per earlier coin and per pair of 32-bit draws
-            words = words[np.bincount(burst + (burst_rank + f + 1) // 2, minlength=words.size) == 0]
-        u32 = words.astype("<u8").view("<u4")  # each word's low half first
-        frames = np.full(burst.size, self.lo, dtype=np.int64)
-        if f:
-            m = u32[burst_rank].astype(np.uint64) * np.uint64(span)
-            if np.any(m & 0xFFFFFFFF < 2**32 % span):
-                return None
-            frames += (m >> 32).astype(np.int64)
-        # the MACs as _draw_mac makes them: the octets (high bytes) of six 32-bit draws from
-        # each rank in first, read as the low six bytes of one big-endian word
-        first = np.where(rotated, burst_rank + f, mac_rank[device])
-        octets = np.pad(u32.view(np.uint8)[3::4], (2, 6))
-        macs = np.ndarray((u32.size + 1,), ">u8", octets, 0, (1,))[first].astype(np.uint64)
-        return frames, macs & 0xFCFF_FFFF_FFFF | rotated.astype(np.uint64) << 41
-
-
 def simulate(config: SimConfig) -> tuple[Events, GroundTruthTrace]:
     """Generate a probe-request event stream and its ground-truth trace.
 
     Persons arriving before ``duration`` dwell to completion, so events may
-    extend past the arrival horizon.  Fully deterministic given the config.
-    The bursts' draws are replayed (``_Replay``) unless this numpy's draws
-    differ or a frame count needed a redraw.
+    extend past the arrival horizon.  Fully deterministic given the config: a
+    loop over the devices draws their instants, and array calls after it draw
+    the bursts' frame counts, rotation coins and MACs (``_draw``), so
+    ``rotation_prob`` changes only the MACs.
     """
-    lo, hi = config.frames_per_burst
-    # integers() takes one 32-bit draw for a range below 2**32 - 1
-    if hi - lo < 2**32 - 1 and _replay_agrees():
-        return _simulate(config, replay=True) or _simulate(config, replay=False)
-    return _simulate(config, replay=False)
-
-
-@functools.cache
-def _replay_agrees() -> bool:
-    """Whether the replay gives this numpy's draws, on small runs at rotation
-    probabilities 0, 1/2 and 1, with and without a frame-count draw."""
-    for p, frames in ((0.0, (1, 3)), (0.5, (1, 3)), (0.5, (2, 2)), (1.0, (1, 3))):
-        config = SimConfig(arrival_rate=0.0, fixed_persons=3, interval_dist=Constant(10.0),
-                           frames_per_burst=frames, rotation_prob=p, duration=45.0)
-        replayed, drawn = _draw(config, replay=True), _draw(config, replay=False)
-        if replayed is None or not all(map(np.array_equal, replayed[1], drawn[1])):
-            return False
-    return True
+    people, (instant, count, burst_mac) = _draw(config)
+    # Frame k of a burst of n lies at np.linspace(0, burst_duration, n)[k]:
+    # k * (burst_duration / (n - 1)), and burst_duration itself for the last.
+    n = np.repeat(count, count)
+    k = np.arange(n.size) - np.repeat(np.cumsum(count) - count, count)
+    d = config.burst_duration
+    offset = np.where((k == n - 1) & (n > 1), d, k * (d / np.maximum(n - 1, 1)))
+    t = round6(np.repeat(instant, count) + offset)
+    mac = np.repeat(burst_mac, count)
+    order = by_time(t, mac, np.argsort(t))
+    events = Events(t[order], mac[order], np.zeros(t.size, dtype=np.int32),
+                    np.full(t.size, config.rssi, dtype=np.int16), (config.ap_id,))
+    return events, _entities(*people)
 
 
 def _labels(prefix: str, numbers: np.ndarray) -> np.ndarray:
@@ -708,25 +596,6 @@ def _labels(prefix: str, numbers: np.ndarray) -> np.ndarray:
     return codes.view(f"U{width + 1}").ravel()
 
 
-def _simulate(config: SimConfig, replay: bool) -> tuple[Events, GroundTruthTrace] | None:
-    drawn = _draw(config, replay)
-    if drawn is None:
-        return None
-    people, (instant, count, burst_mac) = drawn
-    # Frame k of a burst of n lies at np.linspace(0, burst_duration, n)[k]:
-    # k * (burst_duration / (n - 1)), and burst_duration itself for the last.
-    n = np.repeat(count, count)
-    k = np.arange(n.size) - np.repeat(np.cumsum(count) - count, count)
-    d = config.burst_duration
-    offset = np.where((k == n - 1) & (n > 1), d, k * (d / np.maximum(n - 1, 1)))
-    t = round6(np.repeat(instant, count) + offset)
-    mac = np.repeat(burst_mac, count)
-    order = by_time(t, mac, np.argsort(t))
-    events = Events(t[order], mac[order], np.zeros(t.size, dtype=np.int32),
-                    np.full(t.size, config.rssi, dtype=np.int16), (config.ap_id,))
-    return events, _entities(*people)
-
-
 def _entities(person: np.ndarray, enter: np.ndarray, leave: np.ndarray,
               devices: np.ndarray) -> GroundTruthTrace:
     """The trace of the persons numbered ``person``, with their spans and device counts:
@@ -742,10 +611,20 @@ def _entities(person: np.ndarray, enter: np.ndarray, leave: np.ndarray,
                   np.repeat(enter, rows), np.repeat(leave, rows))
 
 
-def _draw(config: SimConfig, replay: bool) -> tuple[tuple, tuple] | None:
+# A MAC's bits: the 48 a draw gives, those of a unicast globally administered address
+# (the group and local bits of the first octet clear), and the local bit
+_MAC_SPAN, _UNICAST_GLOBAL, _LOCAL = 1 << 48, np.uint64(0xFCFF_FFFF_FFFF), np.uint64(1 << 41)
+
+
+def _draw(config: SimConfig) -> tuple[tuple, tuple]:
     """The persons present (their numbers, spans and device counts), and each burst's
-    instant, frame count and MAC in device order."""
-    rng, draws = np.random.default_rng(config.seed), (_Replay if replay else _PerBurst)(config)
+    instant, frame count and MAC in device order.
+
+    A loop over the devices draws each person's device count, each device's interval
+    scale and its instants.  Four array calls then draw every device's persistent MAC,
+    every burst's frame count, every burst's rotation coin and a fresh MAC for each
+    burst that rotates, so only the last call depends on ``rotation_prob``."""
+    rng = np.random.default_rng(config.seed)
     enter, leave = np.zeros(config.fixed_persons), np.full(config.fixed_persons,
                                                            round(config.duration, 6))
     if config.arrival_rate > 0 and config.duration > 0:
@@ -758,24 +637,26 @@ def _draw(config: SimConfig, replay: bool) -> tuple[tuple, tuple] | None:
         leave = np.concatenate((leave, round6(arrivals + dwells)))
     person = np.flatnonzero(leave > enter)
 
-    # the draws of a person's device count and a device's scale (unit mean), MAC, instants
-    # and bursts, each bound once to the config's choices
+    # the draws of a person's device count and a device's scale (unit mean) and instants,
+    # each bound once to the config's choices
     per_person, sigma = config.devices_per_person_dist, config.interval_scale_sigma
     devices_of = (functools.partial(rng.poisson, per_person.mean_value)
                   if isinstance(per_person, PoissonCount) else lambda: per_person.value)
     scale_of = (functools.partial(rng.lognormal, -0.5 * sigma * sigma, sigma) if sigma
                 else lambda: 1.0)
-    device, bursts = functools.partial(draws.device, rng), functools.partial(draws.take_bursts, rng)
     instants = _instants(config.interval_dist, config.phase_mode, rng)
     pieces, devices, counts = [()], [], []
     for start, end in zip(enter[person].tolist(), leave[person].tolist()):
         devices.append(n_devices := devices_of())
         for _ in range(n_devices):
-            scale = scale_of()
-            device()
-            counts.append(n := instants(start, end, scale, pieces))
-            bursts(n)
-    if (drawn := draws.bursts(counts)) is None:
-        return None
+            counts.append(instants(start, end, scale_of(), pieces))
+
+    (lo, hi), counts = config.frames_per_burst, np.array(counts, dtype=np.int64)
+    persistent = rng.integers(0, _MAC_SPAN, counts.size, dtype=np.uint64) & _UNICAST_GLOBAL
+    frames = rng.integers(lo, hi + 1, counts.sum())
+    rotated = rng.random(frames.size) < config.rotation_prob
+    macs = np.repeat(persistent, counts)
+    fresh = rng.integers(0, _MAC_SPAN, np.count_nonzero(rotated), dtype=np.uint64)
+    macs[rotated] = fresh & _UNICAST_GLOBAL | _LOCAL
     return ((person, enter[person], leave[person], np.array(devices, dtype=np.int64)),
-            (np.concatenate(pieces), *drawn))
+            (np.concatenate(pieces), frames, macs))

@@ -401,40 +401,28 @@ def _poisson_arrivals(rng, rate, horizon):
 
 
 def _draw_mac(rng, randomized):
-    octets = rng.integers(0, 256, 6).tolist()
+    """Six random octets, the first made unicast and locally administered when
+    randomized, globally administered otherwise."""
+    octets = bytearray(int(rng.integers(0, 2**48, dtype=np.uint64)).to_bytes(6, "big"))
     octets[0] = (octets[0] & 0xFC) | (0x02 if randomized else 0x00)
-    return MacAddress(int.from_bytes(bytes(octets), "big"))
+    return MacAddress(int.from_bytes(octets, "big"))
 
 
-def _device_events(config, rng, enter, leave):
+def _device_instants(config, rng, enter, leave):
     scale = 1.0
     if config.interval_scale_sigma > 0:
         s = config.interval_scale_sigma
         scale = float(rng.lognormal(-0.5 * s * s, s))
-    persistent = _draw_mac(rng, randomized=False)
-    instants = probing_instants(
+    return probing_instants(
         config.interval_dist, enter, leave, rng, config.phase_mode, scale
-    )
-    lo, hi = config.frames_per_burst
-    events = []
-    for instant in instants.tolist():
-        n_frames = int(rng.integers(lo, hi + 1))
-        if config.rotation_prob > 0 and rng.random() < config.rotation_prob:
-            mac = _draw_mac(rng, randomized=True)
-        else:
-            mac = persistent
-        if n_frames == 1:
-            offsets = [0.0]
-        else:
-            offsets = np.linspace(0.0, config.burst_duration, n_frames).tolist()
-        for off in offsets:
-            events.append(PrfEvent(round(instant + off, 6), mac, config.ap_id, config.rssi))
-    return events
+    ).tolist()
 
 
 def simulate(config):
     """Events and ground-truth rows (entity_id, kind, owner, enter, leave) of a
-    simulator config, built frame by frame."""
+    simulator config, built frame by frame.  Each device draws its interval scale and
+    instants; then, one by one, each device draws its persistent MAC, each burst its
+    frame count, each burst its rotation coin, and each rotated burst a fresh MAC."""
     rng = np.random.default_rng(config.seed)
     spans = [(0.0, round(config.duration, 6))] * config.fixed_persons
     if config.arrival_rate > 0 and config.duration > 0:
@@ -443,7 +431,7 @@ def simulate(config):
         for arrive, dwell in zip(arrivals.tolist(), dwells.tolist()):
             spans.append((round(arrive, 6), round(arrive + dwell, 6)))
     entities = []
-    events = []
+    device_instants = []
     device_index = 0
     for person_index, (enter, leave) in enumerate(spans):
         if not leave > enter:
@@ -456,7 +444,20 @@ def simulate(config):
         for _ in range(n_devices):
             entities.append((f"d{device_index}", "device", person_id, enter, leave))
             device_index += 1
-            events.extend(_device_events(config, rng, enter, leave))
+            device_instants.append(_device_instants(config, rng, enter, leave))
+    persistent = [_draw_mac(rng, randomized=False) for _ in device_instants]
+    bursts = [(instant, mac) for instants, mac in zip(device_instants, persistent)
+              for instant in instants]
+    lo, hi = config.frames_per_burst
+    n_frames = [int(rng.integers(lo, hi + 1)) for _ in bursts]
+    rotated = [rng.random() < config.rotation_prob for _ in bursts]
+    events = []
+    for (instant, mac), n, rotate in zip(bursts, n_frames, rotated):
+        if rotate:
+            mac = _draw_mac(rng, randomized=True)
+        offsets = [0.0] if n == 1 else np.linspace(0.0, config.burst_duration, n).tolist()
+        for off in offsets:
+            events.append(PrfEvent(round(instant + off, 6), mac, config.ap_id, config.rssi))
     events.sort(key=lambda e: (e.timestamp, e.mac))
     return events, entities
 

@@ -74,15 +74,18 @@ def _arrivals_run(interval_dist, seed):
     }
 
 
+EXPONENTIAL = Exponential(TAU)
+LOGNORMAL = LogNormal(math.log(TAU) - LOGNORMAL_SIGMA**2 / 2, LOGNORMAL_SIGMA)
+
+
 @pytest.fixture(scope="module")
 def exp_arrivals():
-    return _arrivals_run(Exponential(TAU), seed=42)
+    return _arrivals_run(EXPONENTIAL, seed=42)
 
 
 @pytest.fixture(scope="module")
 def lognormal_arrivals():
-    mu = math.log(TAU) - LOGNORMAL_SIGMA**2 / 2
-    return _arrivals_run(LogNormal(mu, LOGNORMAL_SIGMA), seed=42)
+    return _arrivals_run(LOGNORMAL, seed=42)
 
 
 @pytest.fixture(scope="module")
@@ -147,15 +150,23 @@ def test_criterion_2_unbiasedness(exp_arrivals, lognormal_arrivals):
     )
 
 
+# The seeds whose windows criterion 3 pools: one seed's 200 windows give MSE/bound a
+# sampling spread of about 0.1, too wide to test a bound of 0.9 against.
+CRITERION_3_SEEDS = range(42, 52)
+
+
 def test_criterion_3_error_model_bound(exp_arrivals, lognormal_arrivals, fixed_population):
     started = time.perf_counter()
     mse_ratios = {}
-    for label, run in (("exponential", exp_arrivals), ("lognormal", lognormal_arrivals)):
-        n_hat = run["estimates"].n_hat
-        b = run["estimates"].burst_count
-        mse = float(np.mean((n_hat - run["n_bar"]) ** 2))
-        bound = float(np.mean(b * run["sigma"] ** 2 / W**2))
-        mse_ratios[label] = mse / bound
+    for label, dist, first in (("exponential", EXPONENTIAL, exp_arrivals),
+                               ("lognormal", LOGNORMAL, lognormal_arrivals)):
+        squared_error = bound = 0.0  # over every seed's windows: pooled MSE / pooled bound
+        for seed in CRITERION_3_SEEDS:
+            run = first if seed == 42 else _arrivals_run(dist, seed)
+            estimates = run["estimates"]
+            squared_error += float(np.sum((estimates.n_hat - run["n_bar"]) ** 2))
+            bound += float(np.sum(estimates.burst_count * run["sigma"] ** 2 / W**2))
+        mse_ratios[label] = squared_error / bound
 
     # tightness: devices dwelling across whole windows, exponential intervals
     pop = fixed_population
@@ -181,7 +192,8 @@ def test_criterion_3_error_model_bound(exp_arrivals, lognormal_arrivals, fixed_p
         3,
         ok,
         f"MSE/bound exp={mse_ratios['exponential']:.3f} "
-        f"lognormal={mse_ratios['lognormal']:.3f}; "
+        f"lognormal={mse_ratios['lognormal']:.3f} over seeds {CRITERION_3_SEEDS[0]}-"
+        f"{CRITERION_3_SEEDS[-1]}; "
         f"Var/(N*tau/w)={var_ratio:.3f} ({elapsed:.1f}s)",
     )
 
@@ -425,7 +437,7 @@ def _cli_pipeline(tmp_path, capsys, population, rotation, start=0):
 
 def test_criterion_11_cli_pipeline_without_rotation(tmp_path, capsys):
     # the fitted model's counts are unbiased when every device keeps its MAC.  Predicted
-    # NRMSE sqrt(sigma^2 / (N w tau)) = 0.037; seeds 1-5 gave 0.031-0.039.
+    # NRMSE sqrt(sigma^2 / (N w tau)) = 0.037; seeds 1-5 gave 0.029-0.036.
     ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, _FIXED, 0)
     ok = windows == 16 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05
     report(11, ok, f"fitted model, rotation 0: mean n_hat / mean n_bar = {ratio:.4f}, "
@@ -443,8 +455,8 @@ def test_criterion_11_cli_pipeline_with_arrivals(tmp_path, capsys):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the fit is biased under per-burst MAC rotation: each persistent MAC's stream is "
-    "thinned, so its intervals are sums of true ones, and fit gives tau_mean 91.5 s "
-    "against a true 60 s (ratio 1.448 today)"))
+    "thinned, so its intervals are sums of true ones, and fit gives tau_mean 89.5 s "
+    "against a true 60 s (ratio 1.437 today)"))
 def test_criterion_11_cli_pipeline_under_rotation(tmp_path, capsys):
     # criterion 11's bounds at rotation_prob 0.3: the counts of what the CLI emits must
     # stay unbiased when devices rotate their MAC per burst
@@ -456,7 +468,7 @@ def test_criterion_11_cli_pipeline_under_rotation(tmp_path, capsys):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the fit is biased under per-burst MAC rotation, with arrivals as with a fixed "
-    "population: the ratio is 1.401 today, and 1.40-1.42 at seeds 1-3"))
+    "population: the ratio is 1.409 today, and 1.40-1.41 at seeds 1-3"))
 def test_criterion_11_cli_pipeline_with_arrivals_under_rotation(tmp_path, capsys):
     ratio, eval_nrmse, windows = _cli_pipeline(tmp_path, capsys, _ARRIVING, 0.3, start=4500)
     ok = windows == 11 and 0.97 <= ratio <= 1.03 and eval_nrmse < 0.05

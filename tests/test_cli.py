@@ -617,48 +617,48 @@ GOLDEN_MODEL = (
 # The pinned grid runs past the data, into empty windows.
 GOLDEN_DIGESTS = {
     "default": {
-        "counts": "7fb82a28abad243ebb68147cc9713a2c77042f8bc7181f43ac00044083ba2650",
-        "dev": "48fc5411439aaa1493066be06754ee7e3a7ac12d0ab458614659069c0a6097ae",
+        "counts": "0beaf2dbbfa704e0dc973b97b29ba3cabcdd9b8a6b87a49118a043d0d7749ae3",
+        "dev": "48bdc9ed4b8dea8113f16cae8040b458b8595222e316e27cd413a04bc8b68dd4",
         "stdout": (
-            "events=1134 devices=102 persons=93\n"
-            "rmse 2.565902\n"
-            "mape 0.188538\n"
-            "nrmse 0.189377\n"
-            "rmse 24.714689\n"
-            "mape 1.692015\n"
-            "nrmse 1.824074\n"
-            "rmse 3.592136\n"
-            "mape 0.193905\n"
-            "nrmse 0.257367\n"
+            "events=1291 devices=126 persons=93\n"
+            "rmse 2.924787\n"
+            "mape 0.094494\n"
+            "nrmse 0.161943\n"
+            "rmse 24.213262\n"
+            "mape 1.365861\n"
+            "nrmse 1.340670\n"
+            "rmse 2.606307\n"
+            "mape 0.186303\n"
+            "nrmse 0.186735\n"
         ),
-        "macs": "1a044ef8327978e37f7c01dd35b933aa2d2b0b8ae268e1bee820b97c1f0a431f",
-        "people": "61c3435af22c8923cc484e3ee7f456d0bcd8f452bf8f0b60ec037865b8f791db",
+        "macs": "bde9a22f27b079fb79bb2222399343836314b8127e55a0f3431d87f6b85a9477",
+        "people": "c9c16f197b8e30460e9fb162225585e3c4e50543c12b0b2bfa19b9c2dacfde3f",
         "person": "b6d800711ef4852ece432d6a4530fae3e26b12ba8a420bc3b6709f79f757e144",
-        "ratio": "79650e88676b8b8994ff6baad64a71089cf2127753e4891b06ce9c54f9d149cc",
-        "sim.events": "2ccff3671526bea66d3a4db06f9acf1d8bb420b831a4e2195364af155669e46a",
-        "sim.truth": "46b614e294fc9846e7efdcfe02a31ed999e349bebfb1054da984e00a57a12cc0",
+        "ratio": "ef500087fd61caf67d84296084a31e5664eb92c0f78326fff1be2aa1f7c8311f",
+        "sim.events": "0ca3228ae12e649c4cb17290b85fff6bd5f4dd8fd0339a978097de0dc0785959",
+        "sim.truth": "1b72c5d2e825f773a7d16e09fcad7dbaf2c917897532dc30c8f62d3af4bd6816",
     },
     "pinned": {
-        "counts": "06c2ec13187df1a22a9f2a9c9900edef1eb94de788f6c764967de02b00f1e00e",
-        "dev": "c8cd2bf75c420c2eecdf05b5457af5e9d26f4ca89842c8fab88e8c82151539cb",
+        "counts": "8a8f27b987694a44670839e0e1d5518e6d47fc6e8880ca4ad34947d44fdf6252",
+        "dev": "75724bb7243e1ff4fda83ea6265f9fa9d49e7f6d773f83ab64f6b8b82b9fa64d",
         "stdout": (
-            "events=1134 devices=102 persons=93\n"
-            "rmse 1.225983\n"
-            "mape 0.183547\n"
-            "nrmse 0.247377\n"
-            "rmse 27.759510\n"
-            "mape 3.457871\n"
-            "nrmse 5.601269\n"
-            "rmse 1.976799\n"
-            "mape 0.421970\n"
-            "nrmse 0.348708\n"
+            "events=1291 devices=126 persons=93\n"
+            "rmse 1.464871\n"
+            "mape 0.102310\n"
+            "nrmse 0.222604\n"
+            "rmse 28.765699\n"
+            "mape 2.627072\n"
+            "nrmse 4.371275\n"
+            "rmse 1.417917\n"
+            "mape 0.420286\n"
+            "nrmse 0.250121\n"
         ),
-        "macs": "8d33f1ed5e4b9524f9d49141752c1c8f36dfa08fe40a96e5dfb7012c3f7f306e",
-        "people": "ef2b39fc893ef503a1c139d25cce219535aaa6f552c8f387f285e3054c635957",
+        "macs": "84d4fe2fdcc5d3416a9a28fc3d2b6e7decd08b874b0ff988a43c1a57f618432c",
+        "people": "26d803084346070e8e48c7a8de15705275c1de9cbb6a7a689cca7ac897fda2f3",
         "person": "f932252da52d1b05e714b831ddd52f9ae9baa139bb1a4aeb8481dcb38ab2afea",
-        "ratio": "2338f1ce71fa36e30202208e6ecd26613b1bb6632c9762f9362054c41f60f6fb",
-        "sim.events": "2ccff3671526bea66d3a4db06f9acf1d8bb420b831a4e2195364af155669e46a",
-        "sim.truth": "46b614e294fc9846e7efdcfe02a31ed999e349bebfb1054da984e00a57a12cc0",
+        "ratio": "50064c7541df0a7cea9782f4041804bee8760520223e50f964304fc0696d7cdd",
+        "sim.events": "0ca3228ae12e649c4cb17290b85fff6bd5f4dd8fd0339a978097de0dc0785959",
+        "sim.truth": "1b72c5d2e825f773a7d16e09fcad7dbaf2c917897532dc30c8f62d3af4bd6816",
     },
 }
 
