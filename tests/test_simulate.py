@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -865,6 +866,53 @@ def test_simulated_files_keep_their_bytes(config, count, digest):
     assert len(events) == count
     text = format_events(events) + format_trace(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.usefixtures("golden_dir")
+@pytest.mark.parametrize("config,count,digest", GOLDEN_SIMULATIONS)
+def test_the_frame_by_frame_simulator_writes_the_golden_files(config, count, digest):
+    events, entities = oracles.simulate(parse_config(config))
+    assert len(events) == count
+    text = oracles.format_events(events) + "".join(
+        f"{entity} {kind} {owner} {enter:.6f} {leave:.6f}\n"
+        for entity, kind, owner, enter, leave in entities)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.usefixtures("golden_dir")
+@pytest.mark.parametrize("config,count,digest", GOLDEN_SIMULATIONS)
+def test_each_golden_config_rotates_only_its_macs(config, count, digest):
+    # the MACs are the last draws, so any rotation probability keeps the events' times and
+    # the trace; the bursts that keep their MAC carry the device's rotation-0 MAC
+    parsed = parse_config(config)
+    runs = {}
+    for p in (0.0, parsed.rotation_prob, 1.0):
+        runs[p] = simulate(dataclasses.replace(parsed, rotation_prob=p))
+    events, trace = runs[0.0]
+    for other_events, other_trace in runs.values():
+        assert other_events.t.tolist() == events.t.tolist()
+        assert other_trace.entities.tolist() == trace.entities.tolist()
+    assert not is_randomized(events.mac).any()
+    assert is_randomized(runs[1.0][0].mac).all()
+    macs = runs[parsed.rotation_prob][0].mac
+    kept = ~is_randomized(macs)
+    assert set(macs[kept].tolist()) <= set(events.mac.tolist())
+
+
+# the coin is random() < p: 5e-324 rotates only on a draw of 0, 1e-9 about once in a
+# billion bursts, and 1 - 2**-53 on every draw but the largest
+@pytest.mark.parametrize("rotation_prob", [0.0, 5e-324, 1e-9, 1 - 2**-53, 1.0])
+def test_the_rotation_coin_at_its_edges(rotation_prob):
+    config = SimConfig(arrival_rate=0.05, fixed_persons=4, rotation_prob=rotation_prob,
+                       devices_per_person_dist=PoissonCount(1.5), frames_per_burst=(1, 4),
+                       duration=900.0, seed=23)
+    events, trace = simulate(config)
+    expected_events, expected_trace = oracles.simulate(config)
+    assert list(events) == expected_events
+    assert trace.entities.tolist() == expected_trace
+    assert len(events) > 100
+    assert is_randomized(events.mac).all() == (rotation_prob > 0.5)
+    assert is_randomized(events.mac).any() == (rotation_prob > 0.5)
 
 
 def test_simulated_timestamps_round_like_python():
