@@ -5,7 +5,6 @@ from .calibration import CalibrationRatio, estimate_ratio, people_count
 from .counting import sliding_windows
 from .ingest import (
     Events,
-    MacAddress,
     ParseError,
     format_events,
     is_randomized,
@@ -29,7 +28,6 @@ __all__ = [
     "GroundTruthTrace",
     "InsufficientSamplesError",
     "IntervalModel",
-    "MacAddress",
     "ParseError",
     "SimConfig",
     "aggregate",

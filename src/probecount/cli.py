@@ -123,6 +123,9 @@ def _check_window_flags(args: argparse.Namespace) -> None:
     for flag, value in (("--window", args.window), ("--step", args.step)):
         if not 1e-6 <= value < np.inf:
             raise ValueError(f"{flag} must be finite and at least 1e-06 s, got {value!r}")
+    for flag, value in (("--start", args.start), ("--end", args.end)):
+        if value is not None and not -np.inf < value < np.inf:
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     if args.start is not None and round(args.start, 6) != args.start:
         raise ValueError(f"--start must be a whole number of microseconds, got {args.start!r}")
 

@@ -1,10 +1,10 @@
 """Probe-request event ingestion from 802.11 capture files and text logs.
 
-Events are held as columns (``Events``); ``PrfEvent`` is the one-event view
-that iterating them yields.  Also holds the text layer behind every
-line-oriented file, where only ``\\n`` ends a line.  Every column file (event
-text, window series, reference series, ground-truth sidecar) is read by
-``read_table``: it indexes the separators of its bytes in one pass, with ``#`` and
+Events are held only as columns (``Events``), each MAC as the uint64 of its six
+octets, whose order is the order of its colon-hex text.  Also holds the text
+layer behind every line-oriented file, where only ``\\n`` ends a line.  Every
+column file (event text, window series, reference series, ground-truth sidecar) is
+read by ``read_table``: it indexes the separators of its bytes in one pass, with ``#`` and
 blank lines, runs of whitespace and CRLF endings masked, and decodes a block of a
 column at a time by its converter's grammar, or, for a block that holds a field
 outside the grammar or its range, by the converter itself, so that every value and
@@ -27,6 +27,7 @@ import os
 import re
 import stat
 import struct
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -356,34 +357,7 @@ def _mac_value(text: str) -> int:
     return int.from_bytes(raw, "big")
 
 
-def _mac_text(value: int) -> str:
-    """The lowercase colon-hex text of a MAC's integer."""
-    return value.to_bytes(6, "big").hex(":")
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class MacAddress:
-    """A 48-bit MAC address held as an integer.
-
-    The integer is the address's only identity: it orders, hashes and compares
-    MACs.  Its order is the order of the canonical lowercase colon-hex text.
-    """
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < 1 << 48:
-            raise ValueError(f"MAC value out of range: {self.value!r}")
-
-    @property
-    def octets(self) -> tuple[int, ...]:
-        return tuple(self.value.to_bytes(6, "big"))
-
-    def __str__(self) -> str:
-        return _mac_text(self.value)
-
-
-# The rules of event text and of each PrfEvent, as read_table checks (rssi 0 for none).
+# The rules of an event line, as read_table checks them (rssi 0 for none).
 _EVENT_CHECKS = (
     (lambda t, *_: (t >= 0) & (t < MAX_TIMESTAMP),
      lambda t, *_: f"event timestamp {t!r} outside [0, 2**32) s"),
@@ -392,20 +366,9 @@ _EVENT_CHECKS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PrfEvent:
-    """One received probe request frame."""
-
-    timestamp: float
-    mac: MacAddress
-    ap_id: str
-    rssi: int | None = None
-
-    def __post_init__(self) -> None:
-        event = (self.timestamp, self.mac, self.ap_id, 0 if self.rssi is None else self.rssi)
-        for holds, say in _EVENT_CHECKS:
-            if not holds(*event):
-                raise ValueError(say(*event))
+# The row view of ``Events.__iter__``: a frame's time and its MAC's six octets.
+_Row = namedtuple("_Row", "timestamp mac")
+_Octets = namedtuple("_Octets", "octets")
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,21 +410,12 @@ class Events:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __iter__(self) -> Iterator[PrfEvent]:
-        """``PrfEvent`` views, one per event (outside tests only ``bench/inputs.py`` iterates),
-        set slot by slot: the columns passed every check the views' ``__init__`` makes."""
-        new, aps, set_value = object.__new__, self.aps, MacAddress.value.__set__
-        set_t, set_mac, set_ap, set_rssi = (getattr(PrfEvent, slot).__set__
-                                            for slot in PrfEvent.__slots__)
-        columns = (self.t.tolist(), self.mac.tolist(), self.ap.tolist(), self.rssi.tolist())
-        for t, value, ap, rssi in zip(*columns):
-            mac, event = new(MacAddress), new(PrfEvent)
-            set_value(mac, value)
-            set_t(event, t)
-            set_mac(event, mac)
-            set_ap(event, aps[ap])
-            set_rssi(event, None if rssi == RSSI_NONE else rssi)
-            yield event
+    def __iter__(self) -> Iterator[_Row]:
+        """``(timestamp, mac)`` rows whose ``mac.octets`` lists the MAC's six octets, most
+        significant first.  They serve only ``bench/inputs.py``, which reads these two
+        fields, and go once it reads the columns."""
+        octets = self.mac.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 2:]
+        return map(_Row, self.t.tolist(), map(_Octets, octets.tolist()))
 
 
 def is_randomized(mac: int | np.ndarray) -> bool | np.ndarray:
@@ -1011,7 +965,11 @@ def _mac_texts(mac: np.ndarray) -> np.ndarray:
 
 
 def format_events(events: Events) -> str:
-    """Serialize events to the line-delimited text format."""
+    """Serialize events to the line-delimited text format, whose ap names must be one
+    token without whitespace each, so that they read back as themselves."""
+    for name in events.aps:
+        if name.split() != [name]:
+            raise ValueError(f"ap name must be one token without whitespace, got {name!r}")
     aps = "".join(events.aps)
     names = np.array(events.aps, dtype=bytes if aps.isascii() and "\0" not in aps else object)
     levels, level = np.unique(events.rssi, return_inverse=True)

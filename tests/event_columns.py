@@ -1,21 +1,38 @@
-"""``Events`` columns built from ``PrfEvent`` views, for tests."""
+"""Test-local event rows ``(t, mac, ap, rssi)`` and the ``Events`` columns of them."""
 
-from probecount.ingest import RSSI_NONE, Events, MacAddress
+from collections import namedtuple
+
+from probecount.ingest import RSSI_NONE, Events
+
+# One probe request: time (s), the MAC's integer, the ap name and the rssi (None for none).
+Event = namedtuple("Event", "t mac ap rssi", defaults=(None,))
 
 
 def mac(text):
-    """The MAC address of colon-hex ``text``."""
-    return MacAddress(int(text.replace(":", ""), 16))
+    """The integer of colon-hex MAC ``text``."""
+    return int(text.replace(":", ""), 16)
 
 
-def events_of(events):
-    """The columns of time-sorted ``PrfEvent``s, ap names numbered in order of appearance."""
-    events = list(events)
+def mac_text(value):
+    """The lowercase colon-hex text of a MAC's integer."""
+    return value.to_bytes(6, "big").hex(":")
+
+
+def events_of(rows):
+    """The columns of time-sorted ``Event`` rows, ap names numbered in order of appearance."""
+    rows = list(rows)
     aps = {}
     return Events(
-        [e.timestamp for e in events],
-        [e.mac.value for e in events],
-        [aps.setdefault(e.ap_id, len(aps)) for e in events],
-        [RSSI_NONE if e.rssi is None else e.rssi for e in events],
+        [e.t for e in rows],
+        [e.mac for e in rows],
+        [aps.setdefault(e.ap, len(aps)) for e in rows],
+        [RSSI_NONE if e.rssi is None else e.rssi for e in rows],
         tuple(aps),
     )
+
+
+def event_rows(events):
+    """The ``Event`` rows of ``Events`` columns: each ap index looked up in ``aps``."""
+    return [Event(t, m, events.aps[a], None if r == RSSI_NONE else r)
+            for t, m, a, r in zip(events.t.tolist(), events.mac.tolist(), events.ap.tolist(),
+                                  events.rssi.tolist())]

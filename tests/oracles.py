@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from event_columns import Event, mac_text
 from probecount.counting import grid_start
-from probecount.ingest import MacAddress, ParseError, PrfEvent, data_lines
+from probecount.ingest import ParseError, data_lines
 from probecount.simulate import PoissonCount, equilibrium_residual
 
 
@@ -114,11 +115,11 @@ def parse_capture(data, ap_id="cap0"):
         if timestamp >= 2**32:
             late = start if late is None else late
         else:
-            events.append(PrfEvent(timestamp, mac, ap_id, rssi))
+            events.append(Event(timestamp, mac, ap_id, rssi))
     # named only once every record header has been checked
     if late is not None:
         raise ParseError(f"timestamp rounds to 2**32 s at byte offset {late}")
-    events.sort(key=lambda e: e.timestamp)
+    events.sort(key=lambda e: e.t)
     return events
 
 
@@ -154,7 +155,7 @@ def _probe_request(frame, linktype):
         return None
     if frame[0] != 0x40:
         return None
-    return MacAddress(int.from_bytes(frame[10:16], "big")), rssi
+    return int.from_bytes(frame[10:16], "big"), rssi
 
 
 def _radiotap_antsignal(header):
@@ -187,14 +188,14 @@ def aggregate(events, gap):
     open_bursts = {}  # mac -> [start, last_timestamp]
     out = []
     for event in events:
-        mac = event.mac.value
+        mac = event.mac
         cur = open_bursts.get(mac)
-        if cur is not None and event.timestamp - cur[1] <= gap:
-            cur[1] = event.timestamp
+        if cur is not None and event.t - cur[1] <= gap:
+            cur[1] = event.t
         else:
             if cur is not None:
                 out.append((mac, cur[0]))
-            open_bursts[mac] = [event.timestamp, event.timestamp]
+            open_bursts[mac] = [event.t, event.t]
     for mac, cur in open_bursts.items():
         out.append((mac, cur[0]))
     out.sort(key=lambda b: (b[1], b[0]))
@@ -353,7 +354,7 @@ def format_events(events):
     """The event text format, written event by event."""
     lines = []
     for e in events:
-        line = f"{e.timestamp:.6f} {e.mac} {e.ap_id}"
+        line = f"{e.t:.6f} {mac_text(e.mac)} {e.ap}"
         if e.rssi is not None:
             line += f" {e.rssi}"
         lines.append(line + "\n")
@@ -405,7 +406,7 @@ def _draw_mac(rng, randomized):
     randomized, globally administered otherwise."""
     octets = bytearray(int(rng.integers(0, 2**48, dtype=np.uint64)).to_bytes(6, "big"))
     octets[0] = (octets[0] & 0xFC) | (0x02 if randomized else 0x00)
-    return MacAddress(int.from_bytes(octets, "big"))
+    return int.from_bytes(octets, "big")
 
 
 def _device_instants(config, rng, enter, leave):
@@ -457,8 +458,8 @@ def simulate(config):
             mac = _draw_mac(rng, randomized=True)
         offsets = [0.0] if n == 1 else np.linspace(0.0, config.burst_duration, n).tolist()
         for off in offsets:
-            events.append(PrfEvent(round(instant + off, 6), mac, config.ap_id, config.rssi))
-    events.sort(key=lambda e: (e.timestamp, e.mac))
+            events.append(Event(round(instant + off, 6), mac, config.ap_id, config.rssi))
+    events.sort(key=lambda e: (e.t, e.mac))
     return events, entities
 
 

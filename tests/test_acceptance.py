@@ -33,6 +33,7 @@ from probecount.simulate import (
 )
 
 from capture_files import beacon, pcap, probe_request, radiotap
+from event_columns import event_rows, mac
 from monte_carlo import two_burst_dwell_trials
 
 TAU = 60.0
@@ -339,23 +340,20 @@ def test_criterion_9_parser_golden_files():
         (3.0, probe_request("aa:bb:cc:dd:ee:03")),
     ]
     expected = [
-        (1.0, "aa:bb:cc:dd:ee:01"),
-        (2.0, "aa:bb:cc:dd:ee:02"),
-        (3.0, "aa:bb:cc:dd:ee:03"),
+        (1.0, mac("aa:bb:cc:dd:ee:01")),
+        (2.0, mac("aa:bb:cc:dd:ee:02")),
+        (3.0, mac("aa:bb:cc:dd:ee:03")),
     ]
     native = parse_capture(pcap(records))
     swapped = parse_capture(pcap(records, swapped=True))
     rt_records = [(ts, radiotap(frame, rssi=-70)) for ts, frame in records]
     with_radiotap = parse_capture(pcap(rt_records, linktype=127))
 
-    bare_ok = [(e.timestamp, str(e.mac)) for e in native] == expected
-    swap_ok = list(swapped) == list(native)
-    rt_ok = (
-        [(e.timestamp, str(e.mac)) for e in with_radiotap] == expected
-        and all(e.rssi == -70 for e in with_radiotap)
-    )
+    bare_ok = event_rows(native) == [(t, m, "cap0", None) for t, m in expected]
+    swap_ok = event_rows(swapped) == event_rows(native)
+    rt_ok = event_rows(with_radiotap) == [(t, m, "cap0", -70) for t, m in expected]
     text = format_events(native)
-    round_trip_ok = (list(parse_events(text)) == list(native)
+    round_trip_ok = (event_rows(parse_events(text)) == event_rows(native)
                      and format_events(parse_events(text)) == text)
     ok = bare_ok and swap_ok and rt_ok and round_trip_ok
     report(

@@ -15,6 +15,7 @@ from probecount.cli import build_parser, main
 from probecount.intervals import parse_model
 
 from capture_files import pcap, probe_request
+from event_columns import event_rows
 
 EVENTS_TEXT = """\
 0.000000 aa:bb:cc:dd:ee:01 ap0
@@ -100,6 +101,24 @@ def test_fit_text_equals_capture(tmp_path):
     assert main(["fit", str(cap), "--out", str(out_cap)]) == 0
     assert main(["fit", str(txt), "--out", str(out_txt)]) == 0
     assert out_cap.read_text() == out_txt.read_text()
+
+
+def test_count_and_fit_read_a_capture_whose_stem_holds_a_space(tmp_path):
+    # the events' ap id is "hall 7", which format_events refuses; these commands write no
+    # events, so they read the capture as any other
+    cap, txt = tmp_path / "hall 7.pcap", tmp_path / "golden.txt"
+    cap.write_bytes(pcap(GOLDEN_RECORDS))
+    txt.write_text(EVENTS_TEXT)
+    model = tmp_path / "known.model"
+    model.write_text(KNOWN_MODEL)
+    for name, source in (("cap", cap), ("txt", txt)):
+        assert main(["fit", str(source), "--out", str(tmp_path / f"{name}.model")]) == 0
+        assert main(["count", str(source), "--model", str(model),
+                     "--out", str(tmp_path / f"{name}.counts")]) == 0
+        assert main(["count", str(source), "--baseline", "mac",
+                     "--out", str(tmp_path / f"{name}.macs")]) == 0
+    for suffix in ("model", "counts", "macs"):
+        assert (tmp_path / f"cap.{suffix}").read_text() == (tmp_path / f"txt.{suffix}").read_text()
 
 
 def test_fit_empty_input_exits_2(tmp_path, capsys):
@@ -385,7 +404,7 @@ def test_cli_pipeline_matches_in_process_composition(tmp_path):
     )
     assert counts_path.read_text() == format_series(in_process)
     # and the file-parsed events equal the in-process events exactly
-    assert list(parse_events(events_path.read_text())) == list(events)
+    assert event_rows(parse_events(events_path.read_text())) == event_rows(events)
 
 
 def test_truth_person_series(tmp_path, capsys):
@@ -1223,6 +1242,13 @@ def test_fit_refuses_an_area_id_that_is_not_one_token(tmp_path, capsys, area_id)
     # starts 100.0000005 + i*1e-6 would be written 100.000006 twice, and more
     (["--window", "1e-6", "--step", "1e-6", "--start", "100.0000005", "--end", "100.02"],
      "--start must be a whole number of microseconds, got 100.0000005"),
+    # a grid with no finite edge: named at the flag, not at the window grid
+    (["--start", "nan"], "--start must be finite, got nan"),
+    (["--start", "inf"], "--start must be finite, got inf"),
+    (["--start=-inf", "--end", "100"], "--start must be finite, got -inf"),
+    (["--end", "nan"], "--end must be finite, got nan"),
+    (["--end", "inf"], "--end must be finite, got inf"),
+    (["--start", "0", "--end=-inf"], "--end must be finite, got -inf"),
 ])
 def test_a_window_or_step_no_series_file_can_hold_exits_1_naming_the_flag(
         tmp_path, capsys, command, flags, message):
@@ -1233,6 +1259,34 @@ def test_a_window_or_step_no_series_file_can_hold_exits_1_naming_the_flag(
         assert main([arg.format(**f) for arg in command] + flags + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "{missing}", "--baseline", "mac"],
+    ["truth", "--truth", "{missing}"],
+])
+@pytest.mark.parametrize("flag", ["--start", "--end"])
+def test_a_non_finite_grid_edge_is_refused_before_any_input_is_read(
+        tmp_path, capsys, command, flag):
+    missing = tmp_path / "missing"
+    assert main([arg.format(missing=missing) for arg in command] + [flag, "nan"]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got nan\n"
+
+
+def test_truth_refuses_an_end_before_the_first_window_that_count_writes_empty(
+        tmp_path, capsys):
+    f = _files(tmp_path, events=EVENTS_TEXT, model=KNOWN_MODEL, truth=TRUTH_TEXT)
+    grid = ["--window", "180", "--start", "0", "--end", "179.999999"]
+    out = tmp_path / "device.txt"
+    assert main(["truth", "--truth", f["truth"], *grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no complete window fits before --end\n"
+    assert not out.exists()
+    # count writes the header alone for the same grid
+    for counting_flags in (["--model", f["model"]], ["--baseline", "mac"]):
+        counts = tmp_path / "counts.txt"
+        assert main(["count", f["events"], *counting_flags, *grid, "--out", str(counts)]) == 0
+        assert len(counts.read_text().splitlines()) == 1
+        assert counts.read_text().startswith("#")
 
 
 def test_a_microsecond_window_and_step_series_is_read_back(tmp_path, capsys):

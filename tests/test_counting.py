@@ -19,8 +19,7 @@ from probecount.counting import (
     sliding_windows,
     window_grid,
 )
-from event_columns import events_of, mac
-from probecount.ingest import PrfEvent
+from event_columns import Event, events_of, mac
 from probecount.intervals import IntervalModel
 
 MAC = mac("02:00:00:00:00:01")
@@ -29,7 +28,7 @@ MAC = mac("02:00:00:00:00:01")
 def at(*times):
     """One-frame bursts of MAC at sorted ``times``."""
     t = np.array(times, dtype=np.float64)
-    return Bursts(t, np.full(t.size, MAC.value, dtype=np.uint64))
+    return Bursts(t, np.full(t.size, MAC, dtype=np.uint64))
 
 
 def model(tau_mean=60.0, tau_std=60.0):
@@ -282,7 +281,7 @@ def test_monotonicity():
 
 
 def ev(t, mac_text, ap="ap0"):
-    return PrfEvent(t, mac(mac_text), ap)
+    return Event(t, mac(mac_text), ap)
 
 
 def test_mac_baseline_counts_distinct_macs():
@@ -338,7 +337,7 @@ def test_mac_baseline_overcounts_under_rotation():
 def test_mac_count_series_matches_brute_force(frames, size, step):
     events = [ev(t, f"02:00:00:00:00:{m:02x}") for t, m in sorted(frames)]
     for start, n in mac_count_series(events_of(events), float(size), float(step)):
-        assert n == len({e.mac for e in events if contains(start, size, e.timestamp)})
+        assert n == len({e.mac for e in events if contains(start, size, e.t)})
 
 
 def test_mac_count_series_rejects_unsorted():

@@ -7,14 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from event_columns import events_of, mac
+from event_columns import Event, event_rows, events_of, mac, mac_text
 from probecount import ingest
 from probecount.ingest import (
     RSSI_NONE,
     Events,
-    MacAddress,
     ParseError,
-    PrfEvent,
     format_events,
     is_randomized,
     parse_capture,
@@ -33,18 +31,24 @@ from capture_files import (
 )
 
 
-# ---------------------------------------------------------------- MacAddress
+# ---------------------------------------------------------------- MAC addresses
 
 
 def macs_read_back(macs):
-    """The MACs of an event text holding one event per MAC, in the same order."""
-    return [e.mac for e in parse_events("".join(f"0.0 {m} ap\n" for m in macs))]
+    """The MACs of an event text holding one event per MAC text, in the same order."""
+    return parse_events("".join(f"0.0 {m} ap\n" for m in macs)).mac.tolist()
+
+
+def mac_texts(values):
+    """``ingest._mac_texts`` of MAC integers, as ``str``."""
+    return [text.decode() for text in ingest._mac_texts(np.array(values, dtype=np.uint64))]
 
 
 def test_mac_parse_and_format_canonical():
-    [event] = parse_events("1.0 AA:bb:CC:dd:EE:01 ap\n")
-    assert str(event.mac) == "aa:bb:cc:dd:ee:01"
-    assert macs_read_back([event.mac]) == [event.mac]
+    events = parse_events("1.0 AA:bb:CC:dd:EE:01 ap\n")
+    assert events.mac.tolist() == [0xAA_BB_CC_DD_EE_01]
+    assert format_events(events) == "1.000000 aa:bb:cc:dd:ee:01 ap\n"
+    assert macs_read_back(mac_texts(events.mac)) == events.mac.tolist()
 
 
 MAC_VALUES = st.integers(0, 2**48 - 1)
@@ -52,25 +56,17 @@ MAC_VALUES = st.integers(0, 2**48 - 1)
 
 @given(MAC_VALUES)
 def test_mac_round_trip(value):
-    mac = MacAddress(value)
-    assert macs_read_back([mac]) == [mac]
+    assert mac_texts([value]) == [mac_text(value)]
+    assert macs_read_back(mac_texts([value])) == [value]
 
 
 @given(st.lists(MAC_VALUES, max_size=20))
 def test_mac_integer_identity(values):
-    macs = [MacAddress(v) for v in values]
-    assert sorted(macs) == sorted(macs, key=str)
-    assert macs_read_back(macs) == macs
-    for mac in macs:
-        assert len(mac.octets) == 6
-        assert MacAddress(int.from_bytes(bytes(mac.octets), "big")) == mac
-        assert ":".join(f"{o:02x}" for o in mac.octets) == str(mac)
-
-
-@given(st.one_of(st.integers(max_value=-1), st.integers(min_value=2**48)))
-def test_mac_rejects_values_outside_48_bits(value):
-    with pytest.raises(ValueError, match="out of range"):
-        MacAddress(value)
+    texts = mac_texts(values)
+    assert sorted(texts) == mac_texts(sorted(values))  # integer order is text order
+    assert macs_read_back(texts) == values
+    for value, text in zip(values, texts):
+        assert text == ":".join(f"{o:02x}" for o in value.to_bytes(6, "big"))
 
 
 @pytest.mark.parametrize("bad", ["", "aa:bb:cc:dd:ee", "zz:00:00:00:00:01", "aabbccddeeff", "a:b:c:d:e:f"])
@@ -88,7 +84,7 @@ def test_mac_parse_rejects_malformed(bad):
     ],
 )
 def test_is_randomized(text, expected):
-    assert is_randomized(mac(text).value) is expected
+    assert is_randomized(mac(text)) is expected
 
 
 @given(MAC_VALUES)
@@ -105,30 +101,19 @@ def test_is_randomized_on_a_column_matches_the_scalar_form(values):
     assert flags.tolist() == [is_randomized(v) for v in values]
 
 
-def test_event_rejects_bad_timestamp():
-    mac = MacAddress(0x02_00_00_00_00_01)
-    with pytest.raises(ValueError):
-        PrfEvent(float("nan"), mac, "ap")
-    with pytest.raises(ValueError):
-        PrfEvent(-1.0, mac, "ap")
-    with pytest.raises(ValueError):
-        PrfEvent(2.0**32, mac, "ap")
-    assert PrfEvent(2.0**32 - 1e-6, mac, "ap").timestamp < 2**32
-
-
 # ---------------------------------------------------------------- text format
 
 
 def test_parse_events_sorts_by_timestamp():
     text = "2.0 aa:bb:cc:dd:ee:02 ap1\n1.0 aa:bb:cc:dd:ee:01 ap1\n"
     events = parse_events(text)
-    assert [e.timestamp for e in events] == [1.0, 2.0]
+    assert events.t.tolist() == [1.0, 2.0]
 
 
 def test_parse_events_stable_for_ties():
     text = "1.0 aa:bb:cc:dd:ee:02 ap1\n1.0 aa:bb:cc:dd:ee:01 ap2\n"
     events = parse_events(text)
-    assert [e.ap_id for e in events] == ["ap1", "ap2"]
+    assert [e.ap for e in event_rows(events)] == ["ap1", "ap2"]
 
 
 def test_parse_events_empty_input():
@@ -138,7 +123,7 @@ def test_parse_events_empty_input():
 
 def test_parse_events_rssi_optional():
     events = parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 -63\n2.0 aa:bb:cc:dd:ee:01 ap1\n")
-    assert [e.rssi for e in events] == [-63, None]
+    assert [e.rssi for e in event_rows(events)] == [-63, None]
 
 
 @pytest.mark.parametrize(
@@ -380,19 +365,18 @@ GOLDEN_RECORDS = [
 
 def test_parse_capture_golden():
     events = parse_capture(pcap(GOLDEN_RECORDS), ap_id="ap0")
-    assert [(e.timestamp, str(e.mac)) for e in events] == [
-        (1.0, "aa:bb:cc:dd:ee:01"),
-        (2.0, "aa:bb:cc:dd:ee:02"),
-        (3.0, "aa:bb:cc:dd:ee:03"),
+    assert event_rows(events) == [
+        (1.0, mac("aa:bb:cc:dd:ee:01"), "ap0", None),
+        (2.0, mac("aa:bb:cc:dd:ee:02"), "ap0", None),
+        (3.0, mac("aa:bb:cc:dd:ee:03"), "ap0", None),
     ]
-    assert all(e.ap_id == "ap0" and e.rssi is None for e in events)
 
 
 def test_parse_capture_skips_non_probe_frames():
     records = GOLDEN_RECORDS[:1] + [(1.5, beacon("aa:bb:cc:dd:ee:09"))] + GOLDEN_RECORDS[1:]
     records.append((3.5, data_frame("aa:bb:cc:dd:ee:08")))
     events = parse_capture(pcap(records))
-    assert [str(e.mac) for e in events] == [
+    assert list(map(mac_text, events.mac.tolist())) == [
         "aa:bb:cc:dd:ee:01",
         "aa:bb:cc:dd:ee:02",
         "aa:bb:cc:dd:ee:03",
@@ -402,46 +386,42 @@ def test_parse_capture_skips_non_probe_frames():
 def test_parse_capture_byte_swapped_matches_native():
     native = parse_capture(pcap(GOLDEN_RECORDS))
     swapped = parse_capture(pcap(GOLDEN_RECORDS, swapped=True))
-    assert list(native) == list(swapped)
+    assert event_rows(native) == event_rows(swapped)
 
 
 def test_parse_capture_radiotap_with_rssi():
     records = [(1.25, radiotap(probe_request("aa:bb:cc:dd:ee:01"), rssi=-72))]
-    [event] = parse_capture(pcap(records, linktype=127))
-    assert event.rssi == -72
-    assert str(event.mac) == "aa:bb:cc:dd:ee:01"
-    assert event.timestamp == 1.25
+    assert event_rows(parse_capture(pcap(records, linktype=127))) == [
+        (1.25, mac("aa:bb:cc:dd:ee:01"), "cap0", -72)]
 
 
 def test_parse_capture_radiotap_without_rssi():
     records = [(1.0, radiotap(probe_request("aa:bb:cc:dd:ee:01")))]
-    [event] = parse_capture(pcap(records, linktype=127))
-    assert event.rssi is None
+    assert parse_capture(pcap(records, linktype=127)).rssi.tolist() == [RSSI_NONE]
 
 
 def test_parse_capture_radiotap_alignment_and_extension():
     # TSFT forces 8-byte alignment before the antenna signal; the extended
     # present bitmap shifts the field area by another word.
     frame = radiotap(probe_request("aa:bb:cc:dd:ee:01"), rssi=-55, tsft=123456, extended=True)
-    [event] = parse_capture(pcap([(2.0, frame)], linktype=127))
-    assert event.rssi == -55
+    assert parse_capture(pcap([(2.0, frame)], linktype=127)).rssi.tolist() == [-55]
 
 
 def test_parse_capture_radiotap_swapped_byte_order():
     records = [(1.25, radiotap(probe_request("aa:bb:cc:dd:ee:01"), rssi=-72))]
     native = parse_capture(pcap(records, linktype=127))
     swapped = parse_capture(pcap(records, linktype=127, swapped=True))
-    assert list(native) == list(swapped)
+    assert event_rows(native) == event_rows(swapped)
 
 
 def test_parse_capture_sorts_out_of_order_records():
     events = parse_capture(pcap(list(reversed(GOLDEN_RECORDS))))
-    assert [e.timestamp for e in events] == [1.0, 2.0, 3.0]
+    assert events.t.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_parse_capture_microsecond_timestamps():
-    [event] = parse_capture(pcap([(1.000001, probe_request("aa:bb:cc:dd:ee:01"))]))
-    assert event.timestamp == 1.000001
+    events = parse_capture(pcap([(1.000001, probe_request("aa:bb:cc:dd:ee:01"))]))
+    assert events.t.tolist() == [1.000001]
 
 
 def test_parse_capture_rejects_bad_magic():
@@ -473,7 +453,7 @@ def test_parse_capture_rejects_microseconds_past_one_second():
     with pytest.raises(ParseError, match=f"microsecond field 5000000 .* byte offset {offset}"):
         parse_capture(bytes(data))
     struct.pack_into("<I", data, offset + 4, 999_999)
-    assert [e.timestamp for e in parse_capture(bytes(data))] == [1.0, 2.999999, 3.0]
+    assert parse_capture(bytes(data)).t.tolist() == [1.0, 2.999999, 3.0]
 
 
 def test_parse_capture_truncated_record_header_names_offset():
@@ -490,7 +470,7 @@ def test_capture_to_text_round_trip():
     ]
     events = parse_capture(pcap(records), ap_id="ap0")
     text = format_events(events)
-    assert list(parse_events(text)) == list(events)
+    assert event_rows(parse_events(text)) == event_rows(events)
     assert format_events(parse_events(text)) == text
 
 
@@ -499,9 +479,9 @@ def test_capture_to_text_round_trip():
 
 def sample_events():
     return [
-        PrfEvent(1.0, MacAddress(1), "ap0", -60),
-        PrfEvent(1.0, MacAddress(2), "ap1"),
-        PrfEvent(2.5, MacAddress(2**48 - 1), "ap0", -32767),
+        Event(1.0, 1, "ap0", -60),
+        Event(1.0, 2, "ap1"),
+        Event(2.5, 2**48 - 1, "ap0", -32767),
     ]
 
 
@@ -513,7 +493,9 @@ def test_events_columns_and_views():
     assert events.ap.dtype == np.int32 and events.rssi.dtype == np.int16
     assert events.aps == ("ap0", "ap1")
     assert events.rssi.tolist() == [-60, RSSI_NONE, -32767]
-    assert list(events) == listed
+    assert event_rows(events) == listed
+    assert [(row.timestamp, tuple(row.mac.octets)) for row in events] == [
+        (1.0, (0, 0, 0, 0, 0, 1)), (1.0, (0, 0, 0, 0, 0, 2)), (2.5, (255,) * 6)]
 
 
 # Time-sorted event rows up to the last float below 2**32 (2**32 - 2**-21) and the MAC
@@ -527,43 +509,28 @@ _EVENT_ROWS = st.lists(st.tuples(
 
 
 @given(_EVENT_ROWS)
-def test_event_views_equal_the_constructors_views(rows):
+def test_the_row_view_holds_each_time_and_mac_octets(listed):
     aps = ("ap0", "lobby", "é")
-    events = Events(*([list(column) for column in zip(*rows)] or [[]] * 4), aps)
-    built = [PrfEvent(t, MacAddress(m), aps[a], None if r == RSSI_NONE else r)
-             for t, m, a, r in rows]
-    views = list(events)
-    assert views == built
-    assert [hash(v) for v in views] == [hash(b) for b in built]
-    assert [hash(v.mac) for v in views] == [hash(b.mac) for b in built]
-    assert list(map(repr, views)) == list(map(repr, built))
-    assert sorted(v.mac for v in views) == sorted(b.mac for b in built)
-    for view in views:
-        assert type(view) is PrfEvent and type(view.mac) is MacAddress
-        assert type(view.timestamp) is float and type(view.mac.value) is int
-        assert view.rssi is None or type(view.rssi) is int
-        with pytest.raises(AttributeError):
-            view.timestamp = 0.0
-        with pytest.raises(AttributeError):
-            view.mac.value = 0
+    events = Events(*([list(column) for column in zip(*listed)] or [[]] * 4), aps)
+    assert event_rows(events) == [(t, m, aps[a], None if r == RSSI_NONE else r)
+                                  for t, m, a, r in listed]
+    assert [(row.timestamp, list(row.mac.octets)) for row in events] == [
+        (t, list(m.to_bytes(6, "big"))) for t, m, _, _ in listed]
+    for row in events:
+        assert type(row.timestamp) is float and all(type(o) is int for o in row.mac.octets)
 
 
-@pytest.mark.parametrize("args,message", [
-    ((-1.0,), "event timestamp -1.0 outside [0, 2**32) s"),
-    ((2.0**32,), "event timestamp 4294967296.0 outside [0, 2**32) s"),
-    ((float("nan"),), "event timestamp nan outside [0, 2**32) s"),
-    ((1.0, RSSI_NONE), "rssi -32768 outside [-32767, 32767]"),
-    ((1.0, 2**15), "rssi 32768 outside [-32767, 32767]"),
+@pytest.mark.parametrize("line,message", [
+    ("-1.0 01:00:00:00:00:01 ap", "event timestamp -1.0 outside [0, 2**32) s"),
+    ("4294967296.0 01:00:00:00:00:01 ap", "event timestamp 4294967296.0 outside [0, 2**32) s"),
+    ("nan 01:00:00:00:00:01 ap", "event timestamp nan outside [0, 2**32) s"),
+    (f"1.0 01:00:00:00:00:01 ap {RSSI_NONE}", "rssi -32768 outside [-32767, 32767]"),
+    (f"1.0 01:00:00:00:00:01 ap {2**15}", "rssi 32768 outside [-32767, 32767]"),
 ])
-def test_building_an_event_directly_still_checks_it(args, message):
-    timestamp, *rssi = args
-    with pytest.raises(ValueError) as raised:
-        PrfEvent(timestamp, MacAddress(1), "ap", *rssi)
-    assert str(raised.value) == message
-    for value in (-1, 2**48):
-        with pytest.raises(ValueError) as raised:
-            MacAddress(value)
-        assert str(raised.value) == f"MAC value out of range: {value!r}"
+def test_each_event_rule_says_what_it_refuses(line, message):
+    with pytest.raises(ParseError) as raised:
+        parse_events(line + "\n")
+    assert str(raised.value) == f"line 1: {message}"
 
 
 def test_events_columns_are_read_only():
@@ -575,8 +542,9 @@ def test_events_columns_are_read_only():
 def test_events_compare_ap_names_not_indices():
     a = Events([1.0, 2.0], [1, 1], [0, 1], [RSSI_NONE] * 2, ("x", "y"))
     b = Events([1.0, 2.0], [1, 1], [1, 0], [RSSI_NONE] * 2, ("y", "x"))
-    assert list(a) == list(b)
-    assert list(a) != list(Events([1.0, 2.0], [1, 1], [0, 0], [RSSI_NONE] * 2, ("x", "y")))
+    assert event_rows(a) == event_rows(b)
+    c = Events([1.0, 2.0], [1, 1], [0, 0], [RSSI_NONE] * 2, ("x", "y"))
+    assert event_rows(a) != event_rows(c)
 
 
 @pytest.mark.parametrize(
@@ -585,7 +553,9 @@ def test_events_compare_ap_names_not_indices():
         (([2.0, 1.0], [1, 1], [0, 0], [0, 0], ("a",)), "not sorted"),
         (([-1.0], [1], [0], [0], ("a",)), "timestamp"),
         (([float("nan")], [1], [0], [0], ("a",)), "timestamp"),
+        (([2.0**32], [1], [0], [0], ("a",)), "timestamp"),
         (([1.0], [2**48], [0], [0], ("a",)), "MAC"),
+        (([1.0], [2**64 - 1], [0], [0], ("a",)), "MAC"),
         (([1.0], [1], [1], [0], ("a",)), "ap"),
         (([1.0], [1, 2], [0], [0], ("a",)), "length"),
     ],
@@ -596,13 +566,10 @@ def test_events_reject_bad_columns(columns, fragment):
 
 
 def test_parse_events_rejects_rssi_outside_int16():
-    [event] = parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 32767\n")
-    assert event.rssi == 32767
-    for rssi in ("32768", "-32768"):
+    assert parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 32767\n").rssi.tolist() == [32767]
+    for rssi in ("32768", "-32768", "40000"):
         with pytest.raises(ParseError, match="line 1: rssi"):
             parse_events(f"1.0 aa:bb:cc:dd:ee:01 ap1 {rssi}\n")
-    with pytest.raises(ValueError, match="rssi"):
-        PrfEvent(1.0, MacAddress(1), "ap", 40000)
 
 
 def test_format_events_matches_per_event_writer():
@@ -615,12 +582,12 @@ def test_format_events_matches_per_event_writer():
         ("ap0", "lobby", "x"),
     )
     text = format_events(events)
-    assert text == oracles.format_events(events)
+    assert text == oracles.format_events(event_rows(events))
     assert text.splitlines()[:2] == [
         "1.000000 00:00:00:00:00:05 ap0",
         "1.000000 00:00:00:00:00:03 lobby -60",
     ]
-    assert list(parse_events(text)) == list(events)
+    assert event_rows(parse_events(text)) == event_rows(events)
 
 
 @given(
@@ -634,16 +601,30 @@ def test_format_events_matches_per_event_writer():
         max_size=30,
     )
 )
-def test_format_events_from_columns_matches_views(rows):
-    rows.sort(key=lambda row: row[0])
-    events = events_of(PrfEvent(t, MacAddress(mac), ap, rssi) for t, mac, ap, rssi in rows)
-    assert format_events(events) == oracles.format_events(events)
+def test_format_events_from_columns_matches_the_per_event_writer(listed):
+    listed = sorted(map(Event._make, listed), key=lambda row: row.t)
+    assert format_events(events_of(listed)) == oracles.format_events(listed)
 
 
 def test_format_events_needs_time_order():
-    late, early = (PrfEvent(t, MacAddress(1), "ap0") for t in (2.0, 1.0))
+    late, early = (Event(t, 1, "ap0") for t in (2.0, 1.0))
     with pytest.raises(ValueError, match="not sorted by timestamp"):
         format_events(events_of([late, early]))
+
+
+@pytest.mark.parametrize("name", ["hall 7", "", "a b", "tab\tap", "no-break\xa0ap"])
+def test_format_events_refuses_an_ap_name_that_reads_back_as_other_values(name):
+    # "hall 7", the ap of a capture named "hall 7.pcap", would read back as ap "hall" with
+    # rssi 7; "" and "a b" would write lines that parse_events refuses
+    events = parse_capture(pcap(GOLDEN_RECORDS), ap_id=name)
+    with pytest.raises(ValueError) as raised:
+        format_events(events)
+    assert str(raised.value) == f"ap name must be one token without whitespace, got {name!r}"
+
+
+def test_format_events_writes_any_one_token_ap_name():
+    events = parse_capture(pcap(GOLDEN_RECORDS), ap_id="hall_7#é")
+    assert event_rows(parse_events(format_events(events))) == event_rows(events)
 
 
 # ---------------------------------------------------------------- capture variants
@@ -656,15 +637,16 @@ def test_parse_capture_nanosecond_matches_microsecond(swapped):
                (3.5, radiotap(probe_request("aa:bb:cc:dd:ee:03")))]
     micro = parse_capture(pcap(records, linktype=127, swapped=swapped))
     nano = parse_capture(pcap(records, linktype=127, swapped=swapped, nanosecond=True))
-    assert list(nano) == list(micro)
-    assert [(e.timestamp, e.rssi) for e in nano] == [(1.0, None), (2.000001, -40), (3.5, None)]
+    assert event_rows(nano) == event_rows(micro)
+    assert nano.t.tolist() == [1.0, 2.000001, 3.5]
+    assert nano.rssi.tolist() == [RSSI_NONE, -40, RSSI_NONE]
 
 
 def test_parse_capture_nanoseconds_round_half_to_even():
     frame = probe_request("aa:bb:cc:dd:ee:01")
     fractions = [499, 500, 1500, 2500, 2501, 999_999_499, 999_999_500]
     data = pcap_records([(7, f, frame) for f in fractions], nanosecond=True)
-    assert [e.timestamp for e in parse_capture(data)] == [
+    assert parse_capture(data).t.tolist() == [
         7.0, 7.0, 7.000002, 7.000002, 7.000003, 7.999999, 8.0
     ]
 
@@ -754,8 +736,7 @@ def test_parse_capture_names_pcapng():
 def test_parse_capture_radiotap_every_field_before_antsignal():
     fields = {0: bytes(8), 1: b"\x10", 2: b"\x02", 3: bytes(4), 4: bytes(2), 5: b"\xb5"}
     frame = radiotap_fields(probe_request("aa:bb:cc:dd:ee:01"), fields, ext_words=2)
-    [event] = parse_capture(pcap([(1.0, frame)], linktype=127))
-    assert event.rssi == -75
+    assert parse_capture(pcap([(1.0, frame)], linktype=127)).rssi.tolist() == [-75]
 
 
 
@@ -776,7 +757,7 @@ def test_parse_capture_antenna_signal_after_every_field_subset(ext_words):
             headers.append(header)
     events = parse_capture(pcap(records, linktype=127))
     expected = [oracles._radiotap_antsignal(header) for header in headers]
-    assert [e.rssi for e in events] == expected
+    assert [e.rssi for e in event_rows(events)] == expected
     assert expected[0::3] == [None] * 32
     assert expected[1::3] == expected[2::3] == [-1 - bits - 32 * ext_words for bits in range(32)]
 
@@ -785,12 +766,11 @@ def test_parse_capture_radiotap_antsignal_past_header_is_not_read():
     # rt_len 8 ends the header where the antenna signal would start: the byte
     # there is the frame's first (0x40), not a signal strength
     frame = struct.pack("<BBHI", 0, 0, 8, 1 << 5) + probe_request("aa:bb:cc:dd:ee:01")
-    [event] = parse_capture(pcap([(1.0, frame)], linktype=127))
-    assert event.rssi is None
+    assert parse_capture(pcap([(1.0, frame)], linktype=127)).rssi.tolist() == [RSSI_NONE]
 
 # ---------------------------------------------------------------- differential and fuzz
 
-MAC_TEXTS = st.integers(0, 2**48 - 1).map(lambda v: str(MacAddress(v)))
+MAC_TEXTS = MAC_VALUES.map(mac_text)
 
 FRAMES = st.one_of(
     st.builds(probe_request, MAC_TEXTS),
@@ -837,10 +817,12 @@ def captures(draw):
 
 
 def outcome(parse, data):
+    """The event rows ``parse`` gives ``data`` under ap ``ap``, or its error message."""
     try:
-        return list(parse(data, "ap"))
+        events = parse(data, "ap")
     except ParseError as exc:
         return str(exc)
+    return event_rows(events) if isinstance(events, Events) else events
 
 
 # The decoder's block size, and small ones that put block edges inside small captures.

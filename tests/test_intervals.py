@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from probecount.bursts import Bursts, aggregate
-from event_columns import events_of
-from probecount.ingest import MacAddress, PrfEvent
+from event_columns import Event, events_of
 from probecount.intervals import (
     MAX_BINS,
     InsufficientSamplesError,
@@ -23,14 +22,14 @@ from probecount.intervals import (
     parse_model,
 )
 
-MAC_A = MacAddress(0x02_00_00_00_00_01)
-MAC_B = MacAddress(0x02_00_00_00_00_02)
+MAC_A = 0x02_00_00_00_00_01
+MAC_B = 0x02_00_00_00_00_02
 
 
 def bursts_of(rows):
     """One-frame bursts at the (time, MAC) ``rows``, in their order."""
     t = np.array([time for time, _ in rows], dtype=np.float64)
-    mac = np.array([mac.value for _, mac in rows], dtype=np.uint64)
+    mac = np.array([mac for _, mac in rows], dtype=np.uint64)
     return Bursts(t, mac)
 
 
@@ -102,7 +101,7 @@ def test_extract_from_simulated_trace_with_persistent_macs():
 
 
 
-MACS = [MacAddress(v) for v in (1, 2, 2**48 - 1)]
+MACS = [1, 2, 2**48 - 1]
 
 
 @given(
@@ -114,7 +113,7 @@ def test_extract_matches_burst_by_burst_extractor(rows, cutoff):
     rows = [(t, MACS[m]) for t, m in sorted(rows, key=lambda r: r[0])]
     samples = extract_intervals(bursts_of(rows), cutoff=cutoff)
     assert samples.dtype == np.float64
-    expected = oracles.extract_intervals([(mac.value, t) for t, mac in rows], cutoff)
+    expected = oracles.extract_intervals([(mac, t) for t, mac in rows], cutoff)
     assert samples.tolist() == expected
 
 
@@ -124,7 +123,7 @@ def test_extract_matches_burst_by_burst_extractor(rows, cutoff):
     st.sampled_from([30.0, 600.0]),
 )
 def test_extract_from_aggregate_matches_extractor(rows, cutoff):
-    events = events_of(PrfEvent(t, MACS[m], "ap0") for t, m in sorted(rows, key=lambda r: r[0]))
+    events = events_of(Event(t, MACS[m], "ap0") for t, m in sorted(rows, key=lambda r: r[0]))
     bursts = aggregate(events)
     expected = oracles.extract_intervals(zip(bursts.mac.tolist(), bursts.instant.tolist()), cutoff)
     assert extract_intervals(bursts, cutoff=cutoff).tolist() == expected

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import importlib
 import math
 import re
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from event_columns import event_rows
 from probecount.ingest import Events, format_events, is_randomized, parse_events, round6
 from probecount.intervals import fit, format_model
 from probecount.simulate import (
@@ -388,14 +391,14 @@ def test_simulate_deterministic():
     cfg = SimConfig(duration=1200.0, seed=99)
     first = simulate(cfg)
     second = simulate(cfg)
-    assert list(first[0]) == list(second[0])
+    assert event_rows(first[0]) == event_rows(second[0])
     assert first[1].entities.tolist() == second[1].entities.tolist()
 
 
 def test_simulate_seed_changes_output():
     a, _ = simulate(SimConfig(duration=1200.0, seed=1))
     b, _ = simulate(SimConfig(duration=1200.0, seed=2))
-    assert list(a) != list(b)
+    assert event_rows(a) != event_rows(b)
 
 
 def test_simulate_zero_duration_empty():
@@ -432,7 +435,7 @@ def test_simulate_rotation_one_uses_fresh_virtual_macs():
     assert len(events) > 10
     assert is_randomized(events.mac).all()
     # single-frame bursts with per-burst rotation: every event a distinct MAC
-    assert len({e.mac for e in events}) == len(events)
+    assert len(set(events.mac.tolist())) == len(events)
 
 
 def test_simulate_fixed_persons_span_whole_run():
@@ -444,14 +447,37 @@ def test_simulate_fixed_persons_span_whole_run():
 
 def test_simulate_events_sorted_and_timestamps_rounded():
     events, _ = simulate(SimConfig(duration=1500.0, seed=12))
-    ts = [e.timestamp for e in events]
+    ts = events.t.tolist()
     assert ts == sorted(ts)
     assert all(round(t, 6) == t for t in ts)
 
 
 def test_simulate_event_text_round_trip():
     events, _ = simulate(SimConfig(duration=1500.0, seed=14))
-    assert list(parse_events(format_events(events))) == list(events)
+    assert event_rows(parse_events(format_events(events))) == event_rows(events)
+
+
+@pytest.mark.parametrize("config", [
+    "duration 1200\nseed 4\nrotation_prob 0.3\narrival_rate 0.02\nfixed_persons 3\n"
+    "devices_per_person_dist poisson:mean=1.5\nframes_per_burst 1..3\n",
+    "duration 0\nseed 4\n",
+])
+def test_the_benchmark_set_up_reads_the_simulators_columns(monkeypatch, config):
+    # bench/inputs.py writes every workload's input files from simulate_arrays, which
+    # reads the events' row view and the trace's entity rows: they must give the columns
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs = importlib.import_module("inputs")
+    t, mac, truth = inputs.simulate_arrays(config)
+    events, trace = simulate(parse_config(config))
+    assert t.dtype == np.float64 and mac.dtype == np.uint64
+    assert t.tobytes() == events.t.tobytes() and mac.tobytes() == events.mac.tobytes()
+    assert sorted(truth) == ["device_enter", "device_leave", "person_enter", "person_leave"]
+    for kind in ("device", "person"):
+        entities = of_kind(trace, kind)
+        assert truth[f"{kind}_enter"].tobytes() == entities.enter.tobytes()
+        assert truth[f"{kind}_leave"].tobytes() == entities.leave.tobytes()
+    if len(events):
+        assert 0 < is_randomized(mac).mean() < 1 and of_kind(trace, "person").size > 3
 
 
 def test_simulate_total_dwell_tracks_burst_count():
@@ -488,8 +514,8 @@ def test_simulate_heterogeneous_interval_scales():
     events, trace = simulate(cfg)
     # per-device interval means really do spread out
     per_device = {}
-    for e in events:
-        per_device.setdefault(e.mac, []).append(e.timestamp)
+    for t, mac in zip(events.t.tolist(), events.mac.tolist()):
+        per_device.setdefault(mac, []).append(t)
     means = [np.mean(np.diff(ts)) for ts in per_device.values() if len(ts) > 20]
     assert max(means) / min(means) > 1.5
     # device scales have unit mean, so the aggregate burst rate per
@@ -737,7 +763,7 @@ def test_simulate_matches_frame_by_frame_simulator(
     )
     events, trace = simulate(cfg)
     expected_events, expected_trace = oracles.simulate(cfg)
-    assert list(events) == expected_events
+    assert event_rows(events) == expected_events
     assert format_events(events) == oracles.format_events(expected_events)
     assert trace.entities.tolist() == expected_trace
 
@@ -908,7 +934,7 @@ def test_the_rotation_coin_at_its_edges(rotation_prob):
                        duration=900.0, seed=23)
     events, trace = simulate(config)
     expected_events, expected_trace = oracles.simulate(config)
-    assert list(events) == expected_events
+    assert event_rows(events) == expected_events
     assert trace.entities.tolist() == expected_trace
     assert len(events) > 100
     assert is_randomized(events.mac).all() == (rotation_prob > 0.5)
