@@ -188,14 +188,16 @@ def _cmd_count(args: argparse.Namespace) -> int:
     events = _read_input(args)
     grid = dict(start=args.start, end=args.end)
     if args.baseline == "mac":
-        series = counting.mac_count_series(events, args.window, args.step, **grid)
+        with naming(args.input):
+            series = counting.mac_count_series(events, args.window, args.step, **grid)
         _write_output(counting.format_mac_series(series, args.window), args.out)
         return EXIT_OK
     if not args.model:
         raise ValueError("--model is required unless --baseline is given")
     model = read_file(args.model, intervals.parse_model)
     bursts = aggregate(events, gap=args.gap)
-    estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
+    with naming(args.input):
+        estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
     _write_output(counting.format_series(estimates), args.out)
     return EXIT_OK
 
@@ -284,15 +286,9 @@ def _cmd_truth(args: argparse.Namespace) -> int:
     _check_window_flags(args)
     trace = read_file(args.truth_file, simulate.parse_trace)
     entities = trace.entities[trace.entities.kind == args.kind]
-    if not entities.size:
-        raise ValueError(f"{args.truth_file}: trace contains no {args.kind} entities")
-    start = args.start
-    if start is None:
-        start = counting.grid_start(float(entities.enter.min()), args.step)
-    end = args.end if args.end is not None else float(entities.leave.max())
-    starts = counting.window_grid(start, end, args.window, args.step)
-    if not starts.size:
-        raise ValueError("no complete window fits before --end")
+    extent = (entities.enter.min(), entities.leave.max()) if entities.size else (None, None)
+    with naming(args.truth_file):
+        starts = counting.series_grid(args.window, args.step, *extent, args.start, args.end)
     truth = simulate.ground_truth_series(replace(trace, entities=entities), starts, args.window)
     values = truth.n_bar if args.kind == "device" else truth.m_bar
     series = np.rec.fromarrays([starts, values], dtype=calibration.REFERENCE_DTYPE)

@@ -81,6 +81,29 @@ def grid_start(first: float, step: float) -> float:
     return start - step if start > first else start
 
 
+def series_grid(size: float, step: float, first: float | None, last: float | None,
+                start: float | None = None, end: float | None = None) -> np.ndarray:
+    """The starts of every series' window grid over data from ``first`` to ``last`` (None
+    without data): ``start`` defaults to the multiple of ``step`` at or before ``first`` and
+    ``end`` to ``last``; a default edge without data and a grid with no window are refused."""
+    if (start is None or end is None) and (first is None or last is None):
+        raise ValueError("no observations to place the window grid on: pin --start and --end")
+    start = grid_start(first, step) if start is None else start
+    _check_start(start)
+    starts = window_grid(start, last if end is None else end, size, step)
+    if not starts.size:
+        raise ValueError("no complete window fits before --end")
+    _check_start(float(starts[-1]))
+    return starts
+
+
+def _check_start(start: float) -> None:
+    """Refuse a start where float seconds no longer keep microseconds apart."""
+    if abs(start) >= 2**33:
+        raise ValueError(f"window start {start!r} lies 2**33 s or more from 0, where float "
+                         "seconds no longer keep microseconds apart")
+
+
 def _series_grid(
     times: np.ndarray,
     what: str,
@@ -89,24 +112,12 @@ def _series_grid(
     start: float | None,
     end: float | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's starts over sorted ``times``, and each window's [lo, hi) slice of them.
-
-    ``start`` defaults to the lattice point at or before the first time and
-    ``end`` to the last time plus ``size``, so the trailing window holding the
-    last time is kept.  Without data, a grid needs both bounds.
-    """
-    if not size > 0 or not step > 0:
-        raise ValueError("window size and step must be positive")
+    """The grid's starts over sorted ``times``, which reach to the last time plus ``size``
+    (so the trailing window holding it is kept), and each window's [lo, hi) slice of them."""
     if np.any(times[1:] < times[:-1]):
         raise ValueError(f"{what} not sorted")
-    if times.size == 0 and (start is None or end is None):
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty(0), empty, empty
-    if start is None:
-        start = grid_start(float(times[0]), step)
-    if end is None:
-        end = float(times[-1]) + size
-    starts = window_grid(start, end, size, step)
+    first, last = (float(times[0]), float(times[-1]) + size) if times.size else (None, None)
+    starts = series_grid(size, step, first, last, start, end)
     lo, hi = np.searchsorted(times, [starts, starts + size], side="left")
     return starts, lo, hi
 

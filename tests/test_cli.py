@@ -142,6 +142,9 @@ def test_fit_malformed_line_exits_1(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+NO_OBSERVATIONS = "no observations to place the window grid on: pin --start and --end"
+
+
 def _oserror(code, path):
     return f"error: [Errno {code}] {os.strerror(code)}: '{path}'\n"
 
@@ -150,7 +153,7 @@ def _oserror(code, path):
 # code it had when every input was read into bytes.
 @pytest.mark.parametrize("argv,code,out,err", [
     (["fit", "{empty}"], 2, "", "error: insufficient interval samples (need at least 2)\n"),
-    (["count", "{empty}", "--baseline", "mac"], 0, "# start w unique_macs\n", ""),
+    (["count", "{empty}", "--baseline", "mac"], 1, "", f"error: {{empty}}: {NO_OBSERVATIONS}\n"),
     (["count", "{empty}", "--model", "{empty}"], 1, "",
      "error: {empty}: interval model file missing keys: area_id, tau_mean, tau_std, "
      "sample_count, bin_width, histogram\n"),
@@ -482,21 +485,35 @@ def test_count_rejects_timestamps_past_32_bit_seconds(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_pinned_grid_runs_past_the_data_for_every_series(tmp_path, capsys):
+@pytest.mark.parametrize("end,windows", [
+    ("3600", 20),
+    ("3599.999999999", 20),  # 1e-9 s short of the last window's end, which still fits
+    ("179.999999", 0),
+])
+def test_pinned_grid_runs_past_the_data_for_every_series(tmp_path, capsys, end, windows):
     events, truth, model = _simulate(
         tmp_path, "fixed_persons 10\narrival_rate 0\nduration 1800\nseed 9\n"
     )
-    grid = ["--start", "0", "--end", "3600"]
+    grid = ["--start", "0", "--end", end]
     counts, macs = tmp_path / "counts.txt", tmp_path / "macs.txt"
     people = tmp_path / "people_ref.txt"
-    assert main(["count", str(events), "--model", str(model), *grid, "--out", str(counts)]) == 0
-    assert main(["count", str(events), "--baseline", "mac", *grid, "--out", str(macs)]) == 0
-    assert main(["truth", "--truth", str(truth), "--kind", "person", *grid,
-                 "--out", str(people)]) == 0
-    expected = [f"{i * 180.0:.6f}" for i in range(20)]
-    assert _starts(counts) == _starts(macs) == _starts(people) == expected
-    assert main(["calibrate", str(counts), str(people)]) == 0
-    assert "alpha" in capsys.readouterr().out
+    commands = [
+        (["count", str(events), "--model", str(model)], events, counts),
+        (["count", str(events), "--baseline", "mac"], events, macs),
+        (["truth", "--truth", str(truth), "--kind", "person"], truth, people),
+    ]
+    for argv, read, out in commands:
+        assert main([*argv, *grid, "--out", str(out)]) == (0 if windows else 1)
+        if not windows:
+            # one refusal from every series, naming the file it read
+            assert capsys.readouterr().err == (
+                f"error: {read}: no complete window fits before --end\n")
+            assert not out.exists()
+    if windows:
+        expected = [f"{i * 180.0:.6f}" for i in range(windows)]
+        assert _starts(counts) == _starts(macs) == _starts(people) == expected
+        assert main(["calibrate", str(counts), str(people)]) == 0
+        assert "alpha" in capsys.readouterr().out
 
 
 def test_truth_rejects_unbounded_end(tmp_path, capsys):
@@ -1004,12 +1021,34 @@ def test_people_refuses_an_overflowing_count_naming_the_ratio_file(tmp_path, cap
     assert not out.exists()
 
 
-def test_truth_without_entities_of_the_kind_names_the_file(tmp_path, capsys):
+@pytest.mark.parametrize("grid,code,out,err", [
+    ([], 1, "", f"error: {{truth}}: {NO_OBSERVATIONS}\n"),
+    (["--start", "0", "--end", "360"], 0, "0.000000 0.000000\n180.000000 0.000000\n", ""),
+])
+def test_truth_without_entities_of_the_kind_names_the_file(tmp_path, capsys, grid, code, out,
+                                                           err):
     f = _files(tmp_path, truth="d0 device p0 0.0 600.0\n")
-    assert main(["truth", "--truth", f["truth"], "--kind", "person"]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {f['truth']}: trace contains no person entities\n"
-    )
+    assert main(["truth", "--truth", f["truth"], "--kind", "person", *grid]) == code
+    assert capsys.readouterr() == (out, err.format(**f))
+
+
+@pytest.mark.parametrize("command,read", [
+    (["count", "{empty}", "--model", "{model}"], "empty"),
+    (["count", "{empty}", "--baseline", "mac"], "empty"),
+    (["truth", "--truth", "{truth}", "--kind", "person"], "truth"),
+])
+def test_every_series_refuses_a_default_edge_without_observations_alike(tmp_path, capsys,
+                                                                       command, read):
+    f = _files(tmp_path, empty="", model=KNOWN_MODEL, truth="d0 device p0 0.0 600.0\n")
+    argv = [arg.format(**f) for arg in command]
+    out = tmp_path / "series.txt"
+    for grid in ([], ["--start", "0"], ["--end", "360"]):
+        assert main([*argv, *grid, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {f[read]}: {NO_OBSERVATIONS}\n"
+        assert not out.exists()
+    # pinned, the same grid holds two empty windows
+    assert main([*argv, "--start", "0", "--end", "360", "--out", str(out)]) == 0
+    assert _starts(out) == ["0.000000", "180.000000"]
 
 
 @pytest.mark.parametrize("bin_width,count", [("1e-300", "about 6e+302"),
@@ -1249,6 +1288,18 @@ def test_fit_refuses_an_area_id_that_is_not_one_token(tmp_path, capsys, area_id)
     (["--end", "nan"], "--end must be finite, got nan"),
     (["--end", "inf"], "--end must be finite, got inf"),
     (["--start", "0", "--end=-inf"], "--end must be finite, got -inf"),
+    # from 2**33 s on, float seconds no longer keep microseconds apart: the starts
+    # 1e10 + i*1e-6 would be written with repeats, and a start of 1e300 would be taken
+    # for a grid above the window limit; the first and the last start are checked
+    (["--window", "1e-6", "--step", "1e-6", "--start", "10000000000", "--end",
+      "10000000000.00001"], "{input}: window start 10000000000.0 lies 2**33 s or more from 0, "
+                            "where float seconds no longer keep microseconds apart"),
+    (["--window", "1", "--step", "1", "--start", "1e300", "--end", "1e300"],
+     "{input}: window start 1e+300 lies 2**33 s or more from 0, where float seconds no "
+     "longer keep microseconds apart"),
+    (["--window", "1", "--step", "1", "--start", "8589934590", "--end", "8589934594"],
+     "{input}: window start 8589934593.0 lies 2**33 s or more from 0, where float seconds "
+     "no longer keep microseconds apart"),
 ])
 def test_a_window_or_step_no_series_file_can_hold_exits_1_naming_the_flag(
         tmp_path, capsys, command, flags, message):
@@ -1257,7 +1308,8 @@ def test_a_window_or_step_no_series_file_can_hold_exits_1_naming_the_flag(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([arg.format(**f) for arg in command] + flags + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    read = f["truth"] if command[0] == "truth" else f["events"]
+    assert capsys.readouterr().err == f"error: {message.format(input=read)}\n"
     assert not out.exists()
 
 
@@ -1271,22 +1323,6 @@ def test_a_non_finite_grid_edge_is_refused_before_any_input_is_read(
     missing = tmp_path / "missing"
     assert main([arg.format(missing=missing) for arg in command] + [flag, "nan"]) == 1
     assert capsys.readouterr().err == f"error: {flag} must be finite, got nan\n"
-
-
-def test_truth_refuses_an_end_before_the_first_window_that_count_writes_empty(
-        tmp_path, capsys):
-    f = _files(tmp_path, events=EVENTS_TEXT, model=KNOWN_MODEL, truth=TRUTH_TEXT)
-    grid = ["--window", "180", "--start", "0", "--end", "179.999999"]
-    out = tmp_path / "device.txt"
-    assert main(["truth", "--truth", f["truth"], *grid, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: no complete window fits before --end\n"
-    assert not out.exists()
-    # count writes the header alone for the same grid
-    for counting_flags in (["--model", f["model"]], ["--baseline", "mac"]):
-        counts = tmp_path / "counts.txt"
-        assert main(["count", f["events"], *counting_flags, *grid, "--out", str(counts)]) == 0
-        assert len(counts.read_text().splitlines()) == 1
-        assert counts.read_text().startswith("#")
 
 
 def test_a_microsecond_window_and_step_series_is_read_back(tmp_path, capsys):

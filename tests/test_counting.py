@@ -16,6 +16,7 @@ from probecount.counting import (
     grid_start,
     mac_count_series,
     parse_series,
+    series_grid,
     sliding_windows,
     window_grid,
 )
@@ -248,10 +249,6 @@ def test_sliding_windows_rejects_unsorted():
         sliding_windows(at(10.0, 0.0), 100.0, 100.0, model())
 
 
-def test_sliding_windows_empty():
-    assert len(sliding_windows(at(), 100.0, 100.0, model())) == 0
-
-
 def test_time_scale_invariance():
     c = 8.0  # power of two keeps the arithmetic exact
     bursts = at(5.0, 17.0, 130.0)
@@ -346,11 +343,43 @@ def test_mac_count_series_rejects_unsorted():
         mac_count_series(events_of(events), 100.0, 100.0)
 
 
-def test_mac_count_series_grid_matches_sliding_windows():
-    events = events_of(ev(float(t), "02:00:00:00:00:01") for t in range(0, 100, 10))
-    series = mac_count_series(events, 50.0, 50.0)
-    assert series.start.tolist() == [0.0, 50.0]
-    assert series.macs.tolist() == [1, 1]
+NO_OBSERVATIONS = "no observations to place the window grid on: pin --start and --end"
+NO_WINDOW = "no complete window fits before --end"
+
+
+@pytest.mark.parametrize("times,grid,expected", [
+    (range(0, 100, 10), {}, [0.0, 50.0]),
+    (range(0, 100, 10), dict(start=0.0, end=200.0), [0.0, 50.0, 100.0, 150.0]),
+    ((), dict(start=0.0, end=200.0), [0.0, 50.0, 100.0, 150.0]),
+    ((), {}, NO_OBSERVATIONS),
+    (range(0, 100, 10), dict(start=0.0, end=49.0), NO_WINDOW),
+], ids=["unpinned", "pinned past the data", "no events, pinned", "no events, unpinned",
+        "pinned with no window"])
+def test_mac_count_series_grid_matches_sliding_windows(times, grid, expected):
+    times = [float(t) for t in times]
+    bursts, events = at(*times), events_of(ev(t, "02:00:00:00:00:01") for t in times)
+    extent = (times[0], times[-1] + 50.0) if times else (None, None)
+
+    def starts_or_message(starts):
+        try:
+            return starts().tolist()
+        except ValueError as exc:
+            return str(exc)
+
+    assert (starts_or_message(lambda: sliding_windows(bursts, 50.0, 50.0, model(), **grid).start)
+            == starts_or_message(lambda: mac_count_series(events, 50.0, 50.0, **grid).start)
+            == starts_or_message(lambda: series_grid(50.0, 50.0, *extent, **grid)) == expected)
+
+
+def test_series_grid_refuses_starts_that_float_seconds_cannot_keep_a_microsecond_apart():
+    # below 2**33 s a float keeps microseconds apart: every start is written once
+    starts = series_grid(1e-6, 1e-6, None, None, start=8589934591.0, end=8589934591.2)
+    assert len({f"{s:.6f}" for s in starts.tolist()}) == starts.size == 200_000
+    for start, end, refused in ((2.0**33, 2.0**33 + 1, 2.0**33), (-(2.0**33), 0.0, -(2.0**33)),
+                                (2.0**33 - 2, 2.0**33 + 2, 2.0**33 + 1)):
+        message = f"window start {refused!r} lies 2**33 s or more from 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            series_grid(1.0, 1.0, None, None, start=start, end=end)
 
 
 # ---------------------------------------------------------------- series files
