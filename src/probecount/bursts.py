@@ -19,6 +19,10 @@ class Bursts:
     instant: np.ndarray
     mac: np.ndarray
 
+    def __post_init__(self) -> None:
+        if np.any(self.instant[1:] < self.instant[:-1]):
+            raise ValueError("bursts not sorted by probing instant")
+
     def __len__(self) -> int:
         return len(self.instant)
 

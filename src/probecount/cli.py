@@ -148,11 +148,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _read_input(args: argparse.Namespace) -> Events:
-    """The input file's events: a capture when its magic is a capture magic (the
-    events' ap id is then the file stem), else event text."""
+    """The input file's events: a capture when its magic is a capture magic, else
+    event text."""
     def parse(data: bytes) -> Events:
         if len(data) >= 4 and struct.unpack_from("<I", data, 0)[0] in CAPTURE_MAGICS:
-            return parse_capture(data, ap_id=Path(args.input).stem)
+            return parse_capture(data)
         return parse_events(data)
 
     return read_file(args.input, parse)
@@ -198,6 +198,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
     bursts = aggregate(events, gap=args.gap)
     with naming(args.input):
         estimates = counting.sliding_windows(bursts, args.window, args.step, model, **grid)
+    with naming(args.model):
+        for name in ("n_hat", "var_lower_bound", "nrmse"):
+            if np.isinf(estimates[name]).any():
+                raise ValueError(f"{name} overflows: tau_mean {model.tau_mean!r} and tau_std "
+                                 f"{model.tau_std!r} are out of range for these windows")
     _write_output(counting.format_series(estimates), args.out)
     return EXIT_OK
 
@@ -207,7 +212,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     events, trace = simulate.simulate(config)
-    Path(args.events).write_text(format_events(events), encoding="utf-8")
+    Path(args.events).write_text(format_events(events, config.ap_id, config.rssi),
+                                 encoding="utf-8")
     Path(args.truth).write_text(simulate.format_trace(trace), encoding="utf-8")
     kind = trace.entities.kind
     print(f"events={len(events)} devices={np.count_nonzero(kind == 'device')} "

@@ -106,7 +106,6 @@ def _check_start(start: float) -> None:
 
 def _series_grid(
     times: np.ndarray,
-    what: str,
     size: float,
     step: float,
     start: float | None,
@@ -114,8 +113,6 @@ def _series_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid's starts over sorted ``times``, which reach to the last time plus ``size``
     (so the trailing window holding it is kept), and each window's [lo, hi) slice of them."""
-    if np.any(times[1:] < times[:-1]):
-        raise ValueError(f"{what} not sorted")
     first, last = (float(times[0]), float(times[-1]) + size) if times.size else (None, None)
     starts = series_grid(size, step, first, last, start, end)
     lo, hi = np.searchsorted(times, [starts, starts + size], side="left")
@@ -136,18 +133,20 @@ def sliding_windows(
     A burst counts in a window when its probing instant lies in
     [start, start+size).  ``start`` defaults to the multiple of ``step`` at or
     before the first instant, and ``end`` to the last instant plus ``size``.
+    A value that overflows a float is inf, without a warning.
     """
-    starts, lo, hi = _series_grid(bursts.instant, "bursts", size, step, start, end)
+    starts, lo, hi = _series_grid(bursts.instant, size, step, start, end)
     b = hi - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nrmse = np.where(b > 0, model.tau_std / (model.tau_mean * np.sqrt(b)), np.nan)
-    # the squares stay Python floats: numpy's x*x and Python's x**2 can differ
-    # in the last bit, and the written series must not change
-    return np.rec.fromarrays(
-        [starts, np.full(b.size, size), b, b / size, b * model.tau_mean / size,
-         b * model.tau_std**2 / size**2, nrmse],
-        dtype=SERIES_DTYPE,
-    )
+    # the square stays a Python float: numpy's x*x and Python's x**2 can differ
+    # in the last bit, and the written series must not change; from 2**512 on it overflows
+    square = model.tau_std**2 if model.tau_std < 2**512 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.rec.fromarrays(
+            [starts, np.full(b.size, size), b, b / size, b * model.tau_mean / size,
+             b * square / size**2,
+             np.where(b > 0, model.tau_std / (model.tau_mean * np.sqrt(b)), np.nan)],
+            dtype=SERIES_DTYPE,
+        )
 
 
 def mac_count_series(
@@ -160,7 +159,7 @@ def mac_count_series(
 ) -> np.recarray:
     """Distinct MACs heard per window (randomization-blind), on the same grid,
     as ``MAC_SERIES_DTYPE`` records."""
-    starts, lo, hi = _series_grid(events.t, "events", size, step, start, end)
+    starts, lo, hi = _series_grid(events.t, size, step, start, end)
     return np.rec.fromarrays([starts, _distinct_counts(events.mac, lo, hi)],
                              dtype=MAC_SERIES_DTYPE)
 

@@ -20,7 +20,6 @@ regular file's as a read-only mapping.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import mmap
 import os
@@ -59,26 +58,12 @@ CAPTURE_MAGICS = frozenset({*_PCAP_FORMATS, PCAPNG_MAGIC})
 # A capture stores seconds in 32 bits; no event can be later than that.
 MAX_TIMESTAMP = float(2**32)
 
-# The rssi column's value for an event without one; every other int16 is a
-# valid signal strength.
-RSSI_NONE = -(2**15)
+# An event line's optional rssi lies in [-RSSI_MAX, RSSI_MAX], as does a simulated one.
+RSSI_MAX = 2**15 - 1
 
 # Frame-control low byte for a probe request: protocol version 0,
 # type 0 (management), subtype 4.
 _PROBE_REQUEST_FC = 0x40
-
-# Radiotap fields that can precede the antenna-signal field, in present-bit
-# order: bit -> (alignment, size).  Alignment is a power of two, relative to the
-# start of the radiotap header.
-_RADIOTAP_LAYOUT = {
-    0: (8, 8),  # TSFT
-    1: (1, 1),  # flags
-    2: (1, 1),  # rate
-    3: (2, 4),  # channel
-    4: (1, 2),  # FHSS
-}
-_RADIOTAP_ANTSIGNAL_BIT = 5
-_RADIOTAP_EXT_BIT = 1 << 31
 
 
 class ParseError(ValueError):
@@ -361,8 +346,8 @@ def _mac_value(text: str) -> int:
 _EVENT_CHECKS = (
     (lambda t, *_: (t >= 0) & (t < MAX_TIMESTAMP),
      lambda t, *_: f"event timestamp {t!r} outside [0, 2**32) s"),
-    (lambda t, mac, ap, rssi: (rssi > RSSI_NONE) & (rssi < 2**15),
-     lambda t, mac, ap, rssi: f"rssi {rssi!r} outside [{RSSI_NONE + 1}, {2**15 - 1}]"),
+    (lambda t, mac, ap, rssi: (rssi >= -RSSI_MAX) & (rssi <= RSSI_MAX),
+     lambda t, mac, ap, rssi: f"rssi {rssi!r} outside [{-RSSI_MAX}, {RSSI_MAX}]"),
 )
 
 
@@ -373,28 +358,19 @@ _Octets = namedtuple("_Octets", "octets")
 
 @dataclass(frozen=True, eq=False)
 class Events:
-    """Probe-request events as read-only columns, sorted by time.
-
-    ``t`` holds the timestamps (float64, non-decreasing), ``mac`` the 48-bit
-    MACs (uint64), ``ap`` indices into the ``aps`` names (int32) and ``rssi``
-    the signal strengths (int16, ``RSSI_NONE`` where a frame has none).
-    """
+    """Probe-request events as read-only columns, sorted by time: ``t`` holds the
+    timestamps (float64, non-decreasing) and ``mac`` the 48-bit MACs (uint64)."""
 
     t: np.ndarray
     mac: np.ndarray
-    ap: np.ndarray
-    rssi: np.ndarray
-    aps: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name, dtype in (("t", np.float64), ("mac", np.uint64), ("ap", np.int32),
-                            ("rssi", np.int16)):
+        for name, dtype in (("t", np.float64), ("mac", np.uint64)):
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "aps", tuple(self.aps))
         t = self.t
-        if not len(t) == len(self.mac) == len(self.ap) == len(self.rssi):
+        if len(t) != len(self.mac):
             raise ValueError("event columns differ in length")
         if not np.all((t >= 0) & (t < MAX_TIMESTAMP)):
             raise ValueError("event timestamp outside [0, 2**32) s")
@@ -404,8 +380,6 @@ class Events:
             raise ValueError(f"events not sorted by timestamp ({t[i + 1]} after {t[i]})")
         if np.any(self.mac >> np.uint64(48)):
             raise ValueError("MAC value out of range")
-        if np.any((self.ap < 0) | (self.ap >= len(self.aps))):
-            raise ValueError("event ap index outside the ap table")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -447,7 +421,7 @@ _BLOCK = 1 << 13
 _MAC_BITS = (1 << 48) - 1
 
 
-def parse_capture(data: bytes, ap_id: str = "cap0") -> Events:
+def parse_capture(data: bytes) -> Events:
     """Extract probe-request events from a classic capture file.
 
     Supports the 24-byte-header format with microsecond or nanosecond
@@ -475,17 +449,15 @@ def parse_capture(data: bytes, ap_id: str = "cap0") -> Events:
     last = buf.size - 8  # the last byte offset an 8-byte read may start at
     micros = np.empty(record.size, dtype=np.int64)
     mac = np.empty(record.size, dtype=np.uint64)
-    rssi = np.full(record.size, RSSI_NONE, dtype=np.int16)
     n = 0
     for lo in range(0, record.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         frame = record[block] + 16
         length = head[block, 2].astype(np.int64)
         if linktype == LINKTYPE_RADIOTAP:
-            # rt_len and the first present word, little-endian in either capture byte order;
-            # a frame shorter than 8 bytes reads its neighbours' bytes, and is dropped
-            prefix = _gather(buf, np.minimum(frame, last), "<u8")
-            rt_len = (prefix >> 16 & 0xFFFF).astype(np.int64)
+            # rt_len, little-endian in either capture byte order; a frame shorter than
+            # 8 bytes reads its neighbours' bytes, and is dropped
+            rt_len = (_gather(buf, np.minimum(frame, last), "<u4") >> 16).astype(np.int64)
             rt_len *= (length >= 8) & (rt_len >= 8) & (rt_len <= length)
             probe = (rt_len > 0) & (length - rt_len >= 16)
         else:
@@ -497,13 +469,10 @@ def parse_capture(data: bytes, ap_id: str = "cap0") -> Events:
         micros[n:end] = _microseconds(head[block], keep, record[block], per_second)
         # the source address is the low 48 bits of the big-endian word at body + 8
         mac[n:end] = _gather(buf, body[keep] + 8, ">u8") & _MAC_BITS
-        if linktype == LINKTYPE_RADIOTAP:
-            rssi[n:end] = _radiotap_antsignal(buf, frame[keep], rt_len[keep], prefix[keep] >> 32)
         n = end
     micros = micros[:n]
     order = np.argsort(micros, kind="stable") if np.any(micros[1:] < micros[:-1]) else slice(None)
-    return Events(micros[order] / 1e6, mac[:n][order], np.zeros(n, dtype=np.int32),
-                  rssi[:n][order], (ap_id,))
+    return Events(micros[order] / 1e6, mac[:n][order])
 
 
 _SPAN = 1 << 14  # bytes walked one by one before a check: finds runs soon, costs little itself
@@ -587,45 +556,6 @@ def _microseconds(head: np.ndarray, keep: np.ndarray, record: np.ndarray,
     if late.size:
         raise ParseError(f"timestamp rounds to 2**32 s at byte offset {record[keep[late[0]]]}")
     return micros
-
-
-def _antsignal_offsets() -> np.ndarray:
-    """Bytes from the end of the present words to the antenna-signal field, indexed by
-    ``phase << 5 | present & 31``: ``phase`` is 1 where the words end 4 bytes past an
-    8-byte boundary of the header, and bits 0-4 are the fields that precede the signal."""
-    table = np.zeros(64, dtype=np.int64)
-    for phase, bits in itertools.product((0, 1), range(32)):
-        field = start = 4 * phase
-        for bit, (align, size) in _RADIOTAP_LAYOUT.items():
-            if bits >> bit & 1:
-                field = (field + align - 1 & -align) + size
-        table[phase << 5 | bits] = field - start
-    return table
-
-
-_ANTSIGNAL_AT = _antsignal_offsets()
-
-
-def _radiotap_antsignal(buf: np.ndarray, frame: np.ndarray, rt_len: np.ndarray,
-                        present: np.ndarray) -> np.ndarray:
-    """The int8 antenna signal of each radiotap header, or ``RSSI_NONE``.
-
-    ``present`` is each header's first present word.  The words that follow it are read
-    only while the extension bit is set; the signal's offset then comes from one table.
-    """
-    # present words of a complete bitmap, else 0
-    words = (present < _RADIOTAP_EXT_BIT).astype(np.int64)
-    chain, pos = np.flatnonzero(present >= _RADIOTAP_EXT_BIT), 8
-    while chain.size:
-        chain = chain[pos + 4 <= rt_len[chain]]
-        word = _gather(buf, frame[chain] + pos, "<u4")
-        words[chain[word < _RADIOTAP_EXT_BIT]] = pos // 4
-        chain, pos = chain[word >= _RADIOTAP_EXT_BIT], pos + 4
-    start = 4 + 4 * words  # where the present words end
-    field = start + _ANTSIGNAL_AT[(start & 4) << 3 | (present & 31).astype(np.int64)]
-    ok = (words > 0) & (present >> _RADIOTAP_ANTSIGNAL_BIT & 1 == 1) & (field < rt_len)
-    signal = buf[frame + field * ok].view(np.int8)  # a header without one reads its first byte
-    return np.where(ok, signal, np.int16(RSSI_NONE))
 
 
 # Zero bytes around the reader's buffer: room for a number's window before the
@@ -928,32 +858,20 @@ def read_table(data: bytes | str, *layouts: Sequence[Callable[[str], Any]],
                    for column, convert in zip(columns, layout)]
 
 
-def _sorted_events(t: np.ndarray, mac: np.ndarray, names: np.ndarray,
-                   rssi: np.ndarray) -> Events:
-    """The events of the columns, stably sorted by time, with ap ids numbered by
-    their UTF-8 ``names``' first appearance in that order (a run of equal names' head)."""
-    order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else slice(None)
-    names = names[order]
-    heads = np.flatnonzero(np.concatenate(([True], names[1:] != names[:-1]))[: names.size])
-    aps, first, ap = np.unique(names[heads], return_index=True, return_inverse=True)
-    rank = np.argsort(first)  # names by first appearance
-    ap = np.repeat(np.argsort(rank)[ap.ravel()], np.diff(heads, append=names.size))
-    return Events(t[order], mac[order], ap, rssi[order], [name.decode() for name in aps[rank]])
-
-
 _EVENT_LAYOUT = (float, _mac_value, str)
 
 
 def parse_events(data: bytes | str) -> Events:
     """Parse the line-delimited event format.
 
-    Each non-comment line is ``<timestamp> <mac> <ap_id> [rssi]``.  Events are
-    returned sorted by timestamp; input order is preserved for ties.
+    Each non-comment line is ``<timestamp> <mac> <ap_id> [rssi]``; the ap id and rssi
+    are checked, not kept.  Events are returned sorted by timestamp; input order is
+    preserved for ties.
     """
-    count, (t, mac, names, *level) = read_table(data, _EVENT_LAYOUT, (*_EVENT_LAYOUT, int),
-                                                checks=_EVENT_CHECKS)
-    rssi = np.where(count == 4, level[0] if level else 0, RSSI_NONE)
-    return _sorted_events(t, mac, names, rssi.astype(np.int16))
+    _, (t, mac, *_) = read_table(data, _EVENT_LAYOUT, (*_EVENT_LAYOUT, int),
+                                 checks=_EVENT_CHECKS)
+    order = np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else slice(None)
+    return Events(t[order], mac[order])
 
 
 def _mac_texts(mac: np.ndarray) -> np.ndarray:
@@ -964,15 +882,11 @@ def _mac_texts(mac: np.ndarray) -> np.ndarray:
     return text.view("S18").ravel()
 
 
-def format_events(events: Events) -> str:
-    """Serialize events to the line-delimited text format, whose ap names must be one
-    token without whitespace each, so that they read back as themselves."""
-    for name in events.aps:
-        if name.split() != [name]:
-            raise ValueError(f"ap name must be one token without whitespace, got {name!r}")
-    aps = "".join(events.aps)
-    names = np.array(events.aps, dtype=bytes if aps.isascii() and "\0" not in aps else object)
-    levels, level = np.unique(events.rssi, return_inverse=True)
-    levels = np.array([b"" if r == RSSI_NONE else b" %d" % r for r in levels.tolist()])
-    return format_rows("%.6f %s %s%s\n", [events.t, _mac_texts(events.mac), names[events.ap],
-                                          levels[level.ravel()]])
+def format_events(events: Events, ap: str, rssi: int | None = None) -> str:
+    """Serialize events to the line-delimited text format, every line with ap name ``ap``
+    and ``rssi`` (no rssi field for None).  The name must be one token without whitespace,
+    so that it reads back as itself."""
+    if ap.split() != [ap]:
+        raise ValueError(f"ap name must be one token without whitespace, got {ap!r}")
+    tail = ap if rssi is None else f"{ap} {rssi}"
+    return format_rows(f"%.6f %s {tail.replace('%', '%%')}\n", [events.t, _mac_texts(events.mac)])

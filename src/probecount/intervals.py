@@ -84,8 +84,6 @@ def extract_intervals(bursts: Bursts, cutoff: float = DEFAULT_INTERVAL_CUTOFF) -
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     instant, mac = bursts.instant, bursts.mac
-    if np.any(instant[1:] < instant[:-1]):
-        raise ValueError("bursts not sorted by probing instant")
     # grouped by MAC in burst order (hence by instant); each group's first gets 0
     by_mac, starts = by_key(mac)
     tau = np.empty(instant.shape)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bursts import by_time
 from .ingest import (
-    RSSI_NONE, Events, finite, format_rows, read_file, read_keys, read_table, round6, utf8_str,
+    RSSI_MAX, Events, finite, format_rows, read_file, read_keys, read_table, round6, utf8_str,
 )
 from .intervals import parse_model
 
@@ -322,8 +322,8 @@ class SimConfig:
             raise ValueError("fixed_persons must be non-negative")
         if self.interval_scale_sigma < 0:
             raise ValueError("interval_scale_sigma must be non-negative")
-        if not RSSI_NONE < self.rssi < 2**15:
-            raise ValueError(f"rssi must lie in [{RSSI_NONE + 1}, {2**15 - 1}], got {self.rssi!r}")
+        if not -RSSI_MAX <= self.rssi <= RSSI_MAX:
+            raise ValueError(f"rssi must lie in [{-RSSI_MAX}, {RSSI_MAX}], got {self.rssi!r}")
         if self.ap_id.split() != [self.ap_id]:
             raise ValueError(f"ap_id must be one token without whitespace, got {self.ap_id!r}")
         expected = self.expected_records()
@@ -576,9 +576,7 @@ def simulate(config: SimConfig) -> tuple[Events, GroundTruthTrace]:
     t = round6(np.repeat(instant, count) + offset)
     mac = np.repeat(burst_mac, count)
     order = by_time(t, mac, np.argsort(t))
-    events = Events(t[order], mac[order], np.zeros(t.size, dtype=np.int32),
-                    np.full(t.size, config.rssi, dtype=np.int16), (config.ap_id,))
-    return events, _entities(*people)
+    return Events(t[order], mac[order]), _entities(*people)
 
 
 def _labels(prefix: str, numbers: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Test-local event rows ``(t, mac, ap, rssi)`` and the ``Events`` columns of them."""
+"""Test-local event rows ``(t, mac)`` and the ``Events`` columns of them."""
 
 from collections import namedtuple
 
-from probecount.ingest import RSSI_NONE, Events
+from probecount.ingest import Events
 
-# One probe request: time (s), the MAC's integer, the ap name and the rssi (None for none).
-Event = namedtuple("Event", "t mac ap rssi", defaults=(None,))
+# One probe request: time (s) and the MAC's integer.
+Event = namedtuple("Event", "t mac")
 
 
 def mac(text):
@@ -19,20 +19,11 @@ def mac_text(value):
 
 
 def events_of(rows):
-    """The columns of time-sorted ``Event`` rows, ap names numbered in order of appearance."""
+    """The columns of time-sorted ``Event`` rows."""
     rows = list(rows)
-    aps = {}
-    return Events(
-        [e.t for e in rows],
-        [e.mac for e in rows],
-        [aps.setdefault(e.ap, len(aps)) for e in rows],
-        [RSSI_NONE if e.rssi is None else e.rssi for e in rows],
-        tuple(aps),
-    )
+    return Events([e.t for e in rows], [e.mac for e in rows])
 
 
 def event_rows(events):
-    """The ``Event`` rows of ``Events`` columns: each ap index looked up in ``aps``."""
-    return [Event(t, m, events.aps[a], None if r == RSSI_NONE else r)
-            for t, m, a, r in zip(events.t.tolist(), events.mac.tolist(), events.ap.tolist(),
-                                  events.rssi.tolist())]
+    """The ``Event`` rows of ``Events`` columns."""
+    return list(map(Event, events.t.tolist(), events.mac.tolist()))

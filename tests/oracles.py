@@ -75,10 +75,9 @@ _FORMATS = {
     0xA1B23C4D: ("<", "nanosecond", 10**9),
     0x4D3CB2A1: (">", "nanosecond", 10**9),
 }
-_RADIOTAP_LAYOUT = {0: (8, 8), 1: (1, 1), 2: (1, 1), 3: (2, 4), 4: (1, 2)}
 
 
-def parse_capture(data, ap_id="cap0"):
+def parse_capture(data):
     """Probe-request events of a classic capture, decoded record by record."""
     if len(data) < 24:
         raise ParseError("malformed capture header: shorter than 24 bytes")
@@ -104,10 +103,9 @@ def parse_capture(data, ap_id="cap0"):
             raise ParseError(f"truncated packet record at byte offset {offset}")
         frame = data[offset + 16 : offset + 16 + incl_len]
         start, offset = offset, offset + 16 + incl_len
-        parsed = _probe_request(frame, linktype)
-        if parsed is None:
+        mac = _probe_request(frame, linktype)
+        if mac is None:
             continue
-        mac, rssi = parsed
         if per_second == 10**6:
             timestamp = round(ts_sec + fraction / 1e6, 6)
         else:
@@ -115,7 +113,7 @@ def parse_capture(data, ap_id="cap0"):
         if timestamp >= 2**32:
             late = start if late is None else late
         else:
-            events.append(Event(timestamp, mac, ap_id, rssi))
+            events.append(Event(timestamp, mac))
     # named only once every record header has been checked
     if late is not None:
         raise ParseError(f"timestamp rounds to 2**32 s at byte offset {late}")
@@ -142,44 +140,19 @@ def record_offsets(data, bo, unit, per_second):
 
 
 def _probe_request(frame, linktype):
-    rssi = None
+    """The source MAC of a probe request, the body after its radiotap header; else None."""
     if linktype == 127:
         if len(frame) < 8:
             return None
         rt_len = struct.unpack_from("<H", frame, 2)[0]
         if rt_len < 8 or rt_len > len(frame):
             return None
-        rssi = _radiotap_antsignal(frame[:rt_len])
         frame = frame[rt_len:]
     if len(frame) < 16:
         return None
     if frame[0] != 0x40:
         return None
-    return int.from_bytes(frame[10:16], "big"), rssi
-
-
-def _radiotap_antsignal(header):
-    words = []
-    offset = 4
-    while True:
-        if offset + 4 > len(header):
-            return None
-        word = struct.unpack_from("<I", header, offset)[0]
-        words.append(word)
-        offset += 4
-        if not word & 1 << 31:
-            break
-    present = words[0]
-    for bit in range(6):
-        if not present & (1 << bit):
-            continue
-        if bit == 5:
-            if offset >= len(header):
-                return None
-            return struct.unpack_from("<b", header, offset)[0]
-        align, size = _RADIOTAP_LAYOUT[bit]
-        offset = (offset + align - 1) // align * align + size
-    return None
+    return int.from_bytes(frame[10:16], "big")
 
 
 def aggregate(events, gap):
@@ -350,15 +323,12 @@ def ground_truth_series(entities, windows):
     ]
 
 
-def format_events(events):
-    """The event text format, written event by event."""
-    lines = []
-    for e in events:
-        line = f"{e.t:.6f} {mac_text(e.mac)} {e.ap}"
-        if e.rssi is not None:
-            line += f" {e.rssi}"
-        lines.append(line + "\n")
-    return "".join(lines)
+def format_events(events, ap, rssi=None):
+    """The event text format, written event by event with ``%``, every line with ap name
+    ``ap`` and ``rssi`` (no rssi field for None)."""
+    fields = (ap,) if rssi is None else (ap, rssi)
+    line = "%.6f %s" + " %s" * len(fields) + "\n"
+    return "".join(line % (e.t, mac_text(e.mac), *fields) for e in events)
 
 
 def probing_instants(dist, start, end, rng, phase_mode="equilibrium", scale=1.0):
@@ -458,7 +428,7 @@ def simulate(config):
             mac = _draw_mac(rng, randomized=True)
         offsets = [0.0] if n == 1 else np.linspace(0.0, config.burst_duration, n).tolist()
         for off in offsets:
-            events.append(Event(round(instant + off, 6), mac, config.ap_id, config.rssi))
+            events.append(Event(round(instant + off, 6), mac))
     events.sort(key=lambda e: (e.t, e.mac))
     return events, entities
 

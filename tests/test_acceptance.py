@@ -349,12 +349,12 @@ def test_criterion_9_parser_golden_files():
     rt_records = [(ts, radiotap(frame, rssi=-70)) for ts, frame in records]
     with_radiotap = parse_capture(pcap(rt_records, linktype=127))
 
-    bare_ok = event_rows(native) == [(t, m, "cap0", None) for t, m in expected]
+    bare_ok = event_rows(native) == expected
     swap_ok = event_rows(swapped) == event_rows(native)
-    rt_ok = event_rows(with_radiotap) == [(t, m, "cap0", -70) for t, m in expected]
-    text = format_events(native)
+    rt_ok = event_rows(with_radiotap) == expected
+    text = format_events(native, "cap0", -70)
     round_trip_ok = (event_rows(parse_events(text)) == event_rows(native)
-                     and format_events(parse_events(text)) == text)
+                     and format_events(parse_events(text), "cap0", -70) == text)
     ok = bare_ok and swap_ok and rt_ok and round_trip_ok
     report(
         9,

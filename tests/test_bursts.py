@@ -13,8 +13,8 @@ from probecount.intervals import extract_intervals
 MACS = [mac(f"02:00:00:00:00:{i:02x}") for i in range(4)]
 
 
-def ev(t, mac=MACS[0], ap="ap0"):
-    return Event(t, mac, ap)
+def ev(t, mac=MACS[0]):
+    return Event(t, mac)
 
 
 def test_single_burst_within_gap():
@@ -43,15 +43,20 @@ def test_macs_grouped_independently():
     assert set(bursts.mac.tolist()) == {MACS[0], MACS[1]}
 
 
-def test_frames_from_several_aps_join_one_burst():
-    events = events_of([ev(0.0, ap="ap0"), ev(0.0, ap="ap1"), ev(1.0, ap="ap0")])
-    bursts = aggregate(events, gap=4.0)
+def test_frames_at_one_time_join_one_burst():
+    bursts = aggregate(events_of([ev(0.0), ev(0.0), ev(1.0)]), gap=4.0)
     assert len(bursts) == 1
 
 
 def test_unsorted_input_raises():
     with pytest.raises(ValueError, match="sorted"):
         aggregate(events_of([ev(5.0), ev(1.0)]), gap=4.0)
+
+
+def test_bursts_refuse_unsorted_instants():
+    assert Bursts(np.array([1.0, 1.0, 2.0]), np.array([3, 1, 2], dtype=np.uint64)).mac.size == 3
+    with pytest.raises(ValueError, match="bursts not sorted by probing instant"):
+        Bursts(np.array([1.0, 2.0, 1.5]), np.zeros(3, dtype=np.uint64))
 
 
 def test_gap_must_be_positive():
@@ -125,7 +130,7 @@ def _columns(bursts):
 
 
 def test_bursts_columns():
-    events = [ev(0.0, MACS[1], "b"), ev(0.5, MACS[0]), ev(1.0, MACS[1], "a"), ev(9.0, MACS[1])]
+    events = [ev(0.0, MACS[1]), ev(0.5, MACS[0]), ev(1.0, MACS[1]), ev(9.0, MACS[1])]
     bursts = aggregate(events_of(events), gap=4.0)
     assert isinstance(bursts, Bursts) and len(bursts) == 3
     assert bursts.instant.tolist() == [0.0, 0.5, 9.0]
@@ -134,9 +139,9 @@ def test_bursts_columns():
 
 # frame times on a coarse lattice, so that ties and exact-gap pairs occur
 timed_events = st.lists(
-    st.tuples(st.integers(0, 400).map(lambda q: q / 4.0), st.integers(0, 3), st.integers(0, 2)),
+    st.tuples(st.integers(0, 400).map(lambda q: q / 4.0), st.integers(0, 3)),
     max_size=60,
-).map(lambda rows: [ev(t, MACS[m], f"ap{a}") for t, m, a in sorted(rows, key=lambda r: r[0])])
+).map(lambda rows: [ev(t, MACS[m]) for t, m in sorted(rows, key=lambda r: r[0])])
 
 
 @given(timed_events, st.sampled_from([0.25, 1.0, 4.0, 7.5, 50.0]))
@@ -156,8 +161,7 @@ def _lattice_events(seed, n=70_000, macs=5_000):
     mac = pool[np.r_[0, pool.size - 1, rng.integers(0, pool.size, n - 2)]]
     t = rng.integers(0, 40_000, n) * 0.25
     order = np.argsort(t, kind="stable")
-    return Events(t[order], mac[order], np.zeros(n, dtype=np.int32),
-                  np.zeros(n, dtype=np.int16), ("ap0",))
+    return Events(t[order], mac[order])
 
 
 def _same(got, want):

@@ -104,8 +104,7 @@ def test_fit_text_equals_capture(tmp_path):
 
 
 def test_count_and_fit_read_a_capture_whose_stem_holds_a_space(tmp_path):
-    # the events' ap id is "hall 7", which format_events refuses; these commands write no
-    # events, so they read the capture as any other
+    # a capture's file name is never read: "hall 7.pcap" reads as any other capture
     cap, txt = tmp_path / "hall 7.pcap", tmp_path / "golden.txt"
     cap.write_bytes(pcap(GOLDEN_RECORDS))
     txt.write_text(EVENTS_TEXT)
@@ -223,6 +222,31 @@ def test_count_end_flag_bounds_window_grid(tmp_path, capsys):
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
     assert [float(l.split()[0]) for l in lines] == [0.0, 200.0, 400.0]
+
+
+_OUT_OF_RANGE = "are out of range for these windows"
+
+
+@pytest.mark.parametrize("tau_mean, tau_std, message", [
+    ("60.0", "1e200", f"var_lower_bound overflows: tau_mean 60.0 and tau_std 1e+200 {_OUT_OF_RANGE}"),
+    ("1e308", "60.0", f"n_hat overflows: tau_mean 1e+308 and tau_std 60.0 {_OUT_OF_RANGE}"),
+    ("5e-324", "60.0", f"nrmse overflows: tau_mean 5e-324 and tau_std 60.0 {_OUT_OF_RANGE}"),
+], ids=["tau_std squared", "n_hat", "nrmse"])
+def test_count_refuses_a_model_whose_series_overflows_naming_the_model_file(
+        tmp_path, capsys, tau_mean, tau_std, message):
+    # the series would hold inf, which people and eval refuse to read
+    events, model = tmp_path / "ev.txt", tmp_path / "m.model"
+    events.write_text(EVENTS_TEXT)
+    model.write_text(KNOWN_MODEL.replace("tau_mean 60.0", f"tau_mean {tau_mean}")
+                     .replace("tau_std 60.0", f"tau_std {tau_std}"))
+    out = tmp_path / "counts.txt"
+    for target in ([], ["--out", str(out)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning
+            assert main(["count", str(events), "--model", str(model), "--start", "0",
+                         "--end", "180", *target]) == 1
+        assert capsys.readouterr() == ("", f"error: {model}: {message}\n")
+    assert not out.exists()
 
 
 def test_count_requires_model(tmp_path, capsys):

@@ -10,7 +10,6 @@ import oracles
 from event_columns import Event, event_rows, events_of, mac, mac_text
 from probecount import ingest
 from probecount.ingest import (
-    RSSI_NONE,
     Events,
     ParseError,
     format_events,
@@ -47,7 +46,7 @@ def mac_texts(values):
 def test_mac_parse_and_format_canonical():
     events = parse_events("1.0 AA:bb:CC:dd:EE:01 ap\n")
     assert events.mac.tolist() == [0xAA_BB_CC_DD_EE_01]
-    assert format_events(events) == "1.000000 aa:bb:cc:dd:ee:01 ap\n"
+    assert format_events(events, "ap") == "1.000000 aa:bb:cc:dd:ee:01 ap\n"
     assert macs_read_back(mac_texts(events.mac)) == events.mac.tolist()
 
 
@@ -111,9 +110,10 @@ def test_parse_events_sorts_by_timestamp():
 
 
 def test_parse_events_stable_for_ties():
-    text = "1.0 aa:bb:cc:dd:ee:02 ap1\n1.0 aa:bb:cc:dd:ee:01 ap2\n"
+    text = "1.0 aa:bb:cc:dd:ee:02 ap1\n1.0 aa:bb:cc:dd:ee:01 ap2\n0.5 aa:bb:cc:dd:ee:03 ap1\n"
     events = parse_events(text)
-    assert [e.ap for e in event_rows(events)] == ["ap1", "ap2"]
+    assert list(map(mac_text, events.mac.tolist())) == [
+        "aa:bb:cc:dd:ee:03", "aa:bb:cc:dd:ee:02", "aa:bb:cc:dd:ee:01"]
 
 
 def test_parse_events_empty_input():
@@ -123,7 +123,7 @@ def test_parse_events_empty_input():
 
 def test_parse_events_rssi_optional():
     events = parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 -63\n2.0 aa:bb:cc:dd:ee:01 ap1\n")
-    assert [e.rssi for e in event_rows(events)] == [-63, None]
+    assert event_rows(events) == [(1.0, mac("aa:bb:cc:dd:ee:01")), (2.0, mac("aa:bb:cc:dd:ee:01"))]
 
 
 @pytest.mark.parametrize(
@@ -150,10 +150,12 @@ def test_parse_events_error_line_number_counts_comments():
 
 
 def test_text_round_trip_is_byte_identical():
-    text = "1.500000 aa:bb:cc:dd:ee:01 ap1 -60\n2.000000 02:00:00:00:00:01 ap2\n"
-    once = format_events(parse_events(text))
-    assert once == text
-    assert format_events(parse_events(once)) == once
+    for rssi in (None, -60):
+        lines = ["1.500000 aa:bb:cc:dd:ee:01 ap1", "2.000000 02:00:00:00:00:01 ap1"]
+        text = "".join(line + ("" if rssi is None else f" {rssi}") + "\n" for line in lines)
+        once = format_events(parse_events(text), "ap1", rssi)
+        assert once == text
+        assert format_events(parse_events(once), "ap1", rssi) == once
 
 
 # ---------------------------------------------------------------- column reader
@@ -164,13 +166,17 @@ def test_text_round_trip_is_byte_identical():
 
 
 def _outcome(text):
-    """parse_events' events, ``t`` as bits, or its error message."""
+    """parse_events' events, ``t`` as bits, with the field counts and the ap and rssi
+    columns that ``read_table`` decodes from the text (parse_events checks them and drops
+    them); or its error message."""
     try:
         events = parse_events(text)
     except ParseError as exc:
         return str(exc)
-    return (events.t.view(np.uint64).tolist(), events.mac.tolist(), events.ap.tolist(),
-            events.rssi.tolist(), events.aps)
+    count, columns = ingest.read_table(text, ingest._EVENT_LAYOUT, (*ingest._EVENT_LAYOUT, int),
+                                       checks=ingest._EVENT_CHECKS)
+    return (events.t.view(np.uint64).tolist(), events.mac.tolist(), count.tolist(),
+            [column.tolist() for column in columns[2:]])
 
 
 def _row_outcome(text):
@@ -249,7 +255,7 @@ FALLBACK_LINES = {
     "17 digits rounding below 2**32": "4294967295.9999990 aa:bb:cc:dd:ee:01 ap1",
     "timestamp at 2**32": "4294967296 aa:bb:cc:dd:ee:01 ap1",
     "rssi above int16": "1.0 aa:bb:cc:dd:ee:01 ap1 32768",
-    "rssi at the missing mark": "1.0 aa:bb:cc:dd:ee:01 ap1 -32768",
+    "rssi below -32767": "1.0 aa:bb:cc:dd:ee:01 ap1 -32768",
     "six-digit rssi": "1.0 aa:bb:cc:dd:ee:01 ap1 -000060",
     "minus alone": "1.0 aa:bb:cc:dd:ee:01 ap1 -",
     "minus inside rssi": "1.0 aa:bb:cc:dd:ee:01 ap1 6-0",
@@ -328,28 +334,23 @@ def test_columnar_path_decodes_unix_epoch_timestamps():
     assert _outcome(text) == _row_outcome(text)
 
 
-def test_columnar_path_decodes_15_digits_and_numbers_aps_by_appearance():
+def test_columnar_path_decodes_15_digits():
     stamp = "4294967295.99999"  # 15 digits: decoded, and below 2**32
-    assert parse_events(f"{stamp} aa:bb:cc:dd:ee:01 ap1\n").t[0] == float(stamp)
-    # ap ids are numbered by first appearance in time order, not by name
-    text = "3.0 aa:bb:cc:dd:ee:01 a\n1.0 aa:bb:cc:dd:ee:01 c\n2.0 aa:bb:cc:dd:ee:01 b\n"
-    assert parse_events(text).aps == ("c", "b", "a")
+    text = f"{stamp} aa:bb:cc:dd:ee:01 ap1\n"
+    assert parse_events(text).t[0] == float(stamp)
     assert _outcome(text) == _row_outcome(text)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["a", "b", "c", "caf\u00e9"]),
-                          st.integers(1, 3)), max_size=10))
-def test_aps_interleaved_in_runs_are_numbered_by_first_appearance(runs):
-    """Runs of equal ap ids, interleaved and out of time order: each id is numbered by its
-    first appearance in stable time order, on both reading paths."""
-    rows = [(t, name) for t, name, length in runs for _ in range(length)]
-    text = "".join(f"{t}.5 aa:bb:cc:dd:ee:01 {name}\n" for t, name in rows)
-    ordered = [name for _, name in sorted(rows, key=lambda row: row[0])]
-    aps = tuple(dict.fromkeys(ordered))
-    events = parse_events(text)
-    assert events.aps == aps
-    assert events.ap.tolist() == [aps.index(name) for name in ordered]
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(1, 3)),
+                max_size=10))
+def test_runs_out_of_time_order_are_sorted_stably(runs):
+    """Runs of one MAC, interleaved and out of time order, come out in stable time order,
+    on both reading paths."""
+    rows = [(t, f"aa:bb:cc:dd:ee:0{m}") for t, m, length in runs for _ in range(length)]
+    text = "".join(f"{t}.5 {m} caf\u00e9\n" for t, m in rows)
+    ordered = sorted(rows, key=lambda row: row[0])
+    assert event_rows(parse_events(text)) == [(t + 0.5, mac(m)) for t, m in ordered]
     assert _outcome(text) == _row_outcome(text)
 
 
@@ -364,11 +365,11 @@ GOLDEN_RECORDS = [
 
 
 def test_parse_capture_golden():
-    events = parse_capture(pcap(GOLDEN_RECORDS), ap_id="ap0")
+    events = parse_capture(pcap(GOLDEN_RECORDS))
     assert event_rows(events) == [
-        (1.0, mac("aa:bb:cc:dd:ee:01"), "ap0", None),
-        (2.0, mac("aa:bb:cc:dd:ee:02"), "ap0", None),
-        (3.0, mac("aa:bb:cc:dd:ee:03"), "ap0", None),
+        (1.0, mac("aa:bb:cc:dd:ee:01")),
+        (2.0, mac("aa:bb:cc:dd:ee:02")),
+        (3.0, mac("aa:bb:cc:dd:ee:03")),
     ]
 
 
@@ -390,21 +391,24 @@ def test_parse_capture_byte_swapped_matches_native():
 
 
 def test_parse_capture_radiotap_with_rssi():
+    # the antenna-signal field is skipped with the rest of the header
     records = [(1.25, radiotap(probe_request("aa:bb:cc:dd:ee:01"), rssi=-72))]
     assert event_rows(parse_capture(pcap(records, linktype=127))) == [
-        (1.25, mac("aa:bb:cc:dd:ee:01"), "cap0", -72)]
+        (1.25, mac("aa:bb:cc:dd:ee:01"))]
 
 
 def test_parse_capture_radiotap_without_rssi():
     records = [(1.0, radiotap(probe_request("aa:bb:cc:dd:ee:01")))]
-    assert parse_capture(pcap(records, linktype=127)).rssi.tolist() == [RSSI_NONE]
+    assert event_rows(parse_capture(pcap(records, linktype=127))) == [
+        (1.0, mac("aa:bb:cc:dd:ee:01"))]
 
 
 def test_parse_capture_radiotap_alignment_and_extension():
-    # TSFT forces 8-byte alignment before the antenna signal; the extended
-    # present bitmap shifts the field area by another word.
+    # TSFT forces 8-byte alignment before the antenna signal, and the extended present
+    # bitmap shifts the field area by another word: the frame still starts at rt_len
     frame = radiotap(probe_request("aa:bb:cc:dd:ee:01"), rssi=-55, tsft=123456, extended=True)
-    assert parse_capture(pcap([(2.0, frame)], linktype=127)).rssi.tolist() == [-55]
+    assert event_rows(parse_capture(pcap([(2.0, frame)], linktype=127))) == [
+        (2.0, mac("aa:bb:cc:dd:ee:01"))]
 
 
 def test_parse_capture_radiotap_swapped_byte_order():
@@ -468,21 +472,17 @@ def test_capture_to_text_round_trip():
         (1.000001, probe_request("02:00:00:00:00:07")),
         (2.5, probe_request("aa:bb:cc:dd:ee:02")),
     ]
-    events = parse_capture(pcap(records), ap_id="ap0")
-    text = format_events(events)
+    events = parse_capture(pcap(records))
+    text = format_events(events, "ap0")
     assert event_rows(parse_events(text)) == event_rows(events)
-    assert format_events(parse_events(text)) == text
+    assert format_events(parse_events(text), "ap0") == text
 
 
 # ---------------------------------------------------------------- Events columns
 
 
 def sample_events():
-    return [
-        Event(1.0, 1, "ap0", -60),
-        Event(1.0, 2, "ap1"),
-        Event(2.5, 2**48 - 1, "ap0", -32767),
-    ]
+    return [Event(1.0, 1), Event(1.0, 2), Event(2.5, 2**48 - 1)]
 
 
 def test_events_columns_and_views():
@@ -490,32 +490,25 @@ def test_events_columns_and_views():
     events = events_of(listed)
     assert len(events) == 3
     assert events.t.dtype == np.float64 and events.mac.dtype == np.uint64
-    assert events.ap.dtype == np.int32 and events.rssi.dtype == np.int16
-    assert events.aps == ("ap0", "ap1")
-    assert events.rssi.tolist() == [-60, RSSI_NONE, -32767]
     assert event_rows(events) == listed
     assert [(row.timestamp, tuple(row.mac.octets)) for row in events] == [
         (1.0, (0, 0, 0, 0, 0, 1)), (1.0, (0, 0, 0, 0, 0, 2)), (2.5, (255,) * 6)]
 
 
 # Time-sorted event rows up to the last float below 2**32 (2**32 - 2**-21) and the MAC
-# 2**48 - 1, with every int16 rssi, RSSI_NONE (no rssi) among them.
+# 2**48 - 1.
 _EVENT_ROWS = st.lists(st.tuples(
     st.floats(0, 2**32, exclude_max=True) | st.sampled_from([0.0, 2**32 - 1e-6, 2**32 - 2**-21]),
     MAC_VALUES | st.sampled_from([0, 2**48 - 1]),
-    st.integers(0, 2),
-    st.integers(-(2**15), 2**15 - 1) | st.sampled_from([RSSI_NONE, RSSI_NONE + 1, 2**15 - 1]),
 ), max_size=30).map(sorted)
 
 
 @given(_EVENT_ROWS)
 def test_the_row_view_holds_each_time_and_mac_octets(listed):
-    aps = ("ap0", "lobby", "é")
-    events = Events(*([list(column) for column in zip(*listed)] or [[]] * 4), aps)
-    assert event_rows(events) == [(t, m, aps[a], None if r == RSSI_NONE else r)
-                                  for t, m, a, r in listed]
+    events = Events(*([list(column) for column in zip(*listed)] or [[]] * 2))
+    assert event_rows(events) == listed
     assert [(row.timestamp, list(row.mac.octets)) for row in events] == [
-        (t, list(m.to_bytes(6, "big"))) for t, m, _, _ in listed]
+        (t, list(m.to_bytes(6, "big"))) for t, m in listed]
     for row in events:
         assert type(row.timestamp) is float and all(type(o) is int for o in row.mac.octets)
 
@@ -524,7 +517,7 @@ def test_the_row_view_holds_each_time_and_mac_octets(listed):
     ("-1.0 01:00:00:00:00:01 ap", "event timestamp -1.0 outside [0, 2**32) s"),
     ("4294967296.0 01:00:00:00:00:01 ap", "event timestamp 4294967296.0 outside [0, 2**32) s"),
     ("nan 01:00:00:00:00:01 ap", "event timestamp nan outside [0, 2**32) s"),
-    (f"1.0 01:00:00:00:00:01 ap {RSSI_NONE}", "rssi -32768 outside [-32767, 32767]"),
+    ("1.0 01:00:00:00:00:01 ap -32768", "rssi -32768 outside [-32767, 32767]"),
     (f"1.0 01:00:00:00:00:01 ap {2**15}", "rssi 32768 outside [-32767, 32767]"),
 ])
 def test_each_event_rule_says_what_it_refuses(line, message):
@@ -539,25 +532,17 @@ def test_events_columns_are_read_only():
         events.t[0] = 5.0
 
 
-def test_events_compare_ap_names_not_indices():
-    a = Events([1.0, 2.0], [1, 1], [0, 1], [RSSI_NONE] * 2, ("x", "y"))
-    b = Events([1.0, 2.0], [1, 1], [1, 0], [RSSI_NONE] * 2, ("y", "x"))
-    assert event_rows(a) == event_rows(b)
-    c = Events([1.0, 2.0], [1, 1], [0, 0], [RSSI_NONE] * 2, ("x", "y"))
-    assert event_rows(a) != event_rows(c)
-
-
 @pytest.mark.parametrize(
     "columns,fragment",
     [
-        (([2.0, 1.0], [1, 1], [0, 0], [0, 0], ("a",)), "not sorted"),
-        (([-1.0], [1], [0], [0], ("a",)), "timestamp"),
-        (([float("nan")], [1], [0], [0], ("a",)), "timestamp"),
-        (([2.0**32], [1], [0], [0], ("a",)), "timestamp"),
-        (([1.0], [2**48], [0], [0], ("a",)), "MAC"),
-        (([1.0], [2**64 - 1], [0], [0], ("a",)), "MAC"),
-        (([1.0], [1], [1], [0], ("a",)), "ap"),
-        (([1.0], [1, 2], [0], [0], ("a",)), "length"),
+        (([2.0, 1.0], [1, 1]), "not sorted"),
+        (([-1.0], [1]), "timestamp"),
+        (([float("nan")], [1]), "timestamp"),
+        (([2.0**32], [1]), "timestamp"),
+        (([1.0], [2**48]), "MAC"),
+        (([1.0], [2**64 - 1]), "MAC"),
+        (([float("inf")], [1]), "timestamp"),
+        (([1.0], [1, 2]), "length"),
     ],
 )
 def test_events_reject_bad_columns(columns, fragment):
@@ -566,65 +551,84 @@ def test_events_reject_bad_columns(columns, fragment):
 
 
 def test_parse_events_rejects_rssi_outside_int16():
-    assert parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 32767\n").rssi.tolist() == [32767]
+    assert len(parse_events("1.0 aa:bb:cc:dd:ee:01 ap1 32767\n")) == 1
     for rssi in ("32768", "-32768", "40000"):
         with pytest.raises(ParseError, match="line 1: rssi"):
             parse_events(f"1.0 aa:bb:cc:dd:ee:01 ap1 {rssi}\n")
 
 
 def test_format_events_matches_per_event_writer():
-    # rssi none and the int16 extremes, three APs, tied timestamps
-    events = Events(
-        [1.0, 1.0, 1.0, 2.5, 2.5, 3.000001],
-        [5, 3, 3, 2**48 - 1, 0, 7],
-        [0, 1, 2, 1, 0, 2],
-        [RSSI_NONE, -60, RSSI_NONE, 127, -32767, 32767],
-        ("ap0", "lobby", "x"),
-    )
-    text = format_events(events)
-    assert text == oracles.format_events(event_rows(events))
+    # tied timestamps and the MACs 0 and 2**48 - 1
+    events = events_of([Event(1.0, 5), Event(1.0, 3), Event(1.0, 3), Event(2.5, 2**48 - 1),
+                        Event(2.5, 0), Event(3.000001, 7)])
+    text = format_events(events, "lobby", -60)
+    assert text == oracles.format_events(event_rows(events), "lobby", -60)
     assert text.splitlines()[:2] == [
-        "1.000000 00:00:00:00:00:05 ap0",
+        "1.000000 00:00:00:00:00:05 lobby -60",
         "1.000000 00:00:00:00:00:03 lobby -60",
     ]
     assert event_rows(parse_events(text)) == event_rows(events)
 
 
+@pytest.mark.parametrize("rssi", [None, -32767, 32767])
+@pytest.mark.parametrize("ap", ["ap0", "caf\u00e9", "\u6771\u4eac", "50%", "%s%d%%", "%.6f", "a%"])
+def test_format_events_writes_one_ap_and_rssi_on_every_line(ap, rssi):
+    # an ap name holding '%' writes itself, as does one beyond ASCII
+    events = events_of(sample_events())
+    text = format_events(events, ap, rssi)
+    assert text == oracles.format_events(event_rows(events), ap, rssi)
+    tail = f" {ap}" + ("" if rssi is None else f" {rssi}")
+    assert all(line.endswith(tail) for line in text.splitlines())
+    assert event_rows(parse_events(text)) == event_rows(events)
+
+
+def test_format_events_keeps_the_digit_matrix_for_ordinary_names():
+    events = events_of(sample_events())
+    written = []
+
+    def spy(parts, columns):
+        written.append(real(parts, columns))
+        return written[-1]
+
+    real = ingest._format_chunk
+    with mock.patch.object(ingest, "_format_chunk", spy):
+        format_events(events, "ap0")
+        format_events(events, "caf\u00e9", -60)
+    assert len(written) == 2 and None not in written
+
+
 @given(
-    st.lists(
-        st.tuples(
-            st.sampled_from([0.0, 0.5, 7.25, 1e6 + 0.000001]),
-            st.integers(0, 2**48 - 1),
-            st.sampled_from(["a", "b", "ap-3"]),
-            st.one_of(st.none(), st.integers(RSSI_NONE + 1, 2**15 - 1)),
-        ),
-        max_size=30,
-    )
+    st.lists(st.tuples(st.sampled_from([0.0, 0.5, 7.25, 1e6 + 0.000001]),
+                       st.integers(0, 2**48 - 1)), max_size=30),
+    st.sampled_from(["a", "ap-3", "50%", "caf\u00e9"]),
+    st.none() | st.integers(-(2**15 - 1), 2**15 - 1),
 )
-def test_format_events_from_columns_matches_the_per_event_writer(listed):
+def test_format_events_from_columns_matches_the_per_event_writer(listed, ap, rssi):
     listed = sorted(map(Event._make, listed), key=lambda row: row.t)
-    assert format_events(events_of(listed)) == oracles.format_events(listed)
+    assert format_events(events_of(listed), ap, rssi) == oracles.format_events(listed, ap, rssi)
 
 
 def test_format_events_needs_time_order():
-    late, early = (Event(t, 1, "ap0") for t in (2.0, 1.0))
+    late, early = (Event(t, 1) for t in (2.0, 1.0))
     with pytest.raises(ValueError, match="not sorted by timestamp"):
-        format_events(events_of([late, early]))
+        format_events(events_of([late, early]), "ap0")
 
 
 @pytest.mark.parametrize("name", ["hall 7", "", "a b", "tab\tap", "no-break\xa0ap"])
 def test_format_events_refuses_an_ap_name_that_reads_back_as_other_values(name):
-    # "hall 7", the ap of a capture named "hall 7.pcap", would read back as ap "hall" with
-    # rssi 7; "" and "a b" would write lines that parse_events refuses
-    events = parse_capture(pcap(GOLDEN_RECORDS), ap_id=name)
+    # "hall 7" would read back as ap "hall" with rssi 7; "" and "a b" would write lines
+    # that parse_events refuses
+    events = parse_capture(pcap(GOLDEN_RECORDS))
     with pytest.raises(ValueError) as raised:
-        format_events(events)
+        format_events(events, name)
     assert str(raised.value) == f"ap name must be one token without whitespace, got {name!r}"
 
 
 def test_format_events_writes_any_one_token_ap_name():
-    events = parse_capture(pcap(GOLDEN_RECORDS), ap_id="hall_7#é")
-    assert event_rows(parse_events(format_events(events))) == event_rows(events)
+    events = parse_capture(pcap(GOLDEN_RECORDS))
+    text = format_events(events, "hall_7#\u00e9")
+    assert text.splitlines()[0] == "1.000000 aa:bb:cc:dd:ee:01 hall_7#\u00e9"
+    assert event_rows(parse_events(text)) == event_rows(events)
 
 
 # ---------------------------------------------------------------- capture variants
@@ -639,7 +643,6 @@ def test_parse_capture_nanosecond_matches_microsecond(swapped):
     nano = parse_capture(pcap(records, linktype=127, swapped=swapped, nanosecond=True))
     assert event_rows(nano) == event_rows(micro)
     assert nano.t.tolist() == [1.0, 2.000001, 3.5]
-    assert nano.rssi.tolist() == [RSSI_NONE, -40, RSSI_NONE]
 
 
 def test_parse_capture_nanoseconds_round_half_to_even():
@@ -736,7 +739,8 @@ def test_parse_capture_names_pcapng():
 def test_parse_capture_radiotap_every_field_before_antsignal():
     fields = {0: bytes(8), 1: b"\x10", 2: b"\x02", 3: bytes(4), 4: bytes(2), 5: b"\xb5"}
     frame = radiotap_fields(probe_request("aa:bb:cc:dd:ee:01"), fields, ext_words=2)
-    assert parse_capture(pcap([(1.0, frame)], linktype=127)).rssi.tolist() == [-75]
+    assert event_rows(parse_capture(pcap([(1.0, frame)], linktype=127))) == [
+        (1.0, mac("aa:bb:cc:dd:ee:01"))]
 
 
 
@@ -744,8 +748,9 @@ def test_parse_capture_radiotap_every_field_before_antsignal():
 def test_parse_capture_antenna_signal_after_every_field_subset(ext_words):
     # every subset of present bits 0-4 before the signal (bit 5), with present words ending
     # on and off an 8-byte boundary; rt_len ends at the signal byte, just past it, or one
-    # byte later, and each header is padded or cut to rt_len so that the frame follows it
-    records, headers = [], []
+    # byte later, and each header is padded or cut to rt_len so that the frame follows it:
+    # each frame, of its own MAC, is read from rt_len on, whatever the fields claim
+    records, expected = [], []
     for bits in range(32):
         fields = {bit: bytes([0x10 * bit + i + 1 for i in range(RADIOTAP_FIELDS[bit][1])])
                   for bit in range(5) if bits >> bit & 1}
@@ -753,20 +758,19 @@ def test_parse_capture_antenna_signal_after_every_field_subset(ext_words):
         full = radiotap_fields(b"", fields, ext_words)
         for rt_len in (len(full) - 1, len(full), len(full) + 1):
             header = radiotap_fields(b"", fields, ext_words, rt_len)[:rt_len].ljust(rt_len, b"\0")
-            records.append((len(records) + 1.0, header + probe_request("aa:bb:cc:dd:ee:01")))
-            headers.append(header)
-    events = parse_capture(pcap(records, linktype=127))
-    expected = [oracles._radiotap_antsignal(header) for header in headers]
-    assert [e.rssi for e in event_rows(events)] == expected
-    assert expected[0::3] == [None] * 32
-    assert expected[1::3] == expected[2::3] == [-1 - bits - 32 * ext_words for bits in range(32)]
+            t, source = len(records) + 1.0, mac_text(0x02_00_00_00_00_00 + len(records))
+            records.append((t, header + probe_request(source)))
+            expected.append((t, mac(source)))
+    data = pcap(records, linktype=127)
+    assert event_rows(parse_capture(data)) == oracles.parse_capture(data) == expected
 
 
 def test_parse_capture_radiotap_antsignal_past_header_is_not_read():
     # rt_len 8 ends the header where the antenna signal would start: the byte
-    # there is the frame's first (0x40), not a signal strength
+    # there is the frame's first (0x40), which starts the probe request
     frame = struct.pack("<BBHI", 0, 0, 8, 1 << 5) + probe_request("aa:bb:cc:dd:ee:01")
-    assert parse_capture(pcap([(1.0, frame)], linktype=127)).rssi.tolist() == [RSSI_NONE]
+    assert event_rows(parse_capture(pcap([(1.0, frame)], linktype=127))) == [
+        (1.0, mac("aa:bb:cc:dd:ee:01"))]
 
 # ---------------------------------------------------------------- differential and fuzz
 
@@ -817,9 +821,9 @@ def captures(draw):
 
 
 def outcome(parse, data):
-    """The event rows ``parse`` gives ``data`` under ap ``ap``, or its error message."""
+    """The event rows ``parse`` gives ``data``, or its error message."""
     try:
-        events = parse(data, "ap")
+        events = parse(data)
     except ParseError as exc:
         return str(exc)
     return event_rows(events) if isinstance(events, Events) else events

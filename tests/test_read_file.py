@@ -26,7 +26,7 @@ from test_ingest import captures
 from test_text_columns import LAYOUTS, column_files
 
 PARSERS = {
-    "capture": lambda data: ingest.parse_capture(data, "ap"),
+    "capture": ingest.parse_capture,
     "events": ingest.parse_events,
     "trace": simulate.parse_trace,
     "series": counting.parse_series,
@@ -57,7 +57,7 @@ def _bits(column):
 def _values(result):
     """A parser's result as plain values, floats as bits."""
     if isinstance(result, Events):
-        return [_bits(c) for c in (result.t, result.mac, result.ap, result.rssi)], result.aps
+        return [_bits(c) for c in (result.t, result.mac)]
     if isinstance(result, simulate.GroundTruthTrace):
         result = result.entities
     if isinstance(result, np.ndarray):

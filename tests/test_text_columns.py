@@ -20,7 +20,7 @@ import fuzz_read_table
 import oracles
 from probecount import calibration, cli, counting, ingest, simulate
 from probecount.ingest import (
-    RSSI_NONE, Events, finite, non_negative, non_negative_int, non_negative_or_nan, positive,
+    Events, finite, non_negative, non_negative_int, non_negative_or_nan, positive,
 )
 
 
@@ -45,12 +45,22 @@ def _outcome(parse, data):
     except ValueError as exc:
         return type(exc).__name__, str(exc)
     if isinstance(result, Events):
-        return [_bits(c) for c in (result.t, result.mac, result.ap, result.rssi)], result.aps
+        return [_bits(c) for c in (result.t, result.mac)]
+    if isinstance(result, list):
+        return [_bits(c) for c in result]
     records = result.entities if isinstance(result, simulate.GroundTruthTrace) else result
     return records.dtype, [_bits(records[name]) for name in records.dtype.names]
 
 
 # ---------------------------------------------------------------- reader
+
+
+def _event_columns(data):
+    """The field counts and the columns (t, mac, ap, rssi) of event text, as ``read_table``
+    reads them with the event layouts and rules; ``parse_events`` keeps only t and mac."""
+    count, columns = ingest.read_table(data, ingest._EVENT_LAYOUT, (*ingest._EVENT_LAYOUT, int),
+                                       checks=ingest._EVENT_CHECKS)
+    return [count, *columns]
 
 
 def _decimal(lo, hi):
@@ -97,6 +107,7 @@ _TRACE = [_TOKENS, st.sampled_from(["device", "person"]), _TOKENS, _decimal(0, 1
 # Each layout, as (reader, field strategies of its longest rows, shorter field counts).
 LAYOUTS = {
     "event": (ingest.parse_events, _EVENT, (3,)),
+    "event columns": (_event_columns, _EVENT, (3,)),
     "trace": (simulate.parse_trace, _TRACE, ()),
     "count series": (counting.parse_series, [_VALID[c] for c in counting.SERIES_COLUMNS], ()),
     "count series, as eval reads it":
@@ -181,11 +192,13 @@ def test_a_headed_event_and_series_file_read_as_the_row_reader_reads_them():
         [[0.0, 180.0], [180.0, 180.0], [0, 3], [0.0, 3 / 180], [0.0, 1.0], [0.0, 0.5],
          [np.nan, 0.57735]], dtype=counting.SERIES_DTYPE))
     assert series.startswith("# start")
-    parsed = ingest.parse_events(events)
-    assert parsed.rssi.tolist() == [-60, RSSI_NONE] and parsed.aps == ("ap1", "ap2")
+    count, _, _, ap, rssi = _event_columns(events)
+    assert count.tolist() == [4, 3] and ap.tolist() == [b"ap1", b"ap2"]
+    assert rssi.tolist() == [-60, 0]  # 0 where a row has none
     assert counting.format_series(counting.parse_series(series)) == series
     assert cli._parse_value_series(series.encode()).value.tolist() == [0.0, 1.0]
-    for parse, text in ((ingest.parse_events, events), (counting.parse_series, series),
+    for parse, text in ((ingest.parse_events, events), (_event_columns, events),
+                        (counting.parse_series, series),
                         (cli._parse_value_series, series.encode())):
         with _rows_only():
             expected = _outcome(parse, text)
@@ -243,8 +256,8 @@ def test_non_ascii_text_reads_as_str():
     assert [tuple(entity) for entity in trace.entities] == [
         ("\u00e9", "device", "\u00fc", 0.0, 1.0)]
     assert simulate.format_trace(trace) == text
-    events = ingest.parse_events(f"1.5 {_MAC} caf\u00e9 -60\n2.0 {_MAC} ap\n".encode())
-    assert events.aps == ("caf\u00e9", "ap") and events.ap.tolist() == [0, 1]
+    ap = _event_columns(f"1.5 {_MAC} caf\u00e9 -60\n2.0 {_MAC} ap\n".encode())[3]
+    assert [name.decode() for name in ap.tolist()] == ["caf\u00e9", "ap"]
 
 
 _ROW_LINES = [f"1.5 {_MAC} ap", f"2 {_MAC} ap -60", f"3 {_MAC} caf\u00e9", "", "  ", "\r",
@@ -340,7 +353,7 @@ def test_a_count_and_an_nrmse_at_a_window_edge_read_as_the_row_reader_reads_them
                                   "00000032767", "-32767"])
 def test_an_rssi_at_a_window_edge_reads_as_the_row_reader_reads_it(rssi):
     _columnar_and_row_outcomes_agree(
-        ingest.parse_events, f"1.5 {_MAC} ap {rssi}\n1700000000.991770 {_MAC} ap -1\n")
+        _event_columns, f"1.5 {_MAC} ap {rssi}\n1700000000.991770 {_MAC} ap -1\n")
 
 
 @pytest.mark.parametrize("rssi", [2**63, 2**64, -(2**63) - 1])
@@ -363,16 +376,17 @@ _UNIFORM = (f"1.5 {_MAC} ap1 -60\n2.000001 AA:BB:CC:DD:EE:02 ap2 -00000000071\n"
     (_UNIFORM.replace("\n", "\r\n"), [-60, -71, 7]),  # CRLF
     ("\t " + _UNIFORM.replace("\n", "\n  "), [-60, -71, 7]),  # leading whitespace
     ("# timestamp mac ap_id rssi\n" + _UNIFORM, [-60, -71, 7]),  # fields of no data row
-    (_UNIFORM.replace(" -60\n", "\n"), [RSSI_NONE, -71, 7]),  # rows of 3 and 4 fields
-    (_UNIFORM.replace(" 7\n", "\n"), [-60, -71, RSSI_NONE]),
+    (_UNIFORM.replace(" -60\n", "\n"), [0, -71, 7]),  # rows of 3 and 4 fields
+    (_UNIFORM.replace(" 7\n", "\n"), [-60, -71, 0]),
 ], ids=["uniform", "blank lines", "crlf", "leading whitespace", "comment", "mixed", "mixed last"])
 def test_uniform_and_other_rows_read_as_the_row_reader_reads_them(text, rssi):
     """A file whose every line is a data row of one field count is read through views of
     the index, and any other through gathers: the same events either way."""
-    events = _columnar_and_row_outcomes_agree(ingest.parse_events, text)
-    uniform = _outcome(ingest.parse_events, _UNIFORM)
-    assert events[0][:3] == uniform[0][:3] and events[1] == uniform[1]
-    assert events[0][3] == rssi
+    columns = _columnar_and_row_outcomes_agree(_event_columns, text)
+    uniform = _outcome(_event_columns, _UNIFORM)
+    assert columns[1:4] == uniform[1:4]
+    assert columns[4] == rssi
+    assert _outcome(ingest.parse_events, text) == _outcome(ingest.parse_events, _UNIFORM)
 
 
 # ---------------------------------------------------------------- writer
@@ -385,7 +399,7 @@ FORMATS = {
     "%.6f %.6f %.6f %.6f\n": "ffff",
     "%.6f %.6f\n": "ff",
     "%s %s %s %.6f %.6f\n": "sssff",
-    "%.6f %s %s%s\n": "fsss",
+    "%.6f %s ap\n": "fs",
 }
 
 
@@ -409,7 +423,7 @@ def test_the_formats_are_the_packages():
             np.zeros(1, calibration.REFERENCE_DTYPE).view(np.recarray))
         simulate.format_trace(simulate.GroundTruthTrace(np.rec.fromarrays(
             [["d0"], ["device"], ["p0"], [0.0], [1.0]], names=simulate.TRACE_FIELDS)))
-        ingest.format_events(Events([0.0], [1], [0], [RSSI_NONE], ["ap"]))
+        ingest.format_events(Events([0.0], [1]), "ap")
     assert seen == set(FORMATS)
 
 
