@@ -211,7 +211,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = read_file(args.config, simulate.parse_config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    events, trace = simulate.simulate(config)
+    with naming(args.config):
+        events, trace = simulate.simulate(config)
     Path(args.events).write_text(format_events(events, config.ap_id, config.rssi),
                                  encoding="utf-8")
     Path(args.truth).write_text(simulate.format_trace(trace), encoding="utf-8")

@@ -9,7 +9,6 @@ and people counts by interval arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -280,8 +279,8 @@ def parse_count_distribution(spec: str) -> CountDistribution:
 # configuration
 
 # The most frames, persons and devices a config may expect to generate.  The
-# simulator and the event writer peak at about 700 bytes per event, so the
-# limit holds a run to about 7 GB.
+# simulator and the writers peak at 150-200 bytes per frame, person and device
+# (measured in fresh processes, see README), so the limit holds a run to about 2 GB.
 MAX_EXPECTED_RECORDS = 10_000_000
 
 
@@ -502,69 +501,77 @@ def parse_trace(data: bytes | str) -> GroundTruthTrace:
 
 def probing_instants(dist: Distribution, start: float, end: float, rng: np.random.Generator,
                      phase_mode: str = "equilibrium", scale: float = 1.0) -> np.ndarray:
-    """Renewal probing instants within [start, end).
-
-    Equilibrium mode starts with a residual wait (phase-independent entry);
-    ordinary mode starts with a full interval draw.
-    """
-    pieces: list = [()]
-    _instants(dist, phase_mode, rng)(start, end, scale, pieces)
-    return np.concatenate(pieces)
+    """Renewal probing instants within [start, end): ``device_instants`` of one device."""
+    one = [np.array([x], dtype=float) for x in (start, end, scale)]
+    return device_instants(dist, *one, rng, phase_mode)[0]
 
 
-def _instants(dist: Distribution, phase_mode: str, rng: np.random.Generator
-              ) -> Callable[[float, float, float, list], int]:
-    """A device's draw of ``probing_instants`` with ``dist``, ``phase_mode`` and ``rng``
-    bound: ``draw(start, end, scale, pieces)`` appends them to ``pieces`` and returns
-    their number.  An exponential's first wait is one scalar draw in either mode."""
+def device_instants(dist: Distribution, start: np.ndarray, end: np.ndarray, scale: np.ndarray,
+                    rng: np.random.Generator, phase_mode: str = "equilibrium"
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Every device's renewal probing instants within its [start, end), with intervals
+    drawn from ``dist`` times its ``scale``: the devices' instants in turn, and their
+    counts.
+
+    One call draws every device's wait to its first instant: in equilibrium mode a
+    residual wait (phase-independent entry), in ordinary mode a full interval.  Then
+    ``_renewals`` draws the rest."""
     if phase_mode not in ("equilibrium", "ordinary"):
         raise ValueError(f"unknown phase_mode {phase_mode!r}")
-    mean = dist.mean()
-    if isinstance(dist, Exponential):  # its residual is itself
-        steps = first_wait = functools.partial(rng.exponential, mean)
-    else:
-        steps = functools.partial(dist.sample, rng)
-        first_wait = ((lambda: float(equilibrium_residual(dist, rng, 1)[0]))
-                      if phase_mode == "equilibrium" else lambda: float(steps(1)[0]))
-
-    def draw(start: float, end: float, scale: float, pieces: list) -> int:
-        if end <= start or (first := start + first_wait() * scale) >= end:
-            return 0
-        pieces.append((first,))
-        return 1 + _renewals(first, end, mean * scale, steps, 8, pieces, scale)
-
-    return draw
+    wait = (equilibrium_residual(dist, rng, start.size) if phase_mode == "equilibrium"
+            else dist.sample(rng, start.size))
+    return _renewals(start + wait * scale, end, dist.mean(), scale,
+                     lambda n: dist.sample(rng, n), 8, keep_start=True)
 
 
-def _renewals(t: float, horizon: float, mean: float, steps: Callable[[int], np.ndarray],
-              pad: int, pieces: list, scale: float = 1.0) -> int:
-    """Append to ``pieces`` the renewals after ``t`` and before ``horizon``, with
-    intervals ``steps(n) * scale`` drawn in chunks of 1.25 times the expected count
-    plus ``pad``, and return their number."""
-    count = 0
-    while True:
-        need = int((horizon - t) / mean * 1.25) + pad  # at least pad, as t < horizon
-        ts = steps(need)
-        if scale != 1.0:
-            ts *= scale
-        ts = np.add.accumulate(ts)  # cumsum's own sum, called directly
-        ts += t
-        inside = int(ts.searchsorted(horizon))
-        pieces.append(ts[:inside])
-        count += inside
-        if inside < need:
-            return count
-        t = float(ts[-1])
+def _renewals(t: np.ndarray, end: np.ndarray, mean: float, scale: np.ndarray,
+              steps: Callable[[int], np.ndarray], pad: int, keep_start: bool = False
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's renewals after its ``t`` (and ``t`` itself first, with ``keep_start``)
+    and before its ``end``, the rows' in turn, and their counts; a row with t >= end has
+    none.
+
+    A row's intervals are ``steps(n)`` times its ``scale``, of mean ``mean`` times it.
+    Each round draws, in one ``steps`` call, 1.25 times its expected count plus ``pad``
+    for every row still open, in row order; a row stays open while all its draws fall
+    before its end.  A row's instants are its draws summed left to right from 0, plus
+    its ``t``: the rows of one length sum as the rows of one 2-D array, so each row
+    gets the sums it would alone (one running sum over every row would carry the
+    earlier rows' total, and round each sum to its digits)."""
+    rows = np.flatnonzero(t < end)
+    n, t, end, scale = t.size, t[rows], end[rows], scale[rows]
+    found = [(rows, t)] if keep_start else [(rows[:0], t[:0])]
+    while rows.size:
+        with np.errstate(over="ignore", divide="ignore"):  # inf is refused below
+            need = (end - t) / (mean * scale) * 1.25
+        if not need.sum() < 2**62:  # nor a count that int64 would wrap
+            raise ValueError(f"renewals would need {need.sum():.3g} interval draws in one round")
+        need = need.astype(np.int64) + pad
+        begin = np.cumsum(need) - need
+        x = steps(int(need.sum()))
+        x *= np.repeat(scale, need)
+        by_length = np.argsort(need)
+        for same in np.split(by_length, np.flatnonzero(np.diff(need[by_length])) + 1):
+            at = begin[same, None] + np.arange(need[same[0]])
+            x[at] = np.add.accumulate(x[at], axis=1)
+        x += np.repeat(t, need)
+        inside = x < np.repeat(end, need)
+        kept = np.add.reduceat(inside, begin)
+        found.append((np.repeat(rows, kept), x[inside]))
+        full = kept == need
+        rows, t, end, scale = rows[full], x[begin + need - 1][full], end[full], scale[full]
+    row = np.concatenate([row for row, _ in found])
+    instants = np.concatenate([instants for _, instants in found])
+    return instants[np.argsort(row, kind="stable")], np.bincount(row, minlength=n)
 
 
 def simulate(config: SimConfig) -> tuple[Events, GroundTruthTrace]:
     """Generate a probe-request event stream and its ground-truth trace.
 
     Persons arriving before ``duration`` dwell to completion, so events may
-    extend past the arrival horizon.  Fully deterministic given the config: a
-    loop over the devices draws their instants, and array calls after it draw
-    the bursts' frame counts, rotation coins and MACs (``_draw``), so
-    ``rotation_prob`` changes only the MACs.
+    extend past the arrival horizon.  Fully deterministic given the config: array
+    calls draw every device's instants, and after them the bursts' frame counts,
+    rotation coins and MACs (``_draw``), so ``rotation_prob`` changes only the MACs.
     """
     people, (instant, count, burst_mac) = _draw(config)
     # Frame k of a burst of n lies at np.linspace(0, burst_duration, n)[k]:
@@ -618,43 +625,38 @@ def _draw(config: SimConfig) -> tuple[tuple, tuple]:
     """The persons present (their numbers, spans and device counts), and each burst's
     instant, frame count and MAC in device order.
 
-    A loop over the devices draws each person's device count, each device's interval
-    scale and its instants.  Four array calls then draw every device's persistent MAC,
-    every burst's frame count, every burst's rotation coin and a fresh MAC for each
-    burst that rotates, so only the last call depends on ``rotation_prob``."""
+    Array calls draw every person's device count, every device's interval scale and
+    its instants (``device_instants``).  Four more then draw every device's persistent
+    MAC, every burst's frame count, every burst's rotation coin and a fresh MAC for
+    each burst that rotates, so only the last call depends on ``rotation_prob``."""
     rng = np.random.default_rng(config.seed)
     enter, leave = np.zeros(config.fixed_persons), np.full(config.fixed_persons,
                                                            round(config.duration, 6))
     if config.arrival_rate > 0 and config.duration > 0:
-        mean, arrivals = 1.0 / config.arrival_rate, [np.empty(0)]
-        _renewals(0.0, config.duration, mean, functools.partial(rng.exponential, mean), 16,
-                  arrivals)
-        arrivals = np.concatenate(arrivals)
+        mean = 1.0 / config.arrival_rate
+        arrivals = _renewals(np.zeros(1), np.array([config.duration]), mean, np.ones(1),
+                             lambda n: rng.exponential(mean, n), 16)[0]
         dwells = config.dwell_dist.sample(rng, arrivals.size)
         enter = np.concatenate((enter, round6(arrivals)))
         leave = np.concatenate((leave, round6(arrivals + dwells)))
     person = np.flatnonzero(leave > enter)
 
-    # the draws of a person's device count and a device's scale (unit mean) and instants,
-    # each bound once to the config's choices
     per_person, sigma = config.devices_per_person_dist, config.interval_scale_sigma
-    devices_of = (functools.partial(rng.poisson, per_person.mean_value)
-                  if isinstance(per_person, PoissonCount) else lambda: per_person.value)
-    scale_of = (functools.partial(rng.lognormal, -0.5 * sigma * sigma, sigma) if sigma
-                else lambda: 1.0)
-    instants = _instants(config.interval_dist, config.phase_mode, rng)
-    pieces, devices, counts = [()], [], []
-    for start, end in zip(enter[person].tolist(), leave[person].tolist()):
-        devices.append(n_devices := devices_of())
-        for _ in range(n_devices):
-            counts.append(instants(start, end, scale_of(), pieces))
+    devices = (rng.poisson(per_person.mean_value, person.size)
+               if isinstance(per_person, PoissonCount)
+               else np.full(person.size, per_person.value, dtype=np.int64))
+    start, end = np.repeat(enter[person], devices), np.repeat(leave[person], devices)
+    # each device's interval scale, of unit mean
+    scale = (rng.lognormal(-0.5 * sigma * sigma, sigma, start.size) if sigma
+             else np.ones(start.size))
+    instants, counts = device_instants(config.interval_dist, start, end, scale, rng,
+                                       config.phase_mode)
 
-    (lo, hi), counts = config.frames_per_burst, np.array(counts, dtype=np.int64)
+    lo, hi = config.frames_per_burst
     persistent = rng.integers(0, _MAC_SPAN, counts.size, dtype=np.uint64) & _UNICAST_GLOBAL
     frames = rng.integers(lo, hi + 1, counts.sum())
     rotated = rng.random(frames.size) < config.rotation_prob
     macs = np.repeat(persistent, counts)
     fresh = rng.integers(0, _MAC_SPAN, np.count_nonzero(rotated), dtype=np.uint64)
     macs[rotated] = fresh & _UNICAST_GLOBAL | _LOCAL
-    return ((person, enter[person], leave[person], np.array(devices, dtype=np.int64)),
-            (np.concatenate(pieces), frames, macs))
+    return ((person, enter[person], leave[person], devices), (instants, frames, macs))

@@ -379,21 +379,46 @@ def _draw_mac(rng, randomized):
     return int.from_bytes(octets, "big")
 
 
-def _device_instants(config, rng, enter, leave):
-    scale = 1.0
-    if config.interval_scale_sigma > 0:
-        s = config.interval_scale_sigma
-        scale = float(rng.lognormal(-0.5 * s * s, s))
-    return probing_instants(
-        config.interval_dist, enter, leave, rng, config.phase_mode, scale
-    ).tolist()
+def device_instants(dist, start, end, scale, rng, phase_mode="equilibrium"):
+    """Every device's renewal probing instants within its [start, end), a list for each
+    device, summed one float at a time.  One draw gives every device's first wait, then
+    rounds follow: in each, every device still open, in device order, takes 1.25 times
+    its expected count plus 8 from one draw, and adds its scaled intervals to a running
+    sum from 0; it stays open while all of them fall before its end."""
+    if phase_mode == "equilibrium":
+        waits = equilibrium_residual(dist, rng, len(start)).tolist()
+    else:
+        waits = dist.sample(rng, len(start)).tolist()
+    instants, last = [[] for _ in start], {}
+    for i, wait in enumerate(waits):
+        first = start[i] + wait * scale[i]
+        if first < end[i]:
+            instants[i].append(first)
+            last[i] = first
+    while last:
+        needs = {i: max(8, int((end[i] - t) / (dist.mean() * scale[i]) * 1.25) + 8)
+                 for i, t in last.items()}
+        draws = iter(dist.sample(rng, sum(needs.values())).tolist())
+        still_open = {}
+        for i, need in needs.items():
+            total, kept = 0.0, 0
+            for _ in range(need):
+                total += next(draws) * scale[i]
+                if total + last[i] < end[i]:
+                    instants[i].append(total + last[i])
+                    kept += 1
+            if kept == need:
+                still_open[i] = instants[i][-1]
+        last = still_open
+    return instants
 
 
 def simulate(config):
     """Events and ground-truth rows (entity_id, kind, owner, enter, leave) of a
-    simulator config, built frame by frame.  Each device draws its interval scale and
-    instants; then, one by one, each device draws its persistent MAC, each burst its
-    frame count, each burst its rotation coin, and each rotated burst a fresh MAC."""
+    simulator config, built frame by frame.  Each person draws its device count, then
+    each device its interval scale, then every device its instants (``device_instants``);
+    then, one by one, each device draws its persistent MAC, each burst its frame count,
+    each burst its rotation coin, and each rotated burst a fresh MAC."""
     rng = np.random.default_rng(config.seed)
     spans = [(0.0, round(config.duration, 6))] * config.fixed_persons
     if config.arrival_rate > 0 and config.duration > 0:
@@ -401,23 +426,25 @@ def simulate(config):
         dwells = config.dwell_dist.sample(rng, arrivals.size)
         for arrive, dwell in zip(arrivals.tolist(), dwells.tolist()):
             spans.append((round(arrive, 6), round(arrive + dwell, 6)))
-    entities = []
-    device_instants = []
-    device_index = 0
-    for person_index, (enter, leave) in enumerate(spans):
-        if not leave > enter:
-            continue
-        person_id = f"p{person_index}"
+    present = [(f"p{i}", enter, leave) for i, (enter, leave) in enumerate(spans)
+               if leave > enter]
+    per_person = config.devices_per_person_dist
+    n_devices = [int(rng.poisson(per_person.mean_value)) if isinstance(per_person, PoissonCount)
+                 else per_person.value for _ in present]
+    entities, starts, ends = [], [], []
+    for (person_id, enter, leave), n in zip(present, n_devices):
         entities.append((person_id, "person", "-", enter, leave))
-        per_person = config.devices_per_person_dist
-        n_devices = (int(rng.poisson(per_person.mean_value, 1)[0])
-                     if isinstance(per_person, PoissonCount) else per_person.value)
-        for _ in range(n_devices):
-            entities.append((f"d{device_index}", "device", person_id, enter, leave))
-            device_index += 1
-            device_instants.append(_device_instants(config, rng, enter, leave))
-    persistent = [_draw_mac(rng, randomized=False) for _ in device_instants]
-    bursts = [(instant, mac) for instants, mac in zip(device_instants, persistent)
+        for _ in range(n):
+            entities.append((f"d{len(starts)}", "device", person_id, enter, leave))
+            starts.append(enter)
+            ends.append(leave)
+    sigma = config.interval_scale_sigma
+    scales = [float(rng.lognormal(-0.5 * sigma * sigma, sigma)) if sigma > 0 else 1.0
+              for _ in starts]
+    instants_of = device_instants(config.interval_dist, starts, ends, scales, rng,
+                                  config.phase_mode)
+    persistent = [_draw_mac(rng, randomized=False) for _ in instants_of]
+    bursts = [(instant, mac) for instants, mac in zip(instants_of, persistent)
               for instant in instants]
     lo, hi = config.frames_per_burst
     n_frames = [int(rng.integers(lo, hi + 1)) for _ in bursts]

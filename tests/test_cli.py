@@ -644,6 +644,19 @@ def test_simulate_rejects_configs_above_the_record_limit(tmp_path, capsys, text,
     assert not events.exists()
 
 
+def test_simulate_names_the_config_whose_events_leave_the_time_range(tmp_path, capsys):
+    # a device probing about every 1e9 s over 9e9 s: its events pass 2**32 s, which the
+    # event text cannot hold, and the fault lies in the config
+    config = tmp_path / "sim.cfg"
+    config.write_text("arrival_rate 0\nfixed_persons 1\nduration 9e9\n"
+                      "interval_dist exp:mean=1e9\n")
+    events, truth = tmp_path / "sim.events", tmp_path / "sim.truth"
+    assert main(["simulate", "--config", str(config), "--events", str(events),
+                 "--truth", str(truth)]) == 1
+    assert capsys.readouterr().err == f"error: {config}: event timestamp outside [0, 2**32) s\n"
+    assert not events.exists() and not truth.exists()
+
+
 def test_eval_rejects_a_negative_reference(tmp_path, capsys):
     estimates, reference = tmp_path / "est.txt", tmp_path / "ref.txt"
     estimates.write_text("0.000000 1.0\n180.000000 1.0\n")
@@ -672,53 +685,54 @@ GOLDEN_MODEL = (
     "area_id sim\ntau_mean 60.0\ntau_std 55.0\nsample_count 1000\nbin_width 600.0\n"
     "histogram 1000\n"
 )
-# sha256 of every file the chain writes, and the output, for each grid: the
-# bytes the per-window objects wrote before the series became record arrays.
-# The pinned grid runs past the data, into empty windows.
+# sha256 of every file the chain writes, and the output, for each grid.  simulate's two
+# files are the frame-by-frame simulator's in oracles.py; the later files are what the
+# commands wrote on those two files before the simulator drew its devices in array
+# rounds.  The pinned grid runs past the data, into empty windows.
 GOLDEN_DIGESTS = {
     "default": {
-        "counts": "0beaf2dbbfa704e0dc973b97b29ba3cabcdd9b8a6b87a49118a043d0d7749ae3",
-        "dev": "48bdc9ed4b8dea8113f16cae8040b458b8595222e316e27cd413a04bc8b68dd4",
+        "counts": "744d35f7f1ee3f45ceacb292267fe8b651b3d7cdbc5d75629aeeafe92839b1b0",
+        "dev": "5338c7a3111b1762d49312e692b9ad432fca44ffc2291cf87f766f62073b4bb8",
         "stdout": (
-            "events=1291 devices=126 persons=93\n"
-            "rmse 2.924787\n"
-            "mape 0.094494\n"
-            "nrmse 0.161943\n"
-            "rmse 24.213262\n"
-            "mape 1.365861\n"
-            "nrmse 1.340670\n"
-            "rmse 2.606307\n"
-            "mape 0.186303\n"
-            "nrmse 0.186735\n"
+            "events=1482 devices=125 persons=93\n"
+            "rmse 2.190718\n"
+            "mape 0.112424\n"
+            "nrmse 0.164839\n"
+            "rmse 24.708424\n"
+            "mape 1.347629\n"
+            "nrmse 1.859169\n"
+            "rmse 3.360458\n"
+            "mape 0.213108\n"
+            "nrmse 0.308059\n"
         ),
-        "macs": "bde9a22f27b079fb79bb2222399343836314b8127e55a0f3431d87f6b85a9477",
-        "people": "c9c16f197b8e30460e9fb162225585e3c4e50543c12b0b2bfa19b9c2dacfde3f",
+        "macs": "6ac946195ed50d29bf987b0b5437e4a2c36262d97f92539a6920b7b6fac01456",
+        "people": "c32b91ac2e58c338fb41068cb23d78b099df11a5c6b66e8f5d63587993b7cae9",
         "person": "b6d800711ef4852ece432d6a4530fae3e26b12ba8a420bc3b6709f79f757e144",
-        "ratio": "ef500087fd61caf67d84296084a31e5664eb92c0f78326fff1be2aa1f7c8311f",
-        "sim.events": "0ca3228ae12e649c4cb17290b85fff6bd5f4dd8fd0339a978097de0dc0785959",
-        "sim.truth": "1b72c5d2e825f773a7d16e09fcad7dbaf2c917897532dc30c8f62d3af4bd6816",
+        "ratio": "242ee63c7c9c1caed4a465bfdb5fc0c228b21dafff228e24d8e1f3707ec375a0",
+        "sim.events": "9cbc284d20f7ce1fd92e194f3396f3aaff2a7d9155807ef4073d3e5b7963e481",
+        "sim.truth": "f0c652e703b8b7e703093535a64ef2b6e2eadb4f59dc80bbffd4a1a5ecb5a738",
     },
     "pinned": {
-        "counts": "8a8f27b987694a44670839e0e1d5518e6d47fc6e8880ca4ad34947d44fdf6252",
-        "dev": "75724bb7243e1ff4fda83ea6265f9fa9d49e7f6d773f83ab64f6b8b82b9fa64d",
+        "counts": "44c6fd0cd1f9fe101a5b0fa23341eb6f8574a73b6abda1124387f7549b3fa6ad",
+        "dev": "2b99ebf6dc276a469ed53554708f84b9320f2e9665be858f197d44a8f3a66897",
         "stdout": (
-            "events=1291 devices=126 persons=93\n"
-            "rmse 1.464871\n"
-            "mape 0.102310\n"
-            "nrmse 0.222604\n"
-            "rmse 28.765699\n"
-            "mape 2.627072\n"
-            "nrmse 4.371275\n"
-            "rmse 1.417917\n"
-            "mape 0.420286\n"
-            "nrmse 0.250121\n"
+            "events=1482 devices=125 persons=93\n"
+            "rmse 1.208246\n"
+            "mape 0.109111\n"
+            "nrmse 0.175846\n"
+            "rmse 33.054114\n"
+            "mape 2.620464\n"
+            "nrmse 4.810634\n"
+            "rmse 2.088712\n"
+            "mape 0.244606\n"
+            "nrmse 0.368450\n"
         ),
-        "macs": "84d4fe2fdcc5d3416a9a28fc3d2b6e7decd08b874b0ff988a43c1a57f618432c",
-        "people": "26d803084346070e8e48c7a8de15705275c1de9cbb6a7a689cca7ac897fda2f3",
+        "macs": "3b49a64a333c6ad66466d5f196eaf68a6ec49afe9e3fffc5060af946b9b4567c",
+        "people": "978d031b12b783b3b09df4af97a4bec68092018c02f2047c1c024cc988bdad8f",
         "person": "f932252da52d1b05e714b831ddd52f9ae9baa139bb1a4aeb8481dcb38ab2afea",
-        "ratio": "50064c7541df0a7cea9782f4041804bee8760520223e50f964304fc0696d7cdd",
-        "sim.events": "0ca3228ae12e649c4cb17290b85fff6bd5f4dd8fd0339a978097de0dc0785959",
-        "sim.truth": "1b72c5d2e825f773a7d16e09fcad7dbaf2c917897532dc30c8f62d3af4bd6816",
+        "ratio": "127f798764bc69e2f91ef9569917198311d3f35b7894f4768e6c0e661cb80ff6",
+        "sim.events": "9cbc284d20f7ce1fd92e194f3396f3aaff2a7d9155807ef4073d3e5b7963e481",
+        "sim.truth": "f0c652e703b8b7e703093535a64ef2b6e2eadb4f59dc80bbffd4a1a5ecb5a738",
     },
 }
 

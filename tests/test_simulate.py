@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzz_simulate
 import oracles
 from event_columns import event_rows
 from probecount.ingest import Events, format_events, is_randomized, parse_events, round6
@@ -30,6 +31,7 @@ from probecount.simulate import (
     SimConfig,
     UniformInterval,
     _renewals,
+    device_instants,
     equilibrium_residual,
     MAX_EXPECTED_RECORDS,
     TRACE_FIELDS,
@@ -771,6 +773,13 @@ def test_simulate_matches_frame_by_frame_simulator(
     assert trace.entities.tolist() == expected_trace
 
 
+def test_simulate_matches_the_frame_by_frame_simulator_on_fuzzed_configs():
+    # CI runs tests/fuzz_simulate.py on 2000 configs
+    mismatch, events = fuzz_simulate.run(100, seed=32)
+    assert mismatch is None
+    assert events > 10_000
+
+
 def test_rotation_changes_only_the_macs():
     # the bursts' instants, frame counts and coins are drawn before any fresh MAC, so the
     # rotation probability leaves the times and the trace as they are
@@ -813,12 +822,71 @@ def test_renewal_loop_keeps_the_draws(dist, start, span, scale, phase_mode, seed
     assert ours.tolist() == theirs.tolist()
     rate = 1.0 / (1.0 + scale)
     mean, rng = 1.0 / rate, np.random.default_rng(seed)
-    pieces = [()]
-    count = _renewals(0.0, span, mean, lambda n: rng.exponential(mean, n), 16, pieces)
-    ours = np.concatenate(pieces)
-    assert count == ours.size
+    ours, count = _renewals(np.zeros(1), np.array([span]), mean, np.ones(1),
+                            lambda n: rng.exponential(mean, n), 16)
+    assert count.tolist() == [ours.size]
     theirs = oracles._poisson_arrivals(np.random.default_rng(seed), rate, span)
     assert ours.tolist() == theirs.tolist()
+
+
+# heavy tails: most draws fall far below the mean, so a round's 1.25 times the expected
+# count often ends before the span does, and the span takes several rounds
+_HEAVY = [LogNormal(0.0, 2.5), HistogramInterval(1.0, (50,) + (0,) * 98 + (1,))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dist=st.sampled_from([Exponential(5.0), LogNormal(1.0, 1.2), UniformInterval(0.0, 3.0),
+                          Constant(4.0), HistogramInterval(2.0, (0, 3, 9, 5, 1, 2)), *_HEAVY]),
+    devices=st.lists(st.tuples(st.floats(0.0, 100.0),
+                               st.one_of(st.floats(-50.0, 0.0), st.floats(0.0, 500.0)),
+                               st.floats(0.1, 3.0)), min_size=1, max_size=50),
+    phase_mode=st.sampled_from(["equilibrium", "ordinary"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_devices_renewals_match_a_per_device_loop(dist, devices, phase_mode, seed):
+    start, span, scale = (np.array(column) for column in zip(*devices))
+    end = start + span
+    ours, counts = device_instants(dist, start, end, scale, np.random.default_rng(seed),
+                                   phase_mode)
+    theirs = oracles.device_instants(dist, start.tolist(), end.tolist(), scale.tolist(),
+                                     np.random.default_rng(seed), phase_mode)
+    assert counts.tolist() == [len(row) for row in theirs]
+    assert ours.tolist() == [t for row in theirs for t in row]
+
+
+class _CountingCalls:
+    """A generator that counts the draw calls made through it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("dist", _HEAVY)
+def test_heavy_tailed_spans_take_several_rounds(dist):
+    start, end, scale = np.zeros(20), np.full(20, 2000.0), np.linspace(0.5, 2.0, 20)
+    rng = _CountingCalls(np.random.default_rng(4))
+    ours, counts = device_instants(dist, start, end, scale, rng, "ordinary")
+    # the first waits' call, then one a round (a histogram's draw is one call)
+    assert rng.calls - 1 >= 3
+    theirs = oracles.device_instants(dist, start.tolist(), end.tolist(), scale.tolist(),
+                                     np.random.default_rng(4), "ordinary")
+    assert ours.tolist() == [t for row in theirs for t in row]
+    assert counts.tolist() == [len(row) for row in theirs]
+
+
+# 1.25e20 draws, past int64, and an infinite count, from an overflow and from a zero scale
+@pytest.mark.parametrize("scale", [1e-10, 1e-300, 0.0])
+def test_renewals_refuse_a_round_too_large_to_draw(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning
+        with pytest.raises(ValueError, match=r"renewals would need (1\.25e\+20|inf) interval"):
+            device_instants(Exponential(1.0), np.zeros(1), np.full(1, 1e10), np.full(1, scale),
+                            np.random.default_rng(0))
 
 
 # Event and truth files of each config: (config, event count, sha256 of the
@@ -827,23 +895,23 @@ def test_renewal_loop_keeps_the_draws(dist, start, span, scale, phase_mode, seed
 GOLDEN_SIMULATIONS = [
     (
         "duration 1800\nseed 1\n",
-        866,
-        "ceebb511c59bbe5cdeba6a37b59eee27cae33d28e842fd49ef22352364f71054",
+        873,
+        "7baac5790c296b3cdaa4b59a4fcc9e5817fee753d21b2dcbe34b7b31f835cff2",
     ),
     (
         "arrival_rate 0.0\nfixed_persons 6\ninterval_dist lognormal:mu=3.5,sigma=0.8\n"
         "frames_per_burst 2..5\nburst_duration 0.7\nrotation_prob 0.3\n"
         "interval_scale_sigma 0.4\nphase_mode ordinary\nduration 1200\nseed 4\n"
         "ap_id lobby\nrssi -42\n",
-        566,
-        "e7796cea96b4fc79d3e2467984d5ff508008ac5cf5ac60d2d48358cfd7f0a03a",
+        638,
+        "e73752f3d34b91cc04f080ab9ff8df584b47c0562eba897a3c22fefd517bc251",
     ),
     (
         "arrival_rate 0.2\ndwell_dist uniform:low=60,high=240\n"
         "interval_dist uniform:low=5,high=40\ndevices_per_person_dist poisson:mean=1.5\n"
         "rotation_prob 0.0\nframes_per_burst 3\nburst_duration 2.5\nduration 600\nseed 9\n",
-        3945,
-        "0ed2876f915470c41cff6b1baef0572b6150ffcfa280c3a59810bf60cb24e1b7",
+        3618,
+        "54ea2c2eef8264543ef9518994fcd6c552f882a30aa7db2ae579e5484d34018f",
     ),
     (
         # every device probes at the same instants: ties broken by MAC
@@ -856,16 +924,16 @@ GOLDEN_SIMULATIONS = [
         # full rotation with a frame-count draw
         "rotation_prob 1.0\nframes_per_burst 2..7\ninterval_scale_sigma 0.3\nduration 1800\n"
         "seed 5\n",
-        2182,
-        "ec30a3d2cbfe144f8b86e0c20a706cdd48626b37bac5dadd1ac3c16c08c20202",
+        2003,
+        "c4e68bbfe57f2cde559e4a4976189b0cb200fb433cf0082711f56f7f5e7be037",
     ),
     (
         # fitted histograms (GOLDEN_MODEL) for intervals, length-biased first waits and dwells
         "arrival_rate 0.1\nfixed_persons 2\ndwell_dist hist:golden.model\n"
         "interval_dist hist:golden.model\nframes_per_burst 1..3\nrotation_prob 0.3\n"
         "duration 3600\nseed 6\n",
-        1060,
-        "831eb37365a29cca5982c1729b6f1c4861faa17fa88e4ec0843df1f2612559d4",
+        971,
+        "2370e9b29f2706548da6b704506202928d95a9ae4299c2473dabe4e73851feb6",
     ),
     (
         # the benchmark's simulate_validate config, shorter: a Poisson device count per
@@ -873,8 +941,8 @@ GOLDEN_SIMULATIONS = [
         "arrival_rate 0.2\ndwell_dist uniform:low=150,high=450\ninterval_dist exp:mean=60\n"
         "devices_per_person_dist poisson:mean=1.14\nrotation_prob 1.0\nframes_per_burst 1..3\n"
         "duration 1200\nseed 8\n",
-        3391,
-        "c7d23f6a62c8f88f339acf9d73c2886dc18a71711422750bff338f3ca5af1787",
+        2438,
+        "72fa28e57227c213738bffc30f7f355247b9022d9c0449b391fcf65311f1bfae",
     ),
 ]
 GOLDEN_MODEL = ("area_id golden\ntau_mean 48.0\ntau_std 30.0\nsample_count 60\nbin_width 10.0\n"
