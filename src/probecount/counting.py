@@ -40,14 +40,28 @@ SERIES_COLUMNS = (finite, positive, non_negative_int, non_negative, non_negative
 MAC_SERIES_COLUMNS = (finite, positive, non_negative_int)
 
 
-def window_grid(start: float, end: float, size: float, step: float) -> np.ndarray:
-    """Starts ``start + i*step`` of the windows of ``size`` that end by ``end`` (within 1e-9).
+def series_grid(size: float, step: float, first: float | None, last: float | None,
+                start: float | None = None, end: float | None = None) -> np.ndarray:
+    """The starts ``start + i*step`` of every series' windows of ``size`` that end by ``end``
+    (within 1e-9), over data from ``first`` to ``last`` (None without data).
 
-    The count is computed, then settled on the rule itself, so the grid is the
-    one a loop over i would build; more than ``MAX_WINDOWS`` is an error.
+    ``start`` defaults to the multiple of ``step`` at or before ``first``, so that series
+    computed from different inputs (counts, baseline, ground truth) join by start, and
+    ``end`` to ``last``.  The count is computed, then settled on the rule itself, so the
+    grid is the one a loop over i would build.  A default edge without data, a grid with
+    no window and one of more than ``MAX_WINDOWS`` are refused.
     """
+    if (start is None or end is None) and (first is None or last is None):
+        raise ValueError("no observations to place the window grid on: pin --start and --end")
     if not size > 0 or not step > 0:
         raise ValueError("window size and step must be positive")
+    if start is None:
+        start = math.floor(first / step) * step
+        # first/step can round up to the next integer when first lies just below
+        # a lattice point; the grid must still start at or before first
+        start = start - step if start > first else start
+    _check_start(start)
+    end = last if end is None else end
     if not (math.isfinite(start) and math.isfinite(end)):
         raise ValueError("window grid start and end must be finite")
 
@@ -64,35 +78,9 @@ def window_grid(start: float, end: float, size: float, step: float) -> np.ndarra
         exact = MAX_WINDOWS <= estimate < 2**53
         count = math.floor(estimate) + 1 if exact else f"more than {MAX_WINDOWS}"
         raise ValueError(f"window grid of {count} windows exceeds the limit of {MAX_WINDOWS}")
-    return start + np.arange(n) * step
-
-
-def grid_start(first: float, step: float) -> float:
-    """Default grid start: the multiple of ``step`` at or before ``first``.
-
-    Anchoring every default grid on the k*step lattice lets series computed
-    from different inputs (counts, baseline, ground truth) join by start.
-    """
-    if not step > 0:
-        raise ValueError("window step must be positive")
-    start = math.floor(first / step) * step
-    # first/step can round up to the next integer when first lies just below
-    # a lattice point; the grid must still start at or before first
-    return start - step if start > first else start
-
-
-def series_grid(size: float, step: float, first: float | None, last: float | None,
-                start: float | None = None, end: float | None = None) -> np.ndarray:
-    """The starts of every series' window grid over data from ``first`` to ``last`` (None
-    without data): ``start`` defaults to the multiple of ``step`` at or before ``first`` and
-    ``end`` to ``last``; a default edge without data and a grid with no window are refused."""
-    if (start is None or end is None) and (first is None or last is None):
-        raise ValueError("no observations to place the window grid on: pin --start and --end")
-    start = grid_start(first, step) if start is None else start
-    _check_start(start)
-    starts = window_grid(start, last if end is None else end, size, step)
-    if not starts.size:
+    if n == 0:
         raise ValueError("no complete window fits before --end")
+    starts = start + np.arange(n) * step
     _check_start(float(starts[-1]))
     return starts
 

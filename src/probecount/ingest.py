@@ -342,6 +342,13 @@ def _mac_value(text: str) -> int:
     return int.from_bytes(raw, "big")
 
 
+def _checked_token(text: str) -> bool:
+    """A text field that is checked, not kept: it must be UTF-8 text, as ``str.encode``
+    has it."""
+    text.encode()
+    return True
+
+
 # The rules of an event line, as read_table checks them (rssi 0 for none).
 _EVENT_CHECKS = (
     (lambda t, *_: (t >= 0) & (t < MAX_TIMESTAMP),
@@ -697,6 +704,7 @@ _GRAMMARS = {
     non_negative_int: (lambda *field: _number(*field, point=False), lambda x: x >= 0),
     _mac_value: (_mac, None),
     str: (_token, None),
+    _checked_token: (lambda buf, end, length: np.ones(end.size, dtype=bool), None),
 }
 
 
@@ -815,7 +823,7 @@ def read_table(data: bytes | str, *layouts: Sequence[Callable[[str], Any]],
     decoded = []
     for j, convert in enumerate(layout):
         grammar, check = _GRAMMARS.get(convert, (None, None))
-        grammar = None if odd and convert is str else grammar
+        grammar = None if odd and convert in (str, _checked_token) else grammar
         rows = np.flatnonzero(count[:limit] > j) if j >= shortest else None  # None: all
         if matrix and present.size:
             ends, lengths = matrix[0][:limit, j], matrix[1][:limit, j]
@@ -858,7 +866,7 @@ def read_table(data: bytes | str, *layouts: Sequence[Callable[[str], Any]],
                    for column, convert in zip(columns, layout)]
 
 
-_EVENT_LAYOUT = (float, _mac_value, str)
+_EVENT_LAYOUT = (float, _mac_value, _checked_token)
 
 
 def parse_events(data: bytes | str) -> Events:
@@ -885,8 +893,11 @@ def _mac_texts(mac: np.ndarray) -> np.ndarray:
 def format_events(events: Events, ap: str, rssi: int | None = None) -> str:
     """Serialize events to the line-delimited text format, every line with ap name ``ap``
     and ``rssi`` (no rssi field for None).  The name must be one token without whitespace,
-    so that it reads back as itself."""
+    and the rssi an int in [-RSSI_MAX, RSSI_MAX], so that they read back as themselves."""
     if ap.split() != [ap]:
         raise ValueError(f"ap name must be one token without whitespace, got {ap!r}")
+    if rssi is not None and not (type(rssi) is int and -RSSI_MAX <= rssi <= RSSI_MAX):
+        raise ValueError(f"rssi must be None or an int in [{-RSSI_MAX}, {RSSI_MAX}], "
+                         f"got {rssi!r}")
     tail = ap if rssi is None else f"{ap} {rssi}"
     return format_rows(f"%.6f %s {tail.replace('%', '%%')}\n", [events.t, _mac_texts(events.mac)])

@@ -56,6 +56,9 @@ class IntervalModel:
             raise ValueError("tau_mean must be positive for a fitted model")
         if self.tau_std < 0:
             raise ValueError("tau_std must be non-negative")
+        for name in ("tau_mean", "tau_std", "bin_width"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @classmethod
     def from_moments(

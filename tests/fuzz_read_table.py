@@ -61,7 +61,7 @@ def _number(rng: random.Random, convert, junk_rate: float) -> str:
 
 
 def _field(rng: random.Random, convert, column: int, layout_name: str, junk_rate: float) -> str:
-    if convert is str:
+    if convert in (str, ingest._checked_token):  # the events ap column is checked text
         if layout_name == "trace" and column == 1:
             return rng.choice(["device", "person", "device", "person", "robot", "device\x00"])
         if rng.random() < junk_rate:

@@ -2,12 +2,12 @@
 
 Each works one object at a time: a per-line column-file reader, a
 per-record capture decoder and record walk, a per-event burst grouper, a
-per-burst interval extractor, the window-grid loop, the per-window count,
-people and ground-truth series with their text writers, a per-event text
-writer and a per-frame simulator.  The differential tests compare the
-package's numpy code against them.  Last come
-the numpy formulations that grouped by MAC with ``np.lexsort`` and stable
-argsorts, oracles for the package's grouping at scale.
+per-burst interval extractor, the window grid's lattice start and loop, the
+per-window count, people and ground-truth series with their text writers, a
+per-event text writer and a per-frame simulator.  The differential tests
+compare the package's numpy code against them.  Last come the numpy
+formulations that grouped by MAC with ``np.lexsort`` and stable argsorts, oracles
+for the package's grouping at scale.
 """
 
 import math
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from event_columns import Event, mac_text
-from probecount.counting import grid_start
 from probecount.ingest import ParseError, data_lines
 from probecount.simulate import PoissonCount, equilibrium_residual
 
@@ -213,6 +212,16 @@ class PeopleEstimate:
     window: Window
     m_hat: float
     nrmse_estimate: float | None
+
+
+def grid_start(first, step):
+    """The default grid start: the lattice point k*step, k the floor of first/step as
+    floats divide, or the point a step before it when the division rounded up past
+    ``first``."""
+    start = (first / step // 1) * step
+    if start > first:
+        start -= step
+    return start
 
 
 def window_grid(start, end, size, step):

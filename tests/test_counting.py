@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -13,12 +13,10 @@ from probecount.counting import (
     MAX_WINDOWS,
     format_mac_series,
     format_series,
-    grid_start,
     mac_count_series,
     parse_series,
     series_grid,
     sliding_windows,
-    window_grid,
 )
 from event_columns import Event, events_of, mac
 from probecount.intervals import IntervalModel
@@ -54,8 +52,13 @@ def contains(start, size, t):
     return start <= t < start + size
 
 
+NO_OBSERVATIONS = "no observations to place the window grid on: pin --start and --end"
+NO_WINDOW = "no complete window fits before --end"
+
+
 def oracle_starts(start, end, size, step):
-    return [w.start for w in oracles.window_grid(start, end, size, step)]
+    """The oracle loop's starts, or the refusal of a grid with no window."""
+    return [w.start for w in oracles.window_grid(start, end, size, step)] or NO_WINDOW
 
 
 def test_count_window_direct_evaluation():
@@ -133,12 +136,19 @@ def test_overlapping_windows_interior_multiplicity():
         assert count in (lo, hi)
 
 
-def test_window_grid_keeps_windows_ending_by_end():
-    grid = window_grid(0.0, 1000.0, 300.0, 200.0)
-    assert grid.tolist() == [0.0, 200.0, 400.0, 600.0]
+def pinned(start, end, size, step):
+    """The starts of the grid pinned to [start, end], or series_grid's refusal."""
+    try:
+        return series_grid(size, step, None, None, start=start, end=end).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_series_grid_keeps_windows_ending_by_end():
+    assert pinned(0.0, 1000.0, 300.0, 200.0) == [0.0, 200.0, 400.0, 600.0]
     # a window ending within 1e-9 of end still fits
-    assert len(window_grid(0.0, 0.3 - 1e-10, 0.1, 0.1)) == 3
-    assert window_grid(500.0, 100.0, 10.0, 10.0).tolist() == []
+    assert len(pinned(0.0, 0.3 - 1e-10, 0.1, 0.1)) == 3
+    assert pinned(500.0, 100.0, 10.0, 10.0) == NO_WINDOW
 
 
 @pytest.mark.parametrize(
@@ -151,10 +161,9 @@ def test_window_grid_keeps_windows_ending_by_end():
         (math.nan, 100.0, 10.0, 10.0, "finite"),
     ],
 )
-def test_window_grid_rejects_bad_bounds(start, end, size, step, fragment):
+def test_series_grid_rejects_bad_bounds(start, end, size, step, fragment):
     with pytest.raises(ValueError, match=fragment):
-        window_grid(start, end, size, step)
-
+        series_grid(size, step, None, None, start=start, end=end)
 
 
 @given(
@@ -163,9 +172,9 @@ def test_window_grid_rejects_bad_bounds(start, end, size, step, fragment):
     st.sampled_from([0.1, 0.3, 1.0, 10.0, 180.0, 300.0]),
     st.sampled_from([0.1, 0.3, 1.0, 10.0, 60.0, 180.0]),
 )
-def test_window_grid_matches_loop(start, steps, size, step):
+def test_series_grid_matches_loop(start, steps, size, step):
     end = start + steps * step
-    assert window_grid(start, end, size, step).tolist() == oracle_starts(start, end, size, step)
+    assert pinned(start, end, size, step) == oracle_starts(start, end, size, step)
 
 
 @given(
@@ -175,12 +184,12 @@ def test_window_grid_matches_loop(start, steps, size, step):
     st.integers(1, 3),
     st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]),
 )
-def test_window_grid_matches_loop_at_exact_fits(start, k, step, steps_per_window, offset):
+def test_series_grid_matches_loop_at_exact_fits(start, k, step, steps_per_window, offset):
     # end lands within rounding of the end of window k, where the window count
     # computed from (end - size - start) / step can be one off
     size = steps_per_window * step
     end = start + k * step + size + offset
-    assert window_grid(start, end, size, step).tolist() == oracle_starts(start, end, size, step)
+    assert pinned(start, end, size, step) == oracle_starts(start, end, size, step)
 
 
 @pytest.mark.parametrize(
@@ -191,8 +200,8 @@ def test_window_grid_matches_loop_at_exact_fits(start, k, step, steps_per_window
         (51028.1, 51040.06666666567, 0.3, 1 / 3),
     ],
 )
-def test_window_grid_count_settles_on_the_rule(start, end, size, step):
-    assert window_grid(start, end, size, step).tolist() == oracle_starts(start, end, size, step)
+def test_series_grid_count_settles_on_the_rule(start, end, size, step):
+    assert pinned(start, end, size, step) == oracle_starts(start, end, size, step)
 
 
 @pytest.mark.parametrize(
@@ -203,26 +212,53 @@ def test_window_grid_count_settles_on_the_rule(start, end, size, step):
         (1e300, 1.0, f"more than {MAX_WINDOWS}"),
     ],
 )
-def test_window_grid_rejects_more_than_the_limit(end, step, count):
+def test_series_grid_rejects_more_than_the_limit(end, step, count):
     message = re.escape(f"window grid of {count} windows exceeds the limit of {MAX_WINDOWS}")
     with pytest.raises(ValueError, match=message):
-        window_grid(0.0, end, 180.0, step)
+        series_grid(180.0, step, None, None, start=0.0, end=end)
 
 
-def test_window_grid_limit_is_inclusive():
-    assert len(window_grid(0.0, MAX_WINDOWS - 1 + 180.0, 180.0, 1.0)) == MAX_WINDOWS
+def test_series_grid_limit_is_inclusive():
+    assert len(pinned(0.0, MAX_WINDOWS - 1 + 180.0, 180.0, 1.0)) == MAX_WINDOWS
 
-def test_grid_start_on_step_lattice():
-    assert grid_start(58.05, 180.0) == 0.0
-    assert grid_start(180.0, 180.0) == 180.0
-    assert grid_start(1234.5, 10.0) == 1230.0
+
+def default_start(first, step):
+    """The first start of the default grid over one observation at ``first``."""
+    return series_grid(step, step, first, first + step)[0]
+
+
+def test_series_grid_default_start_on_step_lattice():
+    assert default_start(58.05, 180.0) == 0.0
+    assert default_start(180.0, 180.0) == 180.0
+    assert default_start(1234.5, 10.0) == 1230.0
     # 90142.79999999999 / 0.3 rounds up to a whole number of steps
     first = 90142.79999999999
-    assert grid_start(first, 0.3) <= first
+    assert default_start(first, 0.3) == oracles.grid_start(first, 0.3) <= first
     estimates = sliding_windows(at(first), 0.3, 0.3, model())
     assert estimates.burst_count.sum() == 1
     with pytest.raises(ValueError, match="positive"):
-        grid_start(10.0, 0.0)
+        series_grid(180.0, 0.0, 10.0, 190.0)
+
+
+_LATTICE_STEPS = [0.1, 0.2, 0.3, 0.7, 1.1, 1 / 3, 0.6000000000000001, 1e-6, 10.0, 180.0]
+
+
+@settings(max_examples=500)
+@given((st.sampled_from(_LATTICE_STEPS) | st.floats(1e-6, 1e3)).flatmap(
+    lambda step: st.tuples(st.just(step), st.integers(-int(2**33 / step) + 3,
+                                                      int(2**33 / step) - 3),
+                           st.integers(-3, 3))))
+@example((0.3, 300476, -1))  # first = 90142.79999999999
+def test_series_grid_default_start_matches_the_oracle_near_lattice_points(case):
+    # first lies a few floats from the lattice point k*step, where first/step can round
+    # to the next whole number of steps
+    step, k, ulps = case
+    first = k * step
+    for _ in range(abs(ulps)):
+        first = math.nextafter(first, math.copysign(math.inf, ulps))
+    start = default_start(first, step)
+    assert start == oracles.grid_start(first, step)
+    assert start <= first
 
 
 def test_default_grids_start_on_step_lattice():
@@ -343,10 +379,6 @@ def test_mac_count_series_rejects_unsorted():
     # the events refuse unsorted times when they are built
     with pytest.raises(ValueError, match="events not sorted by timestamp"):
         mac_count_series(events_of(events), 100.0, 100.0)
-
-
-NO_OBSERVATIONS = "no observations to place the window grid on: pin --start and --end"
-NO_WINDOW = "no complete window fits before --end"
 
 
 @pytest.mark.parametrize("times,grid,expected", [

@@ -278,7 +278,14 @@ def test_fallback_triggers_read_as_the_row_reader_reads_them(trigger, where):
     assert _outcome(text) == _row_outcome(text)
 
 
-_EVENT_LINES = "0.5 02:00:00:00:00:01 ap2 -60\n2.0 aa:BB:cc:DD:ee:02 ap1\n"
+def test_a_lone_surrogate_in_an_ap_id_is_refused_though_the_ap_is_not_kept():
+    text = "0.5 02:00:00:00:00:01 ap2 -60\n1.0 aa:bb:cc:dd:ee:01 ap\ud800\n"
+    message = ("line 2: 'utf-8' codec can't encode character '\\ud800' in position 2: "
+               "surrogates not allowed")
+    assert _outcome(text) == _row_outcome(text) == message
+
+
+_EVENT_LINES ="0.5 02:00:00:00:00:01 ap2 -60\n2.0 aa:BB:cc:DD:ee:02 ap1\n"
 
 
 @pytest.mark.parametrize("comment", ["# caf\u00e9", " \t# \u20ac\u00a0\U0001f4e1\r"])
@@ -580,6 +587,10 @@ def test_format_events_writes_one_ap_and_rssi_on_every_line(ap, rssi):
     tail = f" {ap}" + ("" if rssi is None else f" {rssi}")
     assert all(line.endswith(tail) for line in text.splitlines())
     assert event_rows(parse_events(text)) == event_rows(events)
+    # the rssi reads back as itself
+    _, columns = ingest.read_table(text, ingest._EVENT_LAYOUT, (*ingest._EVENT_LAYOUT, int),
+                                   checks=ingest._EVENT_CHECKS)
+    assert [c.tolist() for c in columns[3:]] == ([] if rssi is None else [[rssi] * len(events)])
 
 
 def test_format_events_keeps_the_digit_matrix_for_ordinary_names():
@@ -629,6 +640,16 @@ def test_format_events_writes_any_one_token_ap_name():
     text = format_events(events, "hall_7#\u00e9")
     assert text.splitlines()[0] == "1.000000 aa:bb:cc:dd:ee:01 hall_7#\u00e9"
     assert event_rows(parse_events(text)) == event_rows(events)
+
+
+@pytest.mark.parametrize("rssi", [10**6, -(2**15), 2**15, True, False, -60.0, "-60",
+                                  np.int64(-60)])
+def test_format_events_refuses_an_rssi_that_does_not_read_back(rssi):
+    # 10**6 would write lines that parse_events refuses, and True would write "ap True"
+    events = parse_capture(pcap(GOLDEN_RECORDS))
+    with pytest.raises(ValueError) as raised:
+        format_events(events, "ap", rssi)
+    assert str(raised.value) == f"rssi must be None or an int in [-32767, 32767], got {rssi!r}"
 
 
 # ---------------------------------------------------------------- capture variants

@@ -217,10 +217,32 @@ def test_fit_bounds_the_histogram_before_allocating():
         fit([30.0, 90.0], bin_width=5e-324)
 
 
-def test_model_round_trip():
-    model = fit([30.0, 90.0, 45.5], area_id="atrium")
-    again = parse_model(format_model(model))
-    assert again == model
+@given(
+    st.floats(1e-300, 1e300),
+    st.floats(0.0, 1e300),
+    st.floats(1e-300, 1e300),
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=5).filter(any),
+)
+def test_model_round_trip(tau_mean, tau_std, bin_width, histogram):
+    fitted = fit([30.0, 90.0, 45.5], area_id="atrium")
+    built = IntervalModel("area", tau_mean, tau_std, sum(histogram), bin_width,
+                          tuple(histogram))
+    for model in (fitted, built):
+        assert parse_model(format_model(model)) == model
+
+
+@pytest.mark.parametrize("tau_mean,tau_std,bin_width,name,value", [
+    (math.inf, 60.0, 10.0, "tau_mean", "inf"),
+    (60.0, math.nan, 10.0, "tau_std", "nan"),
+    (60.0, math.inf, 10.0, "tau_std", "inf"),
+    (60.0, 60.0, math.inf, "bin_width", "inf"),
+    (math.inf, math.nan, 10.0, "tau_mean", "inf"),
+])
+def test_an_interval_model_refuses_non_finite_fields(tau_mean, tau_std, bin_width, name, value):
+    # format_model would write them, and parse_model refuse them
+    with pytest.raises(ValueError) as raised:
+        IntervalModel("a", tau_mean, tau_std, 1, bin_width, (1,))
+    assert str(raised.value) == f"{name} must be finite, got {value}"
 
 
 def test_an_interval_model_holds_at_least_one_sample():

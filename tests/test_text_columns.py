@@ -193,7 +193,7 @@ def test_a_headed_event_and_series_file_read_as_the_row_reader_reads_them():
          [np.nan, 0.57735]], dtype=counting.SERIES_DTYPE))
     assert series.startswith("# start")
     count, _, _, ap, rssi = _event_columns(events)
-    assert count.tolist() == [4, 3] and ap.tolist() == [b"ap1", b"ap2"]
+    assert count.tolist() == [4, 3] and ap.tolist() == [True, True]  # checked, not kept
     assert rssi.tolist() == [-60, 0]  # 0 where a row has none
     assert counting.format_series(counting.parse_series(series)) == series
     assert cli._parse_value_series(series.encode()).value.tolist() == [0.0, 1.0]
@@ -256,8 +256,10 @@ def test_non_ascii_text_reads_as_str():
     assert [tuple(entity) for entity in trace.entities] == [
         ("\u00e9", "device", "\u00fc", 0.0, 1.0)]
     assert simulate.format_trace(trace) == text
-    ap = _event_columns(f"1.5 {_MAC} caf\u00e9 -60\n2.0 {_MAC} ap\n".encode())[3]
-    assert [name.decode() for name in ap.tolist()] == ["caf\u00e9", "ap"]
+    events = f"1.5 {_MAC} caf\u00e9 -60\n2.0 {_MAC} ap\n"
+    assert _columnar_and_row_outcomes_agree(_event_columns, events.encode())[3] == [True, True]
+    assert _outcome(ingest.parse_events, events) == _outcome(
+        ingest.parse_events, events.replace("caf\u00e9", "ap"))
 
 
 _ROW_LINES = [f"1.5 {_MAC} ap", f"2 {_MAC} ap -60", f"3 {_MAC} caf\u00e9", "", "  ", "\r",
