@@ -6,20 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Events
+from .ingest import Events, freeze_time_mac
 
 DEFAULT_BURST_GAP = 4.0
 
 
 @dataclass(frozen=True, eq=False)
 class Bursts:
-    """Bursts as columns, sorted by (probing instant, MAC): ``instant`` is each
-    burst's first frame time, ``mac`` its MAC (uint64)."""
+    """Bursts as read-only columns, sorted by (probing instant, MAC): ``instant`` is
+    each burst's first frame time (float64), ``mac`` its 48-bit MAC (uint64)."""
 
     instant: np.ndarray
     mac: np.ndarray
 
     def __post_init__(self) -> None:
+        freeze_time_mac(self, "instant", "burst")
         if np.any(self.instant[1:] < self.instant[:-1]):
             raise ValueError("bursts not sorted by probing instant")
 
@@ -47,23 +48,37 @@ def aggregate(events: Events, gap: float = DEFAULT_BURST_GAP) -> Bursts:
 
 
 def by_key(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(key, kind="stable")``, and where each run of equal keys starts in it.
+    """``np.argsort(key, kind="stable")`` of a uint64 ``key``, and where each run of equal
+    keys starts in it.
 
-    numpy's unstable argsort (a SIMD quicksort where the CPU has one) groups the keys;
-    one sort of the words ``group << 32 | index`` then puts each group's indices in
-    order.  From 2**32 keys on a word cannot hold the index: the stable argsort runs.
+    One sort of the words ``high << bits | index`` gives both, with ``bits`` the width
+    of the largest index.  ``high`` is the key itself where every key fits in the
+    other ``64 - bits``: 48-bit MACs do up to 2**16 keys.  Otherwise numpy's unstable
+    argsort ranks the keys first and ``high`` is each key's group.  From 2**32 keys on
+    a word cannot hold the index: the stable argsort runs.
     """
-    order = np.argsort(key)
-    sorted_key = key[order]
-    starts = np.ones(key.size, dtype=bool)
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts[1:])
     if key.size >= 2**32:
-        return np.argsort(key, kind="stable"), starts
-    words = np.cumsum(starts, dtype=np.uint64) << np.uint64(32)
-    words |= order.view(np.uint64)
+        order = np.argsort(key, kind="stable")
+        return order, _run_starts(key[order])
+    bits = np.uint64(max(1, (key.size - 1).bit_length()))
+    if key.size and key.max() >> (np.uint64(64) - bits):
+        order = np.argsort(key)
+        words = np.cumsum(_run_starts(key[order]), dtype=np.uint64) << bits
+        words |= order.view(np.uint64)
+    else:
+        words = key << bits
+        words |= np.arange(key.size, dtype=np.uint64)
     words.sort()
-    words &= np.uint64(2**32 - 1)
+    starts = _run_starts(words >> bits)
+    words &= (np.uint64(1) << bits) - np.uint64(1)
     return words.view(np.intp), starts
+
+
+def _run_starts(sorted_key: np.ndarray) -> np.ndarray:
+    """True where a run of equal values of ``sorted_key`` starts."""
+    starts = np.ones(sorted_key.size, dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts[1:])
+    return starts
 
 
 def by_time(t: np.ndarray, mac: np.ndarray, order: np.ndarray) -> np.ndarray:

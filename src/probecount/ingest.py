@@ -358,6 +358,22 @@ _EVENT_CHECKS = (
 )
 
 
+def freeze_time_mac(record: Any, time: str, kind: str) -> None:
+    """Set ``record``'s ``time`` and ``mac`` fields to read-only float64 and uint64
+    copies.  Columns that are not 1-D or differ in length, and MACs of 2**48 or more,
+    are refused; ``kind`` names the columns in the message."""
+    for name, dtype in ((time, np.float64), ("mac", np.uint64)):
+        column = np.array(getattr(record, name), dtype=dtype)
+        if column.ndim != 1:
+            raise ValueError(f"{kind} columns must be 1-D")
+        column.flags.writeable = False
+        object.__setattr__(record, name, column)
+    if getattr(record, time).size != record.mac.size:
+        raise ValueError(f"{kind} columns differ in length")
+    if np.any(record.mac >> np.uint64(48)):
+        raise ValueError("MAC value out of range")
+
+
 # The row view of ``Events.__iter__``: a frame's time and its MAC's six octets.
 _Row = namedtuple("_Row", "timestamp mac")
 _Octets = namedtuple("_Octets", "octets")
@@ -372,21 +388,14 @@ class Events:
     mac: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (("t", np.float64), ("mac", np.uint64)):
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        freeze_time_mac(self, "t", "event")
         t = self.t
-        if len(t) != len(self.mac):
-            raise ValueError("event columns differ in length")
         if not np.all((t >= 0) & (t < MAX_TIMESTAMP)):
             raise ValueError("event timestamp outside [0, 2**32) s")
         unsorted = np.flatnonzero(t[1:] < t[:-1])
         if unsorted.size:
             i = unsorted[0]
             raise ValueError(f"events not sorted by timestamp ({t[i + 1]} after {t[i]})")
-        if np.any(self.mac >> np.uint64(48)):
-            raise ValueError("MAC value out of range")
 
     def __len__(self) -> int:
         return len(self.t)

@@ -57,6 +57,30 @@ def test_bursts_refuse_unsorted_instants():
     assert Bursts(np.array([1.0, 1.0, 2.0]), np.array([3, 1, 2], dtype=np.uint64)).mac.size == 3
     with pytest.raises(ValueError, match="bursts not sorted by probing instant"):
         Bursts(np.array([1.0, 2.0, 1.5]), np.zeros(3, dtype=np.uint64))
+    with pytest.raises(ValueError, match="bursts not sorted by probing instant"):
+        Bursts([1.0, 3.0, 2.0], [5, 5, 5])
+
+
+def test_bursts_hold_read_only_float64_and_uint64_columns():
+    instant, mac = np.array([1.0, 2.0]), np.array([4, 2**48 - 1])
+    bursts = Bursts(instant, mac)
+    assert bursts.instant.dtype == np.float64 and bursts.mac.dtype == np.uint64
+    assert bursts.mac.tolist() == [4, 2**48 - 1]
+    assert not bursts.instant.flags.writeable and not bursts.mac.flags.writeable
+    assert instant.flags.writeable and mac.flags.writeable  # the caller's arrays
+
+
+@pytest.mark.parametrize("instant, mac, message", [
+    ([1.0, 2.0, 3.0], [5], "burst columns differ in length"),
+    ([1.0], [5, 5], "burst columns differ in length"),
+    ([[1.0, 2.0]], [[5, 5]], "burst columns must be 1-D"),
+    (1.0, 5, "burst columns must be 1-D"),
+    ([1.0, 2.0], [5, 2**48], "MAC value out of range"),
+    ([1.0, 2.0], np.array([5, -1]), "MAC value out of range"),
+])
+def test_bursts_refuse_malformed_columns(instant, mac, message):
+    with pytest.raises(ValueError, match=message):
+        Bursts(instant, mac)
 
 
 def test_gap_must_be_positive():
@@ -201,16 +225,60 @@ _KEYS = {
     "all distinct": list(range(60, 0, -1)),
     "extremes": [2**48 - 1, 0, 2**48 - 1, 5, 0, 0, 2**48 - 1],
     "runs": [i % 7 for i in range(300)],
+    "top of uint64": [2**64 - 1, 2**63, 5, 2**63, 2**64 - 1, 0, 2**63 + 1],
 }
+
+
+def _check_by_key(key):
+    order, starts = by_key(key)
+    _same(order, np.argsort(key, kind="stable"))
+    sorted_key = key[order]
+    _same(starts, np.r_[key.size > 0, sorted_key[1:] != sorted_key[:-1]][: key.size])
 
 
 @pytest.mark.parametrize("name", sorted(_KEYS))
 def test_by_key_is_the_stable_argsort(name):
-    key = np.array(_KEYS[name], dtype=np.uint64)
-    order, starts = by_key(key)
-    _same(order, np.argsort(key, kind="stable"))
-    assert starts.tolist() == [i == 0 or key[order[i]] != key[order[i - 1]]
-                               for i in range(key.size)]
+    _check_by_key(np.array(_KEYS[name], dtype=np.uint64))
+
+
+@pytest.fixture
+def argsorts(monkeypatch):
+    """The calls of ``np.argsort`` made while a test runs, as their keyword arguments."""
+    calls, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(kw) or argsort(*a, **kw))
+    return calls
+
+
+# (rows, bits of the widest key, packed): the index takes (rows - 1).bit_length() bits
+# of a word, and a key fits beside it when it is below 2**(64 - those bits); else the
+# keys are ranked
+@pytest.mark.parametrize("rows, bits, packed", [
+    (2**16, 48, True),
+    (2**16 + 1, 48, False),
+    (2**16 + 1, 47, True),
+    (7, 64, False),
+    (7, 61, True),
+])
+def test_by_key_on_both_sides_of_the_packing_limit(argsorts, rows, bits, packed):
+    rng = np.random.default_rng(rows + bits)
+    top = np.uint64(2**bits - 1)
+    pool = np.r_[np.uint64(0), top, rng.integers(0, top, rows // 4 + 1, dtype=np.uint64)]
+    key = pool[np.r_[1, 0, rng.integers(0, pool.size, rows - 2)]]
+    _check_by_key(key)
+    # the rank path's one unstable argsort, then the check's stable one
+    assert argsorts == ([] if packed else [{}]) + [{"kind": "stable"}]
+
+
+uint64_keys = st.lists(
+    st.one_of(st.integers(0, 5), st.integers(0, 2**48 - 1), st.integers(0, 2**64 - 1),
+              st.sampled_from([2**48 - 1, 2**48, 2**63, 2**64 - 1])),
+    max_size=80,
+)
+
+
+@given(uint64_keys)
+def test_by_key_is_the_stable_argsort_of_narrow_and_wide_keys(keys):
+    _check_by_key(np.array(keys, dtype=np.uint64))
 
 
 _ROWS = {

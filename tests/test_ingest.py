@@ -550,6 +550,7 @@ def test_events_columns_are_read_only():
         (([1.0], [2**64 - 1]), "MAC"),
         (([float("inf")], [1]), "timestamp"),
         (([1.0], [1, 2]), "length"),
+        (([[1.0]], [[1]]), "1-D"),
     ],
 )
 def test_events_reject_bad_columns(columns, fragment):
